@@ -39,7 +39,7 @@ from repro.config import SimulationConfig
 from repro.engines.base import STRUCTURAL_FIELDS
 from repro.engines.observables import Frame, Observables, pic_observables
 from repro.pic.grid import Grid1D
-from repro.pic.interpolation import charge_density, deposit, gather
+from repro.pic.interpolation import Workspace, charge_density, deposit, gather
 from repro.pic.particles import ParticleSet
 from repro.pic.poisson import PoissonSolver
 from repro.pic.scenarios import load_scenario
@@ -75,11 +75,13 @@ class EnergyConservingPIC:
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.grid = Grid1D(config.n_cells, config.box_length)
+        # Scratch for the many small deposits/gathers of the Picard loop.
+        self._work = Workspace()
         self.particles: ParticleSet = load_scenario(config, rng)
         # Initial field from Gauss's law; afterwards E evolves via Ampere.
         rho = charge_density(
             self.grid, self.particles.x, config.particle_charge,
-            order=config.interpolation,
+            order=config.interpolation, work=self._work,
         )
         _, self.efield = PoissonSolver(
             self.grid, method=config.poisson_solver, gradient=config.gradient
@@ -97,7 +99,7 @@ class EnergyConservingPIC:
         """Zero-mean electron current density at midpoint positions."""
         j = deposit(
             self.grid, x_half, self.config.particle_charge * v_half,
-            order=self.config.interpolation,
+            order=self.config.interpolation, work=self._work,
         )
         return j - j.mean()
 
@@ -116,7 +118,7 @@ class EnergyConservingPIC:
             x_half = np.mod(x_n + 0.5 * dt * v_half, cfg.box_length)
             j_half = self._current_density(x_half, v_half)
             e_half = e_n - 0.5 * dt * j_half / constants.EPSILON_0
-            e_at_p = gather(self.grid, e_half, x_half, order=cfg.interpolation)
+            e_at_p = gather(self.grid, e_half, x_half, order=cfg.interpolation, work=self._work)
             v_half_new = v_n + 0.5 * dt * cfg.qm * e_at_p
             delta = float(np.max(np.abs(v_half_new - v_half)))
             v_half = v_half_new
@@ -129,7 +131,7 @@ class EnergyConservingPIC:
         x_half = np.mod(x_n + 0.5 * dt * v_half, cfg.box_length)
         j_half = self._current_density(x_half, v_half)
         e_half = e_n - 0.5 * dt * j_half / constants.EPSILON_0
-        e_at_p = gather(self.grid, e_half, x_half, order=cfg.interpolation)
+        e_at_p = gather(self.grid, e_half, x_half, order=cfg.interpolation, work=self._work)
 
         self.particles.v = v_n + dt * cfg.qm * e_at_p
         self.particles.x = np.mod(x_n + dt * 0.5 * (v_n + self.particles.v), cfg.box_length)

@@ -13,18 +13,17 @@ The same shape function is used for both gather and deposit so the
 resulting traditional PIC method is momentum conserving.
 
 All routines are fully vectorized: deposits use ``np.add.at`` on index
-arrays, gathers use fancy indexing.  Positions are assumed periodic on
+arrays, gathers use ``np.take``.  Positions are assumed periodic on
 ``[0, L)``; callers should wrap positions first (``Grid1D.wrap``),
 although a single wrap is also applied defensively here.
 
 Every routine accepts either a single run — ``positions`` of shape
-``(n,)`` — or a stacked ensemble of independent runs — ``positions`` of
-shape ``(batch, n)``.  Batched deposits scatter each row into its own
-output row through offset flat indices (one ``np.add.at`` call for the
-whole ensemble); batched gathers read each row's field through the same
-flattening.  Row ``b`` of a batched result is bitwise identical to the
-corresponding single-run call, which is what lets the ensemble engine
-reproduce sequential runs exactly.
+``(n,)``, handled as a batch of one — or a stacked ensemble of
+independent runs — ``positions`` of shape ``(batch, n)``.  Batched
+deposits scatter each row into its own output row and batched gathers
+read each row's own field row.  Row ``b`` of a batched result is
+bitwise identical to the corresponding single-run call, which is what
+lets the ensemble engine reproduce sequential runs exactly.
 
 Both routines take an optional kernel ``backend`` (``repro.kernels``):
 the batched work is expressed as a slab function over contiguous row
@@ -32,6 +31,31 @@ ranges, so the threaded backend can chunk independent rows across its
 pool and the numba backend can swap in its jitted float64 loops —
 always reproducing the reference rows bit for bit.  ``backend=None``
 is the reference path itself (one full slab, zero overhead).
+
+Both routines — and the leapfrog pushers in :mod:`repro.pic.mover` —
+also take an optional :class:`Workspace`: the named, full-size scratch
+buffers their particle-sized intermediates (grid coordinates, node
+indices, weights, field samples, products) are written into with
+``out=`` ufuncs instead of being allocated afresh on every call.  The
+contract:
+
+* **engine-owned** — an engine (and a traditional field solver) keeps
+  one workspace for its lifetime, so after the first step no kernel
+  allocates particle-sized scratch; ``work=None`` runs the same code
+  on a throwaway workspace;
+* **row-sliced** — a backend slab over rows ``[lo, hi)`` touches only
+  rows ``[lo:hi]`` of each buffer, all allocated before the slabs run,
+  so threaded chunks stay race-free;
+* **escaping state is always fresh** — a kernel's result (the gathered
+  field, the deposited density, the pushed particles) is a new array
+  on every call and never aliases the workspace, so callers may hold
+  on to it across steps.
+
+Engines hand that state from step to step by reassignment and cache
+what they computed from it (see
+:meth:`repro.pic.simulation.EnsembleSimulation.step`), so editing
+particle positions or fields in place between steps is unsupported:
+assign a new array instead.
 """
 
 from __future__ import annotations
@@ -42,6 +66,29 @@ from repro.kernels import KernelBackend, NumbaBackend
 from repro.pic.grid import Grid1D
 
 _ORDERS = ("ngp", "cic", "tsc")
+
+
+class Workspace:
+    """Named scratch buffers for the particle kernels, reused across calls.
+
+    :meth:`get` returns the buffer registered under ``name``, allocating
+    it on first use — or again when a call asks for another shape or
+    dtype, so one workspace serves any sequence of calls correctly and
+    holds at most one buffer per name.  Buffer contents are undefined
+    between calls: they are scratch, never results.  A workspace is not
+    shared between engines or threads; slabs of one kernel call write
+    disjoint row slices of buffers fetched before the slabs start.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: "dict[str, np.ndarray]" = {}
+
+    def get(self, name: str, shape: "tuple[int, ...]", dtype: "np.dtype | type") -> np.ndarray:
+        """The ``(name, shape, dtype)`` buffer, allocated on first use."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(shape, dtype=dtype)
+        return buf
 
 
 def _run_rows(backend: "KernelBackend | None", n_rows: int, fn) -> None:
@@ -101,8 +148,8 @@ def _wrap_positions(x: np.ndarray, length: float) -> np.ndarray:
     return np.mod(x, length)
 
 
-def _wrap_indices(j: np.ndarray, n: int) -> np.ndarray:
-    """Periodic index wrap; bit-mask fast path for power-of-two grids.
+def _wrap_indices(j: np.ndarray, n: int) -> None:
+    """Periodic index wrap in place; bit-mask fast path for power-of-two grids.
 
     Two's-complement ``j & (n - 1)`` equals ``j % n`` for every integer
     when ``n`` is a power of two (it keeps the low bits, i.e. the value
@@ -110,60 +157,88 @@ def _wrap_indices(j: np.ndarray, n: int) -> np.ndarray:
     the integer-division modulo.
     """
     if n & (n - 1) == 0:
-        return j & (n - 1)
-    return j % n
+        np.bitwise_and(j, n - 1, out=j)
+    else:
+        np.remainder(j, n, out=j)
 
 
-def _floor_indices(s: np.ndarray) -> np.ndarray:
-    """``floor(s)`` as int64 indices for non-negative grid coordinates.
+def _stencil_buffers(
+    work: Workspace, order: str, shape: "tuple[int, int]", dtype: np.dtype
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """The full-size grid-coordinate, node-index and weight buffers.
 
-    The float64 path keeps the historical ``np.floor`` + ``astype``
-    pair bit-for-bit.  The float32 tier truncates directly — identical
-    to ``floor`` because positions are pre-wrapped to ``[0, L]`` so
-    ``s >= 0`` — which skips a full array pass on the hot path.
+    ``idx`` and ``w`` are ``(batch, k, n)`` with ``k`` the stencil width
+    (1, 2 or 3 nodes), so block ``i`` of a row holds every particle's
+    ``i``-th node — and one row's nodes are one contiguous run, which
+    is the order the deposit scatters them in.
     """
-    if s.dtype == np.float32:
-        return s.astype(np.int64)
-    return np.floor(s).astype(np.int64)
-
-
-def _ngp_indices(x: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Index of the nearest grid node, periodic."""
-    return _wrap_indices(_floor_indices(x / grid.dx + 0.5), grid.n_cells)
-
-
-def _cic_indices_weights(
-    x: np.ndarray, grid: Grid1D
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Left/right node indices and weights for linear interpolation."""
-    s = x / grid.dx
-    j = _floor_indices(s)
-    # float32 - int64 would promote to float64; keep the tier's dtype.
-    frac = s - (j if s.dtype == np.float64 else j.astype(s.dtype))
-    j_left = _wrap_indices(j, grid.n_cells)
-    j_right = _wrap_indices(j + 1, grid.n_cells)
-    return j_left, j_right, 1.0 - frac, frac
-
-
-def _tsc_indices_weights(
-    x: np.ndarray, grid: Grid1D
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Three node indices and quadratic-spline weights per particle."""
-    s = x / grid.dx
-    j = _floor_indices(s + 0.5)  # nearest node
-    d = s - (j if s.dtype == np.float64 else j.astype(s.dtype))  # in [-1/2, 1/2)
-    w_center = 0.75 - d * d
-    w_left = 0.5 * (0.5 - d) ** 2
-    w_right = 0.5 * (0.5 + d) ** 2
-    n = grid.n_cells
+    batch, n = shape
+    k = _ORDERS.index(order) + 1
     return (
-        _wrap_indices(j - 1, n),
-        _wrap_indices(j, n),
-        _wrap_indices(j + 1, n),
-        w_left,
-        w_center,
-        w_right,
+        work.get("s", shape, dtype),
+        work.get("idx", (batch, k, n), np.int64),
+        work.get("w", (batch, k, n), dtype),
     )
+
+
+def _fill_stencil(
+    x: np.ndarray, grid: Grid1D, order: str,
+    s: np.ndarray, idx: np.ndarray, w: np.ndarray,
+) -> None:
+    """Node indices and shape-function weights of the particles ``x``.
+
+    Fills the matching row slices of the :func:`_stencil_buffers`
+    (``ngp`` leaves ``w`` untouched: its one node has weight 1).  Every
+    step computes the historical expressions in their historical order,
+    so the bits are those of the reference kernels:
+
+    * grid coordinates are ``x / dx`` (plus ``1/2`` for ``ngp``/``tsc``,
+      whose nearest node is the rounded coordinate);
+    * node indices truncate them to int64, which equals ``floor`` here:
+      the coordinates are never negative (positions are wrapped to
+      ``[0, L]`` first), and ``-0.0`` truncates to the same 0;
+    * fractional offsets subtract the node index in the positions'
+      dtype (float32 runs never promote to float64);
+    * indices wrap periodically, the neighbour nodes as
+      ``wrap(wrap(j) ± 1) == wrap(j ± 1)``.
+    """
+    n = grid.n_cells
+    np.divide(x, grid.dx, out=s)
+    if order == "ngp":
+        s += 0.5
+        j = idx[:, 0]
+        np.copyto(j, s, casting="unsafe")
+        _wrap_indices(j, n)
+        return
+    if order == "cic":
+        j, frac = idx[:, 0], w[:, 1]
+        np.copyto(j, s, casting="unsafe")
+        np.subtract(s, j, out=frac, dtype=s.dtype, casting="unsafe")
+        np.subtract(1.0, frac, out=w[:, 0])
+        _wrap_indices(j, n)
+        np.add(j, 1, out=idx[:, 1])
+        _wrap_indices(idx[:, 1], n)
+        return
+    # tsc: nearest node j, offset d in [-1/2, 1/2), quadratic weights
+    # 0.5 (0.5 - d)^2, 0.75 - d^2 and 0.5 (0.5 + d)^2.
+    j, d = idx[:, 1], s
+    np.add(s, 0.5, out=w[:, 0])
+    np.copyto(j, w[:, 0], casting="unsafe")
+    np.subtract(s, j, out=d, dtype=s.dtype, casting="unsafe")
+    w_left, w_center, w_right = w[:, 0], w[:, 1], w[:, 2]
+    np.multiply(d, d, out=w_center)
+    np.subtract(0.75, w_center, out=w_center)
+    np.subtract(0.5, d, out=w_left)
+    np.multiply(w_left, w_left, out=w_left)
+    w_left *= 0.5
+    np.add(d, 0.5, out=w_right)
+    np.multiply(w_right, w_right, out=w_right)
+    w_right *= 0.5
+    _wrap_indices(j, n)
+    np.subtract(j, 1, out=idx[:, 0])
+    _wrap_indices(idx[:, 0], n)
+    np.add(j, 1, out=idx[:, 2])
+    _wrap_indices(idx[:, 2], n)
 
 
 def deposit(
@@ -172,6 +247,7 @@ def deposit(
     weights: "np.ndarray | float",
     order: str = "cic",
     backend: "KernelBackend | None" = None,
+    work: "Workspace | None" = None,
 ) -> np.ndarray:
     """Scatter per-particle ``weights`` onto grid nodes.
 
@@ -185,8 +261,9 @@ def deposit(
     ``(batch, n_cells)``, each row deposited independently).  Any other
     shape, or ``weights`` that do not broadcast against ``positions``,
     raises ``ValueError``.  ``backend`` selects how the independent
-    rows execute (see the module docstring); every backend reproduces
-    the default's rows bit for bit.
+    rows execute and ``work`` holds the particle-sized intermediates
+    (see the module docstring); every backend reproduces the default's
+    rows bit for bit.
     """
     _check_order(order)
     x = _wrap_positions(_check_positions(positions), grid.length)
@@ -213,32 +290,25 @@ def deposit(
                 grid.dx, jit.ORDER_CODES[order],
             )
     else:
+        s, idx, wts = _stencil_buffers(
+            work if work is not None else Workspace(), order, x2.shape, x.dtype
+        )
+        row_idx, row_wts = idx.reshape(batch, -1), wts.reshape(batch, -1)
+
         def slab(lo: int, hi: int) -> None:
-            # Offset flat indices scatter every row of the slab into its
-            # own output row with a single np.add.at; the indices and
-            # weight products are raveled because ufunc.at is several
-            # times faster on 1-D operands than on 2-D ones (the
-            # accumulation order — and hence the bit pattern — is
-            # identical either way, and independent of the slab bounds).
-            xs = x2[lo:hi]
-            ws = w2[lo:hi]
-            flat = out[lo:hi].reshape(-1)
-            offs = (np.arange(hi - lo, dtype=np.int64) * grid.n_cells)[:, None]
-
-            def scatter(j: np.ndarray, wj: np.ndarray) -> None:
-                np.add.at(flat, (offs + j).ravel(), wj.ravel())
-
+            rows = wts[lo:hi]
+            _fill_stencil(x2[lo:hi], grid, order, s[lo:hi], idx[lo:hi], rows)
             if order == "ngp":
-                scatter(_ngp_indices(xs, grid), np.ascontiguousarray(ws))
-            elif order == "cic":
-                jl, jr, wl, wr = _cic_indices_weights(xs, grid)
-                scatter(jl, ws * wl)
-                scatter(jr, ws * wr)
-            else:  # tsc
-                jl, jc, jr, wl, wc, wr = _tsc_indices_weights(xs, grid)
-                scatter(jl, ws * wl)
-                scatter(jc, ws * wc)
-                scatter(jr, ws * wr)
+                rows[:, 0] = w2[lo:hi]
+            else:
+                np.multiply(w2[lo:hi, None, :], rows, out=rows)
+            # One np.add.at per row, on 1-D operands (ufunc.at is several
+            # times faster on those than on 2-D ones).  A row's nodes
+            # scatter block by block in particle order — every output
+            # cell accumulates in the same order as ever, so the bits do
+            # not depend on the slab bounds.
+            for b in range(lo, hi):
+                np.add.at(out[b], row_idx[b], row_wts[b])
 
     _run_rows(backend, batch, slab)
     out /= grid.dx
@@ -251,48 +321,29 @@ def gather(
     positions: np.ndarray,
     order: str = "cic",
     backend: "KernelBackend | None" = None,
+    work: "Workspace | None" = None,
 ) -> np.ndarray:
     """Interpolate a node-defined ``field`` to particle ``positions``.
 
     With 1-D positions the field must be ``(n_cells,)``.  With batched
     ``(batch, n)`` positions the field may be ``(batch, n_cells)`` (one
     field per run) or ``(n_cells,)`` (shared across the ensemble); the
-    result is ``(batch, n)``.  ``backend`` routes the batched rows (see
-    the module docstring); results are bit-identical for every backend.
+    result is ``(batch, n)``.  ``backend`` routes the batched rows and
+    ``work`` holds the particle-sized intermediates (see the module
+    docstring); results are bit-identical for every backend.  The
+    result itself is always a fresh array.
     """
     _check_order(order)
     field = np.asarray(field)
     if field.dtype != np.float32:
         field = np.asarray(field, dtype=np.float64)
     x = _wrap_positions(_check_positions(positions), grid.length)
-    if x.ndim == 1:
-        if field.shape != (grid.n_cells,):
-            raise ValueError(f"field has shape {field.shape}, expected ({grid.n_cells},)")
-        if order == "ngp":
-            return field[_ngp_indices(x, grid)]
-        if order == "cic":
-            jl, jr, wl, wr = _cic_indices_weights(x, grid)
-            return field[jl] * wl + field[jr] * wr
-        jl, jc, jr, wl, wc, wr = _tsc_indices_weights(x, grid)
-        return field[jl] * wl + field[jc] * wc + field[jr] * wr
-
-    batch = x.shape[0]
+    if x.ndim == 1 and field.shape != (grid.n_cells,):
+        raise ValueError(f"field has shape {field.shape}, expected ({grid.n_cells},)")
+    x2 = x if x.ndim == 2 else x[None]
+    batch = x2.shape[0]
     per_row = field.ndim == 2
-    if field.ndim == 1 and field.shape == (grid.n_cells,):
-        # Field shared across the ensemble: plain fancy indexing with the
-        # index arrays reads it directly — no offsets, no copy.
-        def pick(j: np.ndarray, lo: int) -> np.ndarray:
-            return field[j]
-
-    elif field.shape == (batch, grid.n_cells):
-        flat = np.ascontiguousarray(field).reshape(-1)
-        offs = (np.arange(batch, dtype=np.int64) * grid.n_cells)[:, None]
-
-        def pick(j: np.ndarray, lo: int) -> np.ndarray:
-            # 1-D fancy indexing is measurably faster than 2-D.
-            return flat[(offs[lo : lo + j.shape[0]] + j).ravel()].reshape(j.shape)
-
-    else:
+    if field.shape not in ((grid.n_cells,), (batch, grid.n_cells)):
         raise ValueError(
             f"field has shape {field.shape}, expected ({grid.n_cells},) or "
             f"({batch}, {grid.n_cells}) for batched positions"
@@ -301,32 +352,48 @@ def gather(
     # ngp copies field samples verbatim; the weighted orders promote the
     # field against the positions-dtype weights exactly as the reference
     # expressions always have.
-    out_dtype = field.dtype if order == "ngp" else np.result_type(field.dtype, x.dtype)
-    out = np.empty(x.shape, dtype=out_dtype)
+    if order == "ngp" or field.dtype == x.dtype:
+        out_dtype = field.dtype
+    else:
+        out_dtype = np.result_type(field.dtype, x.dtype)
+    out = np.empty(x2.shape, dtype=out_dtype)
     jit = _jit_kernels(backend)
     if jit is not None and per_row and x.dtype == np.float64 and field.dtype == np.float64:
         cfield = np.ascontiguousarray(field)
 
         def slab(lo: int, hi: int) -> None:
             jit.gather_rows(
-                out[lo:hi], cfield[lo:hi], x[lo:hi], grid.dx, jit.ORDER_CODES[order]
+                out[lo:hi], cfield[lo:hi], x2[lo:hi], grid.dx, jit.ORDER_CODES[order]
             )
     else:
+        work = work if work is not None else Workspace()
+        s, idx, w = _stencil_buffers(work, order, x2.shape, x.dtype)
+        # Promoting the (grid-sized) field once is exact, so the node
+        # samples land in the result dtype with the reference values.
+        src = np.ascontiguousarray(field, dtype=out_dtype)
+        picks = work.get("picks", idx.shape, out_dtype) if order != "ngp" else None
+
         def slab(lo: int, hi: int) -> None:
-            xs = x[lo:hi]
-            if order == "ngp":
-                out[lo:hi] = pick(_ngp_indices(xs, grid), lo)
-            elif order == "cic":
-                jl, jr, wl, wr = _cic_indices_weights(xs, grid)
-                out[lo:hi] = pick(jl, lo) * wl + pick(jr, lo) * wr
-            else:  # tsc
-                jl, jc, jr, wl, wc, wr = _tsc_indices_weights(xs, grid)
-                out[lo:hi] = (
-                    pick(jl, lo) * wl + pick(jc, lo) * wc + pick(jr, lo) * wr
-                )
+            _fill_stencil(x2[lo:hi], grid, order, s[lo:hi], idx[lo:hi], w[lo:hi])
+            # Per-row takes read a grid-sized field row straight from
+            # cache; mode="clip" is unbuffered and a no-op on indices
+            # that are already wrapped.
+            for b in range(lo, hi):
+                row = src[b] if per_row else src
+                if picks is None:
+                    row.take(idx[b, 0], out=out[b], mode="clip")
+                else:
+                    row.take(idx[b], out=picks[b], mode="clip")
+            if picks is None:
+                return
+            p, res = picks[lo:hi], out[lo:hi]
+            np.multiply(p, w[lo:hi], out=p)
+            np.add(p[:, 0], p[:, 1], out=res)
+            if order == "tsc":
+                np.add(res, p[:, 2], out=res)
 
     _run_rows(backend, batch, slab)
-    return out
+    return out if x.ndim == 2 else out[0]
 
 
 def charge_density(
@@ -336,6 +403,7 @@ def charge_density(
     order: str = "cic",
     background: float = 1.0,
     backend: "KernelBackend | None" = None,
+    work: "Workspace | None" = None,
 ) -> np.ndarray:
     """Total charge density: deposited electrons plus a uniform ion
     background (the paper's motionless neutralizing protons).
@@ -344,5 +412,7 @@ def charge_density(
     mean of the returned density is zero to round-off.  Accepts single
     ``(n,)`` or batched ``(batch, n)`` positions like :func:`deposit`.
     """
-    rho = deposit(grid, positions, particle_charge, order=order, backend=backend)
+    rho = deposit(
+        grid, positions, particle_charge, order=order, backend=backend, work=work
+    )
     return rho + background

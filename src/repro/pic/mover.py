@@ -18,6 +18,16 @@ independence lets the leapfrog pushers take an optional kernel
 ``backend`` (``repro.kernels``): a parallel backend updates contiguous
 row chunks concurrently, producing the reference bit pattern because
 each output row depends only on the matching input rows.
+
+The leapfrog pushers also take an optional kernel ``work`` space
+(:class:`repro.pic.interpolation.Workspace`, same contract as the
+gather and deposit): their particle-sized intermediates — the kick
+``qm * E * dt``, the float32 floor wrap, the float64 wrap mask — live
+in its row-sliced buffers, while the updated ``x`` / ``v`` they return
+are always fresh arrays.  The engines own the workspace and hand state
+from step to step by reassignment; editing particle state in place
+between steps is unsupported (see
+:meth:`repro.pic.simulation.EnsembleSimulation.step`).
 """
 
 from __future__ import annotations
@@ -25,11 +35,48 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels import KernelBackend
+from repro.pic.interpolation import Workspace
 
 
-def _chunked(backend: "KernelBackend | None", x: np.ndarray) -> bool:
-    """Whether ``backend`` should split this array's batch rows."""
-    return backend is not None and backend.parallel and x.ndim == 2
+def _rows(backend: "KernelBackend | None", a: np.ndarray, fn) -> None:
+    """Run the slab ``fn(rows)`` over ``a``'s batch rows.
+
+    A parallel backend gets contiguous row chunks of a batched array;
+    everything else is one slab covering the whole array.
+    """
+    if backend is not None and backend.parallel and a.ndim == 2:
+        backend.run_rows(a.shape[0], lambda lo, hi: fn(slice(lo, hi)))
+    else:
+        fn(slice(None))
+
+
+def _kick(
+    v: np.ndarray,
+    e_at_particles: np.ndarray,
+    scale: float,
+    dt: float,
+    backend: "KernelBackend | None",
+    work: "Workspace | None",
+    op: np.ufunc,
+) -> np.ndarray:
+    """``op(v, scale * e * dt)`` as a fresh array, the product in ``work``.
+
+    The product keeps the dtype the expression ``scale * e * dt`` has,
+    step by step, so every pusher reproduces its historical bits.
+    """
+    work = work if work is not None else Workspace()
+    kick = work.get("kick", e_at_particles.shape, np.result_type(e_at_particles, scale, dt))
+    out = np.empty(v.shape, np.result_type(v, kick))
+    scaled = np.result_type(e_at_particles, scale)
+
+    def slab(rows: slice) -> None:
+        k = kick[rows]
+        np.multiply(e_at_particles[rows], scale, out=k, dtype=scaled)
+        np.multiply(k, dt, out=k)
+        op(v[rows], k, out=out[rows])
+
+    _rows(backend, v, slab)
+    return out
 
 
 def push_velocities(
@@ -38,17 +85,31 @@ def push_velocities(
     qm: float,
     dt: float,
     backend: "KernelBackend | None" = None,
+    work: "Workspace | None" = None,
 ) -> np.ndarray:
     """Leapfrog velocity update (Eq. 2); returns a new array."""
-    if _chunked(backend, v):
-        out = np.empty_like(v)
+    return _kick(v, e_at_particles, qm, dt, backend, work, np.add)
 
-        def slab(lo: int, hi: int) -> None:
-            out[lo:hi] = v[lo:hi] + qm * e_at_particles[lo:hi] * dt
 
-        backend.run_rows(v.shape[0], slab)
-        return out
-    return v + qm * e_at_particles * dt
+def _wrap_into_box(y: np.ndarray, length: float, mask: np.ndarray) -> None:
+    """``y = np.mod(y, length)`` in place, bit for bit.
+
+    One leapfrog push moves a particle by less than a box, so ``y``
+    normally lies in ``[-L, 2L)``, where the modulo is one compare and
+    one shift: ``y - L`` is exact above ``L`` (Sterbenz), and below 0
+    ``y + L`` is exactly the rounded sum ``np.mod`` returns (including
+    ``L`` itself for tiny negative ``y``).  Adding ``0.0`` turns ``-0.0``
+    into ``+0.0``, as ``np.mod`` does.  Inputs outside that range take
+    ``np.mod`` itself.
+    """
+    if y.size and (y.min() < -length or y.max() >= 2.0 * length):
+        np.mod(y, length, out=y)
+        return
+    np.greater_equal(y, length, out=mask)
+    np.subtract(y, length, out=y, where=mask)
+    np.less(y, 0.0, out=mask)
+    np.add(y, length, out=y, where=mask)
+    y += 0.0
 
 
 def push_positions(
@@ -57,35 +118,40 @@ def push_positions(
     dt: float,
     length: float,
     backend: "KernelBackend | None" = None,
+    work: "Workspace | None" = None,
 ) -> np.ndarray:
-    """Leapfrog position update (Eq. 1) with periodic wrapping."""
+    """Leapfrog position update (Eq. 1) with periodic wrapping.
+
+    Returns a new array.  float64 positions wrap exactly as
+    ``np.mod(x + v * dt, length)`` (see :func:`_wrap_into_box`); the
+    float32 tier wraps via floor — ~8x cheaper than ``np.mod`` and
+    equal to it up to single-precision rounding (a particle may land
+    exactly on ``L``, which the grid treats as node 0).
+    """
+    work = work if work is not None else Workspace()
+    out = np.empty(x.shape, np.result_type(x, v, dt))
+    step_dtype = np.result_type(v, dt)
     if x.dtype == np.float32:
-        # The float32 tier wraps via floor — ~8x cheaper than np.mod
-        # and equal to it up to single-precision rounding (a particle
-        # may land exactly on L, which the grid treats as node 0).
-        if _chunked(backend, x):
-            out = np.empty_like(x)
-            flen = np.float32(length)
+        scratch = work.get("wrap", out.shape, out.dtype)
+        flen = np.float32(length)
+    else:
+        scratch = work.get("wrap_mask", out.shape, np.bool_)
 
-            def slab(lo: int, hi: int) -> None:
-                xs = x[lo:hi] + v[lo:hi] * dt
-                xs -= np.floor(xs / flen) * flen
-                out[lo:hi] = xs
+    def slab(rows: slice) -> None:
+        y = out[rows]
+        np.multiply(v[rows], dt, out=y, dtype=step_dtype)
+        np.add(x[rows], y, out=y)
+        if x.dtype == np.float32:
+            t = scratch[rows]
+            np.divide(y, flen, out=t)
+            np.floor(t, out=t)
+            t *= flen
+            y -= t
+        else:
+            _wrap_into_box(y, length, scratch[rows])
 
-            backend.run_rows(x.shape[0], slab)
-            return out
-        x = x + v * dt
-        x -= np.floor(x / np.float32(length)) * np.float32(length)
-        return x
-    if _chunked(backend, x):
-        out = np.empty_like(x)
-
-        def slab(lo: int, hi: int) -> None:
-            out[lo:hi] = np.mod(x[lo:hi] + v[lo:hi] * dt, length)
-
-        backend.run_rows(x.shape[0], slab)
-        return out
-    return np.mod(x + v * dt, length)
+    _rows(backend, x, slab)
+    return out
 
 
 def rewind_velocities(
@@ -94,21 +160,30 @@ def rewind_velocities(
     qm: float,
     dt: float,
     backend: "KernelBackend | None" = None,
+    work: "Workspace | None" = None,
 ) -> np.ndarray:
     """Shift velocities from ``t=0`` back to ``t=-dt/2`` to start leapfrog.
 
     Standard leapfrog initialization: the loaded velocities are defined
     at integer time 0 while the scheme stores them at half steps.
     """
-    if _chunked(backend, v):
-        out = np.empty_like(v)
+    return _kick(v, e_at_particles, 0.5 * qm, dt, backend, work, np.subtract)
 
-        def slab(lo: int, hi: int) -> None:
-            out[lo:hi] = v[lo:hi] - 0.5 * qm * e_at_particles[lo:hi] * dt
 
-        backend.run_rows(v.shape[0], slab)
-        return out
-    return v - 0.5 * qm * e_at_particles * dt
+def synchronize_velocities(
+    v: np.ndarray,
+    e_at_particles: np.ndarray,
+    qm: float,
+    dt: float,
+    backend: "KernelBackend | None" = None,
+    work: "Workspace | None" = None,
+) -> np.ndarray:
+    """Half-step ``v^{n+1/2}`` forward to integer time ``t_{n+1}``.
+
+    The inverse of :func:`rewind_velocities` with the new field: the
+    time-centered velocities the diagnostics read.
+    """
+    return _kick(v, e_at_particles, 0.5 * qm, dt, backend, work, np.add)
 
 
 def boris_push_velocities(

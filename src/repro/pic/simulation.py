@@ -33,8 +33,13 @@ from repro.engines.base import STRUCTURAL_FIELDS
 from repro.engines.observables import Frame, Observables, pic_observables
 from repro.kernels import KernelBackend, resolve_backend
 from repro.pic.grid import Grid1D
-from repro.pic.interpolation import charge_density, gather
-from repro.pic.mover import push_positions, push_velocities, rewind_velocities
+from repro.pic.interpolation import Workspace, charge_density, gather
+from repro.pic.mover import (
+    push_positions,
+    push_velocities,
+    rewind_velocities,
+    synchronize_velocities,
+)
 from repro.pic.particles import ParticleSet
 from repro.pic.poisson import PoissonSolver
 from repro.pic.scenarios import load_ensemble
@@ -102,8 +107,10 @@ class ChargeDepositionFieldSolver:
     This is the right-hand loop of the paper's Fig. 1 (interpolation of
     the charge density at grid points + Poisson solve + gradient).
     Batch-capable: with ``(batch, n)`` positions the deposit scatters
-    through offset flat indices and the Poisson solve batches its FFTs
-    along the last axis.
+    every row into its own density row and the Poisson solve batches
+    its FFTs along the last axis.  The solver owns the kernel workspace
+    its deposits write their intermediates into, so one instance must
+    not serve two concurrently stepping engines.
     """
 
     supports_batch = True
@@ -126,11 +133,12 @@ class ChargeDepositionFieldSolver:
         self.poisson = PoissonSolver(grid, method=poisson_method, gradient=gradient)
         self.last_rho: "np.ndarray | None" = None
         self.last_phi: "np.ndarray | None" = None
+        self._work = Workspace()
 
     def field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         rho = charge_density(
             self.grid, x, self.particle_charge, order=self.interpolation,
-            background=self.background, backend=self.backend,
+            background=self.background, backend=self.backend, work=self._work,
         )
         phi, e = self.poisson.solve(rho)
         self.last_rho = rho
@@ -161,6 +169,11 @@ class EnsembleSimulation:
     Leapfrog time staggering matches :class:`PICSimulation`: positions
     at integer times, velocities at half times, diagnostics at integer
     times via the time-centered velocity average.
+
+    The engine owns the kernel :class:`~repro.pic.interpolation.Workspace`
+    its gather and pushers write their intermediates into (see
+    :meth:`step` for the contract), and caches the field gathered at the
+    current ``(particles.x, efield)``.
     """
 
     def __init__(
@@ -185,6 +198,9 @@ class EnsembleSimulation:
         self.config = ref  # structural reference member
         self.batch = len(self.configs)
         self.grid = Grid1D(ref.n_cells, ref.box_length)
+        self._work = Workspace()
+        # (x, efield, E at the particles) of the latest gather.
+        self._gathered: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
         # The kernel backend tier: how the independent batch rows of
         # every hot kernel execute.  All backends reproduce the numpy
         # reference bit for bit (per-row invariance), so this is purely
@@ -221,13 +237,11 @@ class EnsembleSimulation:
                 f"expected ({self.batch}, {ref.n_cells})"
             )
         self._v_integer = self.particles.v.copy()  # v at t=0 (integer time)
-        # Rewind v to t = -dt/2 for leapfrog staggering.
-        e_at_p = gather(
-            self.grid, self.efield, self.particles.x,
-            order=ref.interpolation, backend=self._backend,
-        )
+        # Rewind v to t = -dt/2 for leapfrog staggering.  The rewind
+        # gather is the force of step 0 too: the cache carries it over.
         self.particles.v = rewind_velocities(
-            self.particles.v, e_at_p, ref.qm, ref.dt, backend=self._backend
+            self.particles.v, self._field_at_particles(), ref.qm, ref.dt,
+            backend=self._backend, work=self._work,
         )
 
     @classmethod
@@ -270,18 +284,52 @@ class EnsembleSimulation:
             particles=self.particles, v_center=self._v_integer,
         ))
 
+    def _field_at_particles(self) -> np.ndarray:
+        """``E`` gathered at the current particles, at most once per state.
+
+        The cache is keyed by the *identity* of ``particles.x`` and
+        ``efield``: the step reassigns both, so a hit means the gather
+        would see exactly the inputs it saw last time.
+        """
+        x, efield = self.particles.x, self.efield
+        cached = self._gathered
+        if cached is not None and cached[0] is x and cached[1] is efield:
+            return cached[2]
+        e_at_p = gather(
+            self.grid, efield, x, order=self.config.interpolation,
+            backend=self._backend, work=self._work,
+        )
+        self._gathered = (x, efield, e_at_p)
+        return e_at_p
+
     def step(self) -> None:
-        """Advance every member one PIC cycle (gather -> push v -> push x -> field)."""
+        """Advance every member one PIC cycle (gather -> push v -> push x -> field).
+
+        One gather per step: the gather at ``(x_{n+1}, E_{n+1})`` that
+        synchronizes the diagnostic velocities is also the next step's
+        force, so the next step reuses it while ``particles.x`` and
+        ``efield`` are still the arrays it was computed from (a
+        reassigned array triggers a fresh gather).
+
+        Workspace contract: the kernels write every particle-sized
+        intermediate into the engine-owned workspace, in row slices per
+        backend chunk; the state that escapes the step — ``particles.x``,
+        ``particles.v``, the synchronized velocities, ``efield`` and the
+        cached field at the particles — is a fresh array every step, so
+        references held from earlier steps keep their values.
+        Editing that state *in place* between steps is unsupported (the
+        gather cache cannot see it); assign a new array instead.
+        """
         cfg = self.config
         backend = self._backend
-        e_at_p = gather(
-            self.grid, self.efield, self.particles.x,
-            order=cfg.interpolation, backend=backend,
+        work = self._work
+        v_new = push_velocities(
+            self.particles.v, self._field_at_particles(), cfg.qm, cfg.dt,
+            backend=backend, work=work,
         )
-        v_new = push_velocities(self.particles.v, e_at_p, cfg.qm, cfg.dt, backend=backend)
         self.particles.v = v_new
         self.particles.x = push_positions(
-            self.particles.x, v_new, cfg.dt, cfg.box_length, backend=backend
+            self.particles.x, v_new, cfg.dt, cfg.box_length, backend=backend, work=work
         )
         self.efield = np.asarray(
             self.field_solver.field(self.particles.x, self.particles.v), dtype=self._dtype
@@ -290,11 +338,9 @@ class EnsembleSimulation:
         self.time += cfg.dt
         # Synchronize velocities to the new integer time t_{n+1} with a
         # half push using the freshly computed field (diagnostics only).
-        e_new_at_p = gather(
-            self.grid, self.efield, self.particles.x,
-            order=cfg.interpolation, backend=backend,
+        self._v_integer = synchronize_velocities(
+            v_new, self._field_at_particles(), cfg.qm, cfg.dt, backend=backend, work=work
         )
-        self._v_integer = v_new + 0.5 * cfg.qm * e_new_at_p * cfg.dt
 
     def run(
         self,
@@ -368,19 +414,31 @@ class PICSimulation:
         self._v_integer = ens._v_integer[0]
         self.time = ens.time
         self.step_index = ens.step_index
+        self._views = (self.particles.x, self.particles.v, self.efield, self._v_integer)
 
     def _push_to_ensemble(self) -> None:
-        """Adopt external edits of the 1-D views back into the ensemble.
+        """Adopt the 1-D attributes reassigned since the last sync.
 
-        Reshaping the (contiguous) 1-D arrays to ``(1, n)`` is a view,
-        so this costs nothing when the state was not touched.
+        Untouched views are left alone, so the ensemble keeps the very
+        arrays it produced and its step can reuse the cached gather.  A
+        reassigned attribute replaces the ensemble's array (as a
+        ``(1, n)`` view of it).  Like the ensemble's own state, the
+        views must not be edited in place between steps.
         """
         ens = self._ensemble
-        dtype = ens._dtype
-        ens.particles.x = np.asarray(self.particles.x, dtype=dtype).reshape(1, -1)
-        ens.particles.v = np.asarray(self.particles.v, dtype=dtype).reshape(1, -1)
-        ens.efield = np.asarray(self.efield, dtype=dtype).reshape(1, -1)
-        ens._v_integer = np.asarray(self._v_integer, dtype=dtype).reshape(1, -1)
+
+        def as_row(a: np.ndarray) -> np.ndarray:
+            return np.asarray(a, dtype=ens._dtype).reshape(1, -1)
+
+        x, v, efield, v_integer = self._views
+        if self.particles.x is not x:
+            ens.particles.x = as_row(self.particles.x)
+        if self.particles.v is not v:
+            ens.particles.v = as_row(self.particles.v)
+        if self.efield is not efield:
+            ens.efield = as_row(self.efield)
+        if self._v_integer is not v_integer:
+            ens._v_integer = as_row(self._v_integer)
 
     @property
     def v_at_integer_time(self) -> np.ndarray:

@@ -5,8 +5,10 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.engines.observables import Observables, pic_observables
+from repro.pic import simulation
 from repro.pic.grid import Grid1D
 from repro.pic.interpolation import deposit, gather
+from repro.pic.mover import push_velocities
 from repro.pic.poisson import PoissonSolver
 from repro.pic.simulation import (
     EnsembleSimulation,
@@ -224,3 +226,39 @@ class TestPICViewStateSync:
         untouched = TraditionalPIC(config)
         untouched.step()
         assert not np.array_equal(sim_a.particles.x, untouched.particles.x)
+
+    def test_external_efield_reassignment_respected(self, config):
+        """A reassigned field is the force of the next step (no stale gather)."""
+        sim = TraditionalPIC(config)
+        x0, v0 = sim.particles.x.copy(), sim.particles.v.copy()
+        sim.efield = 2.0 * sim.efield
+        e_at_p = gather(sim.grid, sim.efield, x0, order=config.interpolation)
+        sim.step()
+        np.testing.assert_array_equal(
+            sim.particles.v, push_velocities(v0, e_at_p, config.qm, config.dt)
+        )
+
+    def test_ensemble_efield_reassignment_respected(self, config):
+        ens = EnsembleSimulation.from_config(config, batch=2)
+        ens.step()
+        x0, v0 = ens.particles.x.copy(), ens.particles.v.copy()
+        ens.efield = ens.efield[::-1].copy()
+        e_at_p = gather(ens.grid, ens.efield, x0, order=config.interpolation)
+        ens.step()
+        np.testing.assert_array_equal(
+            ens.particles.v, push_velocities(v0, e_at_p, config.qm, config.dt)
+        )
+
+    def test_solo_run_does_one_gather_per_step(self, config, monkeypatch):
+        calls = []
+        original = simulation.gather
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "gather", counted)
+        sim = TraditionalPIC(config)
+        assert len(calls) == 1  # the rewind gather, reused by step 0
+        sim.run(5)
+        assert len(calls) == 1 + 5
