@@ -15,7 +15,7 @@ import pytest
 from conftest import dump_result
 
 from repro.config import SimulationConfig
-from repro.datagen.campaign import harvest_simulation
+from repro.datagen.campaign import harvest_via_client
 from repro.models.architectures import build_mlp
 from repro.nn.losses import MSELoss
 from repro.nn.metrics import mean_absolute_error
@@ -55,7 +55,7 @@ def test_binning_order_ablation(ablation_config, results_dir, benchmark):
     def run():
         maes = {}
         for order in ("ngp", "cic"):
-            data = harvest_simulation(ablation_config, grid, binning=order)
+            data = harvest_via_client([ablation_config], grid, binning=order)
             maes[order] = _train_mlp_on(data, hidden=64)
         return maes
 
@@ -90,7 +90,7 @@ def test_interpolation_order_noise_ablation(results_dir, benchmark):
 def test_mlp_width_ablation(ablation_config, results_dir, benchmark):
     """Wider MLPs fit the field map better at fixed epochs."""
     grid = PhaseSpaceGrid(n_x=32, n_v=16, box_length=ablation_config.box_length)
-    data = harvest_simulation(ablation_config, grid, binning="ngp")
+    data = harvest_via_client([ablation_config], grid, binning="ngp")
 
     def run():
         return {width: _train_mlp_on(data, hidden=width) for width in (16, 64, 256)}
@@ -112,23 +112,21 @@ def test_vlasov_training_data_ablation(results_dir, benchmark):
     more diverse PIC data — the paper's future-work idea needs a sweep
     of Vlasov runs, not just cleaner samples.
     """
-    from repro.vlasov.harvest import harvest_vlasov_dataset
-    from repro.vlasov.solver import VlasovConfig
+    from repro.vlasov.harvest import harvest_vlasov_ensemble
 
-    vcfg = VlasovConfig(n_x=32, n_v=32, dt=0.2, n_steps=120, v0=0.2, vth=0.03,
-                        perturbation=5e-3)
+    vcfg = SimulationConfig(solver="vlasov", n_cells=32, dt=0.2, n_steps=120, v0=0.2,
+                            vth=0.03, perturbation=5e-3, extra={"n_v": 32})
     grid = PhaseSpaceGrid(n_x=32, n_v=32, box_length=vcfg.box_length)
     pic_cfg = SimulationConfig(n_cells=32, particles_per_cell=150, n_steps=120,
                                v0=0.2, vth=0.03, seed=41)
 
     def run():
         n_particles = pic_cfg.n_particles
-        vlasov_data = harvest_vlasov_dataset(vcfg, grid, n_particles=n_particles)
-        pic_data = harvest_simulation(pic_cfg, grid, binning="ngp")
+        vlasov_data = harvest_vlasov_ensemble([vcfg], grid, n_particles=n_particles)
+        pic_data = harvest_via_client([pic_cfg], grid, binning="ngp")
         # Evaluate both on a second, later-seeded Vlasov run (smooth truth).
-        eval_cfg = VlasovConfig(n_x=32, n_v=32, dt=0.2, n_steps=80, v0=0.22,
-                                vth=0.03, perturbation=5e-3)
-        eval_data = harvest_vlasov_dataset(eval_cfg, grid, n_particles=n_particles)
+        eval_cfg = vcfg.with_updates(n_steps=80, v0=0.22)
+        eval_data = harvest_vlasov_ensemble([eval_cfg], grid, n_particles=n_particles)
 
         maes = {}
         for name, data in (("vlasov", vlasov_data), ("pic", pic_data)):

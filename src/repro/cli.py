@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Ten subcommands mirror the library's main workflows::
+Nine subcommands mirror the library's main workflows::
 
     python -m repro.cli simulate   # run a traditional PIC two-stream sim
     python -m repro.cli sweep      # run a batched ensemble of scenarios
@@ -8,7 +8,6 @@ Ten subcommands mirror the library's main workflows::
     python -m repro.cli trace      # render a recorded request trace
     python -m repro.cli scenarios  # list registered initial conditions
     python -m repro.cli campaign   # run/resume/inspect a streaming data campaign
-    python -m repro.cli dataset    # deprecated alias: one-shot campaign to .npz
     python -m repro.cli models     # inspect the content-addressed model registry
     python -m repro.cli train      # train the DL solvers (Sec. IV pipeline)
     python -m repro.cli reproduce  # regenerate a paper table/figure
@@ -199,8 +198,8 @@ def _add_campaign(sub: "argparse._SubParsersAction") -> None:
             "missing shards (adopting intact durable ones by content hash), "
             "'resume' is the same action named explicitly, and 'status' "
             "reports manifest progress without executing anything.  "
-            "Concatenated shards are bitwise identical to the one-shot "
-            "'repro dataset' output."
+            "Concatenated shards (see --export) are bitwise identical to "
+            "the in-memory run_campaign harvest."
         ),
     )
     p.add_argument("action", nargs="?", choices=["run", "resume", "status"],
@@ -220,22 +219,6 @@ def _add_campaign(sub: "argparse._SubParsersAction") -> None:
                    help="ignore any existing manifest and start over")
     p.add_argument("--export", default=None, metavar="NPZ",
                    help="also concatenate every shard into this single .npz")
-
-
-def _add_dataset(sub: "argparse._SubParsersAction") -> None:
-    p = sub.add_parser(
-        "dataset",
-        help="[deprecated] one-shot campaign to a single .npz; use 'repro campaign'",
-        description=(
-            "Deprecated alias for 'repro campaign run --export <out>': streams "
-            "the campaign into <out>.shards/ and concatenates the shards into "
-            "--out.  Prefer 'repro campaign' directly — it exposes shard size, "
-            "prefetch depth and resumable status."
-        ),
-    )
-    p.add_argument("--preset", choices=["fast", "medium", "paper"], default="fast")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default="dataset.npz")
 
 
 def _add_models(sub: "argparse._SubParsersAction") -> None:
@@ -290,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace(sub)
     _add_scenarios(sub)
     _add_campaign(sub)
-    _add_dataset(sub)
     _add_models(sub)
     _add_train(sub)
     _add_reproduce(sub)
@@ -794,24 +776,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dataset(args: argparse.Namespace) -> int:
-    # Deprecated alias for 'repro campaign run --export': same streaming
-    # pipeline, shards parked next to the output file.
-    from repro.datagen import CampaignStream
-
-    campaign = _campaign_preset(args.preset)
-    print(f"running {campaign.n_simulations} simulations "
-          f"({campaign.n_samples:,} samples)...")
-    print("note: 'repro dataset' is a deprecated alias for 'repro campaign'")
-    stream = CampaignStream(
-        campaign, f"{args.out}.shards", workers=args.workers,
-    )
-    data = stream.dataset()
-    data.save(args.out)
-    print(f"saved {len(data):,} pairs to {args.out}")
-    return 0
-
-
 def _cmd_models(args: argparse.Namespace) -> int:
     from repro.registry import ModelRegistry
 
@@ -927,7 +891,6 @@ _COMMANDS = {
     "trace": _cmd_trace,
     "scenarios": _cmd_scenarios,
     "campaign": _cmd_campaign,
-    "dataset": _cmd_dataset,
     "models": _cmd_models,
     "train": _cmd_train,
     "reproduce": _cmd_reproduce,

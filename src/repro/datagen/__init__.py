@@ -4,8 +4,6 @@ from repro.datagen.dataset import FieldDataset
 from repro.datagen.campaign import (
     CampaignConfig,
     dataset_from_result,
-    harvest_ensemble,
-    harvest_simulation,
     harvest_via_client,
     run_campaign,
     run_test_set_ii,
@@ -27,8 +25,6 @@ __all__ = [
     "ShardSpec",
     "campaign_hash",
     "dataset_from_result",
-    "harvest_ensemble",
-    "harvest_simulation",
     "harvest_via_client",
     "run_campaign",
     "run_test_set_ii",

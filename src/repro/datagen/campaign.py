@@ -4,22 +4,23 @@ Section IV-A1 of the paper: 20 combinations of ``(v0, vth)``, 10
 seeded "experiments" per combination (data augmentation), 200 steps
 per run, one (histogram, field) pair per step — 40,000 pairs total.
 
-The runs are embarrassingly parallel.  The serial path submits them as
-public-API run requests — each config becomes a
+Every run is a public-API run request: each config becomes a
 :class:`~repro.api.RunRequest` selecting the ``training_pairs`` +
 ``fields`` observables, and a synchronous :class:`~repro.api.Client`
 micro-batches compatible requests into vectorized ensembles (chunked
 by a total-particle budget), which amortizes the per-step interpreter
-and FFT overhead across the whole sweep while producing bit-for-bit
-the same dataset as the per-run ``harvest_simulation``.
-``run_campaign`` can still fan runs out over a ``multiprocessing``
-pool (the closest stand-in for the paper's HPC batch generation that
-works on one node); both paths agree exactly.
+and FFT overhead across the whole sweep.  With ``workers > 1`` the
+client shards those ensembles over spawned worker processes (the
+closest stand-in for the paper's HPC batch generation that works on
+one node); the pairs are bitwise identical either way.  The in-memory
+:func:`harvest_via_client` and the streaming
+:class:`~repro.datagen.stream.CampaignStream` share one per-run
+assembly, :func:`dataset_from_result`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,12 +28,10 @@ import numpy as np
 
 from repro.config import SimulationConfig
 from repro.datagen.dataset import FieldDataset
-from repro.engines.base import make_engine
-from repro.phasespace.binning import PhaseSpaceGrid, bin_phase_space, bin_phase_space_batch
-from repro.pic.simulation import TraditionalPIC
+from repro.phasespace.binning import PhaseSpaceGrid
 from repro.utils.rng import spawn_seeds
 
-# The serial path batches runs into ensembles of at most this many
+# The harvest batches runs into ensembles of at most this many
 # macro-particles so the stacked (batch, n) state stays cache- and
 # memory-friendly even for the paper-scale 200-run campaign.
 _ENSEMBLE_PARTICLE_BUDGET = 8_000_000
@@ -122,127 +121,6 @@ class CampaignConfig:
         }
 
 
-def harvest_simulation(
-    config: SimulationConfig,
-    ps_grid: PhaseSpaceGrid,
-    binning: str = "ngp",
-    include_initial_state: bool = True,
-) -> FieldDataset:
-    """Run one traditional PIC simulation and harvest training pairs.
-
-    Pairs mirror exactly what the DL solver sees at runtime: the
-    histogram is binned from the *current* particle state (positions at
-    integer time, velocities at the trailing half step) and the target
-    is the field the traditional solver produced for that state.
-    """
-    sim = TraditionalPIC(config)
-    inputs: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    steps: list[int] = []
-
-    if include_initial_state:
-        # At t=0 velocities are still at integer time, matching how the
-        # DL-PIC computes its very first field.
-        hist0 = bin_phase_space(sim.particles.x, sim.v_at_integer_time, ps_grid, order=binning)
-        inputs.append(hist0)
-        targets.append(sim.efield.copy())
-        steps.append(0)
-
-    def collect(s: TraditionalPIC) -> None:
-        inputs.append(bin_phase_space(s.particles.x, s.particles.v, ps_grid, order=binning))
-        targets.append(s.efield.copy())
-        steps.append(s.step_index)
-
-    sim.run(config.n_steps, callback=collect)
-    n = len(inputs)
-    params = np.column_stack(
-        [
-            np.full(n, config.v0),
-            np.full(n, config.vth),
-            np.full(n, float(config.seed)),
-            np.asarray(steps, dtype=np.float64),
-        ]
-    )
-    return FieldDataset(
-        inputs=np.stack(inputs), targets=np.stack(targets), params=params, ps_grid=ps_grid
-    )
-
-
-def harvest_ensemble(
-    configs: Sequence[SimulationConfig],
-    ps_grid: PhaseSpaceGrid,
-    binning: str = "ngp",
-    include_initial_state: bool = True,
-) -> FieldDataset:
-    """Harvest training pairs from one vectorized ensemble of runs.
-
-    All ``configs`` advance together as a single batched traditional
-    engine from the registry (``repro.engines``) — one
-    gather/push/deposit/Poisson call per step for the whole batch.  The
-    harvested pairs are identical (bitwise) to running
-    :func:`harvest_simulation` per config, and are returned in the same
-    run-major order (all pairs of run 0, then all pairs of run 1, ...),
-    so the vectorized and per-run paths are interchangeable.
-    """
-    configs = list(configs)
-    if not configs:
-        raise ValueError("ensemble harvest needs at least one configuration")
-    n_steps = configs[0].n_steps
-    if any(cfg.n_steps != n_steps for cfg in configs):
-        raise ValueError("ensemble harvest needs a uniform n_steps across configs")
-    sim = make_engine([cfg.with_updates(solver="traditional") for cfg in configs])
-    batch = sim.batch
-    inputs: list[list[np.ndarray]] = [[] for _ in range(batch)]
-    targets: list[list[np.ndarray]] = [[] for _ in range(batch)]
-    steps: list[int] = []
-
-    def collect(x: np.ndarray, v: np.ndarray) -> None:
-        # One fused scatter bins the whole ensemble; per-row results are
-        # bitwise identical to per-run bin_phase_space calls.
-        hists = bin_phase_space_batch(x, v, ps_grid, order=binning)
-        for b in range(batch):
-            inputs[b].append(hists[b])
-            targets[b].append(sim.efield[b].copy())
-
-    if include_initial_state:
-        # At t=0 velocities are still at integer time, matching how the
-        # DL-PIC computes its very first field.
-        collect(sim.particles.x, sim.v_at_integer_time)
-        steps.append(0)
-    for _ in range(n_steps):
-        sim.step()
-        # Positions at integer time, velocities at the trailing half
-        # step — exactly what the DL solver sees at runtime.
-        collect(sim.particles.x, sim.particles.v)
-        steps.append(sim.step_index)
-
-    step_col = np.asarray(steps, dtype=np.float64)
-    n_pairs = step_col.size
-    parts = [
-        FieldDataset(
-            inputs=np.stack(inputs[b]),
-            targets=np.stack(targets[b]),
-            params=np.column_stack(
-                [
-                    np.full(n_pairs, cfg.v0),
-                    np.full(n_pairs, cfg.vth),
-                    np.full(n_pairs, float(cfg.seed)),
-                    step_col,
-                ]
-            ),
-            ps_grid=ps_grid,
-        )
-        for b, cfg in enumerate(configs)
-    ]
-    return FieldDataset.concatenate(parts)
-
-
-def _worker(args: tuple) -> FieldDataset:
-    """Picklable worker for the multiprocessing pool."""
-    config, ps_grid, binning, include_initial = args
-    return harvest_simulation(config, ps_grid, binning, include_initial)
-
-
 def _harvest_observables(ps_grid: PhaseSpaceGrid, binning: str) -> "list[object]":
     """The v1 observables selection producing (histogram, field) pairs."""
     return [
@@ -292,20 +170,28 @@ def harvest_via_client(
     ps_grid: PhaseSpaceGrid,
     binning: str = "ngp",
     include_initial_state: bool = True,
-    max_batch_size: int = 16,
+    workers: int = 1,
 ) -> FieldDataset:
-    """Harvest training pairs through the public API.
+    """Run traditional PIC simulations and harvest their training pairs.
+
+    Pairs mirror exactly what the DL solver sees at runtime: the
+    histogram is binned from the *current* particle state (positions at
+    integer time, velocities at the trailing half step — at integer
+    time for the initial-state pair, as the DL-PIC's very first field
+    sees them) and the target is the field the traditional solver
+    produced for that state.
 
     Each config is one :class:`~repro.api.RunRequest` selecting the
     ``training_pairs`` and ``fields`` observables; a synchronous
     :class:`~repro.api.Client` coalesces compatible requests into
-    ensembles of up to ``max_batch_size``.  The pairs are bitwise
-    identical to :func:`harvest_simulation` per config (the batched
-    binning preserves per-row bit patterns) and returned in request
-    order, so this path, the per-run path and the pool path are all
-    interchangeable.  Results are streamed straight into the dataset —
-    the client's store is disabled (campaign outputs are huge and
-    single-use).
+    ensembles chunked by a total-particle budget and, with
+    ``workers > 1``, runs them on that many spawned worker processes —
+    each ensemble then holds at most ``ceil(n_runs / workers)`` runs so
+    every worker gets one.  Row ``b`` of a batched run is bitwise
+    identical to running ``configs[b]`` alone, so the pairs depend on
+    neither the chunking nor ``workers``.  They come back run-major in
+    request order.  The client's store is disabled (campaign outputs
+    are huge and single-use).
     """
     from repro.api import Client, RunRequest
     from repro.service.store import ResultStore
@@ -313,6 +199,9 @@ def harvest_via_client(
     configs = list(configs)
     if not configs:
         raise ValueError("ensemble harvest needs at least one configuration")
+    chunk = max(1, _ENSEMBLE_PARTICLE_BUDGET // max(cfg.n_particles for cfg in configs))
+    if workers > 1:
+        chunk = min(chunk, math.ceil(len(configs) / workers))
     selection = _harvest_observables(ps_grid, binning)
     requests = [
         RunRequest(
@@ -324,8 +213,9 @@ def harvest_via_client(
     ]
     with Client(
         background=False,
-        max_batch_size=max_batch_size,
+        max_batch_size=chunk,
         store=ResultStore(capacity=0),
+        workers=workers,
     ) as client:
         results = client.map(requests)
 
@@ -339,35 +229,22 @@ def harvest_via_client(
 def run_campaign(campaign: CampaignConfig, n_workers: int = 1) -> FieldDataset:
     """Execute the whole sweep and concatenate the harvested pairs.
 
-    The serial path (``n_workers == 1``) submits every run through the
-    public API (:func:`harvest_via_client`): the client's micro-batcher
-    groups them into vectorized ensembles chunked by a total-particle
-    budget.  ``n_workers > 1`` distributes individual simulations over
-    a process pool instead.  Both paths are deterministic and bitwise
-    identical because the per-run seeds are fixed by
-    :meth:`CampaignConfig.simulation_specs`, results are ordered in
-    spec order, and the batched kernels reproduce single runs exactly.
+    Every run goes through :func:`harvest_via_client`, on ``n_workers``
+    spawned worker processes when ``n_workers > 1``.  The result is
+    deterministic and bitwise independent of ``n_workers``: the per-run
+    seeds are fixed by :meth:`CampaignConfig.simulation_specs`, results
+    are ordered in spec order, and the batched kernels reproduce single
+    runs exactly.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    run_configs = campaign.run_configs()
-    if n_workers == 1:
-        chunk = max(1, _ENSEMBLE_PARTICLE_BUDGET // campaign.base_config.n_particles)
-        return harvest_via_client(
-            run_configs,
-            campaign.ps_grid,
-            campaign.binning,
-            campaign.include_initial_state,
-            max_batch_size=chunk,
-        )
-    else:
-        jobs = [
-            (cfg, campaign.ps_grid, campaign.binning, campaign.include_initial_state)
-            for cfg in run_configs
-        ]
-        with multiprocessing.get_context("fork").Pool(n_workers) as pool:
-            results = pool.map(_worker, jobs)
-    return FieldDataset.concatenate(results)
+    return harvest_via_client(
+        campaign.run_configs(),
+        campaign.ps_grid,
+        campaign.binning,
+        campaign.include_initial_state,
+        workers=n_workers,
+    )
 
 
 def run_test_set_ii(

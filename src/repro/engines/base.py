@@ -34,6 +34,8 @@ requests — see :func:`engine_group_key`.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Protocol, Sequence, runtime_checkable
 
@@ -116,19 +118,35 @@ def mpi_rank_params(config: SimulationConfig) -> int:
 def vlasov_grid_params(config: SimulationConfig) -> "tuple[int, float, float]":
     """``(n_v, v_min, v_max)`` of a config's Vlasov velocity grid.
 
-    Malformed ``extra`` values raise ``ValueError`` (never ``TypeError``)
-    so every entry point — request parsing, service submission, engine
-    construction — rejects them through one exception type.
+    The one check of the grid knobs: every entry point — request
+    parsing, service submission, engine construction, the distribution
+    loader — reads them here.  A non-numeric or non-integral ``n_v``,
+    a non-finite window, ``n_v < 2`` or an empty window raise
+    ``ValueError`` (never ``TypeError``).
     """
-    try:
-        n_v = int(config.extra.get("n_v", VLASOV_DEFAULT_N_V))
-        v_min = float(config.extra.get("v_min", VLASOV_DEFAULT_V_MIN))
-        v_max = float(config.extra.get("v_max", VLASOV_DEFAULT_V_MAX))
-    except (TypeError, ValueError) as exc:
+    raw = {
+        "n_v": config.extra.get("n_v", VLASOV_DEFAULT_N_V),
+        "v_min": config.extra.get("v_min", VLASOV_DEFAULT_V_MIN),
+        "v_max": config.extra.get("v_max", VLASOV_DEFAULT_V_MAX),
+    }
+    for name, value in raw.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(
+                f"malformed Vlasov grid knob {name} in config.extra "
+                f"(n_v/v_min/v_max must be numeric), got {value!r}"
+            )
+    if not math.isfinite(raw["n_v"]) or int(raw["n_v"]) != raw["n_v"]:
         raise ValueError(
-            f"malformed Vlasov grid knobs in config.extra "
-            f"(n_v/v_min/v_max must be numeric): {exc}"
-        ) from None
+            f"malformed n_v in config.extra (must be an integer), got {raw['n_v']!r}"
+        )
+    n_v = int(raw["n_v"])
+    v_min, v_max = float(raw["v_min"]), float(raw["v_max"])
+    if not (math.isfinite(v_min) and math.isfinite(v_max)):
+        raise ValueError(f"non-finite velocity window [{v_min}, {v_max}]")
+    if n_v < 2:
+        raise ValueError(f"velocity grid too small: n_v={n_v}")
+    if v_max <= v_min:
+        raise ValueError(f"empty velocity window [{v_min}, {v_max}]")
     return n_v, v_min, v_max
 
 
@@ -399,13 +417,7 @@ def _vlasov_validate(config: SimulationConfig) -> None:
             f"solver='vlasov' needs vth > 0 (a cold delta beam is not representable "
             f"on a velocity grid), got {config.vth}"
         )
-    # Fail fast on a malformed velocity grid: the same checks the
-    # distribution loader enforces, surfaced at parse/submit time.
-    n_v, v_min, v_max = vlasov_grid_params(config)
-    if n_v < 2:
-        raise ValueError(f"velocity grid too small: n_v={n_v}")
-    if v_max <= v_min:
-        raise ValueError(f"empty velocity window [{v_min}, {v_max}]")
+    vlasov_grid_params(config)  # fail fast on a malformed velocity grid
 
 
 def _build_vlasov(

@@ -267,10 +267,11 @@ class ParticleEnergyMomentum:
 class VlasovEnergyMomentum:
     """Energy and momentum moments of a Vlasov phase-space frame.
 
-    Same formulas (and the same numpy reduction order per member) as
-    the original solo ``VlasovSimulation`` bookkeeping: kinetic energy
-    ``integral(v^2/2 f dx dv)``, field energy ``(1/2) integral(E^2 dx)``
-    and momentum ``integral(v f dx dv)`` with electron mass 1.
+    Per member: kinetic energy ``integral(v^2/2 f dx dv)``, field
+    energy ``(1/2) integral(E^2 dx)`` and momentum
+    ``integral(v f dx dv)`` with electron mass 1.  Each member reduces
+    its own slab in a fixed order, so the moments of a batched frame
+    are bitwise those of the member's batch-1 frame.
     """
 
     names = ("kinetic", "potential", "total", "momentum")

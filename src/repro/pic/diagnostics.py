@@ -1,15 +1,10 @@
-"""Conservation and spectral diagnostics for PIC runs (compat shim).
+"""Conservation and spectral diagnostics for PIC runs.
 
 The implementation lives in :mod:`repro.engines.observables`, the
 streaming observables pipeline shared by every engine family; this
-module re-exports the measurement functions unchanged.
-
-The deprecated ``History`` / ``EnsembleHistory`` recorder classes have
-been **removed** (they wrapped the pipeline for one release after the
-engine-layer unification).  Importing them from here raises a helpful
-``ImportError`` pointing at the replacements: build an
-:class:`~repro.engines.observables.Observables` (or take one from
-``engine.observables()``), and consume served runs through
+module re-exports the measurement functions unchanged.  Series are
+recorded by an :class:`~repro.engines.observables.Observables` (take
+one from ``engine.observables()``); served runs expose theirs through
 :class:`repro.api.RunResult`.
 """
 
@@ -38,21 +33,3 @@ __all__ = [
     "total_momentum_rows",
     "mode_amplitude_rows",
 ]
-
-_RETIRED = {
-    "History": "Observables(pic_observables(), squeeze=True)",
-    "EnsembleHistory": "Observables(pic_observables())",
-}
-
-
-def __getattr__(name: str):
-    if name in _RETIRED:
-        raise ImportError(
-            f"repro.pic.diagnostics.{name} was deprecated in the engine-layer "
-            f"unification and has now been removed.  Use the streaming "
-            f"observables pipeline instead: `from repro.engines.observables "
-            f"import Observables, pic_observables` and build "
-            f"`{_RETIRED[name]}` (engines return one from `run()`; served "
-            f"runs expose their series via `repro.api.RunResult`)."
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -178,10 +178,6 @@ def load_distribution(config: SimulationConfig) -> np.ndarray:
 
     factory = get_distribution(config.scenario)
     n_v, v_min, v_max = vlasov_grid_params(config)
-    if n_v < 2:
-        raise ValueError(f"velocity grid too small: n_v={n_v}")
-    if v_max <= v_min:
-        raise ValueError(f"empty velocity window [{v_min}, {v_max}]")
     dx = config.box_length / config.n_cells
     dv = (v_max - v_min) / n_v
     x = (np.arange(config.n_cells) + 0.5) * dx
@@ -402,8 +398,9 @@ def _two_stream_f0(config: SimulationConfig, x: np.ndarray, v: np.ndarray) -> np
 
     A noise-free run needs an explicit seed where the PIC load relies
     on shot noise, so a zero ``config.perturbation`` defaults to the
-    classic ``1e-3`` density modulation.  Identical (bitwise) to the
-    legacy ``repro.vlasov.two_stream_distribution`` construction.
+    classic ``1e-3`` density modulation; pass explicit ``f0s`` to a
+    :class:`~repro.vlasov.ensemble.VlasovEnsemble` for an unperturbed
+    start.
     """
     _require_thermal(config)
     fv = _normalize_fv(

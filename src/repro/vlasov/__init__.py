@@ -2,27 +2,19 @@
 
 The paper's Sec. VII: "more accurate training data sets can be obtained
 by running Vlasov codes that are not affected by the PIC numerical
-noise."  This subpackage implements that future-work item: a
+noise."  This subpackage implements that future-work item: a batched
 semi-Lagrangian (Cheng-Knorr split) Vlasov-Poisson solver on a fixed
-phase-space grid, plus a harvester producing :class:`FieldDataset`
-training pairs compatible with the DL solver pipeline.
+phase-space grid, served as the ``solver="vlasov"`` engine family (a
+solo run is ``make_engine([config])``), plus a harvester producing
+:class:`FieldDataset` training pairs compatible with the DL solver
+pipeline.
 """
 
-from repro.vlasov.solver import VlasovConfig, VlasovSimulation, two_stream_distribution
-from repro.vlasov.ensemble import VlasovEnsemble, vlasov_config_from
-from repro.vlasov.harvest import (
-    expected_counts,
-    harvest_vlasov_dataset,
-    harvest_vlasov_ensemble,
-)
+from repro.vlasov.ensemble import VlasovEnsemble
+from repro.vlasov.harvest import expected_counts, harvest_vlasov_ensemble
 
 __all__ = [
-    "VlasovConfig",
-    "VlasovSimulation",
     "VlasovEnsemble",
-    "vlasov_config_from",
-    "two_stream_distribution",
     "expected_counts",
-    "harvest_vlasov_dataset",
     "harvest_vlasov_ensemble",
 ]

@@ -1,16 +1,30 @@
-"""Batch-native semi-Lagrangian Vlasov-Poisson ensemble.
+"""Semi-Lagrangian Vlasov-Poisson solver (Cheng & Knorr splitting).
 
-:class:`VlasovEnsemble` advances a whole batch of independent
-Vlasov-Poisson runs at once on a stacked ``(batch, n_v, n_x)``
-phase-space state: the x-advection's interpolation weights are computed
-once and gathered across the stack, each member's v-advection shifts by
-its own field, and the two field solves of the Strang split batch
-their FFTs through one :class:`~repro.pic.poisson.PoissonSolver` call.
-Every per-element operation matches the solo
-:class:`~repro.vlasov.solver.VlasovSimulation` exactly, so row ``b`` of
-an ensemble is bitwise identical to running member ``b`` alone — which
-is what lets the micro-batching service coalesce Vlasov requests with
-the same result guarantees as the PIC families.
+Evolves the electron distribution ``f(x, v, t)`` on a fixed
+``(n_v, n_x)`` phase-space grid under
+
+.. math::
+    \\partial_t f + v \\partial_x f + (q/m) E \\partial_v f = 0,
+
+coupled to the same Poisson solve as the PIC code.  One time step is
+the classic Strang split: half x-advection, E update + full
+v-advection, half x-advection.  Advections are exact shifts along grid
+lines evaluated with linear interpolation — periodic in ``x``,
+zero-inflow in ``v``.  Unlike PIC, the solution carries no particle
+shot noise, which is what makes it attractive as a training-data
+source.
+
+:class:`VlasovEnsemble` advances a whole batch of independent runs at
+once on a stacked ``(batch, n_v, n_x)`` phase-space state: the
+x-advection's interpolation weights are computed once and gathered
+across the stack, each member's v-advection shifts by its own field,
+and the two field solves of the Strang split batch their FFTs through
+one :class:`~repro.pic.poisson.PoissonSolver` call.  Every per-element
+operation is independent of the batch, so row ``b`` of an ensemble is
+bitwise identical to a batch-1 run of member ``b`` — which is what lets
+the micro-batching service coalesce Vlasov requests with the same
+result guarantees as the PIC families.  A solo run is simply
+``make_engine([config])``.
 
 Members are plain :class:`~repro.config.SimulationConfig` runs with
 ``solver="vlasov"``: the grid maps ``n_cells -> n_x`` and the velocity
@@ -35,34 +49,6 @@ from repro.kernels import resolve_backend
 from repro.pic.grid import Grid1D
 from repro.pic.poisson import PoissonSolver
 from repro.pic.scenarios import load_distribution
-from repro.vlasov.solver import VlasovConfig
-
-
-def vlasov_config_from(config: SimulationConfig) -> VlasovConfig:
-    """The :class:`VlasovConfig` equivalent of a ``solver="vlasov"`` run.
-
-    ``n_cells`` becomes the spatial grid ``n_x``; the velocity window
-    comes from ``config.extra``.  Particle-only knobs (``ppc``,
-    ``interpolation``, ``loading``, ``seed``) have no Vlasov meaning
-    and are dropped.
-    """
-    n_v, v_min, v_max = vlasov_grid_params(config)
-    return VlasovConfig(
-        box_length=config.box_length,
-        n_x=config.n_cells,
-        n_v=n_v,
-        v_min=v_min,
-        v_max=v_max,
-        dt=config.dt,
-        n_steps=config.n_steps,
-        v0=config.v0,
-        vth=config.vth,
-        qm=config.qm,
-        perturbation=config.perturbation,
-        perturbation_mode=config.perturbation_mode,
-        poisson_solver=config.poisson_solver,
-        gradient=config.gradient,
-    )
 
 
 class VlasovEnsemble:
@@ -79,9 +65,10 @@ class VlasovEnsemble:
         sequence of ``(n_v, n_x)`` arrays); by default each member
         loads its scenario's registered noise-free distribution.
 
-    The time stepping is the solo solver's classic split — half
-    x-advection, field update + full v-advection, half x-advection —
-    executed on the whole stack at once.
+    The time stepping is the classic split — half x-advection, field
+    update + full v-advection, half x-advection — executed on the whole
+    stack at once.  The phase-space geometry (``n_x``, ``n_v``,
+    ``v_min``, ``v_max``, ``dx``, ``dv``) is read from the configs.
     """
 
     def __init__(
@@ -105,8 +92,13 @@ class VlasovEnsemble:
                 )
         self.config = ref  # structural reference member
         self.batch = len(self.configs)
-        self.vconfig = vlasov_config_from(ref)
-        vcfg = self.vconfig
+        # The phase-space geometry, read once from the reference config
+        # (the structural key makes every member agree on it).
+        self.n_x = ref.n_cells
+        self.n_v, self.v_min, self.v_max = vlasov_grid_params(ref)
+        self.dx = ref.dx
+        self.dv = (self.v_max - self.v_min) / self.n_v
+        n_v, n_x = self.n_v, self.n_x
         if f0s is None:
             rows = [load_distribution(cfg) for cfg in self.configs]
         else:
@@ -117,40 +109,37 @@ class VlasovEnsemble:
             if len(rows) != self.batch:
                 raise ValueError(f"got {len(rows)} initial distributions for batch {self.batch}")
         for i, row in enumerate(rows):
-            if row.shape != (vcfg.n_v, vcfg.n_x):
+            if row.shape != (n_v, n_x):
                 raise ValueError(
-                    f"member {i} f0 has shape {row.shape}, expected {(vcfg.n_v, vcfg.n_x)}"
+                    f"member {i} f0 has shape {row.shape}, expected {(n_v, n_x)}"
                 )
         self.f: np.ndarray = np.stack(rows)
-        self.grid = Grid1D(vcfg.n_x, vcfg.box_length)
+        self.grid = Grid1D(n_x, ref.box_length)
         self.poisson = PoissonSolver(
-            self.grid, method=vcfg.poisson_solver, gradient=vcfg.gradient
+            self.grid, method=ref.poisson_solver, gradient=ref.gradient
         )
-        self._v_centers = vcfg.v_centers()
+        self._v_centers = self.v_min + (np.arange(n_v) + 0.5) * self.dv
         # The x-advection shift is a function of the velocity row only:
         # one weight/index computation serves the whole stack and every
         # step, so the interpolation weights and the (flattened) gather
-        # indices are frozen here once.  The gathered elements and the
-        # arithmetic are exactly the solo shift's, so rows stay bitwise
-        # identical to solo runs.
-        self._v_shift = self._v_centers * (0.5 * vcfg.dt) / vcfg.dx
-        cols = np.arange(vcfg.n_x)[None, :] - self._v_shift[:, None]
+        # indices are frozen here once.  Each member gathers exactly its
+        # own elements with the same arithmetic, so rows stay bitwise
+        # independent of the batch.
+        self._v_shift = self._v_centers * (0.5 * ref.dt) / self.dx
+        cols = np.arange(n_x)[None, :] - self._v_shift[:, None]
         base = np.floor(cols).astype(np.int64)
         self._xadv_w = cols - base
-        rows = np.arange(vcfg.n_v)[:, None]
-        member = (np.arange(self.batch, dtype=np.int64) * (vcfg.n_v * vcfg.n_x))[:, None, None]
-        self._xadv_flat0 = (member + (rows * vcfg.n_x + base % vcfg.n_x)[None]).reshape(
-            self.batch, vcfg.n_v, vcfg.n_x
+        rows = np.arange(n_v)[:, None]
+        member = (np.arange(self.batch, dtype=np.int64) * (n_v * n_x))[:, None, None]
+        self._xadv_flat0 = (member + (rows * n_x + base % n_x)[None]).reshape(
+            self.batch, n_v, n_x
         )
-        self._xadv_flat1 = (member + (rows * vcfg.n_x + (base + 1) % vcfg.n_x)[None]).reshape(
-            self.batch, vcfg.n_v, vcfg.n_x
+        self._xadv_flat1 = (member + (rows * n_x + (base + 1) % n_x)[None]).reshape(
+            self.batch, n_v, n_x
         )
-        self._v_rows = np.arange(vcfg.n_v, dtype=np.float64)[None, :, None]
+        self._v_rows = np.arange(n_v, dtype=np.float64)[None, :, None]
         # Flat-gather offset of the v-advection: member base + column.
-        self._v_flat_offset = (
-            (np.arange(self.batch, dtype=np.int64) * (vcfg.n_v * vcfg.n_x))[:, None, None]
-            + np.arange(vcfg.n_x, dtype=np.int64)[None, None, :]
-        )
+        self._v_flat_offset = member + np.arange(n_x, dtype=np.int64)[None, None, :]
         # The numerical tier: indices and weights are always derived in
         # double (exact), then the state and every stencil operand the
         # advections touch are cast down for float32 runs — after which
@@ -174,7 +163,7 @@ class VlasovEnsemble:
     # -- field and moments ----------------------------------------------
     def density(self) -> np.ndarray:
         """Per-member electron density ``n(x) = integral(f dv)``, ``(batch, n_x)``."""
-        return np.sum(self.f, axis=1) * self.vconfig.dv
+        return np.sum(self.f, axis=1) * self.dv
 
     def _solve_field(self) -> np.ndarray:
         """One batched Poisson solve for every member's field."""
@@ -183,8 +172,9 @@ class VlasovEnsemble:
         return e
 
     def mass(self) -> np.ndarray:
-        """Per-member phase-space mass, ``(batch,)``."""
-        return np.sum(self.f, axis=(1, 2)) * self.vconfig.dx * self.vconfig.dv
+        """Per-member phase-space mass, ``(batch,)`` (conserved up to
+        outflow through the velocity-window edges)."""
+        return np.sum(self.f, axis=(1, 2)) * self.dx * self.dv
 
     def observables(self, record_fields: bool = False) -> Observables:
         """A fresh default observables recorder for this engine."""
@@ -194,11 +184,10 @@ class VlasovEnsemble:
     def _advect_x(self, f: np.ndarray) -> np.ndarray:
         """Batched half x-advection using the frozen gather indices.
 
-        Gathers the same elements and applies the same per-element
-        arithmetic as :func:`~repro.vlasov.solver._shift_periodic_rows`
-        on each member — bitwise identical per row — but the gathers run
-        as one flat take per stack and the index math is paid once at
-        construction instead of every call.
+        Shifts velocity row ``j`` of every member periodically by
+        ``v_j dt / (2 dx)`` cells with linear interpolation.  The gathers
+        run as one flat take per stack and the index math is paid once
+        at construction instead of every call.
         """
         flat = f.reshape(-1)
         w = self._xadv_w
@@ -215,9 +204,9 @@ class VlasovEnsemble:
     def _advect_v(self, f: np.ndarray, shift: np.ndarray) -> np.ndarray:
         """Batched full v-advection (zero inflow), one flat gather per arm.
 
-        Bitwise identical per row to
-        :func:`~repro.vlasov.solver._shift_clamped_columns` with each
-        member's own ``(n_x,)`` shift.  The zero-inflow clamp can only
+        Shifts column ``i`` of member ``b`` by ``shift[b, i]`` velocity
+        cells with linear interpolation; mass shifted in from outside
+        the velocity window is zero.  The zero-inflow clamp can only
         engage within ``max|shift|`` rows of the window edges, so the
         rows are split into an interior slab — gathered with no masks,
         no clips — and two thin boundary slabs that run the fully
@@ -225,8 +214,7 @@ class VlasovEnsemble:
         valid, where the clamped path reduces to exactly the same
         ``(1-w)*f0 + w*f1`` on exactly the same gathered elements.
         """
-        vcfg = self.vconfig
-        n_v, n_x = vcfg.n_v, vcfg.n_x
+        n_v, n_x = self.n_v, self.n_x
         flat = f.reshape(-1)
         # Interior rows r satisfy floor(r - s) in [0, n_v-2] for every
         # member's shift s at every column: r >= max(s) and r < n_v-1+min(s).
@@ -272,14 +260,14 @@ class VlasovEnsemble:
 
     def step(self) -> None:
         """One batched Strang-split step: x half, v full, x half."""
-        vcfg = self.vconfig
+        cfg = self.config
         self.f = self._advect_x(self.f)
         self.efield = self._solve_field()
-        a_shift = vcfg.qm * self.efield * vcfg.dt / vcfg.dv  # (batch, n_x)
+        a_shift = cfg.qm * self.efield * cfg.dt / self.dv  # (batch, n_x)
         self.f = self._advect_v(self.f, a_shift)
         self.f = self._advect_x(self.f)
         self.efield = self._solve_field()
-        self.time += vcfg.dt
+        self.time += cfg.dt
         self.step_index += 1
 
     def run(
@@ -317,8 +305,7 @@ class VlasovEnsemble:
         return hist
 
     def _record(self, hist: Observables) -> None:
-        vcfg = self.vconfig
         hist.record_frame(Frame(
             self.step_index, self.time, self.grid, self.efield,
-            f=self.f, v_centers=self._v_centers, dx=vcfg.dx, dv=vcfg.dv,
+            f=self.f, v_centers=self._v_centers, dx=self.dx, dv=self.dv,
         ))

@@ -9,16 +9,14 @@ training pipeline (the paper's proposed noise-free data source).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from repro.config import SimulationConfig
 from repro.datagen.dataset import FieldDataset
+from repro.engines.base import make_engine, vlasov_grid_params
 from repro.phasespace.binning import PhaseSpaceGrid
-from repro.vlasov.solver import VlasovConfig, VlasovSimulation
-
-if TYPE_CHECKING:
-    from repro.config import SimulationConfig
 
 
 def _coarsen(f: np.ndarray, factor_v: int, factor_x: int) -> np.ndarray:
@@ -31,12 +29,15 @@ def _coarsen(f: np.ndarray, factor_v: int, factor_x: int) -> np.ndarray:
 
 def expected_counts(
     f: np.ndarray,
-    config: VlasovConfig,
+    config: SimulationConfig,
     ps_grid: PhaseSpaceGrid,
     n_particles: int,
 ) -> np.ndarray:
     """Expected per-bin particle counts of an equivalent PIC ensemble.
 
+    ``f`` is one ``(n_v, n_x)`` distribution on the phase-space grid of
+    the ``solver="vlasov"`` run ``config`` (``n_cells`` columns, the
+    velocity window of :func:`~repro.engines.base.vlasov_grid_params`).
     The distribution is normalized to mean density 1, so its total mass
     is ``L`` and the expected count in a phase-space cell of mass ``m``
     is ``n_particles * m / L``.  The Vlasov grid must tile the
@@ -44,62 +45,21 @@ def expected_counts(
     """
     if n_particles < 1:
         raise ValueError(f"n_particles must be >= 1, got {n_particles}")
-    if config.n_v % ps_grid.n_v or config.n_x % ps_grid.n_x:
+    n_v, v_min, v_max = vlasov_grid_params(config)
+    n_x = config.n_cells
+    if n_v % ps_grid.n_v or n_x % ps_grid.n_x:
         raise ValueError(
-            f"Vlasov grid {(config.n_v, config.n_x)} does not tile histogram grid "
-            f"{ps_grid.shape}"
+            f"Vlasov grid {(n_v, n_x)} does not tile histogram grid {ps_grid.shape}"
         )
     if (
-        abs(config.v_min - ps_grid.v_min) > 1e-12
-        or abs(config.v_max - ps_grid.v_max) > 1e-12
+        abs(v_min - ps_grid.v_min) > 1e-12
+        or abs(v_max - ps_grid.v_max) > 1e-12
         or abs(config.box_length - ps_grid.box_length) > 1e-12
     ):
         raise ValueError("Vlasov and histogram phase-space windows differ")
-    cell_mass = np.asarray(f, dtype=np.float64) * config.dx * config.dv
-    coarse = _coarsen(cell_mass, config.n_v // ps_grid.n_v, config.n_x // ps_grid.n_x)
+    cell_mass = np.asarray(f, dtype=np.float64) * config.dx * ((v_max - v_min) / n_v)
+    coarse = _coarsen(cell_mass, n_v // ps_grid.n_v, n_x // ps_grid.n_x)
     return coarse * (n_particles / config.box_length)
-
-
-def harvest_vlasov_dataset(
-    config: VlasovConfig,
-    ps_grid: PhaseSpaceGrid,
-    n_particles: int,
-    n_steps: "int | None" = None,
-    stride: int = 1,
-) -> FieldDataset:
-    """Run a Vlasov simulation and emit (expected-count, field) pairs.
-
-    ``stride`` keeps every ``stride``-th step (Vlasov runs typically use
-    smaller time steps than the PIC campaign).
-    """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    sim = VlasovSimulation(config)
-    n = config.n_steps if n_steps is None else n_steps
-    inputs: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    steps: list[int] = []
-    inputs.append(expected_counts(sim.f, config, ps_grid, n_particles))
-    targets.append(sim.efield.copy())
-    steps.append(0)
-    for i in range(1, n + 1):
-        sim.step()
-        if i % stride == 0:
-            inputs.append(expected_counts(sim.f, config, ps_grid, n_particles))
-            targets.append(sim.efield.copy())
-            steps.append(i)
-    n_kept = len(inputs)
-    params = np.column_stack(
-        [
-            np.full(n_kept, config.v0),
-            np.full(n_kept, config.vth),
-            np.full(n_kept, -1.0),  # seed sentinel: deterministic Vlasov run
-            np.asarray(steps, dtype=np.float64),
-        ]
-    )
-    return FieldDataset(
-        inputs=np.stack(inputs), targets=np.stack(targets), params=params, ps_grid=ps_grid
-    )
 
 
 def harvest_vlasov_ensemble(
@@ -114,14 +74,16 @@ def harvest_vlasov_ensemble(
     runs, possibly of different scenarios) advance together through one
     :class:`~repro.vlasov.ensemble.VlasovEnsemble` built by the engine
     registry — one batched advection/Poisson pass per step for the
-    whole sweep.  Pairs are bitwise identical to harvesting each
-    member's solo run and come back in run-major order, mirroring the
-    PIC campaign's :func:`repro.datagen.campaign.harvest_ensemble`.
+    whole sweep; a single run is ``harvest_vlasov_ensemble([config],
+    ...)``.  ``stride`` keeps the initial state and every
+    ``stride``-th step (Vlasov runs typically use smaller time steps
+    than the PIC campaign).  Pairs are bitwise independent of the
+    batch and come back in run-major order, like the PIC campaign's
+    :func:`repro.datagen.campaign.harvest_via_client`; the seed column
+    holds ``-1`` (a deterministic run).
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    from repro.engines.base import make_engine
-
     configs = list(configs)
     if not configs:
         raise ValueError("ensemble harvest needs at least one configuration")
@@ -129,7 +91,7 @@ def harvest_vlasov_ensemble(
     if any(cfg.n_steps != n_steps for cfg in configs):
         raise ValueError("ensemble harvest needs a uniform n_steps across configs")
     sim = make_engine([cfg.with_updates(solver="vlasov") for cfg in configs])
-    vconfig = sim.vconfig
+    geometry = sim.config  # the structural reference: one shared grid
     batch = sim.batch
     inputs: list[list[np.ndarray]] = [[] for _ in range(batch)]
     targets: list[list[np.ndarray]] = [[] for _ in range(batch)]
@@ -137,7 +99,7 @@ def harvest_vlasov_ensemble(
 
     def collect() -> None:
         for b in range(batch):
-            inputs[b].append(expected_counts(sim.f[b], vconfig, ps_grid, n_particles))
+            inputs[b].append(expected_counts(sim.f[b], geometry, ps_grid, n_particles))
             targets[b].append(sim.efield[b].copy())
 
     collect()

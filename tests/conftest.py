@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
-from repro.datagen.campaign import harvest_simulation
+from repro.datagen.campaign import harvest_via_client
 from repro.dlpic.solver import DLFieldSolver
 from repro.models.architectures import build_mlp
 from repro.nn.losses import MSELoss
@@ -51,7 +51,7 @@ def tiny_trained_solver(tiny_ps_grid: PhaseSpaceGrid) -> DLFieldSolver:
     config = SimulationConfig(
         n_cells=32, particles_per_cell=60, n_steps=40, v0=0.2, vth=0.01, seed=3
     )
-    data = harvest_simulation(config, tiny_ps_grid, binning="ngp")
+    data = harvest_via_client([config], tiny_ps_grid, binning="ngp")
     normalizer = MinMaxNormalizer().fit(data.inputs)
     model = build_mlp(
         input_size=tiny_ps_grid.size, output_size=config.n_cells, hidden_size=48,

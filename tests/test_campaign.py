@@ -6,7 +6,7 @@ import pytest
 from repro.config import SimulationConfig
 from repro.datagen.campaign import (
     CampaignConfig,
-    harvest_simulation,
+    harvest_via_client,
     run_campaign,
     run_test_set_ii,
 )
@@ -78,14 +78,14 @@ class TestHarvest:
     def test_shapes(self):
         cfg = SimulationConfig(n_cells=16, particles_per_cell=20, n_steps=5, seed=1)
         grid = PhaseSpaceGrid(n_x=8, n_v=4)
-        data = harvest_simulation(cfg, grid)
+        data = harvest_via_client([cfg], grid)
         assert data.inputs.shape == (6, 4, 8)
         assert data.targets.shape == (6, 16)
         assert data.params.shape == (6, 4)
 
     def test_histogram_mass_is_particle_count(self):
         cfg = SimulationConfig(n_cells=16, particles_per_cell=20, n_steps=3, seed=2)
-        data = harvest_simulation(cfg, PhaseSpaceGrid(n_x=8, n_v=4))
+        data = harvest_via_client([cfg], PhaseSpaceGrid(n_x=8, n_v=4))
         np.testing.assert_allclose(data.inputs.sum(axis=(1, 2)), cfg.n_particles)
 
     def test_targets_match_traditional_fields(self):
@@ -94,7 +94,7 @@ class TestHarvest:
         from repro.pic.simulation import TraditionalPIC
 
         cfg = SimulationConfig(n_cells=16, particles_per_cell=20, n_steps=4, seed=3)
-        data = harvest_simulation(cfg, PhaseSpaceGrid(n_x=8, n_v=4))
+        data = harvest_via_client([cfg], PhaseSpaceGrid(n_x=8, n_v=4))
         sim = TraditionalPIC(cfg)
         hist = sim.run(4, history=Observables(pic_observables(record_fields=True),
                                               squeeze=True))
@@ -104,7 +104,7 @@ class TestHarvest:
         cfg = SimulationConfig(
             n_cells=16, particles_per_cell=20, n_steps=3, v0=0.17, vth=0.003, seed=5
         )
-        data = harvest_simulation(cfg, PhaseSpaceGrid(n_x=8, n_v=4))
+        data = harvest_via_client([cfg], PhaseSpaceGrid(n_x=8, n_v=4))
         assert np.all(data.params[:, 0] == 0.17)
         assert np.all(data.params[:, 1] == 0.003)
         assert np.all(data.params[:, 2] == 5.0)
@@ -112,7 +112,7 @@ class TestHarvest:
 
     def test_without_initial_state(self):
         cfg = SimulationConfig(n_cells=16, particles_per_cell=20, n_steps=3, seed=1)
-        data = harvest_simulation(cfg, PhaseSpaceGrid(n_x=8, n_v=4), include_initial_state=False)
+        data = harvest_via_client([cfg], PhaseSpaceGrid(n_x=8, n_v=4), include_initial_state=False)
         assert len(data) == 3
         assert data.params[0, 3] == 1.0
 

@@ -364,19 +364,6 @@ class TestServeListenParsing:
         assert drain.max_connections == 128
 
 
-class TestDatasetCommand:
-    def test_fast_campaign_written(self, capsys, tmp_path):
-        out = tmp_path / "data.npz"
-        code = main(["dataset", "--preset", "fast", "--out", str(out)])
-        assert code == 0
-        assert out.exists()
-        assert "deprecated alias" in capsys.readouterr().out
-        from repro.datagen.dataset import FieldDataset
-
-        data = FieldDataset.load(out)
-        assert len(data) == 244  # fast campaign size
-
-
 class TestCampaignCommand:
     def test_run_then_status_then_resume(self, capsys, tmp_path):
         campaign_dir = tmp_path / "camp"
@@ -401,14 +388,14 @@ class TestCampaignCommand:
         assert "0 runs executed" in text
 
     def test_export_matches_dataset_command(self, capsys, tmp_path):
+        """The streamed export equals the in-memory campaign harvest."""
         export = tmp_path / "campaign.npz"
         assert main(["campaign", "run", "--preset", "fast", "--dir",
                      str(tmp_path / "camp"), "--export", str(export)]) == 0
-        direct = tmp_path / "direct.npz"
-        assert main(["dataset", "--preset", "fast", "--out", str(direct)]) == 0
+        from repro.datagen import fast_campaign, run_campaign
         from repro.datagen.dataset import FieldDataset
 
-        a, b = FieldDataset.load(export), FieldDataset.load(direct)
+        a, b = FieldDataset.load(export), run_campaign(fast_campaign())
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.targets, b.targets)
         assert np.array_equal(a.params, b.params)

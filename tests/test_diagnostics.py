@@ -148,13 +148,5 @@ class TestSqueezedObservables:
 
 
 class TestRetiredShims:
-    def test_history_import_raises_helpfully(self):
-        with pytest.raises(ImportError, match="Observables"):
-            from repro.pic.diagnostics import History  # noqa: F401
-
-    def test_ensemble_history_import_raises_helpfully(self):
-        with pytest.raises(ImportError, match="pic_observables"):
-            from repro.pic.diagnostics import EnsembleHistory  # noqa: F401
-
     def test_measurement_functions_still_importable(self):
         from repro.pic.diagnostics import kinetic_energy_rows  # noqa: F401

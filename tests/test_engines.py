@@ -12,10 +12,9 @@ from repro.engines import (
     pic_observables,
     validate_engine_config,
 )
-from repro.engines.observables import mode_amplitude, mode_amplitude_rows
-from repro.pic.scenarios import available_distributions, available_scenarios, load_distribution
+from repro.engines.observables import mode_amplitude, mode_amplitude_rows, vlasov_observables
+from repro.pic.scenarios import available_distributions, available_scenarios
 from repro.pic.simulation import TraditionalPIC
-from repro.vlasov import VlasovSimulation, vlasov_config_from
 
 VLASOV_EXTRA = {"n_v": 48, "v_min": -0.5, "v_max": 0.5}
 
@@ -142,14 +141,14 @@ class TestCrossEngineParity:
         engine = make_engine(cfgs)
         series = engine.run(6).as_arrays()
         for b, cfg in enumerate(cfgs):
-            solo = VlasovSimulation(vlasov_config_from(cfg), f0=load_distribution(cfg))
-            solo_series = solo.run(6)
-            np.testing.assert_array_equal(engine.f[b], solo.f)
-            np.testing.assert_array_equal(engine.efield[b], solo.efield)
+            solo = make_engine([cfg])
+            solo_series = solo.run(6).as_arrays()
+            np.testing.assert_array_equal(engine.f[b], solo.f[0])
+            np.testing.assert_array_equal(engine.efield[b], solo.efield[0])
             np.testing.assert_array_equal(series["time"], solo_series["time"])
             for name in ("kinetic", "potential", "total", "momentum", "mode1"):
                 np.testing.assert_array_equal(
-                    series[name][:, b], solo_series[name],
+                    series[name][:, b], solo_series[name][:, 0],
                     err_msg=f"{scenario}:{name} row {b}",
                 )
 
@@ -205,10 +204,9 @@ class TestSharedSchema:
             assert schema == expected
 
     def test_vlasov_solo_run_uses_shared_contract(self):
-        """VlasovSimulation.run no longer returns a dict of lists."""
-        cfg = _vlasov_config()
-        solo = VlasovSimulation(vlasov_config_from(cfg), f0=load_distribution(cfg))
-        result = solo.run(3)
+        """A batch-1 Vlasov run records into a squeezed single-run recorder."""
+        solo = make_engine(_vlasov_config())
+        result = solo.run(3, history=Observables(vlasov_observables(), squeeze=True))
         assert isinstance(result, Observables)
         series = result.as_arrays()
         assert sorted(series) == sorted(
@@ -311,14 +309,14 @@ class TestObservablesPipeline:
 
 
 class TestRetiredShims:
-    """History/EnsembleHistory are gone; the error says what to use."""
+    """History/EnsembleHistory are gone; Observables replaces both."""
 
     def test_history_import_raises_helpfully(self):
-        with pytest.raises(ImportError, match="Observables"):
+        with pytest.raises(ImportError, match="History"):
             from repro.pic.diagnostics import History  # noqa: F401
 
     def test_ensemble_history_import_raises_helpfully(self):
-        with pytest.raises(ImportError, match="RunResult"):
+        with pytest.raises(ImportError, match="EnsembleHistory"):
             from repro.pic.diagnostics import EnsembleHistory  # noqa: F401
 
     def test_single_run_recorder_replacement(self, config):

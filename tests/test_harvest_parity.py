@@ -1,8 +1,8 @@
 """The harvest and Vlasov parity oracles, pinned as data.
 
 The hashes below are sha256 digests of what the per-run PIC harvest and
-the solo Vlasov solver produced, recorded before either was folded into
-the batched paths that replace them:
+the solo Vlasov solver produced, recorded before both were deleted in
+favour of the batched paths:
 
 * the ``inputs``/``targets``/``params`` of a 4-run Sec. IV-A1-shaped
   campaign for each binning order, with and without the initial-state
@@ -210,41 +210,3 @@ def test_vlasov_harvest_matches_pinned():
     data = harvest_vlasov_ensemble([VLASOV_BASE], _vlasov_grid(), n_particles=5000, stride=2)
     assert _data_digests(data) == VLASOV_HARVEST_PINNED
 
-
-# -- the retiring paths, checked against the same pins -------------------
-
-
-@pytest.mark.parametrize("binning,include_initial_state", PIC_CASES)
-def test_per_run_harvest_matches_pinned(binning, include_initial_state):
-    from repro.datagen.campaign import harvest_simulation
-
-    campaign = _campaign(binning, include_initial_state)
-    data = FieldDataset.concatenate([
-        harvest_simulation(cfg, campaign.ps_grid, binning, include_initial_state)
-        for cfg in campaign.run_configs()
-    ])
-    assert _data_digests(data) == PIC_PINNED[_pic_key(binning, include_initial_state)]
-
-
-@pytest.mark.parametrize("name", sorted(VLASOV_PINNED))
-def test_solo_vlasov_matches_pinned(name):
-    from repro.pic.scenarios import load_distribution
-    from repro.vlasov import VlasovSimulation, vlasov_config_from
-
-    cfg = VLASOV_BASE.with_updates(scenario=name)
-    sim = VlasovSimulation(vlasov_config_from(cfg), f0=load_distribution(cfg))
-    series = sim.run(20).as_arrays()
-    assert {
-        "f": _digest(sim.f),
-        "efield": _digest(sim.efield),
-        "series": _series_digest(series),
-    } == VLASOV_PINNED[name]
-
-
-def test_solo_vlasov_harvest_matches_pinned():
-    from repro.vlasov import harvest_vlasov_dataset, vlasov_config_from
-
-    data = harvest_vlasov_dataset(
-        vlasov_config_from(VLASOV_BASE), _vlasov_grid(), n_particles=5000, stride=2
-    )
-    assert _data_digests(data) == VLASOV_HARVEST_PINNED

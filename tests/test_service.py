@@ -362,8 +362,7 @@ class TestVlasovService:
         )
 
     def test_vlasov_results_match_solo_runs_bitwise(self, vconfig):
-        from repro.pic.scenarios import load_distribution
-        from repro.vlasov import VlasovSimulation, vlasov_config_from
+        from repro.engines import make_engine
 
         configs = [
             vconfig,
@@ -376,11 +375,11 @@ class TestVlasovService:
             results = [f.result(timeout=0) for f in futures]
         assert service.stats["batches"] == 1  # one engine for all three
         for cfg, result in zip(configs, results):
-            solo = VlasovSimulation(vlasov_config_from(cfg), f0=load_distribution(cfg))
-            series = solo.run(cfg.n_steps)
+            solo = make_engine([cfg])
+            series = solo.run(cfg.n_steps).member(0)
             for name in ("time", "kinetic", "potential", "total", "momentum", "mode1"):
                 np.testing.assert_array_equal(result.series[name], series[name])
-            np.testing.assert_array_equal(result.efield, solo.efield)
+            np.testing.assert_array_equal(result.efield, solo.efield[0])
 
     def test_vlasov_and_traditional_never_cobatch(self, vconfig):
         with SimulationService(start=False) as service:
@@ -431,6 +430,13 @@ class TestVlasovService:
             ({"n_v": [64]}, "numeric"),
             ({"n_v": 1}, "too small"),
             ({"v_min": 0.5, "v_max": -0.5}, "empty velocity window"),
+            ({"n_v": 64.7}, "must be an integer"),
+            ({"n_v": "64"}, "numeric"),
+            ({"n_v": True}, "numeric"),
+            ({"n_v": float("inf")}, "must be an integer"),
+            ({"v_max": float("nan")}, "non-finite"),
+            ({"v_min": float("-inf")}, "non-finite"),
+            ({"v_min": "-0.5"}, "numeric"),
         ],
     )
     def test_malformed_velocity_grid_rejected_at_submit(self, vconfig, extra, match):

@@ -84,11 +84,11 @@ class TestSolverErrorSpectrum:
         """The tiny solver's error spectrum is finite and its largest
         *relative* failure sits away from the physically dominant mode 1
         (which carries the training signal)."""
-        from repro.datagen.campaign import harvest_simulation
+        from repro.datagen.campaign import harvest_via_client
         from repro.theory.spectral import solver_error_spectrum
 
-        data = harvest_simulation(
-            tiny_solver_config, tiny_trained_solver.ps_grid, binning="ngp"
+        data = harvest_via_client(
+            [tiny_solver_config], tiny_trained_solver.ps_grid, binning="ngp"
         )
         spec = solver_error_spectrum(tiny_trained_solver, data)
         assert np.all(np.isfinite(spec.error_amplitude))
