@@ -15,11 +15,8 @@ the crossover explicitly.
 import numpy as np
 from conftest import dump_result
 
-from repro.parallel.picparallel import (
-    communication_model,
-    run_distributed_dl,
-    run_distributed_traditional,
-)
+from repro.engines import make_engine
+from repro.parallel.picparallel import communication_model, run_distributed_dl
 
 import pytest
 
@@ -59,22 +56,23 @@ def test_simulated_runs_match_model(solvers, benchmark):
     )
 
     def run_both():
-        trad = run_distributed_traditional(config, n_ranks=4, n_steps=10)
+        trad = make_engine([config.with_updates(solver="mpi", extra={"n_ranks": 4})])
+        trad_history = trad.run(10)
         dl = run_distributed_dl(config, solvers.mlp_solver, n_ranks=4, n_steps=10)
-        return trad, dl
+        return trad_history, trad.comm_stats[0], dl
 
-    trad, dl = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    trad_history, trad_comm, dl = benchmark.pedantic(run_both, rounds=1, iterations=1)
     print()
-    print(f"  traditional: {trad.bytes_per_step:.0f} B/step, "
-          f"{trad.sync_points_per_step:.1f} syncs/step")
+    print(f"  traditional: {trad_comm.total_bytes / 10:.0f} B/step, "
+          f"{trad_comm.total_calls / 10:.1f} syncs/step")
     print(f"  DL-based:    {dl.bytes_per_step:.0f} B/step, "
           f"{dl.sync_points_per_step:.1f} syncs/step")
 
     # Field-solve collectives: DL uses exactly one per step.
     assert dl.comm.calls_by_op["allreduce"] == 10
-    assert trad.comm.calls_by_op["reduce"] == 10
-    assert trad.comm.calls_by_op["bcast"] == 10
+    assert trad_comm.calls_by_op["reduce"] == 10
+    assert trad_comm.calls_by_op["bcast"] == 10
 
     # Physics is identical to the serial methods (spot check).
-    assert np.all(np.isfinite(trad.history.as_arrays()["total"]))
+    assert np.all(np.isfinite(trad_history.as_arrays()["total"]))
     assert np.all(np.isfinite(dl.history.as_arrays()["total"]))

@@ -1,13 +1,11 @@
 """Kernel backend tier — raw-speed gates and the parity oracle.
 
-Three measurements, one JSON: the ``threaded`` backend must reach
+Two measurements, one JSON: the ``threaded`` backend must reach
 >= 1.5x over the ``numpy`` reference on a batch-16 traditional ensemble
 (enforced with >= 4 usable cores — numpy releases the GIL in the hot
-ufuncs, so row chunks genuinely overlap), the Vlasov float32 tier must
-reach >= 1.3x over float64 (pure bandwidth/FFT win, no parallel
-hardware needed, enforced everywhere), and the ``numba`` JIT
-deposit/gather leg is timed when the dependency is present (skipped
-gracefully elsewhere — the backend degrades to the reference slab).
+ufuncs, so row chunks genuinely overlap), and the Vlasov float32 tier
+must reach >= 1.3x over float64 (pure bandwidth/FFT win, no parallel
+hardware needed, enforced everywhere).
 
 Parity comes first: the float64 ``numpy`` path is the bitwise oracle
 for every backend x family pair, asserted here on short runs of every
@@ -27,8 +25,7 @@ import pytest
 from repro.config import SimulationConfig
 from repro.dlpic import DLEnsemble, DLFieldSolver
 from repro.engines.base import get_engine_spec
-from repro.kernels import NumbaBackend, ThreadedBackend
-from repro.kernels.numba_kernels import NUMBA_AVAILABLE
+from repro.kernels import ThreadedBackend
 from repro.models.architectures import build_mlp
 from repro.phasespace.binning import PhaseSpaceGrid
 from repro.phasespace.normalization import MinMaxNormalizer
@@ -128,10 +125,7 @@ def test_parity_every_backend_family_pair(results_dir):
         for backend_name in get_engine_spec(family).backends:
             if backend_name == "numpy":
                 continue
-            if backend_name == "threaded":
-                backend = ThreadedBackend(max_workers=THREAD_WORKERS)
-            else:
-                backend = NumbaBackend()  # reference slab when numba is absent
+            backend = ThreadedBackend(max_workers=THREAD_WORKERS)
             _, candidate = _run_family(family, backend_name, backend=backend, steps=8)
             _assert_bitwise(reference, candidate, f"{family}/{backend_name}")
             checked[f"{family}/{backend_name}"] = True
@@ -141,7 +135,6 @@ def test_parity_every_backend_family_pair(results_dir):
         {
             "oracle": "float64 numpy reference, bitwise",
             "pairs": checked,
-            "numba_jit_active": NUMBA_AVAILABLE,
         },
     )
 
@@ -212,36 +205,4 @@ def test_vlasov_float32_speedup(results_dir):
     assert speedup >= 1.3, (
         f"expected the Vlasov float32 tier >= 1.3x over float64, got "
         f"{speedup:.2f}x (float64 {f64_s:.2f}s, float32 {f32_s:.2f}s)"
-    )
-
-
-def test_numba_jit_speedup(results_dir):
-    """JIT deposit/gather leg — measured when numba is installed."""
-    payload = {
-        "available": NUMBA_AVAILABLE,
-        "family": "traditional",
-        "gate": ">=1.1x over numpy deposit/gather (skipped when numba is absent)",
-    }
-    if not NUMBA_AVAILABLE:
-        _merge_result(results_dir, "numba", payload)
-        pytest.skip("numba is not installed; JIT backend degrades to the reference")
-    _run_family("traditional", "numba", backend=NumbaBackend(), steps=2)  # JIT warm-up
-    numpy_s, reference = _run_family("traditional", "numpy")
-    numba_s, candidate = _run_family("traditional", "numba", backend=NumbaBackend())
-    _assert_bitwise(reference, candidate, "traditional/numba")
-    speedup = numpy_s / numba_s if numba_s > 0 else float("inf")
-    payload.update(
-        {
-            "batch": BATCH,
-            "n_steps": PIC.n_steps,
-            "numpy_s": numpy_s,
-            "numba_s": numba_s,
-            "speedup": speedup,
-            "bitwise_parity": True,
-        }
-    )
-    _merge_result(results_dir, "numba", payload)
-    assert speedup >= 1.1, (
-        f"expected the numba JIT deposit/gather >= 1.1x over numpy, got "
-        f"{speedup:.2f}x (numpy {numpy_s:.2f}s, numba {numba_s:.2f}s)"
     )

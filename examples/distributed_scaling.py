@@ -13,12 +13,9 @@ Run:  python examples/distributed_scaling.py
 import numpy as np
 
 from repro.config import SimulationConfig
+from repro.engines import make_engine
 from repro.experiments import fast_preset, train_solvers
-from repro.parallel import (
-    communication_model,
-    run_distributed_dl,
-    run_distributed_traditional,
-)
+from repro.parallel import communication_model, run_distributed_dl
 from repro.phasespace import PhaseSpaceGrid
 from repro.pic import TraditionalPIC
 
@@ -42,10 +39,13 @@ def main() -> None:
     print("\nExecuting 20 steps on 4 simulated ranks...")
     config = SimulationConfig(n_cells=64, particles_per_cell=100, n_steps=20, seed=3)
     serial = TraditionalPIC(config).run(20).as_arrays()
-    dist = run_distributed_traditional(config, n_ranks=4, n_steps=20)
-    diff = np.abs(dist.history.as_arrays()["total"] - serial["total"]).max()
-    print(f"  traditional: {dist.bytes_per_step:,.0f} B/step, "
-          f"{dist.sync_points_per_step:.1f} syncs/step, "
+    # A solo distributed run is a batch-1 engine of the "mpi" family.
+    engine = make_engine([config.with_updates(solver="mpi", extra={"n_ranks": 4})])
+    dist = engine.run(20).member(0)
+    comm = engine.comm_stats[0]
+    diff = np.abs(dist["total"] - serial["total"]).max()
+    print(f"  traditional: {comm.total_bytes / 20:,.0f} B/step, "
+          f"{comm.total_calls / 20:.1f} syncs/step, "
           f"|serial - distributed| total energy: {diff:.2e}")
 
     solvers = train_solvers(fast_preset(), cache_dir="./.artifacts", include_cnn=False)

@@ -87,13 +87,11 @@ def _add_sweep(sub: "argparse._SubParsersAction") -> None:
                         "family declares its tiers in the registry, and "
                         "unsupported combinations fail with the supporting "
                         "families named")
-    p.add_argument("--backend", choices=["numpy", "threaded", "numba"],
+    p.add_argument("--backend", choices=["numpy", "threaded"],
                    default="numpy",
-                   help="kernel backend tier: numpy (reference, default), threaded "
-                        "(chunk batch rows across a shared thread pool) or numba "
-                        "(JIT deposit/gather; falls back to the reference kernels "
-                        "when the optional dependency is missing) — every backend "
-                        "reproduces the numpy float64 results bit for bit")
+                   help="kernel backend tier: numpy (reference, default) or threaded "
+                        "(chunk batch rows across a shared thread pool) — both "
+                        "reproduce the numpy float64 results bit for bit")
     p.add_argument("--model-dir", default=None,
                    help="directory saved by DLFieldSolver.save, or a registry "
                         "reference registry:<fingerprint-prefix> (required with "
@@ -285,11 +283,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.theory import fit_growth_rate, growth_rate_cold
     from repro.utils.io import save_npz_dict
 
-    config = SimulationConfig(
-        n_cells=args.cells, particles_per_cell=args.ppc, n_steps=args.steps,
-        dt=args.dt, v0=args.v0, vth=args.vth, seed=args.seed,
-        interpolation=args.interpolation, poisson_solver=args.poisson,
-    )
+    try:
+        config = SimulationConfig(
+            n_cells=args.cells, particles_per_cell=args.ppc, n_steps=args.steps,
+            dt=args.dt, v0=args.v0, vth=args.vth, seed=args.seed,
+            interpolation=args.interpolation, poisson_solver=args.poisson,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     with Client(background=False) as client:
         result = client.run(RunRequest(config=config, id="simulate"))
     series = result.series

@@ -151,15 +151,13 @@ class SimulationConfig:
     backend:
         Kernel backend executing the hot numerical paths
         (``repro.kernels``): ``"numpy"`` (the default; the reference
-        vectorized kernels, the bitwise parity oracle), ``"threaded"``
+        vectorized kernels, the bitwise parity oracle) or ``"threaded"``
         (independent batch rows of each kernel call chunked across a
         shared thread pool — bitwise identical to ``"numpy"`` in every
-        dtype tier) or ``"numba"`` (JIT-compiled scatter/gather behind
-        the optional ``numba`` dependency, falling back to the
-        reference kernels when it is absent).  Like ``dtype`` this is a
-        *structural* field — part of the engine compatibility key and
-        of every cache/store key — and family support is declared in
-        the engine registry (``EngineSpec.backends``).
+        dtype tier).  Like ``dtype`` this is a *structural* field —
+        part of the engine compatibility key and of every cache/store
+        key — and family support is declared in the engine registry
+        (``EngineSpec.backends``).
     extra:
         Free-form scenario parameters (e.g. ``bump_fraction`` for
         ``bump_on_tail``).  Must be a JSON-style dict; it participates
@@ -222,10 +220,9 @@ class SimulationConfig:
             )
         # Mirrors repro.kernels.KERNEL_BACKEND_NAMES (kept literal so the
         # config module stays a leaf; a unit test pins the two together).
-        if self.backend not in ("numpy", "threaded", "numba"):
+        if self.backend not in ("numpy", "threaded"):
             raise ValueError(
-                f"unknown backend {self.backend!r}; expected 'numpy', "
-                f"'threaded' or 'numba'"
+                f"unknown backend {self.backend!r}; expected 'numpy' or 'threaded'"
             )
         if not isinstance(self.extra, dict):
             raise ValueError(f"extra must be a dict, got {type(self.extra).__name__}")

@@ -22,6 +22,12 @@ families, selected by ``SimulationConfig.solver``:
     (:class:`~repro.parallel.picparallel.MPIEnsemble`; ``n_ranks``
     via ``config.extra``).
 
+Every engine class inherits :class:`Engine`, which owns the one
+member check (a single config is a batch of one; an empty batch or a
+member off the structural key is rejected) and the one ``run`` loop —
+the single place a per-step hook such as a phase timer attaches.  A
+family supplies only ``step``, ``_record`` and ``observables``.
+
 Every consumer — the micro-batching service, the CLI, the experiment
 pipeline, the data campaigns — builds engines exclusively through
 :func:`make_engine`, so registering a new family here makes it
@@ -37,7 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -150,17 +156,30 @@ def vlasov_grid_params(config: SimulationConfig) -> "tuple[int, float, float]":
     return n_v, v_min, v_max
 
 
-@runtime_checkable
-class Engine(Protocol):
-    """What every registered engine family provides.
+def _pic_structural_key(config: SimulationConfig) -> Hashable:
+    return tuple(getattr(config, name) for name in STRUCTURAL_FIELDS)
+
+
+def _vlasov_structural_key(config: SimulationConfig) -> Hashable:
+    return tuple(
+        getattr(config, name) for name in VLASOV_STRUCTURAL_FIELDS
+    ) + vlasov_grid_params(config)
+
+
+class Engine:
+    """Base class of every engine family: the member check and the run loop.
 
     ``configs`` holds one :class:`SimulationConfig` per batched member
     (``config`` is the structural reference, ``batch`` the count);
-    ``efield`` is the current ``(batch, n_cells)`` field.  ``step``
-    advances one cycle; ``run`` advances ``n_steps`` cycles recording
-    into an :class:`Observables` (the initial state included, so a run
-    yields ``n_steps + 1`` records); ``observables`` builds this
-    engine's default recorder.
+    ``efield`` is the current ``(batch, n_cells)`` field.  A subclass
+    calls ``super().__init__(configs)`` and supplies :meth:`step` (one
+    cycle), :meth:`_record` (stream the current state into a recorder)
+    and :meth:`observables` (its default recorder); :meth:`run` is the
+    one loop every family shares.
+
+    The structural key every member must share is ``_structural_key``
+    (the registry's key function of the family), whose entries are
+    named by ``_structural_fields``.
     """
 
     configs: "tuple[SimulationConfig, ...]"
@@ -168,22 +187,75 @@ class Engine(Protocol):
     batch: int
     efield: np.ndarray
 
+    _structural_fields: "tuple[str, ...]" = STRUCTURAL_FIELDS
+    _structural_key = staticmethod(_pic_structural_key)
+
+    def __init__(self, configs: "SimulationConfig | Sequence[SimulationConfig]") -> None:
+        if isinstance(configs, SimulationConfig):
+            configs = (configs,)
+        self.configs = tuple(configs)
+        if not self.configs:
+            raise ValueError("ensemble needs at least one configuration")
+        ref = self.configs[0]
+        ref_key = self._structural_key(ref)
+        for i, cfg in enumerate(self.configs[1:], 1):
+            for name, got, want in zip(
+                self._structural_fields, self._structural_key(cfg), ref_key
+            ):
+                if got != want:
+                    raise ValueError(
+                        f"ensemble member {i} differs from member 0 in structural "
+                        f"field {name!r}: {got!r} != {want!r}"
+                    )
+        self.config = ref  # structural reference member
+        self.batch = len(self.configs)
+
     def step(self) -> None:
         """Advance every member one cycle."""
-        ...
+        raise NotImplementedError
+
+    def _record(self, hist: "Observables") -> None:
+        """Stream the current state into ``hist`` as one frame."""
+        raise NotImplementedError
+
+    def observables(self, record_fields: bool = False) -> "Observables":
+        """A fresh default observables recorder for this engine."""
+        raise NotImplementedError
 
     def run(
         self,
         n_steps: "int | None" = None,
         history: "Observables | None" = None,
-        callback: "Callable | None" = None,
+        callback: "Callable[[Engine], None] | None" = None,
     ) -> "Observables":
-        """Run ``n_steps`` cycles, recording observables each step."""
-        ...
+        """Run ``n_steps`` cycles, recording observables at every step.
 
-    def observables(self) -> "Observables":
-        """A fresh default observables recorder for this engine."""
-        ...
+        The history includes the initial state, so it holds
+        ``n_steps + 1`` records.  Pass any :class:`Observables`
+        pipeline (e.g. one built from a request's observables
+        selection) to record custom measurements; ``callback`` fires
+        with the engine after every step (used by the data harvests).
+        ``n_steps=None`` runs ``config.n_steps``, which every member
+        must then agree on.
+        """
+        if n_steps is None:
+            if any(cfg.n_steps != self.config.n_steps for cfg in self.configs):
+                raise ValueError(
+                    "ensemble members disagree on config.n_steps; "
+                    "pass n_steps to run() explicitly"
+                )
+            n_steps = self.config.n_steps
+        if n_steps < 0:
+            raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+        hist = history if history is not None else self.observables()
+        hist.reserve(len(hist) + n_steps + 1)  # stream into one preallocated buffer
+        self._record(hist)
+        for _ in range(n_steps):
+            self.step()
+            self._record(hist)
+            if callback is not None:
+                callback(self)
+        return hist
 
 
 @dataclass(frozen=True)
@@ -299,10 +371,6 @@ def make_engine(
 # leaf so config/diagnostics shims can import it without cycles)
 
 
-def _pic_structural_key(config: SimulationConfig) -> Hashable:
-    return tuple(getattr(config, name) for name in STRUCTURAL_FIELDS)
-
-
 def _families_supporting(field: str, value: str) -> "tuple[str, ...]":
     """Registered families whose ``dtypes``/``backends`` include ``value``."""
     return tuple(
@@ -401,12 +469,6 @@ def _build_mpi(
     return MPIEnsemble(configs, rngs=rngs)
 
 
-def _vlasov_structural_key(config: SimulationConfig) -> Hashable:
-    return tuple(
-        getattr(config, name) for name in VLASOV_STRUCTURAL_FIELDS
-    ) + vlasov_grid_params(config)
-
-
 def _vlasov_validate(config: SimulationConfig) -> None:
     from repro.pic.scenarios import get_distribution
 
@@ -436,7 +498,7 @@ register_engine(EngineSpec(
     structural_key=_pic_structural_key,
     validate=_pic_validate,
     dtypes=("float64", "float32"),
-    backends=("numpy", "threaded", "numba"),
+    backends=("numpy", "threaded"),
 ))
 register_engine(EngineSpec(
     name="dl",

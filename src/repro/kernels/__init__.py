@@ -9,7 +9,7 @@ guarantee it is bitwise identical to running member ``b`` solo.  A
 kernel backend exploits exactly that property: it decides *how* the
 independent rows of one kernel call execute, never *what* they compute.
 
-Three backends are registered (``SimulationConfig.backend``):
+Two backends are registered (``SimulationConfig.backend``):
 
 ``numpy``
     The reference path — the exact vectorized kernels the seed shipped,
@@ -21,12 +21,6 @@ Three backends are registered (``SimulationConfig.backend``):
     independent row chunks genuinely overlap; because each chunk runs
     the unmodified reference arithmetic on its own rows, the result is
     bitwise identical to ``numpy`` in *every* dtype tier.
-``numba``
-    JIT-compiled scatter/gather loops (behind an optional ``numba``
-    dependency) whose accumulation order replicates ``np.add.at``
-    exactly.  When ``numba`` is not importable the backend degrades
-    gracefully to the reference kernels — results are unchanged either
-    way, only the speed differs (see :func:`backend_available`).
 
 ``backend`` is a *structural* config field: it participates in the
 engine compatibility keys and in every cache/store key, so runs on
@@ -37,7 +31,6 @@ though their float64 results are bitwise equal.
 from repro.kernels.backends import (
     KERNEL_BACKEND_NAMES,
     KernelBackend,
-    NumbaBackend,
     ThreadedBackend,
     available_backends,
     backend_available,
@@ -49,7 +42,6 @@ from repro.kernels.backends import (
 __all__ = [
     "KERNEL_BACKEND_NAMES",
     "KernelBackend",
-    "NumbaBackend",
     "ThreadedBackend",
     "available_backends",
     "backend_available",

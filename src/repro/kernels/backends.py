@@ -1,4 +1,4 @@
-"""The kernel-backend registry and the three built-in backends.
+"""The kernel-backend registry and the two built-in backends.
 
 A backend's contract is one method, :meth:`KernelBackend.run_rows`:
 given a slab function ``fn(lo, hi)`` that computes rows ``[lo, hi)`` of
@@ -27,7 +27,6 @@ __all__ = [
     "KERNEL_BACKEND_NAMES",
     "KernelBackend",
     "ThreadedBackend",
-    "NumbaBackend",
     "available_backends",
     "backend_available",
     "backend_unavailable_reason",
@@ -36,9 +35,9 @@ __all__ = [
 ]
 
 #: Every selectable ``SimulationConfig.backend`` value, in registry
-#: order.  ``repro.config`` validates against the same triple (a unit
+#: order.  ``repro.config`` validates against the same pair (a unit
 #: test pins the two lists together).
-KERNEL_BACKEND_NAMES = ("numpy", "threaded", "numba")
+KERNEL_BACKEND_NAMES = ("numpy", "threaded")
 
 
 def _usable_cores() -> int:
@@ -53,9 +52,8 @@ class KernelBackend:
     """The ``numpy`` reference backend: one slab, the unmodified kernels.
 
     Also the base class of every other backend — subclasses override
-    :meth:`run_rows` (and may expose JIT kernels via attributes) but
-    inherit the do-nothing defaults, so routing sites can hold any
-    backend behind one interface.
+    :meth:`run_rows` but inherit the do-nothing defaults, so routing
+    sites can hold any backend behind one interface.
     """
 
     name = "numpy"
@@ -131,33 +129,9 @@ class ThreadedBackend(KernelBackend):
             future.result()
 
 
-class NumbaBackend(KernelBackend):
-    """JIT scatter/gather loops; reference kernels when numba is absent.
-
-    The compiled kernels live in :mod:`repro.kernels.numba_kernels` and
-    cover the float64 particle deposit/gather — the paths where
-    ``np.add.at``'s generic inner loop leaves the most on the table.
-    Everything else (the float32 tier, the Vlasov stencils, the GEMM
-    blocks) runs the reference slab unchanged, which keeps the bitwise
-    float64 parity guarantee trivially intact.  When the optional
-    dependency is missing the backend *is* the reference backend under
-    another name: selection still validates, results are identical,
-    and :func:`backend_available` reports the degraded state.
-    """
-
-    name = "numba"
-    parallel = False
-
-    def __init__(self) -> None:
-        from repro.kernels import numba_kernels
-
-        self.jit = numba_kernels if numba_kernels.NUMBA_AVAILABLE else None
-
-
 _BACKENDS: "dict[str, Callable[[], KernelBackend]]" = {
     "numpy": KernelBackend,
     "threaded": ThreadedBackend,
-    "numba": NumbaBackend,
 }
 _INSTANCES: "dict[str, KernelBackend]" = {}
 _INSTANCE_LOCK = threading.Lock()
@@ -200,15 +174,10 @@ def resolve_backend(spec: "str | KernelBackend | None") -> KernelBackend:
 def backend_available(name: str) -> bool:
     """Whether ``name`` runs at full speed on this host.
 
-    Every registered name is *selectable* (the numba backend degrades
-    to the reference kernels rather than failing); this reports whether
-    the backend's accelerated path is actually live — benchmarks use it
-    to skip speedup gates that cannot hold.
+    Every registered name is *selectable*; this reports whether the
+    backend's accelerated path is actually live — benchmarks use it to
+    skip speedup gates that cannot hold.
     """
-    if name == "numba":
-        from repro.kernels import numba_kernels
-
-        return numba_kernels.NUMBA_AVAILABLE
     if name == "threaded":
         return _usable_cores() > 1
     return name in _BACKENDS
@@ -218,8 +187,6 @@ def backend_unavailable_reason(name: str) -> "str | None":
     """Human-readable reason :func:`backend_available` is False, else None."""
     if backend_available(name):
         return None
-    if name == "numba":
-        return "the optional 'numba' dependency is not installed"
     if name == "threaded":
         return "only one usable CPU core"
     return f"unknown kernel backend {name!r}"

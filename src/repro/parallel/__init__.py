@@ -11,7 +11,11 @@ This subpackage makes that claim quantitative without MPI (not
 installable offline): an in-process communicator with byte-counting
 collectives, a 1D domain decomposition of the PIC cycle that is
 verified to reproduce the serial physics, and a communication-volume
-model comparing both field-solve strategies.
+model comparing both field-solve strategies.  The traditional
+decomposition runs as the served ``mpi`` engine family
+(``make_engine`` with ``solver="mpi"``; traffic in
+``engine.comm_stats``); the DL decomposition runs through
+:func:`run_distributed_dl`.
 """
 
 from repro.parallel.comm import CommStats, SimulatedComm
@@ -19,7 +23,6 @@ from repro.parallel.decomposition import DomainDecomposition1D
 from repro.parallel.picparallel import (
     DistributedPICResult,
     communication_model,
-    run_distributed_traditional,
     run_distributed_dl,
 )
 
@@ -29,6 +32,5 @@ __all__ = [
     "DomainDecomposition1D",
     "DistributedPICResult",
     "communication_model",
-    "run_distributed_traditional",
     "run_distributed_dl",
 ]

@@ -13,31 +13,35 @@ phase-space histograms (binning is additive), one ``allreduce``
 combines them, and every rank then runs the replicated network locally:
 no field-solve gather/broadcast, one synchronization point per step.
 
-Both distributed drivers are verified (tests) to reproduce the serial
-methods' physics, since decomposition only reorders arithmetic.
-``communication_model`` additionally provides the closed-form per-step
-byte counts so sweeps over rank counts don't need actual runs.
+The traditional decomposition is the served ``mpi`` engine family
+(:class:`MPIEnsemble`; a solo run is ``make_engine([config])`` with
+``solver="mpi"`` and ``extra={"n_ranks": N}``, its traffic in
+``comm_stats``).  The DL decomposition runs through
+:func:`run_distributed_dl`; it is not a served family, because the
+``mpi`` store key carries no model fingerprint.  Both are verified
+(tests) to reproduce the serial methods' physics, since decomposition
+only reorders arithmetic.  ``communication_model`` additionally
+provides the closed-form per-step byte counts so sweeps over rank
+counts don't need actual runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.config import SimulationConfig
 from repro.dlpic.solver import DLFieldSolver
-from repro.engines.base import STRUCTURAL_FIELDS, mpi_rank_params
+from repro.engines.base import mpi_rank_params
+from repro.engines.observables import Observables
 from repro.parallel.comm import CommStats, SimulatedComm
 from repro.parallel.decomposition import DomainDecomposition1D
-from repro.engines.observables import Frame, Observables, pic_observables
 from repro.phasespace.binning import PhaseSpaceGrid, bin_phase_space
 from repro.pic.grid import Grid1D
 from repro.pic.interpolation import deposit
-from repro.pic.particles import ParticleSet
 from repro.pic.poisson import PoissonSolver
-from repro.pic.simulation import PICSimulation
+from repro.pic.simulation import LockstepEnsemble, PICSimulation
 
 
 @dataclass
@@ -148,34 +152,6 @@ class _DistributedDLSolver:
         return self.solver.predict_from_histogram(hist)
 
 
-def run_distributed_traditional(
-    config: SimulationConfig,
-    n_ranks: int,
-    n_steps: "int | None" = None,
-    rng: "int | np.random.Generator | None" = None,
-) -> DistributedPICResult:
-    """Run the traditional method over ``n_ranks`` simulated ranks."""
-    grid = Grid1D(config.n_cells, config.box_length)
-    decomp = DomainDecomposition1D(grid, n_ranks)
-    comm = SimulatedComm(n_ranks)
-    solver = _DistributedTraditionalSolver(
-        grid,
-        decomp,
-        comm,
-        particle_charge=config.particle_charge,
-        interpolation=config.interpolation,
-        poisson_method=config.poisson_solver,
-        gradient=config.gradient,
-    )
-    sim = PICSimulation(config, solver, rng)
-    steps = config.n_steps if n_steps is None else n_steps
-    comm.stats.reset()  # count only the time loop, not initialization
-    history = sim.run(steps)
-    return DistributedPICResult(
-        label="Traditional PIC", n_ranks=n_ranks, n_steps=steps, history=history, comm=comm.stats
-    )
-
-
 def run_distributed_dl(
     config: SimulationConfig,
     dl_solver: DLFieldSolver,
@@ -197,148 +173,53 @@ def run_distributed_dl(
     )
 
 
-class MPIEnsemble:
+class MPIEnsemble(LockstepEnsemble):
     """Engine adapter serving batches of simulated-MPI runs.
 
     Registered in the engine registry as ``solver="mpi"``: the
     domain-decomposed traditional solver
     (:class:`_DistributedTraditionalSolver`) promoted from an
-    experiment to a served backend.  Each member owns its own
+    experiment to a served backend.  Each member is a
+    :class:`~repro.pic.simulation.PICSimulation` owning its own
     decomposition, simulated communicator and migration tracker
     (``n_ranks`` comes from that member's ``config.extra``, default
     :data:`repro.engines.base.MPI_DEFAULT_N_RANKS`, so one batch may
-    mix rank counts), and the adapter advances the member
-    :class:`~repro.pic.simulation.PICSimulation` drivers in lockstep —
-    row ``b`` is *trivially* bitwise identical to running
-    ``configs[b]`` alone via :func:`run_distributed_traditional`,
-    while the service layer gets grouped scheduling, request dedup and
-    the shared result store.
+    mix rank counts), advanced in lockstep.  A solo distributed run is
+    a batch of one.
 
     Decomposition only reorders the charge-density reduction, so the
     physics matches the serial ``traditional`` family to floating-point
     reordering tolerance (see the parity tests), not bitwise.
     """
 
-    def __init__(
-        self,
-        configs: "SimulationConfig | Sequence[SimulationConfig]",
-        rngs: "Sequence[int | np.random.Generator | None] | None" = None,
-    ) -> None:
-        if isinstance(configs, SimulationConfig):
-            configs = (configs,)
-        self.configs: "tuple[SimulationConfig, ...]" = tuple(configs)
-        if not self.configs:
-            raise ValueError("ensemble needs at least one configuration")
-        ref = self.configs[0]
-        for i, cfg in enumerate(self.configs[1:], 1):
-            for name in STRUCTURAL_FIELDS:
-                if getattr(cfg, name) != getattr(ref, name):
-                    raise ValueError(
-                        f"ensemble member {i} differs from member 0 in structural "
-                        f"field {name!r}: {getattr(cfg, name)!r} != {getattr(ref, name)!r}"
-                    )
-        self.config = ref  # structural reference member
-        self.batch = len(self.configs)
-        if rngs is None:
-            rngs = [None] * self.batch
-        if len(rngs) != self.batch:
-            raise ValueError(f"got {len(rngs)} rngs for batch {self.batch}")
-        self.members: "list[PICSimulation]" = []
-        self._comms: "list[SimulatedComm]" = []
-        for cfg, rng in zip(self.configs, rngs):
-            grid = Grid1D(cfg.n_cells, cfg.box_length)
-            n_ranks = mpi_rank_params(cfg)
-            decomp = DomainDecomposition1D(grid, n_ranks)
-            comm = SimulatedComm(n_ranks)
-            solver = _DistributedTraditionalSolver(
-                grid,
-                decomp,
-                comm,
-                particle_charge=cfg.particle_charge,
-                interpolation=cfg.interpolation,
-                poisson_method=cfg.poisson_solver,
-                gradient=cfg.gradient,
-            )
-            self.members.append(PICSimulation(cfg, solver, rng))
-            self._comms.append(comm)
-        self.grid = self.members[0].grid
-
-    @property
-    def time(self) -> float:
-        return self.members[0].time
-
-    @property
-    def step_index(self) -> int:
-        return self.members[0].step_index
-
-    @property
-    def efield(self) -> np.ndarray:
-        """Stacked ``(batch, n_cells)`` field across the members."""
-        return np.stack([m.efield for m in self.members])
-
-    @property
-    def particles(self) -> ParticleSet:
-        """Stacked ``(batch, n)`` particle view across the members."""
-        ref = self.members[0].particles
-        return ParticleSet(
-            np.stack([m.particles.x for m in self.members]),
-            np.stack([m.particles.v for m in self.members]),
-            ref.charge,
-            ref.mass,
+    def _member(
+        self, config: SimulationConfig, rng: "int | np.random.Generator | None"
+    ) -> PICSimulation:
+        grid = Grid1D(config.n_cells, config.box_length)
+        n_ranks = mpi_rank_params(config)
+        comm = SimulatedComm(n_ranks)
+        solver = _DistributedTraditionalSolver(
+            grid,
+            DomainDecomposition1D(grid, n_ranks),
+            comm,
+            particle_charge=config.particle_charge,
+            interpolation=config.interpolation,
+            poisson_method=config.poisson_solver,
+            gradient=config.gradient,
         )
-
-    @property
-    def v_at_integer_time(self) -> np.ndarray:
-        """Velocities synchronized to integer time, ``(batch, n)``."""
-        return np.stack([m.v_at_integer_time for m in self.members])
+        member = PICSimulation(config, solver, rng)
+        comm.stats.reset()  # count only the time loop, not the t=0 field solve
+        return member
 
     @property
     def comm_stats(self) -> "list[CommStats]":
-        """Per-member simulated-communication traffic counters."""
-        return [comm.stats for comm in self._comms]
-
-    def observables(self, record_fields: bool = False) -> Observables:
-        """A fresh default observables recorder for this engine."""
-        return Observables(pic_observables(record_fields=record_fields))
+        """Per-member simulated-communication traffic of the time loop."""
+        return [m.field_solver.comm.stats for m in self.members]
 
     def step(self) -> None:
         """Advance every member one distributed PIC cycle."""
         for m in self.members:
             m.step()
-
-    def _record(self, hist: Observables) -> None:
-        hist.record_frame(Frame(
-            self.step_index, self.time, self.grid, self.efield,
-            particles=self.particles, v_center=self.v_at_integer_time,
-        ))
-
-    def run(
-        self,
-        n_steps: "int | None" = None,
-        history: "Observables | None" = None,
-        callback: "Callable[[MPIEnsemble], None] | None" = None,
-    ) -> Observables:
-        """Run ``n_steps`` cycles, recording batched diagnostics."""
-        if n_steps is None:
-            if any(cfg.n_steps != self.config.n_steps for cfg in self.configs):
-                raise ValueError(
-                    "ensemble members disagree on config.n_steps; "
-                    "pass n_steps to run() explicitly"
-                )
-            n = self.config.n_steps
-        else:
-            n = n_steps
-        if n < 0:
-            raise ValueError(f"n_steps must be non-negative, got {n}")
-        hist = history if history is not None else self.observables()
-        hist.reserve(len(hist) + n + 1)
-        self._record(hist)
-        for _ in range(n):
-            self.step()
-            self._record(hist)
-            if callback is not None:
-                callback(self)
-        return hist
 
 
 def communication_model(

@@ -26,26 +26,29 @@ of the explicit method's trade-off (Birdsall & Langdon Ch. 10).
 
 The electric field is advanced through Ampere's law, so the Poisson
 solve happens only once, at initialization.
+
+:class:`EnergyConservingPIC` is one run; :class:`EnergyConservingEnsemble`
+serves a batch of them in lockstep (the ``energy`` engine family).
+Both run through the shared :meth:`repro.engines.base.Engine.run` loop.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Sequence
 
 import numpy as np
 
 from repro import constants
 from repro.config import SimulationConfig
-from repro.engines.base import STRUCTURAL_FIELDS
+from repro.engines.base import Engine
 from repro.engines.observables import Frame, Observables, pic_observables
 from repro.pic.grid import Grid1D
 from repro.pic.interpolation import Workspace, charge_density, deposit, gather
 from repro.pic.particles import ParticleSet
 from repro.pic.poisson import PoissonSolver
 from repro.pic.scenarios import load_scenario
+from repro.pic.simulation import LockstepEnsemble
 
 
-class EnergyConservingPIC:
+class EnergyConservingPIC(Engine):
     """1D electrostatic energy-conserving (implicit midpoint) PIC.
 
     Parameters
@@ -71,7 +74,7 @@ class EnergyConservingPIC:
             raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
         if tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {tolerance}")
-        self.config = config
+        super().__init__(config)
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.grid = Grid1D(config.n_cells, config.box_length)
@@ -150,33 +153,15 @@ class EnergyConservingPIC:
             particles=self.particles,
         ))
 
-    def run(
-        self, n_steps: "int | None" = None, history: "Observables | None" = None
-    ) -> Observables:
-        """Run ``n_steps`` cycles recording the standard diagnostics."""
-        n = self.config.n_steps if n_steps is None else n_steps
-        if n < 0:
-            raise ValueError(f"n_steps must be non-negative, got {n}")
-        hist = history if history is not None else self.observables()
-        hist.reserve(len(hist) + n + 1)
-        self._record(hist)
-        for _ in range(n):
-            self.step()
-            self._record(hist)
-        return hist
 
-
-class EnergyConservingEnsemble:
+class EnergyConservingEnsemble(LockstepEnsemble):
     """Engine adapter serving batches of energy-conserving runs.
 
     Registered in the engine registry as ``solver="energy"``.  Unlike
     the explicit families there is no vectorized implicit solver (each
     member runs its own Picard iteration, whose trip count depends on
     that member's state), so the adapter advances one solo
-    :class:`EnergyConservingPIC` per member in lockstep — row ``b`` is
-    *trivially* bitwise identical to running ``configs[b]`` alone —
-    while still giving the service layer everything batching buys it:
-    grouped scheduling, request dedup and the shared result store.
+    :class:`EnergyConservingPIC` per member in lockstep.
 
     Members may differ in scenario, seed, beam parameters and Picard
     knobs (``extra['picard_max_iterations']``,
@@ -184,109 +169,17 @@ class EnergyConservingEnsemble:
     fields shared with the explicit PIC families.
     """
 
-    def __init__(
-        self,
-        configs: "SimulationConfig | Sequence[SimulationConfig]",
-        rngs: "Sequence[int | np.random.Generator | None] | None" = None,
-    ) -> None:
-        if isinstance(configs, SimulationConfig):
-            configs = (configs,)
-        self.configs: "tuple[SimulationConfig, ...]" = tuple(configs)
-        if not self.configs:
-            raise ValueError("ensemble needs at least one configuration")
-        ref = self.configs[0]
-        for i, cfg in enumerate(self.configs[1:], 1):
-            for name in STRUCTURAL_FIELDS:
-                if getattr(cfg, name) != getattr(ref, name):
-                    raise ValueError(
-                        f"ensemble member {i} differs from member 0 in structural "
-                        f"field {name!r}: {getattr(cfg, name)!r} != {getattr(ref, name)!r}"
-                    )
-        self.config = ref  # structural reference member
-        self.batch = len(self.configs)
-        if rngs is None:
-            rngs = [None] * self.batch
-        if len(rngs) != self.batch:
-            raise ValueError(f"got {len(rngs)} rngs for batch {self.batch}")
-        self.members = [
-            EnergyConservingPIC(
-                cfg,
-                rng,
-                max_iterations=int(cfg.extra.get("picard_max_iterations", 12)),
-                tolerance=float(cfg.extra.get("picard_tolerance", 1e-12)),
-            )
-            for cfg, rng in zip(self.configs, rngs)
-        ]
-        self.grid = self.members[0].grid
-
-    @property
-    def time(self) -> float:
-        return self.members[0].time
-
-    @property
-    def step_index(self) -> int:
-        return self.members[0].step_index
-
-    @property
-    def efield(self) -> np.ndarray:
-        """Stacked ``(batch, n_cells)`` field across the members."""
-        return np.stack([m.efield for m in self.members])
-
-    @property
-    def particles(self) -> ParticleSet:
-        """Stacked ``(batch, n)`` particle view across the members."""
-        ref = self.members[0].particles
-        return ParticleSet(
-            np.stack([m.particles.x for m in self.members]),
-            np.stack([m.particles.v for m in self.members]),
-            ref.charge,
-            ref.mass,
+    def _member(
+        self, config: SimulationConfig, rng: "int | np.random.Generator | None"
+    ) -> EnergyConservingPIC:
+        return EnergyConservingPIC(
+            config,
+            rng,
+            max_iterations=int(config.extra.get("picard_max_iterations", 12)),
+            tolerance=float(config.extra.get("picard_tolerance", 1e-12)),
         )
-
-    @property
-    def v_at_integer_time(self) -> np.ndarray:
-        """Velocities are already synchronized, ``(batch, n)``."""
-        return np.stack([m.particles.v for m in self.members])
-
-    def observables(self, record_fields: bool = False) -> Observables:
-        """A fresh default observables recorder for this engine."""
-        return Observables(pic_observables(record_fields=record_fields))
 
     def step(self) -> None:
         """Advance every member one implicit midpoint cycle."""
         for m in self.members:
             m.step()
-
-    def _record(self, hist: Observables) -> None:
-        hist.record_frame(Frame(
-            self.step_index, self.time, self.grid, self.efield,
-            particles=self.particles,
-        ))
-
-    def run(
-        self,
-        n_steps: "int | None" = None,
-        history: "Observables | None" = None,
-        callback: "Callable[[EnergyConservingEnsemble], None] | None" = None,
-    ) -> Observables:
-        """Run ``n_steps`` cycles, recording batched diagnostics."""
-        if n_steps is None:
-            if any(cfg.n_steps != self.config.n_steps for cfg in self.configs):
-                raise ValueError(
-                    "ensemble members disagree on config.n_steps; "
-                    "pass n_steps to run() explicitly"
-                )
-            n = self.config.n_steps
-        else:
-            n = n_steps
-        if n < 0:
-            raise ValueError(f"n_steps must be non-negative, got {n}")
-        hist = history if history is not None else self.observables()
-        hist.reserve(len(hist) + n + 1)
-        self._record(hist)
-        for _ in range(n):
-            self.step()
-            self._record(hist)
-            if callback is not None:
-                callback(self)
-        return hist

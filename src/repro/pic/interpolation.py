@@ -28,9 +28,9 @@ lets the ensemble engine reproduce sequential runs exactly.
 Both routines take an optional kernel ``backend`` (``repro.kernels``):
 the batched work is expressed as a slab function over contiguous row
 ranges, so the threaded backend can chunk independent rows across its
-pool and the numba backend can swap in its jitted float64 loops —
-always reproducing the reference rows bit for bit.  ``backend=None``
-is the reference path itself (one full slab, zero overhead).
+pool, always reproducing the reference rows bit for bit.
+``backend=None`` is the reference path itself (one full slab, zero
+overhead).
 
 Both routines — and the leapfrog pushers in :mod:`repro.pic.mover` —
 also take an optional :class:`Workspace`: the named, full-size scratch
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import KernelBackend, NumbaBackend
+from repro.kernels import KernelBackend
 from repro.pic.grid import Grid1D
 
 _ORDERS = ("ngp", "cic", "tsc")
@@ -97,13 +97,6 @@ def _run_rows(backend: "KernelBackend | None", n_rows: int, fn) -> None:
         fn(0, n_rows)
     else:
         backend.run_rows(n_rows, fn)
-
-
-def _jit_kernels(backend: "KernelBackend | None"):
-    """The numba kernel module when ``backend`` carries live JIT kernels."""
-    if isinstance(backend, NumbaBackend):
-        return backend.jit
-    return None
 
 
 def _check_order(order: str) -> None:
@@ -282,33 +275,25 @@ def deposit(
     # the historical bit-for-bit accumulation, float32 runs accumulate
     # (and return) single precision.
     out = np.zeros((batch, grid.n_cells), dtype=x.dtype)
-    jit = _jit_kernels(backend)
-    if jit is not None and x.dtype == np.float64:
-        def slab(lo: int, hi: int) -> None:
-            jit.deposit_rows(
-                out[lo:hi], x2[lo:hi], np.ascontiguousarray(w2[lo:hi]),
-                grid.dx, jit.ORDER_CODES[order],
-            )
-    else:
-        s, idx, wts = _stencil_buffers(
-            work if work is not None else Workspace(), order, x2.shape, x.dtype
-        )
-        row_idx, row_wts = idx.reshape(batch, -1), wts.reshape(batch, -1)
+    s, idx, wts = _stencil_buffers(
+        work if work is not None else Workspace(), order, x2.shape, x.dtype
+    )
+    row_idx, row_wts = idx.reshape(batch, -1), wts.reshape(batch, -1)
 
-        def slab(lo: int, hi: int) -> None:
-            rows = wts[lo:hi]
-            _fill_stencil(x2[lo:hi], grid, order, s[lo:hi], idx[lo:hi], rows)
-            if order == "ngp":
-                rows[:, 0] = w2[lo:hi]
-            else:
-                np.multiply(w2[lo:hi, None, :], rows, out=rows)
-            # One np.add.at per row, on 1-D operands (ufunc.at is several
-            # times faster on those than on 2-D ones).  A row's nodes
-            # scatter block by block in particle order — every output
-            # cell accumulates in the same order as ever, so the bits do
-            # not depend on the slab bounds.
-            for b in range(lo, hi):
-                np.add.at(out[b], row_idx[b], row_wts[b])
+    def slab(lo: int, hi: int) -> None:
+        rows = wts[lo:hi]
+        _fill_stencil(x2[lo:hi], grid, order, s[lo:hi], idx[lo:hi], rows)
+        if order == "ngp":
+            rows[:, 0] = w2[lo:hi]
+        else:
+            np.multiply(w2[lo:hi, None, :], rows, out=rows)
+        # One np.add.at per row, on 1-D operands (ufunc.at is several
+        # times faster on those than on 2-D ones).  A row's nodes
+        # scatter block by block in particle order — every output
+        # cell accumulates in the same order as ever, so the bits do
+        # not depend on the slab bounds.
+        for b in range(lo, hi):
+            np.add.at(out[b], row_idx[b], row_wts[b])
 
     _run_rows(backend, batch, slab)
     out /= grid.dx
@@ -357,40 +342,31 @@ def gather(
     else:
         out_dtype = np.result_type(field.dtype, x.dtype)
     out = np.empty(x2.shape, dtype=out_dtype)
-    jit = _jit_kernels(backend)
-    if jit is not None and per_row and x.dtype == np.float64 and field.dtype == np.float64:
-        cfield = np.ascontiguousarray(field)
+    work = work if work is not None else Workspace()
+    s, idx, w = _stencil_buffers(work, order, x2.shape, x.dtype)
+    # Promoting the (grid-sized) field once is exact, so the node
+    # samples land in the result dtype with the reference values.
+    src = np.ascontiguousarray(field, dtype=out_dtype)
+    picks = work.get("picks", idx.shape, out_dtype) if order != "ngp" else None
 
-        def slab(lo: int, hi: int) -> None:
-            jit.gather_rows(
-                out[lo:hi], cfield[lo:hi], x2[lo:hi], grid.dx, jit.ORDER_CODES[order]
-            )
-    else:
-        work = work if work is not None else Workspace()
-        s, idx, w = _stencil_buffers(work, order, x2.shape, x.dtype)
-        # Promoting the (grid-sized) field once is exact, so the node
-        # samples land in the result dtype with the reference values.
-        src = np.ascontiguousarray(field, dtype=out_dtype)
-        picks = work.get("picks", idx.shape, out_dtype) if order != "ngp" else None
-
-        def slab(lo: int, hi: int) -> None:
-            _fill_stencil(x2[lo:hi], grid, order, s[lo:hi], idx[lo:hi], w[lo:hi])
-            # Per-row takes read a grid-sized field row straight from
-            # cache; mode="clip" is unbuffered and a no-op on indices
-            # that are already wrapped.
-            for b in range(lo, hi):
-                row = src[b] if per_row else src
-                if picks is None:
-                    row.take(idx[b, 0], out=out[b], mode="clip")
-                else:
-                    row.take(idx[b], out=picks[b], mode="clip")
+    def slab(lo: int, hi: int) -> None:
+        _fill_stencil(x2[lo:hi], grid, order, s[lo:hi], idx[lo:hi], w[lo:hi])
+        # Per-row takes read a grid-sized field row straight from
+        # cache; mode="clip" is unbuffered and a no-op on indices
+        # that are already wrapped.
+        for b in range(lo, hi):
+            row = src[b] if per_row else src
             if picks is None:
-                return
-            p, res = picks[lo:hi], out[lo:hi]
-            np.multiply(p, w[lo:hi], out=p)
-            np.add(p[:, 0], p[:, 1], out=res)
-            if order == "tsc":
-                np.add(res, p[:, 2], out=res)
+                row.take(idx[b, 0], out=out[b], mode="clip")
+            else:
+                row.take(idx[b], out=picks[b], mode="clip")
+        if picks is None:
+            return
+        p, res = picks[lo:hi], out[lo:hi]
+        np.multiply(p, w[lo:hi], out=p)
+        np.add(p[:, 0], p[:, 1], out=res)
+        if order == "tsc":
+            np.add(res, p[:, 2], out=res)
 
     _run_rows(backend, batch, slab)
     return out if x.ndim == 2 else out[0]

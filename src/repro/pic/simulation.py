@@ -20,16 +20,22 @@ field solve (Fig. 1); ``repro.dlpic.DLPIC`` wires in the neural solver
 batches its scatter + FFTs, and ``repro.dlpic.DLFieldSolver`` bins,
 normalizes and network-evaluates a whole ensemble per step
 (``repro.dlpic.DLEnsemble`` is the preconfigured DL sweep engine).
+
+:class:`LockstepEnsemble` serves a batch of families that have no
+vectorized step (the energy-conserving and the simulated-MPI PIC): it
+advances one solo engine per member in lockstep and presents their
+stacked state, so row ``b`` is trivially bitwise identical to running
+``configs[b]`` alone.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from repro.config import SimulationConfig
-from repro.engines.base import STRUCTURAL_FIELDS
+from repro.engines.base import STRUCTURAL_FIELDS, Engine
 from repro.engines.observables import Frame, Observables, pic_observables
 from repro.kernels import KernelBackend, resolve_backend
 from repro.pic.grid import Grid1D
@@ -146,7 +152,7 @@ class ChargeDepositionFieldSolver:
         return e
 
 
-class EnsembleSimulation:
+class EnsembleSimulation(Engine):
     """Batched explicit electrostatic PIC cycle over stacked runs.
 
     Parameters
@@ -182,21 +188,8 @@ class EnsembleSimulation:
         field_solver: "FieldSolver | None" = None,
         rngs: "Sequence[int | np.random.Generator | None] | None" = None,
     ) -> None:
-        if isinstance(configs, SimulationConfig):
-            configs = (configs,)
-        self.configs: tuple[SimulationConfig, ...] = tuple(configs)
-        if not self.configs:
-            raise ValueError("ensemble needs at least one configuration")
-        ref = self.configs[0]
-        for i, cfg in enumerate(self.configs[1:], 1):
-            for name in STRUCTURAL_FIELDS:
-                if getattr(cfg, name) != getattr(ref, name):
-                    raise ValueError(
-                        f"ensemble member {i} differs from member 0 in structural "
-                        f"field {name!r}: {getattr(cfg, name)!r} != {getattr(ref, name)!r}"
-                    )
-        self.config = ref  # structural reference member
-        self.batch = len(self.configs)
+        super().__init__(configs)
+        ref = self.config
         self.grid = Grid1D(ref.n_cells, ref.box_length)
         self._work = Workspace()
         # (x, efield, E at the particles) of the latest gather.
@@ -342,44 +335,8 @@ class EnsembleSimulation:
             v_new, self._field_at_particles(), cfg.qm, cfg.dt, backend=backend, work=work
         )
 
-    def run(
-        self,
-        n_steps: "int | None" = None,
-        history: "Observables | None" = None,
-        callback: "Callable[[EnsembleSimulation], None] | None" = None,
-    ) -> Observables:
-        """Run ``n_steps`` cycles, recording batched diagnostics each step.
 
-        The history includes the initial state, so it holds
-        ``n_steps + 1`` records of ``(batch,)`` vectors.  Pass any
-        :class:`Observables` pipeline (e.g. one built from a request's
-        observables selection) to record custom measurements.
-        ``callback`` fires after every step (used by the vectorized
-        data campaign).
-        """
-        if n_steps is None:
-            if any(cfg.n_steps != self.config.n_steps for cfg in self.configs):
-                raise ValueError(
-                    "ensemble members disagree on config.n_steps; "
-                    "pass n_steps to run() explicitly"
-                )
-            n = self.config.n_steps
-        else:
-            n = n_steps
-        if n < 0:
-            raise ValueError(f"n_steps must be non-negative, got {n}")
-        hist = history if history is not None else self.observables()
-        hist.reserve(len(hist) + n + 1)  # stream into one preallocated buffer
-        self._record(hist)
-        for _ in range(n):
-            self.step()
-            self._record(hist)
-            if callback is not None:
-                callback(self)
-        return hist
-
-
-class PICSimulation:
+class PICSimulation(Engine):
     """Single-run view of the ensemble engine (``batch=1``).
 
     Keeps the seed API: 1-D ``particles`` arrays, a per-run
@@ -395,7 +352,7 @@ class PICSimulation:
         field_solver: FieldSolver,
         rng: "int | np.random.Generator | None" = None,
     ) -> None:
-        self.config = config
+        super().__init__(config)
         self.field_solver = field_solver
         self._ensemble = EnsembleSimulation((config,), field_solver=field_solver, rngs=[rng])
         self.grid = self._ensemble.grid
@@ -462,30 +419,79 @@ class PICSimulation:
         self._ensemble.step()
         self._sync_from_ensemble()
 
-    def run(
-        self,
-        n_steps: "int | None" = None,
-        history: "Observables | None" = None,
-        callback: "Callable[[PICSimulation], None] | None" = None,
-    ) -> Observables:
-        """Run ``n_steps`` cycles, recording diagnostics at every step.
 
-        The history includes the initial state, so it holds
-        ``n_steps + 1`` entries.  ``callback`` fires after every step
-        (used by the dataset campaign to harvest training pairs).
-        """
-        n = self.config.n_steps if n_steps is None else n_steps
-        if n < 0:
-            raise ValueError(f"n_steps must be non-negative, got {n}")
-        hist = history if history is not None else self.observables()
-        hist.reserve(len(hist) + n + 1)  # stream into one preallocated buffer
-        self._record(hist)
-        for _ in range(n):
-            self.step()
-            self._record(hist)
-            if callback is not None:
-                callback(self)
-        return hist
+class LockstepEnsemble(Engine):
+    """Batch adapter advancing one solo engine per member in lockstep.
+
+    For families whose step does not vectorize across runs (each member
+    of the energy-conserving PIC runs its own Picard iteration; each
+    simulated-MPI member owns its own decomposition and communicator),
+    the adapter builds one solo engine per member through the
+    subclass's :meth:`_member` factory and presents their state stacked
+    ``(batch, ...)``.  Row ``b`` is *trivially* bitwise identical to
+    running ``configs[b]`` alone, while the service layer still gets
+    everything batching buys it: grouped scheduling, request dedup and
+    the shared result store.  Subclasses add :meth:`_member` and
+    ``step``; members must agree on the explicit PIC structural fields.
+    """
+
+    def __init__(
+        self,
+        configs: "SimulationConfig | Sequence[SimulationConfig]",
+        rngs: "Sequence[int | np.random.Generator | None] | None" = None,
+    ) -> None:
+        super().__init__(configs)
+        if rngs is None:
+            rngs = [None] * self.batch
+        if len(rngs) != self.batch:
+            raise ValueError(f"got {len(rngs)} rngs for batch {self.batch}")
+        self.members = [self._member(cfg, rng) for cfg, rng in zip(self.configs, rngs)]
+        self.grid = self.members[0].grid
+
+    def _member(
+        self, config: SimulationConfig, rng: "int | np.random.Generator | None"
+    ) -> Engine:
+        """The solo engine running one member."""
+        raise NotImplementedError
+
+    @property
+    def time(self) -> float:
+        return self.members[0].time
+
+    @property
+    def step_index(self) -> int:
+        return self.members[0].step_index
+
+    @property
+    def efield(self) -> np.ndarray:
+        """Stacked ``(batch, n_cells)`` field across the members."""
+        return np.stack([m.efield for m in self.members])
+
+    @property
+    def particles(self) -> ParticleSet:
+        """Stacked ``(batch, n)`` particle view across the members."""
+        ref = self.members[0].particles
+        return ParticleSet(
+            np.stack([m.particles.x for m in self.members]),
+            np.stack([m.particles.v for m in self.members]),
+            ref.charge,
+            ref.mass,
+        )
+
+    @property
+    def v_at_integer_time(self) -> np.ndarray:
+        """Velocities synchronized to integer time, ``(batch, n)``."""
+        return np.stack([m.v_at_integer_time for m in self.members])
+
+    def observables(self, record_fields: bool = False) -> Observables:
+        """A fresh default observables recorder for this engine."""
+        return Observables(pic_observables(record_fields=record_fields))
+
+    def _record(self, hist: Observables) -> None:
+        hist.record_frame(Frame(
+            self.step_index, self.time, self.grid, self.efield,
+            particles=self.particles, v_center=self.v_at_integer_time,
+        ))
 
 
 def _first_row(arr: "np.ndarray | None") -> "np.ndarray | None":

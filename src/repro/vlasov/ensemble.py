@@ -38,12 +38,17 @@ structural key (grid, window, ``dt``, ``qm``, Poisson discretization).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.config import SimulationConfig
-from repro.engines.base import get_engine_spec, vlasov_grid_params
+from repro.engines.base import (
+    VLASOV_STRUCTURAL_FIELDS,
+    Engine,
+    get_engine_spec,
+    vlasov_grid_params,
+)
 from repro.engines.observables import Frame, Observables, vlasov_observables
 from repro.kernels import resolve_backend
 from repro.pic.grid import Grid1D
@@ -51,7 +56,7 @@ from repro.pic.poisson import PoissonSolver
 from repro.pic.scenarios import load_distribution
 
 
-class VlasovEnsemble:
+class VlasovEnsemble(Engine):
     """Batched Strang-split Vlasov-Poisson integrator over stacked runs.
 
     Parameters
@@ -71,27 +76,16 @@ class VlasovEnsemble:
     ``v_min``, ``v_max``, ``dx``, ``dv``) is read from the configs.
     """
 
+    _structural_fields = VLASOV_STRUCTURAL_FIELDS + ("n_v", "v_min", "v_max")
+    _structural_key = staticmethod(get_engine_spec("vlasov").structural_key)
+
     def __init__(
         self,
         configs: "SimulationConfig | Sequence[SimulationConfig]",
         f0s: "np.ndarray | Sequence[np.ndarray] | None" = None,
     ) -> None:
-        if isinstance(configs, SimulationConfig):
-            configs = (configs,)
-        self.configs: "tuple[SimulationConfig, ...]" = tuple(configs)
-        if not self.configs:
-            raise ValueError("ensemble needs at least one configuration")
-        structural_key = get_engine_spec("vlasov").structural_key
-        ref = self.configs[0]
-        ref_key = structural_key(ref)
-        for i, cfg in enumerate(self.configs[1:], 1):
-            if structural_key(cfg) != ref_key:
-                raise ValueError(
-                    f"ensemble member {i} differs from member 0 in the Vlasov "
-                    f"structural key: {structural_key(cfg)!r} != {ref_key!r}"
-                )
-        self.config = ref  # structural reference member
-        self.batch = len(self.configs)
+        super().__init__(configs)
+        ref = self.config
         # The phase-space geometry, read once from the reference config
         # (the structural key makes every member agree on it).
         self.n_x = ref.n_cells
@@ -269,40 +263,6 @@ class VlasovEnsemble:
         self.efield = self._solve_field()
         self.time += cfg.dt
         self.step_index += 1
-
-    def run(
-        self,
-        n_steps: "int | None" = None,
-        history: "Observables | None" = None,
-        callback: "Callable[[VlasovEnsemble], None] | None" = None,
-    ) -> Observables:
-        """Run ``n_steps`` split steps, recording batched observables.
-
-        The recorder includes the initial state, so it holds
-        ``n_steps + 1`` records of ``(batch,)`` vectors — the same
-        schema as the PIC ensembles.  ``callback`` fires after every
-        step (used by the Vlasov data harvest).
-        """
-        if n_steps is None:
-            if any(cfg.n_steps != self.config.n_steps for cfg in self.configs):
-                raise ValueError(
-                    "ensemble members disagree on config.n_steps; "
-                    "pass n_steps to run() explicitly"
-                )
-            n = self.config.n_steps
-        else:
-            n = n_steps
-        if n < 0:
-            raise ValueError(f"n_steps must be non-negative, got {n}")
-        hist = history if history is not None else self.observables()
-        hist.reserve(len(hist) + n + 1)
-        self._record(hist)
-        for _ in range(n):
-            self.step()
-            self._record(hist)
-            if callback is not None:
-                callback(self)
-        return hist
 
     def _record(self, hist: Observables) -> None:
         hist.record_frame(Frame(

@@ -53,6 +53,11 @@ class TestSimulateCommand:
         assert code == 0
         assert "linearly stable" in capsys.readouterr().out
 
+    def test_bad_config_reports_cleanly(self, capsys):
+        code = main(["simulate", "--ppc", "0", "--steps", "1"])
+        assert code == 2
+        assert "error: particles_per_cell must be >= 1" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def _save_tiny_solver(self, tmp_path, n_cells=32):

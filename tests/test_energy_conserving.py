@@ -109,3 +109,9 @@ class TestIteration:
         assert len(hist) == 6
         with pytest.raises(ValueError):
             EnergyConservingPIC(config).run(-1)
+
+    def test_run_callback_fires_each_step(self, config):
+        sim = EnergyConservingPIC(config)
+        steps = []
+        sim.run(3, callback=lambda s: steps.append((s, s.step_index)))
+        assert steps == [(sim, 1), (sim, 2), (sim, 3)]

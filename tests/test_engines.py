@@ -8,6 +8,7 @@ from repro.engines import (
     Observables,
     available_engines,
     engine_group_key,
+    get_engine_spec,
     make_engine,
     pic_observables,
     validate_engine_config,
@@ -69,6 +70,69 @@ class TestRegistry:
     def test_validate_rejects_unknown_scenario(self, config):
         with pytest.raises(ValueError, match="unknown scenario"):
             validate_engine_config(config.with_updates(scenario="nope"))
+
+
+def _contract_config(family: str) -> SimulationConfig:
+    """A small float64 numpy run of ``family`` (n_cells fits the tiny DL solver)."""
+    if family == "vlasov":
+        return _vlasov_config(n_steps=3)
+    return SimulationConfig(
+        n_cells=32, particles_per_cell=20, n_steps=3, vth=0.01, solver=family
+    )
+
+
+@pytest.fixture(params=available_engines())
+def family(request) -> str:
+    return request.param
+
+
+@pytest.fixture
+def dl_solver(family, request):
+    return request.getfixturevalue("tiny_trained_solver") if family == "dl" else None
+
+
+class TestEngineContract:
+    """What every registered family inherits from ``Engine``."""
+
+    def test_run_records_the_initial_state_and_every_step(self, family, dl_solver):
+        engine = make_engine([_contract_config(family)], dl_solver=dl_solver)
+        assert len(engine.run(3)) == 4
+        with pytest.raises(ValueError, match="non-negative"):
+            engine.run(-1)
+
+    def test_default_n_steps_needs_members_to_agree(self, family, dl_solver):
+        cfg = _contract_config(family)
+        other = cfg.with_updates(n_steps=cfg.n_steps + 1, seed=1)
+        engine = make_engine([cfg, other], dl_solver=dl_solver)
+        with pytest.raises(ValueError, match="disagree on config.n_steps"):
+            engine.run()
+        assert len(engine.run(2)) == 3  # explicit n_steps is always fine
+
+    def test_callback_fires_each_step_with_the_engine(self, family, dl_solver):
+        engine = make_engine([_contract_config(family)], dl_solver=dl_solver)
+        seen = []
+        engine.run(3, callback=seen.append)
+        assert len(seen) == 3
+        assert all(arg is engine for arg in seen)
+
+    def test_run_appends_to_a_given_history(self, family, dl_solver):
+        engine = make_engine([_contract_config(family)], dl_solver=dl_solver)
+        hist = engine.run(2)
+        assert engine.run(3, history=hist) is hist
+        assert len(hist) == 3 + 4
+
+    def test_empty_batch_rejected(self, family, dl_solver):
+        with pytest.raises(ValueError, match="needs at least one configuration"):
+            get_engine_spec(family).build((), dl_solver=dl_solver, rngs=None)
+
+    def test_structural_mismatch_names_the_field(self, family, dl_solver):
+        cfg = _contract_config(family)
+        with pytest.raises(ValueError, match="member 1 .* structural field 'dt'"):
+            make_engine([cfg, cfg.with_updates(dt=cfg.dt / 2)], dl_solver=dl_solver)
+        if family == "vlasov":  # grid knobs from extra are named too
+            wider = cfg.with_updates(extra={**cfg.extra, "n_v": 64})
+            with pytest.raises(ValueError, match="structural field 'n_v'"):
+                make_engine([cfg, wider])
 
 
 class TestRegistryExtensibility:

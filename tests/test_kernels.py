@@ -2,8 +2,7 @@
 
 The contract under test is the one the backends are built on: every
 batch row of an engine is independent, so a backend that executes rows
-in contiguous chunks (``threaded``) or through a JIT kernel with the
-reference op ordering (``numba``) must reproduce the ``numpy``
+in contiguous chunks (``threaded``) must reproduce the ``numpy``
 reference **bit for bit** in every dtype tier.  The matrix below runs
 scenario x family x backend x dtype and asserts exactly that, plus the
 float32-vs-float64 tolerance band and threaded determinism.
@@ -11,10 +10,7 @@ float32-vs-float64 tolerance band and threaded determinism.
 The container running CI's fast leg may expose a single core, in which
 case ``ThreadedBackend()`` defaults to one worker and falls through to
 the reference slab — so the matrix injects ``ThreadedBackend(max_workers=3)``
-explicitly to force real chunking regardless of the host.  When numba
-is absent ``NumbaBackend`` degrades to the reference slab; the parity
-rows still run (and hold trivially), keeping the matrix shape stable
-across both CI legs.
+explicitly to force real chunking regardless of the host.
 """
 
 import numpy as np
@@ -25,7 +21,6 @@ from repro.dlpic import DLEnsemble, DLFieldSolver
 from repro.kernels import (
     KERNEL_BACKEND_NAMES,
     KernelBackend,
-    NumbaBackend,
     ThreadedBackend,
     available_backends,
     backend_available,
@@ -33,7 +28,6 @@ from repro.kernels import (
     get_backend,
     resolve_backend,
 )
-from repro.kernels.numba_kernels import NUMBA_AVAILABLE
 from repro.models.architectures import build_mlp
 from repro.phasespace.binning import PhaseSpaceGrid
 from repro.phasespace.normalization import MinMaxNormalizer
@@ -49,13 +43,14 @@ STEPS = 6
 
 class TestRegistry:
     def test_backend_names_are_the_config_literals(self):
-        # config.py validates against a literal triple (it cannot import
+        # config.py validates against a literal pair (it cannot import
         # repro.kernels without a cycle); this pins the two in sync.
-        assert KERNEL_BACKEND_NAMES == ("numpy", "threaded", "numba")
+        assert KERNEL_BACKEND_NAMES == ("numpy", "threaded")
         for name in KERNEL_BACKEND_NAMES:
             SimulationConfig(backend=name)  # accepted
-        with pytest.raises(ValueError, match="backend"):
-            SimulationConfig(backend="cuda")
+        for rejected in ("cuda", "numba"):
+            with pytest.raises(ValueError, match="expected 'numpy' or 'threaded'"):
+                SimulationConfig(backend=rejected)
 
     def test_get_backend_returns_singletons(self):
         for name in KERNEL_BACKEND_NAMES:
@@ -75,19 +70,8 @@ class TestRegistry:
     def test_availability_probes(self):
         assert backend_available("numpy")
         assert backend_unavailable_reason("numpy") is None
-        assert backend_available("numba") == NUMBA_AVAILABLE
-        if not NUMBA_AVAILABLE:
-            assert "numba" in backend_unavailable_reason("numba")
         assert set(available_backends()) <= set(KERNEL_BACKEND_NAMES)
         assert "numpy" in available_backends()
-
-    def test_numba_backend_degrades_without_numba(self):
-        backend = NumbaBackend()
-        if not NUMBA_AVAILABLE:
-            assert backend.jit is None
-        out = []
-        backend.run_rows(3, lambda lo, hi: out.append((lo, hi)))
-        assert out == [(0, 3)]  # reference slab either way
 
 
 # -- ThreadedBackend chunking --------------------------------------------
@@ -194,7 +178,7 @@ def _build(family, scenario, dtype, backend_name):
 
 FAMILIES = ("traditional", "vlasov", "dl")
 SCENARIOS = ("two_stream", "landau_damping")
-ALT_BACKENDS = ("threaded", "numba")
+ALT_BACKENDS = ("threaded",)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -205,10 +189,6 @@ class TestParityMatrix:
     def test_backend_matches_numpy_reference_bitwise(
         self, family, scenario, backend_name, dtype
     ):
-        from repro.engines.base import get_engine_spec
-
-        if backend_name not in get_engine_spec(family).backends:
-            pytest.skip(f"{family} does not register the {backend_name} backend")
         reference = _build(family, scenario, dtype, "numpy")
         candidate = _build(family, scenario, dtype, backend_name)
         for key, ref in reference.items():

@@ -13,7 +13,8 @@ from repro.engines.base import (
     mpi_rank_params,
     validate_engine_config,
 )
-from repro.parallel.picparallel import MPIEnsemble, run_distributed_traditional
+from repro.parallel.picparallel import MPIEnsemble, communication_model
+from repro.phasespace.binning import PhaseSpaceGrid
 from repro.pic.simulation import TraditionalPIC
 from repro.service import SimulationService, result_key
 
@@ -24,6 +25,11 @@ def config() -> SimulationConfig:
         n_cells=32, particles_per_cell=50, n_steps=10, vth=0.01, seed=0,
         solver="mpi",
     )
+
+
+def _solo(config: SimulationConfig) -> "dict[str, np.ndarray]":
+    """One member's series from its own batch-1 ``mpi`` engine."""
+    return make_engine([config]).run(config.n_steps).member(0)
 
 
 class TestRegistration:
@@ -46,21 +52,17 @@ class TestRegistration:
 
 class TestLockstepParity:
     @pytest.mark.parametrize("n_ranks", [1, 2, 4])
-    def test_rows_bitwise_match_run_distributed_traditional(self, config, n_ranks):
+    def test_rows_bitwise_match_batch1_mpi_engines(self, config, n_ranks):
         cfg = config.with_updates(extra={"n_ranks": n_ranks})
         ensemble = make_engine([cfg, cfg.with_updates(seed=5)])
         assert isinstance(ensemble, MPIEnsemble)
         history = ensemble.run(cfg.n_steps)
-        batched = history.as_arrays()
         for row, member_cfg in enumerate([cfg, cfg.with_updates(seed=5)]):
-            solo = run_distributed_traditional(
-                member_cfg, n_ranks=n_ranks, n_steps=member_cfg.n_steps
-            ).history.as_arrays()
+            solo = _solo(member_cfg)
+            got = history.member(row)
+            assert got.keys() == solo.keys()
             for name, values in solo.items():
-                # Solo single-run histories are squeezed to (T,); the
-                # ensemble records a (T, batch) column per member.
-                got = batched[name] if name == "time" else batched[name][:, row]
-                assert np.array_equal(got, values), (name, row)
+                assert np.array_equal(got[name], values), (name, row)
 
     def test_physics_matches_traditional_engine(self, config):
         """Decomposition only reorders float sums: same physics."""
@@ -82,6 +84,21 @@ class TestLockstepParity:
         stats = ensemble.comm_stats
         assert len(stats) == 2
         assert all(s.total_bytes > 0 for s in stats)
+
+    def test_counters_cover_only_the_time_loop(self, config):
+        """The t=0 field solve is set-up, not traffic of the run."""
+        n_steps = 5
+        ensemble = make_engine([config, config.with_updates(seed=5)])
+        assert all(s.total_calls == 0 for s in ensemble.comm_stats)
+        ensemble.run(n_steps)
+        model = communication_model(
+            mpi_rank_params(config), config.n_cells, PhaseSpaceGrid(n_x=config.n_cells)
+        )
+        for stats in ensemble.comm_stats:
+            assert stats.calls_by_op["reduce"] == n_steps
+            assert stats.calls_by_op["bcast"] == n_steps
+            collective = stats.bytes_by_op["reduce"] + stats.bytes_by_op["bcast"]
+            assert collective / n_steps == model["traditional"]["bytes_per_step"]
 
 
 class TestServedMPI:
@@ -114,8 +131,6 @@ class TestServedMPI:
             results = [f.result() for f in futures]
             assert service.stats["batches"] == 1
         for result, cfg in zip(results, (two, four)):
-            solo = run_distributed_traditional(
-                cfg, n_ranks=mpi_rank_params(cfg), n_steps=cfg.n_steps
-            ).history.as_arrays()
+            solo = _solo(cfg)
             for name in result.series:
                 assert np.array_equal(result.series[name], solo[name]), name

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
-from repro.parallel.picparallel import (
-    communication_model,
-    run_distributed_dl,
-    run_distributed_traditional,
-)
+from repro.engines import make_engine
+from repro.parallel.picparallel import communication_model, run_distributed_dl
 from repro.phasespace.binning import PhaseSpaceGrid
 from repro.pic.simulation import TraditionalPIC
 
@@ -18,13 +15,19 @@ def config() -> SimulationConfig:
     return SimulationConfig(n_cells=32, particles_per_cell=50, n_steps=10, vth=0.01, seed=0)
 
 
+def _run_mpi(config: SimulationConfig, n_ranks: int, n_steps: int):
+    """A solo distributed traditional run: a batch-1 ``mpi`` engine."""
+    engine = make_engine([config.with_updates(solver="mpi", extra={"n_ranks": n_ranks})])
+    history = engine.run(n_steps)
+    return history.member(0), engine.comm_stats[0]
+
+
 class TestSerialEquivalence:
     @pytest.mark.parametrize("n_ranks", [1, 2, 4])
     def test_traditional_matches_serial_physics(self, config, n_ranks):
         """Decomposition only reorders float sums: same trajectories."""
         serial = TraditionalPIC(config).run(10).as_arrays()
-        dist = run_distributed_traditional(config, n_ranks=n_ranks, n_steps=10)
-        da = dist.history.as_arrays()
+        da, _ = _run_mpi(config, n_ranks=n_ranks, n_steps=10)
         np.testing.assert_allclose(da["total"], serial["total"], rtol=1e-10)
         np.testing.assert_allclose(da["mode1"], serial["mode1"], rtol=1e-8, atol=1e-14)
         np.testing.assert_allclose(da["momentum"], serial["momentum"], atol=1e-12)
@@ -43,12 +46,12 @@ class TestSerialEquivalence:
 
 class TestCommunicationAccounting:
     def test_traditional_comm_ops(self, config):
-        dist = run_distributed_traditional(config, n_ranks=4, n_steps=5)
-        assert "reduce" in dist.comm.bytes_by_op
-        assert "bcast" in dist.comm.bytes_by_op
+        _, comm = _run_mpi(config, n_ranks=4, n_steps=5)
+        assert "reduce" in comm.bytes_by_op
+        assert "bcast" in comm.bytes_by_op
         # reduce(rho) + bcast(E) per step, nothing else except migration.
-        assert dist.comm.calls_by_op["reduce"] == 5
-        assert dist.comm.calls_by_op["bcast"] == 5
+        assert comm.calls_by_op["reduce"] == 5
+        assert comm.calls_by_op["bcast"] == 5
 
     def test_dl_single_sync_point(self, tiny_solver_config, tiny_trained_solver):
         dist = run_distributed_dl(
@@ -59,18 +62,22 @@ class TestCommunicationAccounting:
         assert "bcast" not in dist.comm.bytes_by_op
 
     def test_single_rank_runs_communication_free(self, config):
-        dist = run_distributed_traditional(config, n_ranks=1, n_steps=5)
-        assert dist.comm.total_bytes == 0
+        _, comm = _run_mpi(config, n_ranks=1, n_steps=5)
+        assert comm.total_bytes == 0
 
     def test_migration_traffic_counted(self, config):
-        dist = run_distributed_traditional(config, n_ranks=4, n_steps=10)
+        _, comm = _run_mpi(config, n_ranks=4, n_steps=10)
         # Streaming beams cross slab boundaries constantly.
-        assert dist.comm.bytes_by_op.get("sendrecv", 0) > 0
+        assert comm.bytes_by_op.get("sendrecv", 0) > 0
 
-    def test_bytes_per_step_property(self, config):
-        dist = run_distributed_traditional(config, n_ranks=2, n_steps=4)
+    def test_bytes_per_step_property(self, config, tiny_solver_config, tiny_trained_solver):
+        _, comm = _run_mpi(config, n_ranks=2, n_steps=4)
+        assert comm.total_calls / 4 >= 2.0  # reduce + bcast, plus migration
+        dist = run_distributed_dl(
+            tiny_solver_config, tiny_trained_solver, n_ranks=2, n_steps=4
+        )
         assert dist.bytes_per_step == pytest.approx(dist.comm.total_bytes / 4)
-        assert dist.sync_points_per_step >= 2.0
+        assert dist.sync_points_per_step == pytest.approx(dist.comm.total_calls / 4)
 
 
 class TestCommunicationModel:
@@ -118,12 +125,10 @@ class TestCommunicationModel:
     def test_model_matches_simulated_traditional_run(self, config):
         """Closed-form collective volume equals the simulated run's
         (excluding migration, which depends on the trajectories)."""
-        dist = run_distributed_traditional(config, n_ranks=4, n_steps=10)
+        _, comm = _run_mpi(config, n_ranks=4, n_steps=10)
         grid = PhaseSpaceGrid(n_x=config.n_cells, n_v=8)
         model = communication_model(4, config.n_cells, grid)
-        collective = (
-            dist.comm.bytes_by_op["reduce"] + dist.comm.bytes_by_op["bcast"]
-        ) / 10
+        collective = (comm.bytes_by_op["reduce"] + comm.bytes_by_op["bcast"]) / 10
         assert collective == pytest.approx(model["traditional"]["bytes_per_step"])
 
     def test_validation(self):

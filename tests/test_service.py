@@ -483,6 +483,10 @@ class TestRequestParsing:
         with pytest.raises(ValueError, match="solver"):
             parse_request({"api_version": "v1", "config": {"solver": "quantum"}})
 
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ValueError, match="expected 'numpy' or 'threaded'"):
+            parse_request({"api_version": "v1", "config": {"backend": "numba"}})
+
     def test_solver_is_a_config_field(self):
         req = parse_request({
             "api_version": "v1",

@@ -26,7 +26,6 @@ from repro.api import Client
 from repro.config import SimulationConfig
 from repro.dlpic import DLEnsemble, DLFieldSolver
 from repro.kernels import ThreadedBackend
-from repro.kernels.numba_kernels import NUMBA_AVAILABLE
 from repro.models.architectures import build_mlp
 from repro.phasespace.binning import PhaseSpaceGrid
 from repro.phasespace.normalization import MinMaxNormalizer
@@ -39,10 +38,7 @@ from repro.pic.simulation import EnsembleSimulation
 ORDERS = ("ngp", "cic", "tsc")
 DTYPES = ("float64", "float32")
 SCENARIOS = ("two_stream", "cold_beam", "landau_damping")
-# numba joins the backend axis wherever it is importable: its JIT
-# deposit/gather is bitwise equal to the reference by contract, so the
-# pinned hashes check it too.
-BACKENDS = ("numpy", "threaded") + (("numba",) if NUMBA_AVAILABLE else ())
+BACKENDS = ("numpy", "threaded")
 
 BASE = SimulationConfig(
     n_cells=64, particles_per_cell=200, n_steps=100, v0=0.2, vth=0.025, seed=7
@@ -114,7 +110,7 @@ def served() -> "list[tuple[SimulationConfig, str]]":
 
 
 def test_matrix_covers_38_served_runs():
-    assert len(_matrix(("numpy", "threaded"))) == 38
+    assert len(_matrix(BACKENDS)) == 38
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
