@@ -28,6 +28,7 @@ from conftest import dump_result
 
 from repro.api import Client, RunRequest
 from repro.config import SimulationConfig
+from repro.obs import total
 from repro.server import serve_in_thread
 
 N_REQUESTS = 192
@@ -178,9 +179,9 @@ def test_shedding_engages_and_recovers(measurements, results_dir):
                 for i in range(4)
             ]
             assert all(r.status == "ok" for r in after)
-            snapshot = server.metrics_snapshot()
-    assert snapshot["requests"]["by_status"]["shed"] == n_shed
-    assert snapshot["queue"]["inflight"] == 0
+            snapshot = server.metrics.snapshot()
+    assert total(snapshot, "repro_requests_total", status="shed") == n_shed
+    assert total(snapshot, "repro_queue_inflight") == 0
     measurements["overload"] = {
         "n_flood_requests": len(flood),
         "max_pending": 8,

@@ -21,6 +21,7 @@ import numpy as np
 from conftest import dump_result
 
 from repro.config import SimulationConfig
+from repro.obs import total
 from repro.pic.simulation import TraditionalPIC
 from repro.service import ResultStore, SimulationService
 
@@ -92,12 +93,18 @@ def test_repeated_request_served_from_store():
     ) as service:
         first = [service.submit(c) for c in CONFIGS]
         originals = [f.result(timeout=300) for f in first]
-        executed = service.stats["executed_runs"]
+        runs = "repro_service_runs_by_tier_total"
+        executed = total(service.metrics.snapshot(), runs)
         assert executed == N_REQUESTS
         again, status = service.submit_with_status(CONFIGS[7])
         assert status == "cached"
-        assert again.result(timeout=0) is originals[7]
-        assert service.stats["executed_runs"] == executed
+        # A cached delivery is a copy with its own timings; the result
+        # and its series arrays are the stored ones.
+        served = again.result(timeout=0)
+        assert served == originals[7]
+        for name, values in originals[7].series.items():
+            assert served.series[name] is values
+        assert total(service.metrics.snapshot(), runs) == executed
 
 
 def test_service_throughput(results_dir):

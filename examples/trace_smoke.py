@@ -11,7 +11,9 @@ whole observability surface:
 * ``GET /v1/trace/<id>`` serves a valid span-tree JSON whose merged
   tree spans client -> server -> executor -> engine steps;
 * the ``repro trace`` CLI renders that payload as a waterfall;
-* ``GET /v1/metrics?format=prometheus`` parses as text exposition.
+* ``GET /v1/metrics?format=prometheus`` parses as text exposition and
+  declares exactly the families the JSON snapshot holds, so the two
+  renderers of the metrics registry cannot drift apart.
 
 Run:  python examples/trace_smoke.py
 Exits non-zero on any failed check (used as a CI smoke step).
@@ -83,7 +85,17 @@ def main() -> int:
             if not line.startswith("#"):
                 assert EXPOSITION_LINE.match(line), f"bad exposition: {line!r}"
         assert "repro_stage_duration_seconds_bucket" in text
-        print("prometheus exposition valid")
+        with urllib.request.urlopen(f"{server.url}/v1/metrics") as response:
+            snapshot = json.load(response)
+        declared = {
+            line.split()[2]: line.split()[3]
+            for line in text.splitlines() if line.startswith("# TYPE ")
+        }
+        named = {name: family["type"] for name, family in snapshot.items()}
+        assert declared == named, (
+            f"JSON and Prometheus disagree: {sorted(set(declared) ^ set(named))}"
+        )
+        print(f"prometheus exposition valid; {len(named)} families in both renderings")
     print("trace smoke OK")
     return 0
 

@@ -214,8 +214,9 @@ class Client:
         self.transport.flush()
 
     @property
-    def stats(self) -> "dict[str, object]":
-        """The serving side's counters snapshot."""
+    def stats(self) -> "dict[str, dict]":
+        """The serving side's metrics snapshot: the process and service
+        families, plus the server's own over HTTP (:mod:`repro.obs.metrics`)."""
         return self.transport.stats
 
     # -- lifecycle --------------------------------------------------------

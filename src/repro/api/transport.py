@@ -30,6 +30,7 @@ from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.api.envelope import RunRequest, RunResult, now
+from repro.obs.metrics import PROCESS_METRICS
 from repro.obs.trace import NOOP_TRACER, PARENT_HEADER, TRACE_HEADER, Tracer
 
 if TYPE_CHECKING:
@@ -57,8 +58,8 @@ class Transport(Protocol):
         ...
 
     @property
-    def stats(self) -> "dict[str, object]":
-        """A counters snapshot from the serving side."""
+    def stats(self) -> "dict[str, dict]":
+        """The serving side's merged metrics snapshot (family name -> family)."""
         ...
 
 
@@ -160,8 +161,9 @@ class InProcessTransport:
             self.service.close()
 
     @property
-    def stats(self) -> "dict[str, object]":
-        return self.service.stats
+    def stats(self) -> "dict[str, dict]":
+        """The process-wide families merged with the service's own."""
+        return {**PROCESS_METRICS.snapshot(), **self.service.metrics.snapshot()}
 
 
 class HttpTransport:
@@ -363,7 +365,7 @@ class HttpTransport:
             self._conns.clear()
 
     @property
-    def stats(self) -> "dict[str, object]":
+    def stats(self) -> "dict[str, dict]":
         """The server's ``GET /v1/metrics`` snapshot (empty on failure)."""
         try:
             status, data = self.request("GET", "/v1/metrics")

@@ -448,6 +448,20 @@ def _serve_row(request, result) -> "tuple[str, dict]":
     return row, entry
 
 
+def _serve_counts(snapshot: dict) -> "dict[str, int]":
+    """The serve summary line's counts, read from a metrics snapshot."""
+    from repro.obs.metrics import total
+
+    submits = "repro_service_submits_total"
+    return {
+        "batches": total(snapshot, "repro_batch_size_total"),
+        "executed_runs": total(snapshot, "repro_service_runs_by_tier_total"),
+        "cache_hits": total(snapshot, submits, outcome="cached"),
+        "dedup_hits": total(snapshot, submits, outcome="inflight"),
+        "store_errors": total(snapshot, "repro_service_store_errors_total"),
+    }
+
+
 def _load_dl_solver(model_dir: str):
     """Load a DLFieldSolver for serve modes; (solver, error_message)."""
     from repro.dlpic import DLFieldSolver
@@ -510,7 +524,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        stats = client.stats
+        stats = _serve_counts(client.stats)
         traces = []
         if args.trace:
             buffer = client.service.tracer.buffer
@@ -578,6 +592,7 @@ def _parse_listen_address(text: str) -> "tuple[str, int]":
 
 
 def _cmd_serve_listen(args: argparse.Namespace) -> int:
+    from repro.obs.metrics import total
     from repro.server import SimulationServer
     from repro.service import ResultStore
 
@@ -628,8 +643,9 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
     except OSError as exc:  # e.g. address already in use
         print(f"error: cannot listen on {args.listen!r}: {exc}", file=sys.stderr)
         return 2
-    stats = server.service.stats
-    print(f"drained: served {server.metrics.requests_total} requests "
+    stats = _serve_counts(server.service.metrics.snapshot())
+    served = total(server.metrics.snapshot(), "repro_requests_total")
+    print(f"drained: served {served} requests "
           f"({stats['batches']} engine batches, {stats['executed_runs']} runs "
           f"executed, {stats['cache_hits']} store hits, "
           f"{stats['dedup_hits']} in-flight dedups)")

@@ -44,7 +44,7 @@ from repro.datagen.campaign import (
     dataset_from_result,
 )
 from repro.datagen.dataset import FieldDataset
-from repro.obs.metrics import record_campaign_shard
+from repro.obs.metrics import CAMPAIGN_SHARDS
 from repro.obs.trace import NOOP_TRACER
 
 if TYPE_CHECKING:
@@ -375,7 +375,7 @@ class CampaignStream:
                 if durable is not None:
                     self.stats["shards_verified"] += 1
                     self.stats["runs_skipped"] += durable.n_runs
-                    record_campaign_shard("verified")
+                    CAMPAIGN_SHARDS.inc(status="verified")
                     shard = durable
                 else:
                     results = [f.result() for f in futures]
@@ -398,7 +398,7 @@ class CampaignStream:
                     self.stats["inflight_runs"] -= spec.n_runs
                     self.stats[f"shards_{status}"] += 1
                     self.stats["runs_executed"] += spec.n_runs
-                    record_campaign_shard(status)
+                    CAMPAIGN_SHARDS.inc(status=status)
                 if span:
                     span.set_attribute("shard", spec.index)
                     span.set_attribute("status", shard.status)

@@ -1,4 +1,4 @@
-"""Observability: end-to-end request tracing + telemetry rendering.
+"""Observability: end-to-end request tracing + one metrics registry.
 
 Stdlib-only (no third-party dependencies, no numpy) so every layer of
 the stack — client transports, the asyncio server, the service worker
@@ -12,23 +12,18 @@ Three pieces:
   :class:`TraceBuffer` ring.  The module-level :data:`NOOP_TRACER` is
   the zero-cost default; a real :class:`Tracer` is switched in via
   ``SimulationService(tracing=True)`` / ``repro serve --trace``.
-* :mod:`repro.obs.prometheus` — bounded duration histograms plus a
-  renderer turning the server's ``/v1/metrics`` JSON snapshot into
-  Prometheus text exposition format.
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, labelled
+  counter, gauge and histogram families behind one lock.  Its
+  ``snapshot()`` is the JSON view and :func:`render_prometheus` the
+  Prometheus text view of the same families.  The service and the
+  server each own one; :data:`PROCESS_METRICS` holds the process-wide
+  campaign-shard and model-registry families.  ``GET /v1/metrics``
+  and ``Client.stats`` serve the merged snapshot.
 * :mod:`repro.obs.waterfall` — the ``repro trace`` inspector's span
   timeline rendering (per-span bars, durations and percentages).
-* :mod:`repro.obs.metrics` — process-global counters for the data
-  campaign pipeline and model registry, folded into the server's
-  metrics snapshot.
 """
 
-from repro.obs.metrics import (
-    campaign_snapshot,
-    record_campaign_shard,
-    registry_snapshot,
-    set_registry_models,
-)
-from repro.obs.prometheus import DurationHistogram, render_prometheus
+from repro.obs.metrics import PROCESS_METRICS, MetricsRegistry, render_prometheus, total
 from repro.obs.trace import (
     NOOP_TRACE,
     NOOP_TRACER,
@@ -50,21 +45,19 @@ __all__ = [
     "NOOP_TRACE",
     "NOOP_TRACER",
     "PARENT_HEADER",
+    "PROCESS_METRICS",
     "TRACE_HEADER",
-    "DurationHistogram",
+    "MetricsRegistry",
     "NoopTracer",
     "Span",
     "Trace",
     "TraceBuffer",
     "Tracer",
-    "campaign_snapshot",
     "new_span_id",
     "new_trace_id",
-    "record_campaign_shard",
-    "registry_snapshot",
     "render_prometheus",
-    "set_registry_models",
     "render_waterfall",
     "span_tree",
     "spans_from_wire",
+    "total",
 ]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.obs.metrics import set_registry_models
+from repro.obs.metrics import REGISTRY_MODELS
 
 if TYPE_CHECKING:
     from repro.dlpic.solver import DLFieldSolver
@@ -305,4 +305,4 @@ class ModelRegistry:
         )
 
     def _update_gauge(self, count: "int | None" = None) -> None:
-        set_registry_models(self._count() if count is None else count)
+        REGISTRY_MODELS.set(self._count() if count is None else count)

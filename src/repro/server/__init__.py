@@ -13,7 +13,6 @@ configs; clients connect with
 
 from repro.server.app import (
     HTTP_FOR_STATUS,
-    ServerMetrics,
     SimulationServer,
     serve_in_thread,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "HTTP_FOR_STATUS",
     "BadRequest",
     "HttpRequest",
-    "ServerMetrics",
     "SimulationServer",
     "read_request",
     "response_bytes",

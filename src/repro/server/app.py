@@ -13,12 +13,12 @@ v1 envelope on four endpoints:
                          stream of results out (one line per request,
                          order preserved; always 200)
 ``GET /v1/health``       liveness: status, drain flag, in-flight count
-``GET /v1/metrics``      request counts by endpoint and terminal
-                         status, cache-hit ratio, queue depth,
-                         batch-size histogram, latency percentiles,
-                         per-stage duration histograms;
+``GET /v1/metrics``      the merged metrics-registry snapshot (process,
+                         service and server families: requests by
+                         endpoint and status, engine batches, executed
+                         runs, stage duration histograms, ...);
                          ``?format=prometheus`` renders the same
-                         snapshot as Prometheus text exposition
+                         families as Prometheus text exposition
 ``GET /v1/trace``        ids of recently completed traces (requires
                          ``tracing=True`` / ``repro serve --trace``)
 ``GET /v1/trace/<id>``   one trace as a span-tree JSON payload
@@ -55,7 +55,6 @@ in-process run of the same config.
 from __future__ import annotations
 
 import asyncio
-import collections
 import contextlib
 import json
 import signal
@@ -73,8 +72,7 @@ from repro.api.envelope import (
     now,
 )
 from repro.api.transport import InProcessTransport
-from repro.obs.metrics import campaign_snapshot, registry_snapshot
-from repro.obs.prometheus import DurationHistogram, render_prometheus
+from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.obs.trace import NOOP_TRACER, PARENT_HEADER, TRACE_HEADER, spans_from_wire
 from repro.server.http import (
     BadRequest,
@@ -99,82 +97,6 @@ HTTP_FOR_STATUS = {
 }
 
 
-def _percentile(sorted_values: "list[float]", q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, int(round(q * len(sorted_values) + 0.5)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
-
-
-class ServerMetrics:
-    """Request counters + a bounded latency reservoir + stage histograms.
-
-    Counts land per endpoint and per terminal status; latencies keep
-    the most recent ``window`` served requests (enough for stable
-    percentiles without unbounded growth).  Requests rejected before
-    execution (unparseable payloads, invalid envelopes) go to a
-    separate ``parse_failures`` counter — they never reach an engine,
-    so recording them in ``by_status``/latency would fabricate 0-second
-    "requests" and skew the percentiles downward.  ``stages``
-    accumulates per-stage duration histograms from each executed
-    result's ``timings`` breakdown.  All methods are called from the
-    event-loop thread only, so no locking is needed.
-    """
-
-    def __init__(self, window: int = 4096) -> None:
-        self.requests_total = 0
-        self.by_endpoint: "dict[str, int]" = {}
-        self.by_status: "dict[str, int]" = {
-            STATUS_OK: 0, STATUS_ERROR: 0, STATUS_SHED: 0, STATUS_TIMEOUT: 0,
-        }
-        self.parse_failures_total = 0
-        self.parse_failures_by_endpoint: "dict[str, int]" = {}
-        self.http_responses: "dict[int, int]" = {}
-        self.connections_total = 0
-        self.connections_rejected = 0
-        self._latencies: "collections.deque[float]" = collections.deque(maxlen=window)
-        self.stages: "dict[str, DurationHistogram]" = {}
-
-    def observe_request(self, endpoint: str, status: str, wall_s: float) -> None:
-        self.requests_total += 1
-        self.by_endpoint[endpoint] = self.by_endpoint.get(endpoint, 0) + 1
-        self.by_status[status] = self.by_status.get(status, 0) + 1
-        if status == STATUS_OK:
-            self._latencies.append(wall_s)
-
-    def observe_parse_failure(self, endpoint: str) -> None:
-        """A request rejected before execution (kept out of by_status)."""
-        self.parse_failures_total += 1
-        self.parse_failures_by_endpoint[endpoint] = (
-            self.parse_failures_by_endpoint.get(endpoint, 0) + 1
-        )
-
-    def observe_stages(self, timings: "Mapping[str, Any]") -> None:
-        """Feed one executed result's stage breakdown into the histograms."""
-        for key, value in timings.items():
-            if not key.endswith("_s") or not isinstance(value, (int, float)):
-                continue
-            stage = key[:-2]
-            hist = self.stages.get(stage)
-            if hist is None:
-                hist = self.stages[stage] = DurationHistogram()
-            hist.observe(value)
-
-    def observe_response(self, http_status: int) -> None:
-        self.http_responses[http_status] = self.http_responses.get(http_status, 0) + 1
-
-    def latency_summary(self) -> "dict[str, float | int]":
-        sample = sorted(self._latencies)
-        return {
-            "count": len(sample),
-            "p50_s": _percentile(sample, 0.50),
-            "p90_s": _percentile(sample, 0.90),
-            "p99_s": _percentile(sample, 0.99),
-            "max_s": sample[-1] if sample else 0.0,
-        }
-
-
 class SimulationServer:
     """One shared ``SimulationService`` behind an asyncio HTTP edge.
 
@@ -186,9 +108,7 @@ class SimulationServer:
         background worker — ``max_batch_size``, ``max_wait``,
         ``store``, ``dl_solver``, ``workers`` and ``model_dir``
         configure it and are ignored otherwise (``workers > 1``
-        shards compatibility groups across spawned worker processes;
-        ``GET /v1/metrics`` then reports the pool gauges under
-        ``"pool"``).
+        shards compatibility groups across spawned worker processes).
     host, port:
         Bind address; port ``0`` picks a free ephemeral port
         (:attr:`url` reports the bound address after :meth:`start`).
@@ -264,7 +184,58 @@ class SimulationServer:
         self.max_connections = max_connections
         self.on_result = on_result
         self.on_ready = on_ready
-        self.metrics = ServerMetrics()
+        self.metrics = MetricsRegistry()
+        self._requests = self.metrics.counter(
+            "repro_requests_total",
+            "Run requests answered, by endpoint and terminal status.",
+            ("endpoint", "status"),
+        )
+        self._parse_failures = self.metrics.counter(
+            "repro_parse_failures_total",
+            "Requests rejected before execution (unparseable payloads), by endpoint.",
+            ("endpoint",),
+        )
+        self._responses = self.metrics.counter(
+            "repro_http_responses_total", "HTTP responses by status code.", ("code",)
+        )
+        self._connection_outcomes = self.metrics.counter(
+            "repro_connections_total",
+            "Connections accepted, or rejected at the connection limit.",
+            ("outcome",),
+        )
+        # Only ok results feed the stage histograms: a failed or shed
+        # request has no execution stages, and counting its wall time
+        # would skew the distribution.
+        self._stages = self.metrics.histogram(
+            "repro_stage_duration_seconds",
+            "Per-request stage durations of ok results (seconds).",
+            ("stage",),
+        )
+        self.metrics.gauge(
+            "repro_connections_open", "Open connections.",
+            fn=lambda: self._connections,
+        )
+        self.metrics.gauge(
+            "repro_connections_limit", "Concurrent-connection bound."
+        ).set(max_connections)
+        self.metrics.gauge(
+            "repro_queue_inflight", "Admitted requests not yet answered.",
+            fn=lambda: self._inflight,
+        )
+        self.metrics.gauge(
+            "repro_queue_max_pending", "Admission bound on in-flight requests."
+        ).set(max_pending)
+        self.metrics.gauge(
+            "repro_api_info", "The wire API version served (value always 1).",
+            ("api_version",),
+        ).set(1, api_version=API_VERSION)
+        # Known label values start at 0, so rate queries find their series.
+        for endpoint in ("/v1/run", "/v1/batch"):
+            self._parse_failures.inc(0, endpoint=endpoint)
+            for status in HTTP_FOR_STATUS:
+                self._requests.inc(0, endpoint=endpoint, status=status)
+        for outcome in ("accepted", "rejected"):
+            self._connection_outcomes.inc(0, outcome=outcome)
         self._server: "asyncio.AbstractServer | None" = None
         self._inflight = 0
         self._connections = 0
@@ -344,9 +315,8 @@ class SimulationServer:
         if task is not None:
             self._handler_tasks.add(task)
             task.add_done_callback(self._handler_tasks.discard)
-        self.metrics.connections_total += 1
         if self._connections >= self.max_connections:
-            self.metrics.connections_rejected += 1
+            self._connection_outcomes.inc(outcome="rejected")
             with contextlib.suppress(ConnectionError, OSError):
                 writer.write(response_bytes(
                     503, error_body(
@@ -357,6 +327,7 @@ class SimulationServer:
                 await writer.drain()
             writer.close()
             return
+        self._connection_outcomes.inc(outcome="accepted")
         self._connections += 1
         self._conn_busy[writer] = False
         try:
@@ -377,7 +348,7 @@ class SimulationServer:
             try:
                 request = await read_request(reader)
             except BadRequest as exc:
-                self.metrics.observe_response(exc.status)
+                self._responses.inc(code=exc.status)
                 writer.write(response_bytes(
                     exc.status, error_body(str(exc)), keep_alive=False
                 ))
@@ -396,7 +367,7 @@ class SimulationServer:
                 status, body = response
                 content_type = "application/json"
             keep_alive = request.keep_alive and not self._draining
-            self.metrics.observe_response(status)
+            self._responses.inc(code=status)
             writer.write(response_bytes(
                 status, body, keep_alive=keep_alive, content_type=content_type
             ))
@@ -429,17 +400,19 @@ class SimulationServer:
 
     def _handle_metrics(self, request: HttpRequest) -> "tuple[int, Any] | tuple[int, Any, str]":
         fmt = request.query.get("format", ["json"])[0]
-        if fmt == "prometheus":
-            return (
-                200,
-                render_prometheus(self.metrics_snapshot()),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-        if fmt != "json":
+        if fmt not in ("json", "prometheus"):
             return 400, error_body(
                 f"unknown metrics format {fmt!r}; use 'json' or 'prometheus'"
             )
-        return 200, self.metrics_snapshot()
+        # What an in-process Client.stats reads, plus the server's own.
+        snapshot = {**self._transport.stats, **self.metrics.snapshot()}
+        if fmt == "prometheus":
+            return (
+                200,
+                render_prometheus(snapshot),
+                "text/plain; version=0.0.4; charset=utf-8",
+            )
+        return 200, snapshot
 
     def _handle_trace(self, request: HttpRequest) -> "tuple[int, Any]":
         """The trace endpoints (404 unless the service traces)."""
@@ -497,7 +470,7 @@ class SimulationServer:
             result = RunResult(
                 id="request-0", status=STATUS_ERROR, error=str(exc)
             )
-            self.metrics.observe_parse_failure("/v1/run")
+            self._parse_failures.inc(endpoint="/v1/run")
             self._notify(None, result)
             return 400, result.to_dict(arrays=False)
         http_status, result = await self._serve_one(
@@ -515,7 +488,7 @@ class SimulationServer:
                 id="request-0", status=STATUS_ERROR,
                 error=f"batch body is not valid UTF-8: {exc}",
             )
-            self.metrics.observe_parse_failure("/v1/batch")
+            self._parse_failures.inc(endpoint="/v1/batch")
             return 400, result.to_dict(arrays=False)
         # One line = one envelope, like `repro serve` file mode; blank
         # and comment lines are skipped.  Lines are served CONCURRENTLY
@@ -534,7 +507,7 @@ class SimulationServer:
                     id=f"request-{lineno}", status=STATUS_ERROR,
                     error=f"request line {lineno}: {exc}",
                 )
-                self.metrics.observe_parse_failure("/v1/batch")
+                self._parse_failures.inc(endpoint="/v1/batch")
                 self._notify(None, result)
                 return result
             _, result = await self._serve_one(obj, index=lineno, endpoint="/v1/batch")
@@ -574,7 +547,7 @@ class SimulationServer:
                 id=request_id or f"request-{index}",
                 status=STATUS_ERROR, error=str(exc),
             )
-            self.metrics.observe_parse_failure(endpoint)
+            self._parse_failures.inc(endpoint=endpoint)
             self._notify(None, result)
             return 400, result
 
@@ -599,7 +572,7 @@ class SimulationServer:
             if server_span:
                 server_span.set_attribute("status", STATUS_SHED).finish()
                 trace.finish()
-            self.metrics.observe_request(endpoint, STATUS_SHED, now() - started)
+            self._requests.inc(endpoint=endpoint, status=STATUS_SHED)
             self._notify(run_request, result)
             return HTTP_FOR_STATUS[STATUS_SHED], result
 
@@ -629,9 +602,11 @@ class SimulationServer:
         if server_span:
             server_span.set_attribute("status", result.status).finish()
         http_status = HTTP_FOR_STATUS.get(result.status, 500)
-        self.metrics.observe_request(endpoint, result.status, now() - started)
+        self._requests.inc(endpoint=endpoint, status=result.status)
         if result.status == STATUS_OK:
-            self.metrics.observe_stages(result.timings)
+            for key, value in result.timings.items():
+                if key != "trace_id":  # every other timing key is "<stage>_s"
+                    self._stages.observe(value, stage=key[:-2])
         self._notify(run_request, result)
         return http_status, result
 
@@ -649,65 +624,6 @@ class SimulationServer:
             "draining": self._draining,
             "inflight": self._inflight,
             "connections": self._connections,
-        }
-
-    def metrics_snapshot(self) -> "dict[str, Any]":
-        """The ``GET /v1/metrics`` payload."""
-        service_stats = self.service.stats
-        requests = service_stats.get("requests", 0)
-        cache_hits = service_stats.get("cache_hits", 0)
-        return {
-            "api_version": API_VERSION,
-            "requests": {
-                "total": self.metrics.requests_total,
-                "by_endpoint": dict(self.metrics.by_endpoint),
-                "by_status": dict(self.metrics.by_status),
-            },
-            "parse_failures": {
-                "total": self.metrics.parse_failures_total,
-                "by_endpoint": dict(self.metrics.parse_failures_by_endpoint),
-            },
-            "http_responses": {
-                str(code): count
-                for code, count in sorted(self.metrics.http_responses.items())
-            },
-            "connections": {
-                "open": self._connections,
-                "total": self.metrics.connections_total,
-                "rejected": self.metrics.connections_rejected,
-                "limit": self.max_connections,
-            },
-            "queue": {
-                "inflight": self._inflight,
-                "max_pending": self.max_pending,
-                "service_pending": service_stats.get("pending", 0),
-            },
-            "cache_hit_ratio": (cache_hits / requests) if requests else 0.0,
-            "batch_size_histogram": {
-                str(size): count
-                for size, count in sorted(
-                    self.service.batch_size_histogram.items()
-                )
-            },
-            "latency": self.metrics.latency_summary(),
-            "stages": {
-                name: hist.snapshot()
-                for name, hist in sorted(self.metrics.stages.items())
-            },
-            "traces": (
-                self.tracer.buffer.stats()
-                if self.tracer.buffer is not None
-                else {}
-            ),
-            "service": service_stats,
-            # Executor-pool gauges: busy/idle workers, per-shard
-            # executed-run counts, group queue latency.
-            "pool": getattr(self.service, "executor_stats", {}),
-            # Process-global data-campaign + model-registry gauges
-            # (populated by CampaignStream / ModelRegistry activity in
-            # this process, e.g. when the server also drives harvests).
-            "campaign": campaign_snapshot(),
-            "registry": registry_snapshot(),
         }
 
 

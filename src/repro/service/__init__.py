@@ -18,7 +18,7 @@ from repro.service.executor import (
     InlineExecutor,
     ShardedExecutor,
 )
-from repro.service.requests import ServiceRequest, parse_request, read_requests
+from repro.service.requests import parse_request, read_requests
 from repro.service.service import (
     STATUS_CACHED,
     STATUS_INFLIGHT,
@@ -43,7 +43,6 @@ __all__ = [
     "GroupTimeoutError",
     "InlineExecutor",
     "ShardedExecutor",
-    "ServiceRequest",
     "parse_request",
     "read_requests",
     "STATUS_CACHED",

@@ -35,15 +35,12 @@ from repro.engines.base import STRUCTURAL_FIELDS, engine_group_key
 GROUP_FIELDS = STRUCTURAL_FIELDS + ("n_steps",)
 
 
-def group_key(config: SimulationConfig, solver: "str | None" = None) -> Hashable:
+def group_key(config: SimulationConfig) -> Hashable:
     """Compatibility bucket of a request (hashable tuple).
 
-    ``solver`` overrides the config's own ``solver`` field (legacy
-    call sites passed it separately); the key delegates to the engine
-    registry, so user-registered families group correctly too.
+    The key delegates to the engine registry, so user-registered
+    families group correctly too.
     """
-    if solver is not None and solver != config.solver:
-        config = config.with_updates(solver=solver)
     return engine_group_key(config)
 
 
@@ -104,7 +101,7 @@ class MicroBatcher:
 
     def add(self, request: PendingRequest) -> None:
         """File a request under its compatibility bucket."""
-        bucket = (group_key(request.config, request.solver), request.observables)
+        bucket = (group_key(request.config), request.observables)
         self._groups.setdefault(bucket, []).append(request)
 
     def take_ready(self, now: "float | None" = None) -> list[list[PendingRequest]]:

@@ -93,10 +93,12 @@ class GroupOutcome:
     -leading); ``efield`` is the final ``(batch, n_cells)`` field.
     ``final_x``/``final_v``/``final_f`` hold one entry per member
     (``None`` unless that member's ``phase_space`` flag was set).
-    ``worker_pid`` and ``exec_s`` feed the pool gauges.  ``spans``
-    carries worker-side trace spans for traced tasks: wire-format
-    dicts whose ``start_s`` is relative to the worker's own execution
-    window (the adopting trace re-anchors them into its timeline).
+    ``worker_pid`` labels the service's executed-run counter and
+    ``exec_s`` splits the group's wall time into execution and executor
+    queue.  ``spans`` carries worker-side trace spans for traced tasks:
+    wire-format dicts whose ``start_s`` is relative to the worker's own
+    execution window (the adopting trace re-anchors them into its
+    timeline).
     """
 
     series: "dict[str, np.ndarray]"
@@ -123,16 +125,16 @@ class Executor(Protocol):
 
     ``submit`` accepts a :class:`GroupTask` and returns a future
     resolving to a :class:`GroupOutcome` (or raising the execution
-    error).  ``workers`` reports the parallelism; ``stats`` returns the
-    executor's gauge snapshot; ``close`` releases any resources.
+    error).  ``workers`` reports the parallelism; ``pool_restarts``
+    counts worker pools replaced after a crash (the one quantity only
+    the executor sees; the service counts everything else from the
+    outcomes); ``close`` releases any resources.
     """
 
     workers: int
+    pool_restarts: int
 
     def submit(self, task: GroupTask) -> "Future[GroupOutcome]":
-        ...
-
-    def stats(self) -> "dict[str, object]":
         ...
 
     def close(self) -> None:
@@ -149,9 +151,6 @@ class Executor(Protocol):
 # phase-space grid / FFT caches), which is the "each worker lazily
 # builds and caches its engines" contract.
 _DL_SOLVERS: "dict[str, object]" = {}
-
-# Total engine runs executed in this process (one per batch member).
-_RUNS_EXECUTED = 0
 
 
 def _dl_solver_for(model_dir: "str | None") -> object:
@@ -180,7 +179,6 @@ def run_group_task(task: GroupTask, dl_solver: "object | None" = None) -> GroupO
     in-process solver (inline path); without one, ``solver="dl"``
     tasks rehydrate a per-process solver from ``task.model_dir``.
     """
-    global _RUNS_EXECUTED
     started = time.perf_counter()
     configs = tuple(SimulationConfig.from_dict(dict(d)) for d in task.configs)
     spec = validate_engine_config(configs[0])
@@ -214,7 +212,6 @@ def run_group_task(task: GroupTask, dl_solver: "object | None" = None) -> GroupO
             final_v[b] = v_integer[b].copy()
         elif distribution is not None:
             final_f[b] = distribution[b].copy()
-    _RUNS_EXECUTED += len(configs)
     done = time.perf_counter()
     spans: "tuple[dict, ...]" = ()
     if task.traced:
@@ -334,51 +331,20 @@ class InlineExecutor:
     """
 
     workers = 1
+    pool_restarts = 0
 
     def __init__(self, dl_solver: "object | None" = None) -> None:
         self._dl_solver = dl_solver
-        self._lock = threading.Lock()
-        self._groups = 0
-        self._runs = 0
-        self._errors = 0
-        self._busy = 0
 
     def submit(self, task: GroupTask) -> "Future[GroupOutcome]":
         future: "Future[GroupOutcome]" = Future()
-        with self._lock:
-            self._busy += 1
         try:
             outcome = run_group_task(task, dl_solver=self._dl_solver)
         except BaseException as exc:  # noqa: BLE001 — travels via the future
-            with self._lock:
-                self._errors += 1
-                self._busy -= 1
             future.set_exception(exc)
             return future
-        with self._lock:
-            self._groups += 1
-            self._runs += len(task)
-            self._busy -= 1
         future.set_result(outcome)
         return future
-
-    def stats(self) -> "dict[str, object]":
-        with self._lock:
-            return {
-                "kind": "inline",
-                "workers": 1,
-                "busy_workers": min(self._busy, 1),
-                "idle_workers": 1 - min(self._busy, 1),
-                "groups_in_flight": self._busy,
-                "groups_executed": self._groups,
-                "runs_executed": self._runs,
-                "errors": self._errors,
-                "timeouts": 0,
-                "pool_restarts": 0,
-                "queue_wait_s_total": 0.0,
-                "queue_wait_s_max": 0.0,
-                "runs_by_worker": {str(os.getpid()): self._runs},
-            }
 
     def close(self) -> None:
         pass
@@ -426,15 +392,9 @@ class ShardedExecutor:
         self._lock = threading.Lock()
         self._pool: "_ProcessPool | None" = None
         self._closed = False
-        self._inflight = 0
-        self._groups = 0
-        self._runs = 0
-        self._errors = 0
-        self._timeouts = 0
-        self._restarts = 0
-        self._queue_wait_total = 0.0
-        self._queue_wait_max = 0.0
-        self._runs_by_worker: "dict[int, int]" = {}
+        #: Pools replaced after a worker crash (read by the service's
+        #: ``repro_pool_restarts_total`` counter).
+        self.pool_restarts = 0
 
     # -- pool lifecycle ---------------------------------------------------
     def _ensure_pool(self) -> _ProcessPool:
@@ -455,7 +415,7 @@ class ShardedExecutor:
                 return  # another callback already replenished
             self._pool = None
             if not self._closed:
-                self._restarts += 1
+                self.pool_restarts += 1
         broken.shutdown(wait=False, cancel_futures=True)
 
     def warm(self, timeout: "float | None" = 30.0) -> "list[int]":
@@ -479,15 +439,8 @@ class ShardedExecutor:
         pool: "_ProcessPool | None" = None
         try:
             pool = self._ensure_pool()
-            with self._lock:
-                self._inflight += 1
-            dispatched = time.perf_counter()
             inner = pool.submit(_pool_run_task, task)
         except BaseException as exc:  # noqa: BLE001 — closed/spawn failure
-            with self._lock:
-                self._errors += 1
-                if pool is not None and self._inflight:
-                    self._inflight -= 1
             if isinstance(exc, BrokenProcessPool) and pool is not None:
                 self._retire_pool(pool)
             outer.set_exception(exc)
@@ -499,33 +452,24 @@ class ShardedExecutor:
             )
             timer.daemon = True
             timer.start()
-        inner.add_done_callback(
-            lambda f: self._on_done(outer, f, pool, dispatched, timer)
-        )
+        inner.add_done_callback(lambda f: self._on_done(outer, f, pool, timer))
         return outer
 
     def _on_timeout(self, outer: "Future[GroupOutcome]") -> None:
-        try:
-            outer.set_exception(GroupTimeoutError(
-                f"group execution exceeded the executor's "
-                f"{self.group_timeout:g}s deadline"
-            ))
-        except InvalidStateError:
-            return  # the group finished first
-        with self._lock:
-            self._timeouts += 1
+        self._settle(outer, exception=GroupTimeoutError(
+            f"group execution exceeded the executor's "
+            f"{self.group_timeout:g}s deadline"
+        ))
 
     def _on_done(
         self,
         outer: "Future[GroupOutcome]",
         inner: "Future[GroupOutcome]",
         pool: _ProcessPool,
-        dispatched: float,
         timer: "threading.Timer | None",
     ) -> None:
         if timer is not None:
             timer.cancel()
-        done = time.perf_counter()
         exc = inner.exception()
         if isinstance(exc, BrokenProcessPool):
             # A worker died mid-group (OOM-kill, segfault, kill -9).
@@ -533,26 +477,9 @@ class ShardedExecutor:
             # group gets freshly spawned workers.
             self._retire_pool(pool)
         if exc is not None:
-            with self._lock:
-                self._errors += 1
-                self._inflight -= 1
             self._settle(outer, exception=exc)
-            return
-        outcome = inner.result()
-        # Queue latency: time between dispatch and completion that was
-        # NOT spent executing — waiting for a free worker, pickling,
-        # and (first group per worker) the spawn + import cost.
-        wait = max(0.0, (done - dispatched) - outcome.exec_s)
-        with self._lock:
-            self._inflight -= 1
-            self._groups += 1
-            self._runs += outcome.batch
-            self._queue_wait_total += wait
-            self._queue_wait_max = max(self._queue_wait_max, wait)
-            self._runs_by_worker[outcome.worker_pid] = (
-                self._runs_by_worker.get(outcome.worker_pid, 0) + outcome.batch
-            )
-        self._settle(outer, result=outcome)
+        else:
+            self._settle(outer, result=inner.result())
 
     @staticmethod
     def _settle(
@@ -566,30 +493,7 @@ class ShardedExecutor:
             else:
                 outer.set_result(result)
         except InvalidStateError:
-            pass  # a timeout settled it first; discard the stale outcome
-
-    # -- introspection ----------------------------------------------------
-    def stats(self) -> "dict[str, object]":
-        with self._lock:
-            busy = min(self._inflight, self.workers)
-            return {
-                "kind": "sharded",
-                "workers": self.workers,
-                "busy_workers": busy,
-                "idle_workers": self.workers - busy,
-                "groups_in_flight": self._inflight,
-                "groups_executed": self._groups,
-                "runs_executed": self._runs,
-                "errors": self._errors,
-                "timeouts": self._timeouts,
-                "pool_restarts": self._restarts,
-                "queue_wait_s_total": self._queue_wait_total,
-                "queue_wait_s_max": self._queue_wait_max,
-                "runs_by_worker": {
-                    str(pid): count
-                    for pid, count in sorted(self._runs_by_worker.items())
-                },
-            }
+            pass  # completion and timeout race; the loser is discarded
 
     def close(self) -> None:
         """Shut the pool down (waits for in-flight groups to finish)."""

@@ -25,10 +25,6 @@ from repro.api.envelope import RunRequest
 
 RESERVED_KEYS = ("id",)
 
-# Importable alias kept for pre-v1 call sites; the parsed request type
-# IS the public envelope now.
-ServiceRequest = RunRequest
-
 
 def parse_request(obj: dict, index: int = 0) -> RunRequest:
     """Build a :class:`RunRequest` from one decoded JSONL object.

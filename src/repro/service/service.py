@@ -32,6 +32,12 @@ thread (the exact pre-pool path, bitwise unchanged), while
 ``workers > 1`` shards groups across spawned processes through a
 :class:`~repro.service.executor.ShardedExecutor` — see
 ``repro.service.executor``.
+
+The service counts what it sees in :attr:`SimulationService.metrics`
+(a :class:`~repro.obs.metrics.MetricsRegistry`): submits by outcome,
+engine batches by size, executed runs by dtype/backend/worker and
+failed groups by exception type, all from the submit path and the
+group outcomes it already receives.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from typing import TYPE_CHECKING
 from repro.config import SimulationConfig
 from repro.engines.base import validate_engine_config
 from repro.engines.observables import canonical_observables, resolve_observables
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NOOP_TRACER, Span, Tracer
 from repro.service.batcher import MicroBatcher, PendingRequest
 from repro.service.executor import (
@@ -154,20 +161,49 @@ class SimulationService:
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._closed = False
-        self._stats = {
-            "requests": 0,
-            "cache_hits": 0,
-            "dedup_hits": 0,
-            "batches": 0,
-            "executed_runs": 0,
-            "errors": 0,
-            "store_errors": 0,
-        }
-        self._batch_sizes: "dict[int, int]" = {}
-        # Executed runs keyed by "<dtype>/<backend>" — how much work
-        # each speed tier actually serves (exposed in /v1/metrics and
-        # as a labeled Prometheus counter).
-        self._tier_runs: "dict[str, int]" = {}
+        self.metrics = MetricsRegistry()
+        self._submits = self.metrics.counter(
+            "repro_service_submits_total",
+            "Accepted submits by outcome: queued, cached (a result-store hit) "
+            "or inflight (coalesced onto an identical queued or running request).",
+            ("outcome",),
+        )
+        for outcome in (STATUS_QUEUED, STATUS_CACHED, STATUS_INFLIGHT):
+            self._submits.inc(0, outcome=outcome)  # every outcome has a series
+        self._batches = self.metrics.counter(
+            "repro_batch_size_total", "Executed engine batches by batch size.",
+            ("size",),
+        )
+        self._runs = self.metrics.counter(
+            "repro_service_runs_by_tier_total",
+            "Executed engine runs by dtype, kernel backend and worker process id.",
+            ("dtype", "backend", "worker"),
+        )
+        self._group_errors = self.metrics.counter(
+            "repro_service_group_errors_total",
+            "Compatibility groups that failed, by exception type.", ("kind",),
+        )
+        self._store_errors = self.metrics.counter(
+            "repro_service_store_errors_total",
+            "Executed results the result store failed to write.",
+        )
+        self.metrics.gauge(
+            "repro_service_pending", "Requests waiting in the micro-batcher.",
+            fn=self._pending,
+        )
+        self.metrics.gauge(
+            "repro_service_dispatched",
+            "Groups handed to the executor and not yet settled.",
+            fn=lambda: self._dispatched,
+        )
+        self.metrics.gauge(
+            "repro_service_workers", "Executor parallelism (1 = inline)."
+        ).set(self._executor.workers)
+        self.metrics.counter(
+            "repro_pool_restarts_total",
+            "Worker pools replaced after a worker crashed.",
+            fn=lambda: self._executor.pool_restarts,
+        )
         self._thread: "threading.Thread | None" = None
         if start:
             self._thread = threading.Thread(
@@ -179,27 +215,23 @@ class SimulationService:
     def submit(
         self,
         config: SimulationConfig,
-        solver: "str | None" = None,
         observables: "object | None" = None,
         phase_space: bool = False,
     ) -> "Future[SimulationResult]":
         """Request a run; the future resolves to a :class:`SimulationResult`.
 
-        The engine family comes from ``config.solver``; the ``solver``
-        argument is a legacy override kept for callers that routed it
-        separately (the config is retagged when they disagree).
-        ``observables`` selects which measurements the run records (any
-        form :func:`repro.engines.observables.canonical_observables`
+        The engine family comes from ``config.solver``.  ``observables``
+        selects which measurements the run records (any form
+        :func:`repro.engines.observables.canonical_observables`
         accepts; ``None`` means the default energies + ``mode1`` set)
         and ``phase_space`` attaches the final particle/distribution
         state to the result.
         """
-        return self.submit_with_status(config, solver, observables, phase_space)[0]
+        return self.submit_with_status(config, observables, phase_space)[0]
 
     def submit_with_status(
         self,
         config: SimulationConfig,
-        solver: "str | None" = None,
         observables: "object | None" = None,
         phase_space: bool = False,
         *,
@@ -228,8 +260,6 @@ class SimulationService:
             trace.start_span("service.submit", parent_id=parent_id) if trace else None
         )
         try:
-            if solver is not None and solver != config.solver:
-                config = config.with_updates(solver=solver)
             solver = config.solver
             spec = validate_engine_config(config)  # fail fast on unservable configs
             selection = canonical_observables(observables)
@@ -260,9 +290,8 @@ class SimulationService:
                         "service was used as an exited context manager); create a "
                         "new service to submit further requests"
                     )
-                self._stats["requests"] += 1
                 if cached is not None:
-                    self._stats["cache_hits"] += 1
+                    self._submits.inc(outcome=STATUS_CACHED)
                     timings: "dict[str, object]" = {"store_s": store_s}
                     if trace:
                         timings["trace_id"] = trace.trace_id
@@ -274,7 +303,7 @@ class SimulationService:
                     return future, STATUS_CACHED
                 inflight = self._inflight.get(key)
                 if inflight is not None:
-                    self._stats["dedup_hits"] += 1
+                    self._submits.inc(outcome=STATUS_INFLIGHT)
                     if submit_span:
                         submit_span.set_attribute("status", STATUS_INFLIGHT)
                     return inflight, STATUS_INFLIGHT
@@ -291,6 +320,7 @@ class SimulationService:
                     )
                 )
                 self._inflight[key] = future
+                self._submits.inc(outcome=STATUS_QUEUED)
                 self._wake.notify()
                 if submit_span:
                     submit_span.set_attribute("status", STATUS_QUEUED)
@@ -330,35 +360,17 @@ class SimulationService:
                 self._wake.wait()
 
     @property
-    def stats(self) -> "dict[str, object]":
-        """Counters snapshot (requests, hits, batches, executed runs...)
-        plus ``runs_by_tier`` ("<dtype>/<backend>" -> executed runs)."""
-        with self._lock:
-            out = dict(self._stats)
-            out["pending"] = len(self._batcher)
-            out["dispatched"] = self._dispatched
-            out["workers"] = self._executor.workers
-            out["store_hits"] = self.store.hits
-            out["store_disk_hits"] = self.store.disk_hits
-            out["store_misses"] = self.store.misses
-            out["runs_by_tier"] = dict(self._tier_runs)
-        return out
-
-    @property
     def executor(self) -> Executor:
         """The executor running this service's groups (e.g. for ``warm()``)."""
         return self._executor
 
     @property
-    def executor_stats(self) -> "dict[str, object]":
-        """The executor's gauge snapshot (pool busy/idle, per-shard runs)."""
-        return self._executor.stats()
-
-    @property
     def batch_size_histogram(self) -> "dict[int, int]":
         """Executed engine-batch sizes -> occurrence counts."""
-        with self._lock:
-            return dict(self._batch_sizes)
+        return {
+            int(sample["labels"]["size"]): sample["value"]
+            for sample in self._batches.snapshot()["samples"]
+        }
 
     def close(self) -> None:
         """Drain pending work, resolve all futures, stop the worker.
@@ -390,6 +402,10 @@ class SimulationService:
         self.close()
 
     # -- internals -------------------------------------------------------
+    def _pending(self) -> int:
+        with self._lock:
+            return len(self._batcher)
+
     def _require_dl_fingerprint(self) -> str:
         """The serving DL model's fingerprint (loads from model_dir lazily).
 
@@ -497,10 +513,14 @@ class SimulationService:
                 self._fail_group(group, exc)
                 return
             outcome = future.result()
-            with self._lock:
-                self._stats["batches"] += 1
-                size = len(group)
-                self._batch_sizes[size] = self._batch_sizes.get(size, 0) + 1
+            # Compatibility groups share dtype and backend (both are
+            # structural), so one label set covers every member.
+            config = group[0].config
+            self._batches.inc(size=len(group))
+            self._runs.inc(
+                len(group), dtype=config.dtype, backend=config.backend,
+                worker=outcome.worker_pid,
+            )
             try:
                 self._deliver(group, outcome, t_dispatch)
             except Exception as deliver_exc:  # noqa: BLE001 — e.g. MemoryError
@@ -563,17 +583,13 @@ class SimulationService:
                 # this key always finds one or the other.
                 self.store.put(result)
             except Exception:  # noqa: BLE001 — the store is a cache, the run serves
-                with self._lock:
-                    self._stats["store_errors"] += 1
+                self._store_errors.inc()
             # Store cost = submit-time lookup + delivery-time write.
             # The memory tier shares this dict, so stamping after put
             # updates the cached copy too.
             timings["store_s"] = request.store_s + (time.perf_counter() - t_put)
             with self._lock:
                 self._inflight.pop(request.key, None)
-                self._stats["executed_runs"] += 1
-                tier = f"{request.config.dtype}/{request.config.backend}"
-                self._tier_runs[tier] = self._tier_runs.get(tier, 0) + 1
             if request.trace:
                 self._record_delivery_spans(
                     request, outcome, t_dispatch, anchor, t_done, t_put
@@ -617,8 +633,8 @@ class SimulationService:
         self, group: "list[PendingRequest]", exc: BaseException
     ) -> None:
         """Resolve every request of a failed group with the error."""
+        self._group_errors.inc(kind=type(exc).__name__)
         with self._lock:
-            self._stats["errors"] += 1
             for request in group:
                 self._inflight.pop(request.key, None)
         for request in group:

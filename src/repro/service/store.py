@@ -188,9 +188,6 @@ class ResultStore:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._memory: "OrderedDict[str, SimulationResult]" = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.disk_hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -210,18 +207,13 @@ class ResultStore:
             result = self._memory.get(key)
             if result is not None:
                 self._memory.move_to_end(key)
-                self.hits += 1
                 return result
         if self.directory is not None:
             path = self._disk_path(key)
             if path.exists():
                 result = self._load(key, path)  # I/O outside the lock
                 self._remember(key, result)
-                with self._lock:
-                    self.disk_hits += 1
                 return result
-        with self._lock:
-            self.misses += 1
         return None
 
     def put(self, result: SimulationResult) -> None:

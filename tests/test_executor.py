@@ -12,6 +12,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.engines.base import make_engine
+from repro.obs import total
 from repro.service import (
     GroupTask,
     GroupTimeoutError,
@@ -40,6 +41,15 @@ def _slow_config() -> SimulationConfig:
     )
 
 
+def _count(service, family, **labels):
+    """Sum of one of the service's metric families, filtered by labels."""
+    return total(service.metrics.snapshot(), family, **labels)
+
+
+RUNS = "repro_service_runs_by_tier_total"
+GROUP_ERRORS = "repro_service_group_errors_total"
+
+
 def _assert_results_bitwise_equal(a, b) -> None:
     assert a.key == b.key
     assert set(a.series) == set(b.series)
@@ -57,7 +67,7 @@ class TestInlineExecutor:
     def test_default_service_uses_inline_executor(self, tiny_config):
         with SimulationService(start=False) as service:
             assert isinstance(service.executor, InlineExecutor)
-            assert service.stats["workers"] == 1
+            assert _count(service, "repro_service_workers") == 1
 
     def test_run_group_task_matches_engine_run(self, tiny_config):
         outcome = run_group_task(_task(tiny_config, phase_space=True))
@@ -82,13 +92,14 @@ class TestInlineExecutor:
         assert outcome.batch == 2
 
     def test_inline_stats_count_groups_and_runs(self, tiny_config):
-        executor = InlineExecutor()
-        executor.submit(_task(tiny_config, tiny_config.with_updates(seed=8)))
-        stats = executor.stats()
-        assert stats["kind"] == "inline"
-        assert stats["groups_executed"] == 1
-        assert stats["runs_executed"] == 2
-        assert stats["errors"] == 0
+        with SimulationService(start=False) as service:
+            service.submit(tiny_config)
+            service.submit(tiny_config.with_updates(seed=8))
+            service.flush()
+            assert service.batch_size_histogram == {2: 1}
+            assert _count(service, RUNS, worker=os.getpid()) == 2
+            assert _count(service, GROUP_ERRORS) == 0
+            assert _count(service, "repro_pool_restarts_total") == 0
 
     def test_inline_submit_reports_errors_via_future(self, tiny_config):
         executor = InlineExecutor()
@@ -96,7 +107,6 @@ class TestInlineExecutor:
         future = executor.submit(bad)
         with pytest.raises(ValueError, match="model_dir"):
             future.result()
-        assert executor.stats()["errors"] == 1
 
 
 class TestShardedExecutor:
@@ -134,11 +144,10 @@ class TestShardedExecutor:
             service.close()
         for inline_result, sharded_result in zip(inline_results, results):
             _assert_results_bitwise_equal(inline_result, sharded_result)
-        pool = service.executor_stats
-        assert pool["kind"] == "sharded"
-        assert pool["runs_executed"] == len(mixed)
-        assert pool["groups_in_flight"] == 0
-        assert sum(pool["runs_by_worker"].values()) == len(mixed)
+        assert _count(service, "repro_service_workers") == 2
+        assert _count(service, "repro_service_dispatched") == 0
+        assert _count(service, RUNS) == len(mixed)
+        assert sum(_count(service, RUNS, worker=pid) for pid in pids) == len(mixed)
         # Submitting after close names the service state.
         with pytest.raises(RuntimeError, match="SimulationService is closed"):
             service.submit(tiny_config)
@@ -169,10 +178,7 @@ class TestShardedExecutor:
             # freshly spawned worker.
             outcome = executor.submit(_task(tiny_config)).result(timeout=120)
             assert outcome.worker_pid != pid
-            stats = executor.stats()
-            assert stats["pool_restarts"] >= 1
-            assert stats["errors"] >= 1
-            assert stats["groups_executed"] == 1
+            assert executor.pool_restarts >= 1
         finally:
             executor.close()
 
@@ -189,10 +195,14 @@ class TestShardedExecutor:
             os.kill(pid, signal.SIGKILL)
             with pytest.raises(Exception):
                 doomed.result(timeout=120)
-            assert service.stats["errors"] == 1
-            # The service keeps serving on the replenished pool.
+            assert _count(service, GROUP_ERRORS) == 1
+            assert _count(service, GROUP_ERRORS, kind="BrokenProcessPool") == 1
+            assert _count(service, "repro_pool_restarts_total") >= 1
+            # The service keeps serving on the replenished pool; only
+            # the group that completed counts as an executed batch.
             result = service.submit(tiny_config).result(timeout=120)
             assert result.n_steps == tiny_config.n_steps
+            assert service.batch_size_histogram == {1: 1}
         finally:
             executor = service.executor
             service.close()
@@ -200,13 +210,15 @@ class TestShardedExecutor:
 
     def test_group_timeout_resolves_future(self):
         executor = ShardedExecutor(1, group_timeout=0.3)
+        service = SimulationService(max_wait=0.005, executor=executor)
         try:
             executor.warm()  # spawn cost must not count against the deadline
-            future = executor.submit(_task(_slow_config()))
+            future = service.submit(_slow_config())
             with pytest.raises(GroupTimeoutError, match="deadline"):
                 future.result(timeout=120)
-            assert executor.stats()["timeouts"] == 1
+            assert _count(service, GROUP_ERRORS, kind="GroupTimeoutError") == 1
         finally:
+            service.close()
             executor.close()
 
     def test_sharded_dl_rehydrates_solver_from_model_dir(
@@ -259,7 +271,7 @@ class TestSharedStoreAcrossServices:
             future = producer.submit(tiny_config)
             producer.flush()
             produced = future.result()
-            assert producer.stats["executed_runs"] == 1
+            assert _count(producer, RUNS) == 1
         # A different service (fresh memory tier, like another process)
         # pointed at the same directory serves the repeat from disk.
         with SimulationService(
@@ -268,7 +280,7 @@ class TestSharedStoreAcrossServices:
             future, status = consumer.submit_with_status(tiny_config)
             assert status == "cached"
             cached = future.result()
-            assert consumer.stats["executed_runs"] == 0
+            assert _count(consumer, RUNS) == 0
             assert cached.from_cache
         for name in produced.series:
             assert np.array_equal(produced.series[name], cached.series[name])
@@ -294,6 +306,6 @@ class TestSharedStoreAcrossServices:
             future, status = other.submit_with_status(tiny_config)
             assert status == "cached"
             assert future.result(timeout=10).from_cache
-            assert other.stats["executed_runs"] == 0
+            assert _count(other, RUNS) == 0
         finally:
             other.close()

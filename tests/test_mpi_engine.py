@@ -129,7 +129,7 @@ class TestServedMPI:
             futures = [service.submit(two), service.submit(four)]
             service.flush()
             results = [f.result() for f in futures]
-            assert service.stats["batches"] == 1
+            assert service.batch_size_histogram == {2: 1}
         for result, cfg in zip(results, (two, four)):
             solo = _solo(cfg)
             for name in result.series:

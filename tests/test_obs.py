@@ -12,7 +12,7 @@ from repro.engines.observables import StepTimer
 from repro.obs import (
     NOOP_TRACE,
     NOOP_TRACER,
-    DurationHistogram,
+    MetricsRegistry,
     Span,
     Trace,
     TraceBuffer,
@@ -21,6 +21,7 @@ from repro.obs import (
     render_waterfall,
     span_tree,
     spans_from_wire,
+    total,
 )
 from repro.obs.trace import MAX_ATTRIBUTES_PER_SPAN, MAX_SPANS_PER_TRACE, NOOP_SPAN
 
@@ -254,21 +255,86 @@ class TestNoop:
 
 
 class TestDurationHistogram:
+    """The registry's histogram family (stage durations in seconds)."""
+
     def test_buckets_are_cumulative(self):
-        hist = DurationHistogram(buckets=(0.01, 0.1, 1.0))
+        hist = MetricsRegistry().histogram(
+            "x_seconds", "x", ("stage",), buckets=(0.01, 0.1, 1.0)
+        )
         for value in (0.005, 0.05, 0.5, 5.0):
-            hist.observe(value)
-        snap = hist.snapshot()
-        assert snap["count"] == 4
-        assert snap["max_s"] == 5.0
-        assert snap["sum_s"] == pytest.approx(5.555)
-        assert snap["buckets"] == {"0.01": 1, "0.1": 2, "1": 3, "inf": 4}
+            hist.observe(value, stage="exec")
+        [sample] = hist.snapshot()["samples"]
+        assert sample["labels"] == {"stage": "exec"}
+        assert sample["count"] == 4
+        assert sample["max"] == 5.0
+        assert sample["sum"] == pytest.approx(5.555)
+        assert sample["buckets"] == {"0.01": 1, "0.1": 2, "1": 3, "+Inf": 4}
 
     def test_ignores_negative_and_nan(self):
-        hist = DurationHistogram()
+        hist = MetricsRegistry().histogram("x_seconds", "x")
         hist.observe(-1.0)
         hist.observe(float("nan"))
-        assert hist.snapshot()["count"] == 0
+        [sample] = hist.snapshot()["samples"]
+        assert sample["count"] == 0
+        assert sample["buckets"]["+Inf"] == 0
+
+
+class TestMetricsRegistry:
+    def test_counter_and_gauge_samples(self):
+        registry = MetricsRegistry()
+        hits = registry.counter("hits_total", "Hits.", ("kind",))
+        hits.inc(kind="a")
+        hits.inc(2, kind="b")
+        hits.inc(kind="a")
+        registry.gauge("depth", "Depth.").set(3)
+        level = [7]
+        registry.gauge("level", "Level.", fn=lambda: level[0])
+        level[0] = 9  # callbacks are read at snapshot time
+        snapshot = registry.snapshot()
+        assert list(snapshot) == ["hits_total", "depth", "level"]
+        assert snapshot["hits_total"] == {
+            "type": "counter",
+            "help": "Hits.",
+            "labels": ["kind"],
+            "samples": [
+                {"labels": {"kind": "a"}, "value": 2},
+                {"labels": {"kind": "b"}, "value": 2},
+            ],
+        }
+        assert total(snapshot, "hits_total") == 4
+        assert total(snapshot, "hits_total", kind="a") == 2
+        assert total(snapshot, "depth") == 3
+        assert total(snapshot, "level") == 9
+        json.dumps(snapshot)  # the JSON renderer's output is pure JSON
+
+    def test_unlabelled_families_start_at_zero_and_labelled_ones_empty(self):
+        registry = MetricsRegistry()
+        registry.counter("plain_total", "Plain.")
+        registry.counter("split_total", "Split.", ("kind",))
+        snapshot = registry.snapshot()
+        assert snapshot["plain_total"]["samples"] == [{"labels": {}, "value": 0}]
+        assert snapshot["split_total"]["samples"] == []
+        assert total(snapshot, "split_total") == 0
+        with pytest.raises(KeyError):
+            total(snapshot, "missing_total")
+
+    def test_misuse_is_rejected(self):
+        registry = MetricsRegistry()
+        hits = registry.counter("hits_total", "Hits.", ("kind",))
+        with pytest.raises(ValueError, match="takes labels"):
+            hits.inc()
+        with pytest.raises(ValueError, match="takes labels"):
+            hits.inc(kind="a", other="b")
+        with pytest.raises(ValueError, match="cannot decrease"):
+            hits.inc(-1, kind="a")
+        with pytest.raises(ValueError, match="already registered"):
+            registry.counter("hits_total", "Again.")
+        with pytest.raises(ValueError, match="_total"):
+            registry.counter("hits", "No suffix.")
+        with pytest.raises(ValueError, match="_total"):
+            registry.gauge("depth_total", "A gauge named like a counter.")
+        with pytest.raises(ValueError, match="no labels"):
+            registry.gauge("depth", "Depth.", ("kind",), fn=lambda: 1)
 
 
 _EXPOSITION_LINE = re.compile(
@@ -278,43 +344,35 @@ _EXPOSITION_LINE = re.compile(
 
 class TestPrometheusRendering:
     def test_every_line_is_valid_exposition(self):
-        snapshot = {
-            "requests": {"total": 3, "by_endpoint": {"/v1/run": 3},
-                         "by_status": {"ok": 2, "error": 1}},
-            "parse_failures": {"total": 1, "by_endpoint": {"/v1/batch": 1}},
-            "http_responses": {"200": 2, "400": 1},
-            "connections": {"open": 0, "total": 2, "rejected": 0, "limit": 4},
-            "queue": {"inflight": 0, "max_pending": 8, "service_pending": 0},
-            "cache_hit_ratio": 0.5,
-            "batch_size_histogram": {"1": 1, "2": 1},
-            "latency": {"count": 2, "p50_s": 0.01, "p90_s": 0.02,
-                        "p99_s": 0.03, "max_s": 0.04},
-            "stages": {"exec": DurationHistogram().snapshot()},
-            "service": {"requests": 3, "draining": False},
-            "pool": {"kind": "inline", "runs_executed": 3},
-            "traces": {"capacity": 256, "buffered": 1},
-        }
-        text = render_prometheus(snapshot)
+        registry = MetricsRegistry()
+        registry.counter(
+            "repro_requests_total", "Requests.", ("endpoint", "status")
+        ).inc(endpoint="/v1/run", status="ok")
+        registry.counter("repro_parse_failures_total", "Parse failures.").inc()
+        registry.gauge("repro_queue_inflight", "In flight.").set(0.5)
+        registry.histogram(
+            "repro_stage_duration_seconds", "Stages.", ("stage",)
+        ).observe(0.002, stage="exec")
+        text = render_prometheus(registry.snapshot())
         assert text.endswith("\n")
         for line in text.strip().splitlines():
             if line.startswith("#"):
                 assert re.match(r"^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]*", line)
             else:
                 assert _EXPOSITION_LINE.match(line), line
-        assert "repro_requests_total 3" in text
-        assert 'repro_requests_by_status_total{status="ok"} 2' in text
+        assert "# TYPE repro_requests_total counter" in text
+        assert 'repro_requests_total{endpoint="/v1/run",status="ok"} 1' in text
         assert "repro_parse_failures_total 1" in text
-        assert 'repro_request_latency_seconds{quantile="0.5"} 0.01' in text
-        assert 'repro_stage_duration_seconds_bucket{stage="exec",le="+Inf"} 0' in text
-        assert "repro_cache_hit_ratio 0.5" in text
-        # Non-numeric leaves (strings, bools) never render as samples.
-        assert "inline" not in text
-        assert "False" not in text
+        assert "repro_queue_inflight 0.5" in text
+        assert "# TYPE repro_stage_duration_seconds histogram" in text
+        assert 'repro_stage_duration_seconds_bucket{stage="exec",le="0.001"} 0' in text
+        assert 'repro_stage_duration_seconds_bucket{stage="exec",le="+Inf"} 1' in text
+        assert 'repro_stage_duration_seconds_count{stage="exec"} 1' in text
 
     def test_label_values_are_escaped(self):
-        text = render_prometheus(
-            {"requests": {"total": 1, "by_endpoint": {'a"b\\c\n': 1}}}
-        )
+        registry = MetricsRegistry()
+        registry.counter("x_total", "X.", ("endpoint",)).inc(endpoint='a"b\\c\n')
+        text = render_prometheus(registry.snapshot())
         assert 'endpoint="a\\"b\\\\c\\n"' in text
 
 

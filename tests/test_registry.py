@@ -9,7 +9,7 @@ from repro.api import Client, RunRequest
 from repro.config import SimulationConfig
 from repro.dlpic import DLFieldSolver
 from repro.models.architectures import build_mlp
-from repro.obs.metrics import registry_snapshot
+from repro.obs import PROCESS_METRICS, total
 from repro.phasespace.binning import PhaseSpaceGrid
 from repro.phasespace.normalization import MinMaxNormalizer
 from repro.registry import (
@@ -98,7 +98,7 @@ class TestRegister:
         registry.register(tiny_solver(rng=0))
         registry.register(tiny_solver(rng=1))
         registry.list()
-        assert registry_snapshot() == {"models": 2}
+        assert total(PROCESS_METRICS.snapshot(), "repro_registry_models") == 2
 
 
 class TestVerifyAndGc:

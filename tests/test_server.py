@@ -1,7 +1,9 @@
 """Networked service: HTTP endpoints, backpressure, drain, transports."""
 
+import collections
 import http.client
 import json
+import math
 import re
 import socket
 import time
@@ -19,6 +21,7 @@ from repro.api import (
     Transport,
 )
 from repro.config import SimulationConfig
+from repro.obs import PROCESS_METRICS, total
 from repro.server import HTTP_FOR_STATUS, SimulationServer, serve_in_thread
 from repro.service import SimulationService
 
@@ -136,27 +139,29 @@ class TestHealthAndMetrics:
         status, data = raw_request(server, "GET", "/v1/metrics")
         assert status == 200
         payload = json.loads(data)
-        assert payload["api_version"] == "v1"
-        requests = payload["requests"]
-        assert requests["total"] >= 1
-        assert requests["by_endpoint"].get("/v1/run", 0) >= 1
-        assert set(requests["by_status"]) == {"ok", "error", "shed", "timeout"}
-        assert payload["queue"]["max_pending"] == server.max_pending
-        assert payload["connections"]["limit"] == server.max_connections
-        assert 0.0 <= payload["cache_hit_ratio"] <= 1.0
-        hist = payload["batch_size_histogram"]
-        assert sum(hist.values()) >= 1 and all(
-            int(size) >= 1 for size in hist
+        assert total(payload, "repro_requests_total", endpoint="/v1/run",
+                     status="ok") >= 1
+        # Every terminal status and connection outcome is exported,
+        # at 0 until its first event.
+        assert {
+            sample["labels"]["status"]
+            for sample in payload["repro_requests_total"]["samples"]
+            if sample["labels"]["endpoint"] == "/v1/run"
+        } == {"ok", "error", "shed", "timeout"}
+        assert {
+            sample["labels"]["outcome"]
+            for sample in payload["repro_connections_total"]["samples"]
+        } == {"accepted", "rejected"}
+        assert total(payload, "repro_queue_max_pending") == server.max_pending
+        assert total(payload, "repro_connections_limit") == server.max_connections
+        batches = payload["repro_batch_size_total"]["samples"]
+        assert sum(s["value"] for s in batches) >= 1 and all(
+            int(s["labels"]["size"]) >= 1 for s in batches
         )
-        latency = payload["latency"]
-        assert latency["count"] >= 1
-        assert 0.0 <= latency["p50_s"] <= latency["p99_s"] <= latency["max_s"]
-        assert payload["http_responses"].get("200", 0) >= 1
-        assert "service" in payload
-        pool = payload["pool"]
-        assert pool["kind"] == "inline"
-        assert pool["groups_executed"] >= 1
-        assert pool["runs_executed"] >= 1
+        assert total(payload, "repro_stage_duration_seconds", stage="wall") >= 1
+        assert total(payload, "repro_http_responses_total", code=200) >= 1
+        assert total(payload, "repro_service_workers") == 1
+        assert total(payload, "repro_service_runs_by_tier_total") >= 1
 
 
 class TestRunEndpoint:
@@ -287,7 +292,8 @@ class TestBackpressure:
             # Health stays serviceable while shedding.
             health, payload = raw_request(srv, "GET", "/v1/health")
             assert health == 200 and json.loads(payload)["status"] == "ok"
-            assert srv.metrics.by_status["shed"] == 2
+            assert total(srv.metrics.snapshot(), "repro_requests_total",
+                         status="shed") == 2
 
     def test_shed_raises_apierror_with_status(self):
         with serve_in_thread(max_pending=0) as srv:
@@ -328,7 +334,8 @@ class TestTimeout:
                                                id="deadline"))
             assert result.status == "timeout"
             assert "deadline" in result.error
-            assert srv.metrics.by_status["timeout"] == 1
+            assert total(srv.metrics.snapshot(), "repro_requests_total",
+                         status="timeout") == 1
             status, _ = raw_request(srv, "GET", "/v1/health")
             assert status == 200
 
@@ -359,7 +366,8 @@ class TestConnectionLimit:
                     second.close()
             finally:
                 first.close()
-            assert srv.metrics.connections_rejected == 1
+            assert total(srv.metrics.snapshot(), "repro_connections_total",
+                         outcome="rejected") == 1
 
 
 class TestGracefulDrain:
@@ -466,8 +474,27 @@ class TestTransports:
             stats = transport.stats
         finally:
             transport.close()
-        assert stats.get("api_version") == "v1"
-        assert "requests" in stats
+        assert total(stats, "repro_api_info", api_version="v1") == 1
+        assert stats["repro_requests_total"]["type"] == "counter"
+        assert "repro_service_runs_by_tier_total" in stats
+
+    def test_client_stats_expose_the_same_service_families(self, server):
+        with Client(background=False) as local:
+            local.run(RunRequest(config=small_config(seed=203), id="local"))
+            in_process = local.stats
+        with Client.connect(server.url) as remote:
+            over_http = remote.stats
+        # In process: the process-wide families plus the service's own.
+        service_families = set(in_process) - set(PROCESS_METRICS.snapshot())
+        assert {
+            "repro_service_submits_total", "repro_batch_size_total",
+            "repro_service_runs_by_tier_total",
+        } <= service_families
+        assert total(in_process, "repro_service_runs_by_tier_total") == 1
+        for name in service_families:
+            assert (over_http[name]["type"], over_http[name]["labels"]) == (
+                in_process[name]["type"], in_process[name]["labels"]
+            ), name
 
 
 class TestServerValidation:
@@ -481,17 +508,39 @@ class TestServerValidation:
 
 
 class TestMetricsSchema:
-    """Golden schema: the full /v1/metrics JSON key set is locked here.
+    """Golden schema: every /v1/metrics family, its type and label names.
 
-    A key appearing or disappearing is an API change and must update
-    this test (and the README observability table) deliberately.
+    A family appearing, disappearing or changing type or labels is an
+    API change and must update this test (and the README observability
+    table) deliberately.
     """
 
-    TOP_LEVEL = {
-        "api_version", "requests", "parse_failures", "http_responses",
-        "connections", "queue", "cache_hit_ratio", "batch_size_histogram",
-        "latency", "stages", "traces", "service", "pool", "campaign",
-        "registry",
+    FAMILIES = {
+        # Process-wide: the campaign stream and the model registry.
+        "repro_campaign_shards_total": ("counter", ["status"]),
+        "repro_registry_models": ("gauge", []),
+        # The service.
+        "repro_service_submits_total": ("counter", ["outcome"]),
+        "repro_batch_size_total": ("counter", ["size"]),
+        "repro_service_runs_by_tier_total": (
+            "counter", ["dtype", "backend", "worker"]),
+        "repro_service_group_errors_total": ("counter", ["kind"]),
+        "repro_service_store_errors_total": ("counter", []),
+        "repro_service_pending": ("gauge", []),
+        "repro_service_dispatched": ("gauge", []),
+        "repro_service_workers": ("gauge", []),
+        "repro_pool_restarts_total": ("counter", []),
+        # The server.
+        "repro_requests_total": ("counter", ["endpoint", "status"]),
+        "repro_parse_failures_total": ("counter", ["endpoint"]),
+        "repro_http_responses_total": ("counter", ["code"]),
+        "repro_connections_total": ("counter", ["outcome"]),
+        "repro_stage_duration_seconds": ("histogram", ["stage"]),
+        "repro_connections_open": ("gauge", []),
+        "repro_connections_limit": ("gauge", []),
+        "repro_queue_inflight": ("gauge", []),
+        "repro_queue_max_pending": ("gauge", []),
+        "repro_api_info": ("gauge", ["api_version"]),
     }
 
     def test_golden_key_set(self, server):
@@ -500,25 +549,25 @@ class TestMetricsSchema:
         status, data = raw_request(server, "GET", "/v1/metrics")
         assert status == 200
         payload = json.loads(data)
-        assert set(payload) == self.TOP_LEVEL
-        assert set(payload["requests"]) == {"total", "by_endpoint", "by_status"}
-        assert set(payload["parse_failures"]) == {"total", "by_endpoint"}
-        assert set(payload["connections"]) == {"open", "total", "rejected", "limit"}
-        assert set(payload["queue"]) == {
-            "inflight", "max_pending", "service_pending",
-        }
-        assert set(payload["latency"]) == {
-            "count", "p50_s", "p90_s", "p99_s", "max_s",
-        }
-        for hist in payload["stages"].values():
-            assert set(hist) == {"count", "sum_s", "max_s", "buckets"}
+        assert {
+            name: (family["type"], family["labels"])
+            for name, family in payload.items()
+        } == self.FAMILIES
+        assert payload["repro_api_info"]["samples"] == [
+            {"labels": {"api_version": "v1"}, "value": 1}
+        ]
+        for family in payload.values():
+            assert set(family) == {"type", "help", "labels", "samples"}
+            for sample in family["samples"]:
+                assert set(sample["labels"]) == set(family["labels"])
+        stages = payload["repro_stage_duration_seconds"]["samples"]
+        for sample in stages:
+            assert set(sample) == {"labels", "count", "sum", "max", "buckets"}
+            assert 0.0 <= sample["max"] <= sample["sum"]
         # Executed requests populate the canonical stage histograms.
-        assert {"batch_wait", "queue_wait", "exec", "store", "wall"} <= set(
-            payload["stages"]
-        )
-        assert payload["traces"] == {}  # tracing off on this server
-        assert set(payload["campaign"]) == {"shards_total", "shards_by_status"}
-        assert set(payload["registry"]) == {"models"}
+        assert {"batch_wait", "queue_wait", "exec", "store", "wall"} <= {
+            sample["labels"]["stage"] for sample in stages
+        }
 
     def test_prometheus_format_parses(self, server):
         status, data = raw_request(
@@ -533,9 +582,62 @@ class TestMetricsSchema:
                 assert line_re.match(line), line
         assert "repro_requests_total" in text
         assert "repro_stage_duration_seconds_bucket" in text
-        assert 'quantile="0.5"' in text
         assert "repro_campaign_shards_total" in text
         assert "repro_registry_models" in text
+
+    def test_prometheus_conformance(self, server):
+        with Client.connect(server.url) as client:
+            client.run(RunRequest(config=small_config(seed=202), id="g-2"))
+        status, data = raw_request(
+            server, "GET", "/v1/metrics?format=prometheus")
+        assert status == 200
+        helps = collections.Counter()
+        types: "dict[str, str]" = {}
+        samples = []
+        for line in data.decode().splitlines():
+            if line.startswith("# HELP "):
+                helps[line.split()[2]] += 1
+            elif line.startswith("# TYPE "):
+                _, _, name, kind = line.split()
+                assert name not in types, f"second TYPE line for {name}"
+                types[name] = kind
+            else:
+                samples.append(line)
+        assert set(helps) == set(types)
+        assert set(helps.values()) == {1}, "one HELP line per family"
+        for name, kind in types.items():
+            if name.endswith("_total"):
+                assert kind == "counter", f"{name} is typed {kind}"
+        sample_re = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})? (\S+)$")
+        buckets = collections.defaultdict(list)
+        counts = {}
+        for line in samples:
+            match = sample_re.match(line)
+            assert match, line
+            name, labels, value = match.groups()
+            family, part = name, None
+            for suffix in ("_bucket", "_sum", "_count"):
+                if (name.endswith(suffix)
+                        and types.get(name[: -len(suffix)]) == "histogram"):
+                    family, part = name[: -len(suffix)], suffix
+            assert family in types, f"sample outside a declared family: {line}"
+            if part is None:
+                continue
+            pairs = dict(re.findall(r'(\w+)="((?:[^"\\]|\\.)*)"', labels or ""))
+            le = pairs.pop("le", None)
+            key = (family, tuple(sorted(pairs.items())))
+            if part == "_bucket":
+                buckets[key].append((math.inf if le == "+Inf" else float(le),
+                                     float(value)))
+            elif part == "_count":
+                counts[key] = float(value)
+        assert buckets, "the stage histograms carry samples"
+        for key, series in buckets.items():
+            bounds = [le for le, _ in series]
+            cumulative = [count for _, count in series]
+            assert bounds == sorted(bounds) and bounds[-1] == math.inf, key
+            assert cumulative == sorted(cumulative), key
+            assert cumulative[-1] == counts[key], key
 
     def test_unknown_metrics_format_400(self, server):
         status, data = raw_request(server, "GET", "/v1/metrics?format=xml")
@@ -546,13 +648,14 @@ class TestMetricsSchema:
         before = json.loads(raw_request(server, "GET", "/v1/metrics")[1])
         raw_request(server, "POST", "/v1/run", b"{not json")
         after = json.loads(raw_request(server, "GET", "/v1/metrics")[1])
-        assert (after["parse_failures"]["total"]
-                == before["parse_failures"]["total"] + 1)
-        assert after["parse_failures"]["by_endpoint"].get("/v1/run", 0) >= 1
+        failures = "repro_parse_failures_total"
+        assert total(after, failures) == total(before, failures) + 1
+        assert total(after, failures, endpoint="/v1/run") >= 1
         # The garbage request reaches neither the status counters nor
-        # the execution-latency reservoir.
-        assert after["requests"]["by_status"] == before["requests"]["by_status"]
-        assert after["latency"]["count"] == before["latency"]["count"]
+        # the wall-time histogram.
+        assert after["repro_requests_total"] == before["repro_requests_total"]
+        stages = "repro_stage_duration_seconds"
+        assert total(after, stages, stage="wall") == total(before, stages, stage="wall")
 
     def test_trace_endpoint_404_when_tracing_off(self, server):
         status, data = raw_request(server, "GET", "/v1/trace/deadbeef")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
+from repro.obs import total
 from repro.pic.simulation import TraditionalPIC
 from repro.service import (
     STATUS_CACHED,
@@ -28,9 +29,20 @@ def config():
     return SimulationConfig(n_cells=16, particles_per_cell=10, n_steps=3, vth=0.01)
 
 
-def _pending(config, solver="traditional", at=0.0):
+def count(service, family, **labels):
+    """Sum of one of the service's metric families, filtered by labels."""
+    return total(service.metrics.snapshot(), family, **labels)
+
+
+BATCHES = "repro_batch_size_total"
+RUNS = "repro_service_runs_by_tier_total"
+SUBMITS = "repro_service_submits_total"
+
+
+def _pending(config, at=0.0):
     from concurrent.futures import Future
 
+    solver = config.solver
     return PendingRequest(
         key=result_key(config, solver) if solver == "traditional" else f"dl-{id(config)}",
         config=config,
@@ -47,7 +59,7 @@ class TestGroupKey:
         assert group_key(config.with_updates(n_steps=7)) != base
         assert group_key(config.with_updates(poisson_solver="fd")) != base
         assert group_key(config.with_updates(interpolation="ngp")) != base
-        assert group_key(config, solver="dl") != base
+        assert group_key(config.with_updates(solver="dl")) != base
 
     def test_physics_fields_share_a_group(self, config):
         base = group_key(config)
@@ -62,7 +74,7 @@ class TestMicroBatcher:
         batcher.add(_pending(config))
         batcher.add(_pending(config.with_updates(n_cells=32)))
         batcher.add(_pending(config.with_updates(n_steps=9)))
-        batcher.add(_pending(config, solver="dl"))
+        batcher.add(_pending(config.with_updates(solver="dl")))
         assert batcher.n_groups == 4
         # none full, none past deadline: nothing flushes
         assert batcher.take_ready(now=1.0) == []
@@ -166,7 +178,7 @@ class TestResultStore:
         again = store.get("traditional-a")
         assert again is not None and again.from_cache
         np.testing.assert_array_equal(again.efield, a.efield)
-        assert store.disk_hits == 1
+        assert store.get("traditional-a") is again  # promoted to memory
 
     def test_result_key_separates_families(self, config):
         assert result_key(config, "traditional") != result_key(
@@ -196,7 +208,7 @@ class TestSimulationService:
         with SimulationService(start=False) as service:
             first = service.submit(config)
             service.flush()
-            executed = service.stats["executed_runs"]
+            executed = count(service, RUNS)
             again, status = service.submit_with_status(config)
             assert status == STATUS_CACHED
             # A cached delivery is a lightweight copy with its own
@@ -205,8 +217,8 @@ class TestSimulationService:
             assert served == original
             assert served.series["total"] is original.series["total"]
             assert set(served.timings) == {"store_s"}
-            assert service.stats["executed_runs"] == executed
-            assert service.stats["cache_hits"] == 1
+            assert count(service, RUNS) == executed
+            assert count(service, SUBMITS, outcome="cached") == 1
 
     def test_inflight_dedup_shares_one_future(self, config):
         with SimulationService(start=False) as service:
@@ -214,7 +226,7 @@ class TestSimulationService:
             fut_b, status_b = service.submit_with_status(config)
             assert (status_a, status_b) == (STATUS_QUEUED, STATUS_INFLIGHT)
             assert fut_a is fut_b
-            assert service.stats["pending"] == 1  # one engine row for both
+            assert count(service, "repro_service_pending") == 1  # one engine row for both
             service.flush()
             assert fut_a.result(timeout=0) is fut_b.result(timeout=0)
 
@@ -228,7 +240,7 @@ class TestSimulationService:
             ]
             service.flush()
             results = [f.result(timeout=0) for f in futures]
-        assert service.stats["batches"] == 3
+        assert count(service, BATCHES) == 3
         assert len(results[0].series["time"]) == config.n_steps + 1
         assert len(results[2].series["time"]) == 6
 
@@ -242,8 +254,8 @@ class TestSimulationService:
             service.flush()
             for future in futures:
                 future.result(timeout=0)
-        assert service.stats["batches"] == 1
-        assert service.stats["executed_runs"] == 4
+        assert count(service, BATCHES) == 1
+        assert count(service, RUNS) == 4
 
     def test_engine_failure_propagates_to_every_requester(self, config):
         bad = config.with_updates(scenario="bump_on_tail", extra={"bump_fraction": 5.0})
@@ -252,8 +264,9 @@ class TestSimulationService:
             service.flush()
             with pytest.raises(ValueError, match="bump_fraction"):
                 future.result(timeout=0)
-            assert service.stats["errors"] == 1
-            assert service.stats["pending"] == 0
+            errors = "repro_service_group_errors_total"
+            assert count(service, errors) == count(service, errors, kind="ValueError") == 1
+            assert count(service, "repro_service_pending") == 0
         # the key is free again: a corrected submit is not poisoned
         with SimulationService(start=False) as service:
             future = service.submit(bad)
@@ -269,7 +282,7 @@ class TestSimulationService:
     def test_dl_requests_need_a_solver(self, config):
         with SimulationService(start=False) as service:
             with pytest.raises(ValueError, match="no DL solver"):
-                service.submit(config, solver="dl")
+                service.submit(config.with_updates(solver="dl"))
 
     def test_submit_after_close_rejected(self, config):
         service = SimulationService(start=False)
@@ -303,7 +316,7 @@ class TestDLService:
         from repro.dlpic import DLPIC
 
         with SimulationService(dl_solver=dl_solver, start=False) as service:
-            future = service.submit(config, solver="dl")
+            future = service.submit(config.with_updates(solver="dl"))
             service.flush()
             result = future.result(timeout=0)
         solo = DLPIC(config, dl_solver)
@@ -315,11 +328,11 @@ class TestDLService:
     def test_dl_and_traditional_results_have_distinct_slots(self, config, dl_solver):
         with SimulationService(dl_solver=dl_solver, start=False) as service:
             fut_trad = service.submit(config)
-            fut_dl, status = service.submit_with_status(config, solver="dl")
+            fut_dl, status = service.submit_with_status(config.with_updates(solver="dl"))
             assert status == STATUS_QUEUED  # not deduped against the traditional run
             service.flush()
             assert fut_trad.result(timeout=0).key != fut_dl.result(timeout=0).key
-        assert service.stats["batches"] == 2
+        assert count(service, BATCHES) == 2
 
 
 class TestThreadedService:
@@ -329,7 +342,7 @@ class TestThreadedService:
         with SimulationService(max_batch_size=64, max_wait=0.02) as service:
             futures = [service.submit(config.with_updates(seed=s)) for s in range(3)]
             results = [f.result(timeout=30) for f in futures]
-        assert service.stats["batches"] == 1  # one partial flush, not 3
+        assert count(service, BATCHES) == 1  # one partial flush, not 3
         assert [r.config.seed for r in results] == [0, 1, 2]
 
     def test_concurrent_submitters_are_coalesced(self, config):
@@ -345,8 +358,9 @@ class TestThreadedService:
                 t.join()
             results = [f.result(timeout=30) for f in futures]
         # 8 requests over 4 distinct configs: at most 4 engine rows ran
-        assert service.stats["executed_runs"] + service.stats["cache_hits"] <= 8
-        assert service.stats["executed_runs"] <= 4
+        executed = count(service, RUNS)
+        assert executed + count(service, SUBMITS, outcome="cached") <= 8
+        assert executed <= 4
         for i, result in enumerate(results):
             assert result.config.seed == i % 4
 
@@ -373,7 +387,7 @@ class TestVlasovService:
             futures = [service.submit(cfg) for cfg in configs]
             service.flush()
             results = [f.result(timeout=0) for f in futures]
-        assert service.stats["batches"] == 1  # one engine for all three
+        assert count(service, BATCHES) == 1  # one engine for all three
         for cfg, result in zip(configs, results):
             solo = make_engine([cfg])
             series = solo.run(cfg.n_steps).member(0)
@@ -387,7 +401,7 @@ class TestVlasovService:
             fut_t = service.submit(vconfig.with_updates(solver="traditional"))
             service.flush()
             assert fut_v.result(timeout=0).key != fut_t.result(timeout=0).key
-        assert service.stats["batches"] == 2
+        assert count(service, BATCHES) == 2
 
     def test_vlasov_store_and_dedup_behave_like_pic(self, vconfig, tmp_path):
         store = ResultStore(capacity=4, directory=tmp_path)
@@ -415,8 +429,8 @@ class TestVlasovService:
     def test_vlasov_velocity_grids_bucket_separately(self, vconfig):
         batcher = MicroBatcher(max_batch_size=8, max_wait=10.0)
         other = vconfig.with_updates(extra={"n_v": 32})
-        batcher.add(_pending(vconfig, solver="vlasov"))
-        batcher.add(_pending(other, solver="vlasov"))
+        batcher.add(_pending(vconfig))
+        batcher.add(_pending(other))
         assert batcher.n_groups == 2
 
     def test_cold_vlasov_rejected_at_submit(self, vconfig):
@@ -445,7 +459,7 @@ class TestVlasovService:
         with SimulationService(start=False) as service:
             with pytest.raises(ValueError, match=match):
                 service.submit(bad)
-            assert service.stats["pending"] == 0
+            assert count(service, "repro_service_pending") == 0
 
     def test_result_key_knows_vlasov_family(self, vconfig):
         assert result_key(vconfig, "vlasov") != result_key(vconfig, "traditional")

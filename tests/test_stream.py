@@ -13,7 +13,7 @@ from repro.datagen import (
     campaign_hash,
     run_campaign,
 )
-from repro.obs.metrics import campaign_snapshot, reset_metrics
+from repro.obs import PROCESS_METRICS, total
 from repro.phasespace.binning import PhaseSpaceGrid
 
 
@@ -176,17 +176,25 @@ class TestMemoryBound:
 
 class TestMetrics:
     def test_shard_statuses_reach_the_global_counters(self, campaign, tmp_path):
-        reset_metrics()
+        def shards_by_status():
+            snapshot = PROCESS_METRICS.snapshot()
+            counts = {
+                status: total(snapshot, "repro_campaign_shards_total", status=status)
+                for status in ("executed", "repaired", "verified")
+            }
+            counts["total"] = total(snapshot, "repro_campaign_shards_total")
+            return counts
+
+        before = shards_by_status()
         CampaignStream(campaign, tmp_path / "c", shard_size=2).run()
         shards = sorted((tmp_path / "c").glob("shard-*.npz"))
         with open(shards[0], "r+b") as fh:
             fh.truncate(64)
         CampaignStream(campaign, tmp_path / "c", shard_size=2).run()
-        snapshot = campaign_snapshot()
-        assert snapshot["shards_by_status"] == {
-            "executed": 2, "repaired": 1, "verified": 1,
+        after = shards_by_status()
+        assert {status: after[status] - before[status] for status in after} == {
+            "executed": 2, "repaired": 1, "verified": 1, "total": 4,
         }
-        assert snapshot["shards_total"] == 4
 
 
 class TestDatasetDtype:
