@@ -78,7 +78,7 @@ def test_interpolation_order_noise_ablation(results_dir, benchmark):
             cfg = SimulationConfig(n_cells=64, particles_per_cell=200, v0=0.2,
                                    vth=0.0, interpolation=order, seed=31)
             sim = TraditionalPIC(cfg)
-            noise[order] = float(mode_spectrum(sim.charge_density)[16:].sum())
+            noise[order] = float(mode_spectrum(sim.field_solver.last_rho[0])[16:].sum())
         return noise
 
     noise = benchmark.pedantic(run, rounds=1, iterations=1)

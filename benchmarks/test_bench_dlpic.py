@@ -51,7 +51,7 @@ def _run_sequential(solver: DLFieldSolver) -> list[dict]:
     """BATCH independent DL runs, the pre-batching way: a Python loop.
 
     Final states are snapshotted per run because the shared solver's
-    ``last_histogram`` is overwritten by each subsequent run.
+    ``last_histograms`` are overwritten by each subsequent run.
     """
     finals = []
     for b in range(BATCH):
@@ -59,10 +59,10 @@ def _run_sequential(solver: DLFieldSolver) -> list[dict]:
         sim.run(N_STEPS)
         finals.append(
             {
-                "x": sim.particles.x.copy(),
-                "v": sim.particles.v.copy(),
-                "efield": sim.efield.copy(),
-                "histogram": sim.last_histogram.copy(),
+                "x": sim.particles.x[0].copy(),
+                "v": sim.particles.v[0].copy(),
+                "efield": sim.efield[0].copy(),
+                "histogram": sim.last_histograms[0].copy(),
             }
         )
     return finals

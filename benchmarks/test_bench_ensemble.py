@@ -33,7 +33,7 @@ def _run_sequential() -> list[np.ndarray]:
     for b in range(BATCH):
         sim = TraditionalPIC(CONFIG.with_updates(seed=CONFIG.seed + b))
         sim.run(N_STEPS)
-        finals.append(sim.efield.copy())
+        finals.append(sim.efield[0].copy())
     return finals
 
 

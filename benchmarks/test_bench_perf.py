@@ -24,7 +24,7 @@ pytestmark = pytest.mark.slow  # needs the medium-preset trained solvers (~15 mi
 
 @pytest.fixture(scope="module")
 def particle_state(solvers):
-    """A mid-instability particle state at the medium resolution."""
+    """A mid-instability particle state at the medium resolution, ``(1, n)``."""
     config = solvers.preset.validation_config()
     sim = TraditionalPIC(config)
     sim.run(100)
@@ -39,22 +39,22 @@ def test_traditional_field_solve(particle_state, benchmark):
         interpolation=config.interpolation,
     )
     e = benchmark(solver.field, x, v)
-    assert e.shape == (config.n_cells,)
+    assert e.shape == (1, config.n_cells)
 
 
 def test_dl_field_solve(particle_state, solvers, benchmark):
     config, x, v = particle_state
     e = benchmark(solvers.mlp_solver.field, x, v)
-    assert e.shape == (config.n_cells,)
+    assert e.shape == (1, config.n_cells)
 
 
 def test_dl_inference_only(particle_state, solvers, benchmark):
     """Network inference alone (excluding the phase-space binning)."""
     config, x, v = particle_state
     solvers.mlp_solver.field(x, v)  # populate the histogram cache
-    hist = solvers.mlp_solver.last_histogram
-    e = benchmark(solvers.mlp_solver.predict_from_histogram, hist)
-    assert e.shape == (config.n_cells,)
+    hists = solvers.mlp_solver.last_histograms
+    e = benchmark(solvers.mlp_solver.predict_from_histograms, hists)
+    assert e.shape == (1, config.n_cells)
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,8 @@ import numpy as np
 from conftest import dump_result
 
 from repro.dlpic.simulation import DLPIC
-from repro.pic.energy_conserving import EnergyConservingPIC
+from repro.engines.observables import Observables, pic_observables
+from repro.pic.energy_conserving import EnergyConservingEnsemble
 from repro.pic.simulation import TraditionalPIC
 from repro.theory.dispersion import growth_rate_cold
 from repro.theory.growth import fit_growth_rate
@@ -33,10 +34,12 @@ def test_scheme_conservation_triangle(solvers, results_dir, benchmark):
         out = {}
         for name, sim in (
             ("explicit", TraditionalPIC(config)),
-            ("energy-conserving", EnergyConservingPIC(config, tolerance=1e-13)),
+            ("energy-conserving", EnergyConservingEnsemble(
+                config.with_updates(extra={"picard_tolerance": 1e-13}))),
             ("dl", DLPIC(config, solvers.mlp_solver)),
         ):
-            hist = sim.run(config.n_steps)
+            # Every scheme runs a batch of one: record 1-D series.
+            hist = sim.run(config.n_steps, history=Observables(pic_observables(), squeeze=True))
             a = hist.as_arrays()
             fit = fit_growth_rate(a["time"], a["mode1"])
             out[name] = {

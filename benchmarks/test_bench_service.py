@@ -54,7 +54,7 @@ def _run_sequential() -> list[tuple[dict, np.ndarray]]:
     for config in CONFIGS:
         sim = TraditionalPIC(config)
         history = sim.run(N_STEPS)
-        outputs.append((history.as_arrays(), sim.efield.copy()))
+        outputs.append((history.as_arrays(), sim.efield[0].copy()))
     return outputs
 
 

@@ -9,6 +9,8 @@ particle positions and the Newton/leapfrog mover are retained verbatim.
 path: every member's histogram is built by one fused binning call and
 all fields come from ONE network forward per step, with each row
 bitwise identical to the corresponding single :class:`DLPIC` run.
+:class:`DLPIC` is that single run: a batch of one whose recorder
+squeezes the batch axis.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import numpy as np
 
 from repro.config import SimulationConfig
 from repro.dlpic.solver import DLFieldSolver
+from repro.engines.observables import Observables, pic_observables
 from repro.kernels import resolve_backend
-from repro.pic.simulation import EnsembleSimulation, PICSimulation
+from repro.pic.simulation import EnsembleSimulation
 
 
 def _check_box_length(solver: DLFieldSolver, config: SimulationConfig) -> None:
@@ -35,13 +38,12 @@ def _check_box_length(solver: DLFieldSolver, config: SimulationConfig) -> None:
 class DLEnsemble(EnsembleSimulation):
     """Batched DL-PIC: a whole sweep through one network per step.
 
-    The traditional ensemble engine drives the neural field solver
-    natively (``DLFieldSolver.supports_batch``): at each cycle the
-    stacked ``(batch, n)`` phase spaces are binned by one fused
-    ``bincount``, normalized in one pass and pushed through ONE network
-    forward, so the most expensive stage of the DL cycle is amortized
-    across the ensemble exactly like the Poisson solve is for
-    traditional sweeps.  Row ``b`` reproduces
+    The ensemble engine drives the batch-native neural field solver
+    directly: at each cycle the stacked ``(batch, n)`` phase spaces are
+    binned by one fused ``bincount``, normalized in one pass and pushed
+    through ONE network forward, so the most expensive stage of the DL
+    cycle is amortized across the ensemble exactly like the Poisson
+    solve is for traditional sweeps.  Row ``b`` reproduces
     ``DLPIC(configs[b], solver)`` bit for bit.
     """
 
@@ -89,8 +91,12 @@ class DLEnsemble(EnsembleSimulation):
         return self.dl_solver.last_histograms
 
 
-class DLPIC(PICSimulation):
-    """PIC simulation whose field solve is a trained neural network."""
+class DLPIC(DLEnsemble):
+    """One PIC run whose field solve is a trained neural network.
+
+    A batch of one: the state is ``(1, n)`` like any ensemble's, and the
+    default recorder squeezes the batch axis, so the series are 1-D.
+    """
 
     def __init__(
         self,
@@ -98,17 +104,8 @@ class DLPIC(PICSimulation):
         solver: DLFieldSolver,
         rng: "int | np.random.Generator | None" = None,
     ) -> None:
-        _check_box_length(solver, config)
-        super().__init__(config, solver, rng)
+        super().__init__(config, solver, rngs=[rng])
 
-    @property
-    def dl_solver(self) -> DLFieldSolver:
-        """The neural field solver driving this run."""
-        solver = self.field_solver
-        assert isinstance(solver, DLFieldSolver)
-        return solver
-
-    @property
-    def last_histogram(self) -> "np.ndarray | None":
-        """Phase-space histogram from the most recent field prediction."""
-        return self.dl_solver.last_histogram
+    def observables(self, record_fields: bool = False) -> Observables:
+        """A fresh recorder of 1-D series for this single run."""
+        return Observables(pic_observables(record_fields=record_fields), squeeze=True)

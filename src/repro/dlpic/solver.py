@@ -11,10 +11,9 @@ The solver is batch-native: an ensemble of runs hands it stacked
 normalization, network evaluation — executes once per step for the
 entire batch (:meth:`DLFieldSolver.fields`).  One fused ``bincount``
 builds every histogram, one normalization pass rescales the stack, and
-ONE network forward predicts all fields.  The single-run
-:meth:`DLFieldSolver.field` is a batch-of-one view of the same path,
-and the inference stack guarantees each batched row is bitwise
-identical to the corresponding single run (see ``repro.nn.layers``).
+ONE network forward predicts all fields.  A single run is a batch of
+one, and the inference stack guarantees each batched row is bitwise
+identical to that row's batch of one (see ``repro.nn.layers``).
 """
 
 from __future__ import annotations
@@ -50,14 +49,10 @@ class DLFieldSolver:
     binning:
         Phase-space binning order, ``"ngp"`` (paper) or ``"cic"``.
 
-    The object satisfies the ``FieldSolver`` protocol of
-    ``repro.pic.simulation`` and plugs directly into the PIC cycle —
-    natively batched (``supports_batch``), so an
-    :class:`~repro.pic.simulation.EnsembleSimulation` drives it without
-    any row-by-row lifting.
+    The object satisfies the batch-native ``FieldSolver`` protocol of
+    ``repro.pic.simulation`` and plugs directly into the PIC cycle of an
+    :class:`~repro.pic.simulation.EnsembleSimulation`.
     """
-
-    supports_batch = True
 
     def __init__(
         self,
@@ -114,17 +109,6 @@ class DLFieldSolver:
             self._model_f32 = model
         return self._model_f32
 
-    @property
-    def last_histogram(self) -> "np.ndarray | None":
-        """Histogram of the most recent batch-of-one prediction.
-
-        ``None`` before any prediction, and for true ensembles
-        (``batch > 1``) — read :attr:`last_histograms` there.
-        """
-        if self.last_histograms is None or self.last_histograms.shape[0] != 1:
-            return None
-        return self.last_histograms[0]
-
     def prepare_inputs(self, histograms: np.ndarray) -> np.ndarray:
         """Normalize stacked histograms and shape them for the network.
 
@@ -145,13 +129,6 @@ class DLFieldSolver:
             return norm.reshape(histograms.shape[0], -1)
         return norm.reshape(histograms.shape[0], 1, *self.ps_grid.shape)
 
-    def prepare_input(self, histogram: np.ndarray) -> np.ndarray:
-        """Normalize a single histogram and shape it for the network."""
-        histogram = np.asarray(histogram, dtype=np.float64)
-        if histogram.shape != self.ps_grid.shape:
-            raise ValueError(f"histogram {histogram.shape} does not match grid {self.ps_grid.shape}")
-        return self.prepare_inputs(histogram[None])
-
     def predict_from_histograms(self, histograms: np.ndarray) -> np.ndarray:
         """One network forward over stacked raw histograms.
 
@@ -162,18 +139,14 @@ class DLFieldSolver:
         prepared = self.prepare_inputs(histograms)
         return self._eval_model(prepared.dtype).predict(prepared)
 
-    def predict_from_histogram(self, histogram: np.ndarray) -> np.ndarray:
-        """Network prediction for one raw (unnormalized) histogram."""
-        return self.model.predict(self.prepare_input(histogram))[0]
-
     def fields(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Predict every ensemble member's field in one fused pass.
 
         ``x`` and ``v`` are stacked ``(batch, n)`` phase spaces; the
         result is ``(batch, n_cells)``.  The entire DL field-solve
         stage — binning, normalization, network forward — runs once for
-        the whole batch, and row ``b`` is bitwise identical to a
-        single-run :meth:`field` call on ``(x[b], v[b])``.
+        the whole batch, and row ``b`` is bitwise identical to the same
+        call on the batch of one ``(x[b:b+1], v[b:b+1])``.
         """
         hists = bin_phase_space_batch(x, v, self.ps_grid, order=self.binning, dtype=x.dtype)
         self.last_histograms = hists
@@ -182,18 +155,14 @@ class DLFieldSolver:
     def field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``FieldSolver`` protocol entry point used by the PIC cycle.
 
-        Accepts either a single ``(n,)`` phase space (returning
-        ``(n_cells,)``) or a stacked ``(batch, n)`` ensemble (returning
-        ``(batch, n_cells)``); the single-run form is a batch-of-one
-        view of :meth:`fields`.
+        Coerces the stacked ``(batch, n)`` phase space to one float
+        dtype (float32 stays float32, anything else becomes float64)
+        and predicts through :meth:`fields`.
         """
         x = np.asarray(x)
         if x.dtype != np.float32:
             x = np.asarray(x, dtype=np.float64)
-        v = np.asarray(v, dtype=x.dtype)
-        if x.ndim == 2:
-            return self.fields(x, v)
-        return self.fields(x[None], v[None])[0]
+        return self.fields(x, np.asarray(v, dtype=x.dtype))
 
     def fingerprint(self) -> str:
         """Content hash of the solver (architecture + weights + preprocessing).

@@ -16,11 +16,12 @@ families, selected by ``SimulationConfig.solver``:
     (:class:`~repro.vlasov.ensemble.VlasovEnsemble`).
 ``energy``
     The energy-conserving implicit-midpoint PIC
-    (:class:`~repro.pic.energy_conserving.EnergyConservingEnsemble`).
+    (:class:`~repro.pic.energy_conserving.EnergyConservingEnsemble`;
+    Picard knobs via ``config.extra``, see :func:`energy_picard_params`).
 ``mpi``
     The simulated-MPI domain-decomposed traditional PIC
     (:class:`~repro.parallel.picparallel.MPIEnsemble`; ``n_ranks``
-    via ``config.extra``).
+    via ``config.extra``, see :func:`mpi_rank_params`).
 
 Every engine class inherits :class:`Engine`, which owns the one
 member check (a single config is a batch of one; an empty batch or a
@@ -100,8 +101,9 @@ def mpi_rank_params(config: SimulationConfig) -> int:
     """``n_ranks`` of a config's simulated-MPI decomposition.
 
     Read from ``config.extra["n_ranks"]`` (default
-    :data:`MPI_DEFAULT_N_RANKS`); malformed or non-positive values
-    raise ``ValueError`` so every entry point rejects them at
+    :data:`MPI_DEFAULT_N_RANKS`); malformed or non-positive values, or
+    more ranks than ``config.n_cells`` (each rank owns at least one
+    cell), raise ``ValueError`` so every entry point rejects them at
     parse/submit time.
     """
     value = config.extra.get("n_ranks", MPI_DEFAULT_N_RANKS)
@@ -118,7 +120,54 @@ def mpi_rank_params(config: SimulationConfig) -> int:
         )
     if n_ranks < 1:
         raise ValueError(f"solver='mpi' needs n_ranks >= 1, got {n_ranks}")
+    if n_ranks > config.n_cells:
+        raise ValueError(
+            f"solver='mpi' needs n_ranks <= n_cells, cannot split "
+            f"{config.n_cells} cells over {n_ranks} ranks"
+        )
     return n_ranks
+
+
+# Picard iteration knobs of the energy-conserving family, read from
+# ``config.extra`` like the rank count above.
+ENERGY_DEFAULT_PICARD_MAX_ITERATIONS = 12
+ENERGY_DEFAULT_PICARD_TOLERANCE = 1e-12
+
+
+def energy_picard_params(config: SimulationConfig) -> "tuple[int, float]":
+    """``(max_iterations, tolerance)`` of a config's Picard iteration.
+
+    The one check of the ``energy`` knobs, read by submit-time
+    validation and the engine alike: ``extra["picard_max_iterations"]``
+    (default :data:`ENERGY_DEFAULT_PICARD_MAX_ITERATIONS`) must be an
+    integer >= 1, not a bool, and ``extra["picard_tolerance"]``
+    (default :data:`ENERGY_DEFAULT_PICARD_TOLERANCE`) a finite number
+    > 0.  Anything else raises ``ValueError`` naming the knob.
+    """
+    max_iterations = config.extra.get(
+        "picard_max_iterations", ENERGY_DEFAULT_PICARD_MAX_ITERATIONS
+    )
+    tolerance = config.extra.get("picard_tolerance", ENERGY_DEFAULT_PICARD_TOLERANCE)
+    if (
+        isinstance(max_iterations, bool)
+        or not isinstance(max_iterations, numbers.Integral)
+        or max_iterations < 1
+    ):
+        raise ValueError(
+            "malformed picard_max_iterations in config.extra (must be an "
+            f"integer >= 1), got {max_iterations!r}"
+        )
+    if (
+        isinstance(tolerance, bool)
+        or not isinstance(tolerance, numbers.Real)
+        or not math.isfinite(tolerance)
+        or tolerance <= 0
+    ):
+        raise ValueError(
+            "malformed picard_tolerance in config.extra (must be a finite "
+            f"number > 0), got {tolerance!r}"
+        )
+    return int(max_iterations), float(tolerance)
 
 
 def vlasov_grid_params(config: SimulationConfig) -> "tuple[int, float, float]":
@@ -442,6 +491,7 @@ def _build_dl(
 
 def _energy_validate(config: SimulationConfig) -> None:
     _pic_validate(config)
+    energy_picard_params(config)
 
 
 def _build_energy(

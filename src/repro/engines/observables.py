@@ -180,8 +180,9 @@ class Frame:
     A frame is engine-agnostic: PIC engines populate ``particles`` and
     ``v_center``, the Vlasov engines populate the phase-space density
     ``f`` with its velocity grid.  ``efield`` is always present —
-    ``(batch, n_cells)`` stacked, or 1-D for single-run recorders —
-    and every observable reads only the attributes it needs.
+    ``(batch, n_cells)`` stacked (engines record a single run as a
+    batch of one), or 1-D in a hand-built single-run frame — and every
+    observable reads only the attributes it needs.
     """
 
     __slots__ = (

@@ -13,10 +13,14 @@ phase-space histograms (binning is additive), one ``allreduce``
 combines them, and every rank then runs the replicated network locally:
 no field-solve gather/broadcast, one synchronization point per step.
 
-The traditional decomposition is the served ``mpi`` engine family
+Both run on the explicit :class:`~repro.pic.simulation.EnsembleSimulation`
+engine through a private batched field solver that hands each row to
+its own single-run distributed solver, so every row keeps its own
+decomposition, simulated communicator and migration tracker.  The
+traditional decomposition is the served ``mpi`` engine family
 (:class:`MPIEnsemble`; a solo run is ``make_engine([config])`` with
 ``solver="mpi"`` and ``extra={"n_ranks": N}``, its traffic in
-``comm_stats``).  The DL decomposition runs through
+``comm_stats``).  The DL decomposition runs as a batch of one through
 :func:`run_distributed_dl`; it is not a served family, because the
 ``mpi`` store key carries no model fingerprint.  Both are verified
 (tests) to reproduce the serial methods' physics, since decomposition
@@ -28,20 +32,21 @@ counts don't need actual runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.config import SimulationConfig
 from repro.dlpic.solver import DLFieldSolver
 from repro.engines.base import mpi_rank_params
-from repro.engines.observables import Observables
+from repro.engines.observables import Observables, pic_observables
 from repro.parallel.comm import CommStats, SimulatedComm
 from repro.parallel.decomposition import DomainDecomposition1D
 from repro.phasespace.binning import PhaseSpaceGrid, bin_phase_space
 from repro.pic.grid import Grid1D
 from repro.pic.interpolation import deposit
 from repro.pic.poisson import PoissonSolver
-from repro.pic.simulation import LockstepEnsemble, PICSimulation
+from repro.pic.simulation import EnsembleSimulation
 
 
 @dataclass
@@ -90,27 +95,25 @@ class _MigrationTracker:
 
 
 class _DistributedTraditionalSolver:
-    """Field solver doing rank-local deposition + reduce/solve/bcast."""
+    """One run's field solver doing rank-local deposition + reduce/solve/bcast.
 
-    def __init__(
-        self,
-        grid: Grid1D,
-        decomp: DomainDecomposition1D,
-        comm: SimulatedComm,
-        particle_charge: float,
-        interpolation: str,
-        poisson_method: str,
-        gradient: str,
-        background: float = 1.0,
-    ) -> None:
-        self.grid = grid
-        self.decomp = decomp
-        self.comm = comm
-        self.particle_charge = particle_charge
-        self.interpolation = interpolation
-        self.background = background
-        self.poisson = PoissonSolver(grid, method=poisson_method, gradient=gradient)
-        self.migration = _MigrationTracker(decomp, comm)
+    Owns the run's decomposition over its ``n_ranks`` (from
+    ``config.extra``, see :func:`repro.engines.base.mpi_rank_params`),
+    its simulated communicator and its migration tracker.
+    """
+
+    def __init__(self, config: SimulationConfig) -> None:
+        self.grid = Grid1D(config.n_cells, config.box_length)
+        n_ranks = mpi_rank_params(config)
+        self.decomp = DomainDecomposition1D(self.grid, n_ranks)
+        self.comm = SimulatedComm(n_ranks)
+        self.particle_charge = config.particle_charge
+        self.interpolation = config.interpolation
+        self.background = 1.0  # the uniform ion background
+        self.poisson = PoissonSolver(
+            self.grid, method=config.poisson_solver, gradient=config.gradient
+        )
+        self.migration = _MigrationTracker(self.decomp, self.comm)
 
     def field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         self.migration.update(x)
@@ -149,7 +152,22 @@ class _DistributedDLSolver:
         hist = self.comm.allreduce(local_hists)[0]
         # Every rank predicts locally with the replicated network; the
         # result is identical on all ranks, so compute it once.
-        return self.solver.predict_from_histogram(hist)
+        return self.solver.predict_from_histograms(hist[None])[0]
+
+
+class _RowSolvers:
+    """Batched field solver running one single-run solver per row.
+
+    Row ``b`` of the stacked ``(batch, n)`` phase space goes to
+    ``solvers[b]``, which owns that row's decomposition, simulated
+    communicator and migration tracker.
+    """
+
+    def __init__(self, solvers: Sequence) -> None:
+        self.solvers = list(solvers)
+
+    def field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.stack([solver.field(x[b], v[b]) for b, solver in enumerate(self.solvers)])
 
 
 def run_distributed_dl(
@@ -163,63 +181,49 @@ def run_distributed_dl(
     grid = Grid1D(config.n_cells, config.box_length)
     decomp = DomainDecomposition1D(grid, n_ranks)
     comm = SimulatedComm(n_ranks)
-    solver = _DistributedDLSolver(dl_solver, decomp, comm)
-    sim = PICSimulation(config, solver, rng)
+    solver = _RowSolvers([_DistributedDLSolver(dl_solver, decomp, comm)])
+    sim = EnsembleSimulation(config, field_solver=solver, rngs=[rng])
     steps = config.n_steps if n_steps is None else n_steps
     comm.stats.reset()
-    history = sim.run(steps)
+    history = sim.run(steps, history=Observables(pic_observables(), squeeze=True))
     return DistributedPICResult(
         label="DL-based PIC", n_ranks=n_ranks, n_steps=steps, history=history, comm=comm.stats
     )
 
 
-class MPIEnsemble(LockstepEnsemble):
-    """Engine adapter serving batches of simulated-MPI runs.
+class MPIEnsemble(EnsembleSimulation):
+    """Engine serving batches of simulated-MPI runs.
 
-    Registered in the engine registry as ``solver="mpi"``: the
-    domain-decomposed traditional solver
-    (:class:`_DistributedTraditionalSolver`) promoted from an
-    experiment to a served backend.  Each member is a
-    :class:`~repro.pic.simulation.PICSimulation` owning its own
-    decomposition, simulated communicator and migration tracker
-    (``n_ranks`` comes from that member's ``config.extra``, default
-    :data:`repro.engines.base.MPI_DEFAULT_N_RANKS`, so one batch may
-    mix rank counts), advanced in lockstep.  A solo distributed run is
-    a batch of one.
+    Registered in the engine registry as ``solver="mpi"``: the explicit
+    ensemble engine whose field solve is the domain-decomposed
+    traditional solver (:class:`_DistributedTraditionalSolver`), one per
+    row.  Each row owns its decomposition, simulated communicator and
+    migration tracker, with ``n_ranks`` from that row's
+    ``config.extra`` (default
+    :data:`repro.engines.base.MPI_DEFAULT_N_RANKS`), so one batch may
+    mix rank counts.  A solo distributed run is a batch of one.
 
     Decomposition only reorders the charge-density reduction, so the
     physics matches the serial ``traditional`` family to floating-point
     reordering tolerance (see the parity tests), not bitwise.
     """
 
-    def _member(
-        self, config: SimulationConfig, rng: "int | np.random.Generator | None"
-    ) -> PICSimulation:
-        grid = Grid1D(config.n_cells, config.box_length)
-        n_ranks = mpi_rank_params(config)
-        comm = SimulatedComm(n_ranks)
-        solver = _DistributedTraditionalSolver(
-            grid,
-            DomainDecomposition1D(grid, n_ranks),
-            comm,
-            particle_charge=config.particle_charge,
-            interpolation=config.interpolation,
-            poisson_method=config.poisson_solver,
-            gradient=config.gradient,
-        )
-        member = PICSimulation(config, solver, rng)
-        comm.stats.reset()  # count only the time loop, not the t=0 field solve
-        return member
+    def __init__(
+        self,
+        configs: "SimulationConfig | Sequence[SimulationConfig]",
+        rngs: "Sequence[int | np.random.Generator | None] | None" = None,
+    ) -> None:
+        if isinstance(configs, SimulationConfig):
+            configs = (configs,)
+        solvers = [_DistributedTraditionalSolver(cfg) for cfg in configs]
+        super().__init__(configs, field_solver=_RowSolvers(solvers), rngs=rngs)
+        for solver in solvers:
+            solver.comm.stats.reset()  # count only the time loop, not the t=0 field solve
 
     @property
     def comm_stats(self) -> "list[CommStats]":
-        """Per-member simulated-communication traffic of the time loop."""
-        return [m.field_solver.comm.stats for m in self.members]
-
-    def step(self) -> None:
-        """Advance every member one distributed PIC cycle."""
-        for m in self.members:
-            m.step()
+        """Per-row simulated-communication traffic of the time loop."""
+        return [solver.comm.stats for solver in self.field_solver.solvers]
 
 
 def communication_model(

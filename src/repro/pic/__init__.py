@@ -28,8 +28,8 @@ from repro.pic.scenarios import (
     register_distribution,
     register_scenario,
 )
-from repro.pic.simulation import EnsembleSimulation, PICSimulation, TraditionalPIC
-from repro.pic.energy_conserving import EnergyConservingEnsemble, EnergyConservingPIC
+from repro.pic.simulation import EnsembleSimulation, TraditionalPIC
+from repro.pic.energy_conserving import EnergyConservingEnsemble
 
 __all__ = [
     "Grid1D",
@@ -55,9 +55,7 @@ __all__ = [
     "load_scenario",
     "register_distribution",
     "register_scenario",
-    "PICSimulation",
     "EnsembleSimulation",
     "TraditionalPIC",
-    "EnergyConservingPIC",
     "EnergyConservingEnsemble",
 ]

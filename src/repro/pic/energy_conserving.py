@@ -27,87 +27,97 @@ of the explicit method's trade-off (Birdsall & Langdon Ch. 10).
 The electric field is advanced through Ampere's law, so the Poisson
 solve happens only once, at initialization.
 
-:class:`EnergyConservingPIC` is one run; :class:`EnergyConservingEnsemble`
-serves a batch of them in lockstep (the ``energy`` engine family).
-Both run through the shared :meth:`repro.engines.base.Engine.run` loop.
+The ``energy`` engine family is :class:`EnergyConservingEnsemble`: one
+batched implicit step over every member, whose Picard loop stops each
+row on its own convergence, so each row is bitwise identical to its
+batch of one.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from repro import constants
 from repro.config import SimulationConfig
-from repro.engines.base import Engine
+from repro.engines.base import Engine, energy_picard_params
 from repro.engines.observables import Frame, Observables, pic_observables
 from repro.pic.grid import Grid1D
 from repro.pic.interpolation import Workspace, charge_density, deposit, gather
 from repro.pic.particles import ParticleSet
 from repro.pic.poisson import PoissonSolver
-from repro.pic.scenarios import load_scenario
-from repro.pic.simulation import LockstepEnsemble
+from repro.pic.scenarios import load_ensemble
 
 
-class EnergyConservingPIC(Engine):
-    """1D electrostatic energy-conserving (implicit midpoint) PIC.
+class EnergyConservingEnsemble(Engine):
+    """Batched 1D electrostatic energy-conserving (implicit midpoint) PIC.
 
-    Parameters
-    ----------
-    config:
-        The shared simulation configuration; ``config.interpolation``
-        is used for both the current deposit and the field gather
-        (required for exact conservation).
-    max_iterations, tolerance:
-        Picard iteration control: iterate the midpoint fixed-point
-        until the max velocity update falls below ``tolerance`` (or
-        ``max_iterations`` is hit — tracked in ``last_iterations``).
+    Registered in the engine registry as ``solver="energy"``.  Members
+    may differ in scenario, seed, beam parameters and Picard knobs
+    (``extra['picard_max_iterations']``, ``extra['picard_tolerance']``,
+    read by :func:`repro.engines.base.energy_picard_params`), but must
+    agree on the structural fields shared with the explicit PIC
+    families.  ``config.interpolation`` is used for both the current
+    deposit and the field gather (required for exact conservation).
+
+    Each Picard iteration deposits and gathers every row at once.  A
+    row whose max velocity update fell below its tolerance, or that
+    reached its iteration cap, stops updating while the others iterate
+    on, so every row repeats the iteration sequence it runs alone.
+    ``last_iterations`` holds each row's count for the latest step.
     """
 
     def __init__(
         self,
-        config: SimulationConfig,
-        rng: "int | np.random.Generator | None" = None,
-        max_iterations: int = 12,
-        tolerance: float = 1e-12,
+        configs: "SimulationConfig | Sequence[SimulationConfig]",
+        rngs: "Sequence[int | np.random.Generator | None] | None" = None,
     ) -> None:
-        if max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-        if tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {tolerance}")
-        super().__init__(config)
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        self.grid = Grid1D(config.n_cells, config.box_length)
+        super().__init__(configs)
+        ref = self.config
+        picard = [energy_picard_params(cfg) for cfg in self.configs]
+        self._max_iterations = np.array([max_it for max_it, _ in picard])
+        self._tolerance = np.array([tol for _, tol in picard])
+        self.grid = Grid1D(ref.n_cells, ref.box_length)
         # Scratch for the many small deposits/gathers of the Picard loop.
         self._work = Workspace()
-        self.particles: ParticleSet = load_scenario(config, rng)
+        self.particles: ParticleSet = load_ensemble(self.configs, rngs)
         # Initial field from Gauss's law; afterwards E evolves via Ampere.
         rho = charge_density(
-            self.grid, self.particles.x, config.particle_charge,
-            order=config.interpolation, work=self._work,
+            self.grid, self.particles.x, ref.particle_charge,
+            order=ref.interpolation, work=self._work,
         )
         _, self.efield = PoissonSolver(
-            self.grid, method=config.poisson_solver, gradient=config.gradient
+            self.grid, method=ref.poisson_solver, gradient=ref.gradient
         ).solve(rho)
         self.time = 0.0
         self.step_index = 0
-        self.last_iterations = 0
+        self.last_iterations = np.zeros(self.batch, dtype=np.int64)
 
     @property
     def v_at_integer_time(self) -> np.ndarray:
         """Velocities are already synchronized (no staggering)."""
         return self.particles.v
 
-    def _current_density(self, x_half: np.ndarray, v_half: np.ndarray) -> np.ndarray:
-        """Zero-mean electron current density at midpoint positions."""
-        j = deposit(
-            self.grid, x_half, self.config.particle_charge * v_half,
-            order=self.config.interpolation, work=self._work,
+    def _midpoint_fields(
+        self, x_n: np.ndarray, v_half: np.ndarray, e_n: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """``E^{n+1/2}`` on the grid and at the midpoint positions of ``v_half``."""
+        cfg = self.config
+        dt = cfg.dt
+        x_half = np.mod(x_n + 0.5 * dt * v_half, cfg.box_length)
+        # Zero-mean electron current density at the midpoint positions.
+        j_half = deposit(
+            self.grid, x_half, cfg.particle_charge * v_half,
+            order=cfg.interpolation, work=self._work,
         )
-        return j - j.mean()
+        j_half = j_half - j_half.mean(axis=-1, keepdims=True)
+        e_half = e_n - 0.5 * dt * j_half / constants.EPSILON_0
+        e_at_p = gather(self.grid, e_half, x_half, order=cfg.interpolation, work=self._work)
+        return e_half, e_at_p
 
     def step(self) -> None:
-        """One implicit midpoint cycle (Picard-iterated)."""
+        """One implicit midpoint cycle of every row (Picard-iterated)."""
         cfg = self.config
         dt = cfg.dt
         x_n = self.particles.x
@@ -115,27 +125,21 @@ class EnergyConservingPIC(Engine):
         e_n = self.efield
 
         v_half = v_n.copy()
-        x_half = x_n
-        e_half = e_n
-        for iteration in range(1, self.max_iterations + 1):
-            x_half = np.mod(x_n + 0.5 * dt * v_half, cfg.box_length)
-            j_half = self._current_density(x_half, v_half)
-            e_half = e_n - 0.5 * dt * j_half / constants.EPSILON_0
-            e_at_p = gather(self.grid, e_half, x_half, order=cfg.interpolation, work=self._work)
+        active = np.ones(self.batch, dtype=bool)
+        iterations = np.zeros(self.batch, dtype=np.int64)
+        while active.any():
+            _, e_at_p = self._midpoint_fields(x_n, v_half, e_n)
             v_half_new = v_n + 0.5 * dt * cfg.qm * e_at_p
-            delta = float(np.max(np.abs(v_half_new - v_half)))
-            v_half = v_half_new
-            if delta < self.tolerance:
-                break
-        self.last_iterations = iteration
+            delta = np.max(np.abs(v_half_new - v_half), axis=-1)
+            np.copyto(v_half, v_half_new, where=active[:, None])
+            iterations += active
+            # ``not <`` (not ``>=``): a NaN update never counts as converged.
+            active &= ~(delta < self._tolerance) & (iterations < self._max_iterations)
+        self.last_iterations = iterations
 
         # Recompute the midpoint fields consistently with the converged
         # velocities, then reflect to the full step.
-        x_half = np.mod(x_n + 0.5 * dt * v_half, cfg.box_length)
-        j_half = self._current_density(x_half, v_half)
-        e_half = e_n - 0.5 * dt * j_half / constants.EPSILON_0
-        e_at_p = gather(self.grid, e_half, x_half, order=cfg.interpolation, work=self._work)
-
+        e_half, e_at_p = self._midpoint_fields(x_n, v_half, e_n)
         self.particles.v = v_n + dt * cfg.qm * e_at_p
         self.particles.x = np.mod(x_n + dt * 0.5 * (v_n + self.particles.v), cfg.box_length)
         self.efield = 2.0 * e_half - e_n
@@ -143,8 +147,8 @@ class EnergyConservingPIC(Engine):
         self.time += dt
 
     def observables(self, record_fields: bool = False) -> Observables:
-        """A fresh default observables recorder for this single run."""
-        return Observables(pic_observables(record_fields=record_fields), squeeze=True)
+        """A fresh default observables recorder for this engine."""
+        return Observables(pic_observables(record_fields=record_fields))
 
     def _record(self, hist: Observables) -> None:
         # Velocities are synchronized (no staggering), so no v_center.
@@ -152,34 +156,3 @@ class EnergyConservingPIC(Engine):
             self.step_index, self.time, self.grid, self.efield,
             particles=self.particles,
         ))
-
-
-class EnergyConservingEnsemble(LockstepEnsemble):
-    """Engine adapter serving batches of energy-conserving runs.
-
-    Registered in the engine registry as ``solver="energy"``.  Unlike
-    the explicit families there is no vectorized implicit solver (each
-    member runs its own Picard iteration, whose trip count depends on
-    that member's state), so the adapter advances one solo
-    :class:`EnergyConservingPIC` per member in lockstep.
-
-    Members may differ in scenario, seed, beam parameters and Picard
-    knobs (``extra['picard_max_iterations']``,
-    ``extra['picard_tolerance']``), but must agree on the structural
-    fields shared with the explicit PIC families.
-    """
-
-    def _member(
-        self, config: SimulationConfig, rng: "int | np.random.Generator | None"
-    ) -> EnergyConservingPIC:
-        return EnergyConservingPIC(
-            config,
-            rng,
-            max_iterations=int(config.extra.get("picard_max_iterations", 12)),
-            tolerance=float(config.extra.get("picard_tolerance", 1e-12)),
-        )
-
-    def step(self) -> None:
-        """Advance every member one implicit midpoint cycle."""
-        for m in self.members:
-            m.step()

@@ -1,31 +1,24 @@
 """Electrostatic PIC orchestrators.
 
-:class:`EnsembleSimulation` is the engine: it advances a whole batch of
-independent runs at once, every kernel of the cycle (gather, leapfrog
-push, charge deposit, Poisson solve) operating on stacked ``(batch, n)``
-arrays.  Because each batched kernel is bitwise identical per row to
-its single-run form, an ensemble of size ``B`` reproduces ``B``
-sequential runs exactly while amortizing the per-step Python and FFT
-overhead across the batch.
+:class:`EnsembleSimulation` is the engine of the computational cycle
+shared by the traditional and the DL-based method (the white boxes of
+the paper's Figs. 1-2): it advances a whole batch of independent runs
+at once, every kernel of the cycle (gather, leapfrog push, field solve)
+operating on stacked ``(batch, n)`` arrays.  Because each batched kernel
+is bitwise identical per row to its single-run form, an ensemble of
+size ``B`` reproduces ``B`` sequential runs exactly while amortizing the
+per-step Python and FFT overhead across the batch.
 
-:class:`PICSimulation` — the computational cycle shared by the
-traditional and the DL-based method (the white boxes of the paper's
-Figs. 1-2) — is a thin ``batch=1`` view over the ensemble engine that
-keeps the original single-run API (1-D particle arrays, squeezed
-``Observables`` diagnostics, per-run pluggable ``FieldSolver``).
+The field solve is pluggable and batch-native (:class:`FieldSolver`):
+:class:`ChargeDepositionFieldSolver` batches the classic charge deposit
+and Poisson FFTs (Fig. 1), and ``repro.dlpic.DLFieldSolver`` bins,
+normalizes and network-evaluates a whole ensemble per step (Fig. 2;
+``repro.dlpic.DLEnsemble`` is the preconfigured DL engine).
 
-:class:`TraditionalPIC` wires in the classic charge-deposit + Poisson
-field solve (Fig. 1); ``repro.dlpic.DLPIC`` wires in the neural solver
-(Fig. 2).  Both field solves are batch-native: the traditional path
-batches its scatter + FFTs, and ``repro.dlpic.DLFieldSolver`` bins,
-normalizes and network-evaluates a whole ensemble per step
-(``repro.dlpic.DLEnsemble`` is the preconfigured DL sweep engine).
-
-:class:`LockstepEnsemble` serves a batch of families that have no
-vectorized step (the energy-conserving and the simulated-MPI PIC): it
-advances one solo engine per member in lockstep and presents their
-stacked state, so row ``b`` is trivially bitwise identical to running
-``configs[b]`` alone.
+A single run is a batch of one.  :class:`TraditionalPIC` (and
+``repro.dlpic.DLPIC`` for the DL solve) adds only a one-config
+constructor and a recorder that squeezes the batch axis, so its state
+is ``(1, n)`` and its series are 1-D.
 """
 
 from __future__ import annotations
@@ -53,11 +46,8 @@ from repro.pic.scenarios import load_ensemble
 __all__ = [
     "STRUCTURAL_FIELDS",  # canonical home: repro.engines.base
     "FieldSolver",
-    "LiftedFieldSolver",
-    "as_batched_solver",
     "ChargeDepositionFieldSolver",
     "EnsembleSimulation",
-    "PICSimulation",
     "TraditionalPIC",
 ]
 
@@ -65,46 +55,14 @@ __all__ = [
 class FieldSolver(Protocol):
     """Anything that can produce ``E`` on the grid from particle data.
 
-    Single-run solvers receive 1-D ``(n,)`` phase-space arrays and
-    return ``(n_cells,)``.  A solver that can handle stacked
-    ``(batch, n)`` inputs natively (returning ``(batch, n_cells)``)
-    should set ``supports_batch = True``; others are lifted row by row
-    via :class:`LiftedFieldSolver` when used in an ensemble.
+    Solvers are batch-native: ``field`` receives stacked ``(batch, n)``
+    phase-space arrays and returns one field per run, ``(batch,
+    n_cells)``; :class:`EnsembleSimulation` rejects any other shape.
     """
 
     def field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Electric field on grid nodes given the particle phase space."""
         ...
-
-
-class LiftedFieldSolver:
-    """Adapts a single-run :class:`FieldSolver` to batched inputs.
-
-    Calls the wrapped solver once per ensemble row and stacks the
-    results — no speedup, but it lets per-run solvers (e.g. the
-    simulated-MPI solvers) drive an ensemble unchanged, and it keeps
-    ``batch=1`` ensembles bitwise faithful to the plain single-run
-    cycle.  The DL field solver no longer needs it: it is batch-native
-    and predicts every member's field with one network forward.
-    """
-
-    supports_batch = True
-
-    def __init__(self, solver: FieldSolver) -> None:
-        self.solver = solver
-
-    def field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [np.asarray(self.solver.field(x[b], v[b]), dtype=np.float64)
-             for b in range(x.shape[0])]
-        )
-
-
-def as_batched_solver(solver: FieldSolver) -> FieldSolver:
-    """Return ``solver`` if batch-capable, else lift it row by row."""
-    if getattr(solver, "supports_batch", False):
-        return solver
-    return LiftedFieldSolver(solver)
 
 
 class ChargeDepositionFieldSolver:
@@ -118,8 +76,6 @@ class ChargeDepositionFieldSolver:
     its deposits write their intermediates into, so one instance must
     not serve two concurrently stepping engines.
     """
-
-    supports_batch = True
 
     def __init__(
         self,
@@ -165,16 +121,15 @@ class EnsembleSimulation(Engine):
         interpolation and solver choices) listed in
         ``STRUCTURAL_FIELDS``.
     field_solver:
-        Optional field solver; defaults to the traditional batched
-        charge-deposit + Poisson solve.  Single-run solvers are lifted
-        automatically.
+        Optional batch-native :class:`FieldSolver`; defaults to the
+        traditional batched charge-deposit + Poisson solve.
     rngs:
         Optional per-member RNG overrides (seeds or generators); by
         default each member loads from its own ``config.seed``.
 
-    Leapfrog time staggering matches :class:`PICSimulation`: positions
-    at integer times, velocities at half times, diagnostics at integer
-    times via the time-centered velocity average.
+    Leapfrog time staggering: positions at integer times, velocities at
+    half times, diagnostics at integer times via the time-centered
+    velocity average.
 
     The engine owns the kernel :class:`~repro.pic.interpolation.Workspace`
     its gather and pushers write their intermediates into (see
@@ -208,7 +163,7 @@ class EnsembleSimulation(Engine):
                 gradient=ref.gradient,
                 backend=self._backend,
             )
-        self.field_solver = as_batched_solver(field_solver)
+        self.field_solver = field_solver
         self.particles: ParticleSet = load_ensemble(self.configs, rngs)
         # The numerical tier: float64 runs are bitwise reproducible;
         # float32 runs load identically (same RNG draws, in double) and
@@ -336,200 +291,20 @@ class EnsembleSimulation(Engine):
         )
 
 
-class PICSimulation(Engine):
-    """Single-run view of the ensemble engine (``batch=1``).
+class TraditionalPIC(EnsembleSimulation):
+    """The paper's traditional explicit electrostatic PIC (Fig. 1), one run.
 
-    Keeps the seed API: 1-D ``particles`` arrays, a per-run
-    :class:`FieldSolver` (lifted internally), squeezed ``Observables``
-    diagnostics and the leapfrog staggering described on
-    :class:`EnsembleSimulation`.  The trajectory is bitwise identical
-    to the pre-ensemble single-run implementation.
+    A batch of one: the state is ``(1, n)`` like any ensemble's, and the
+    default recorder squeezes the batch axis, so the series are 1-D.
     """
 
     def __init__(
         self,
         config: SimulationConfig,
-        field_solver: FieldSolver,
         rng: "int | np.random.Generator | None" = None,
     ) -> None:
-        super().__init__(config)
-        self.field_solver = field_solver
-        self._ensemble = EnsembleSimulation((config,), field_solver=field_solver, rngs=[rng])
-        self.grid = self._ensemble.grid
-        ens_particles = self._ensemble.particles
-        self.particles = ParticleSet(
-            ens_particles.x[0], ens_particles.v[0], ens_particles.charge, ens_particles.mass
-        )
-        self._sync_from_ensemble()
-
-    def _sync_from_ensemble(self) -> None:
-        """Expose row 0 of the ensemble state through the 1-D attributes."""
-        ens = self._ensemble
-        self.particles.x = ens.particles.x[0]
-        self.particles.v = ens.particles.v[0]
-        self.efield = ens.efield[0]
-        self._v_integer = ens._v_integer[0]
-        self.time = ens.time
-        self.step_index = ens.step_index
-        self._views = (self.particles.x, self.particles.v, self.efield, self._v_integer)
-
-    def _push_to_ensemble(self) -> None:
-        """Adopt the 1-D attributes reassigned since the last sync.
-
-        Untouched views are left alone, so the ensemble keeps the very
-        arrays it produced and its step can reuse the cached gather.  A
-        reassigned attribute replaces the ensemble's array (as a
-        ``(1, n)`` view of it).  Like the ensemble's own state, the
-        views must not be edited in place between steps.
-        """
-        ens = self._ensemble
-
-        def as_row(a: np.ndarray) -> np.ndarray:
-            return np.asarray(a, dtype=ens._dtype).reshape(1, -1)
-
-        x, v, efield, v_integer = self._views
-        if self.particles.x is not x:
-            ens.particles.x = as_row(self.particles.x)
-        if self.particles.v is not v:
-            ens.particles.v = as_row(self.particles.v)
-        if self.efield is not efield:
-            ens.efield = as_row(self.efield)
-        if self._v_integer is not v_integer:
-            ens._v_integer = as_row(self._v_integer)
-
-    @property
-    def v_at_integer_time(self) -> np.ndarray:
-        """Velocities synchronized to the current integer time."""
-        return self._v_integer
+        super().__init__(config, rngs=[rng])
 
     def observables(self, record_fields: bool = False) -> Observables:
-        """A fresh default observables recorder for this single run."""
+        """A fresh recorder of 1-D series for this single run."""
         return Observables(pic_observables(record_fields=record_fields), squeeze=True)
-
-    def _record(self, hist: Observables) -> None:
-        """Stream the current 1-D state into ``hist`` as one frame."""
-        hist.record_frame(Frame(
-            self.step_index, self.time, self.grid, self.efield,
-            particles=self.particles, v_center=self._v_integer,
-        ))
-
-    def step(self) -> None:
-        """Advance one PIC cycle (gather -> push v -> push x -> field)."""
-        self._push_to_ensemble()
-        self._ensemble.step()
-        self._sync_from_ensemble()
-
-
-class LockstepEnsemble(Engine):
-    """Batch adapter advancing one solo engine per member in lockstep.
-
-    For families whose step does not vectorize across runs (each member
-    of the energy-conserving PIC runs its own Picard iteration; each
-    simulated-MPI member owns its own decomposition and communicator),
-    the adapter builds one solo engine per member through the
-    subclass's :meth:`_member` factory and presents their state stacked
-    ``(batch, ...)``.  Row ``b`` is *trivially* bitwise identical to
-    running ``configs[b]`` alone, while the service layer still gets
-    everything batching buys it: grouped scheduling, request dedup and
-    the shared result store.  Subclasses add :meth:`_member` and
-    ``step``; members must agree on the explicit PIC structural fields.
-    """
-
-    def __init__(
-        self,
-        configs: "SimulationConfig | Sequence[SimulationConfig]",
-        rngs: "Sequence[int | np.random.Generator | None] | None" = None,
-    ) -> None:
-        super().__init__(configs)
-        if rngs is None:
-            rngs = [None] * self.batch
-        if len(rngs) != self.batch:
-            raise ValueError(f"got {len(rngs)} rngs for batch {self.batch}")
-        self.members = [self._member(cfg, rng) for cfg, rng in zip(self.configs, rngs)]
-        self.grid = self.members[0].grid
-
-    def _member(
-        self, config: SimulationConfig, rng: "int | np.random.Generator | None"
-    ) -> Engine:
-        """The solo engine running one member."""
-        raise NotImplementedError
-
-    @property
-    def time(self) -> float:
-        return self.members[0].time
-
-    @property
-    def step_index(self) -> int:
-        return self.members[0].step_index
-
-    @property
-    def efield(self) -> np.ndarray:
-        """Stacked ``(batch, n_cells)`` field across the members."""
-        return np.stack([m.efield for m in self.members])
-
-    @property
-    def particles(self) -> ParticleSet:
-        """Stacked ``(batch, n)`` particle view across the members."""
-        ref = self.members[0].particles
-        return ParticleSet(
-            np.stack([m.particles.x for m in self.members]),
-            np.stack([m.particles.v for m in self.members]),
-            ref.charge,
-            ref.mass,
-        )
-
-    @property
-    def v_at_integer_time(self) -> np.ndarray:
-        """Velocities synchronized to integer time, ``(batch, n)``."""
-        return np.stack([m.v_at_integer_time for m in self.members])
-
-    def observables(self, record_fields: bool = False) -> Observables:
-        """A fresh default observables recorder for this engine."""
-        return Observables(pic_observables(record_fields=record_fields))
-
-    def _record(self, hist: Observables) -> None:
-        hist.record_frame(Frame(
-            self.step_index, self.time, self.grid, self.efield,
-            particles=self.particles, v_center=self.v_at_integer_time,
-        ))
-
-
-def _first_row(arr: "np.ndarray | None") -> "np.ndarray | None":
-    """Row 0 of a batched grid array (pass 1-D arrays through)."""
-    if arr is None:
-        return None
-    return arr[0] if arr.ndim == 2 else arr
-
-
-class TraditionalPIC(PICSimulation):
-    """The paper's traditional explicit electrostatic PIC (Fig. 1)."""
-
-    def __init__(
-        self,
-        config: SimulationConfig,
-        rng: "int | np.random.Generator | None" = None,
-    ) -> None:
-        grid = Grid1D(config.n_cells, config.box_length)
-        solver = ChargeDepositionFieldSolver(
-            grid,
-            particle_charge=config.particle_charge,
-            interpolation=config.interpolation,
-            poisson_method=config.poisson_solver,
-            gradient=config.gradient,
-            backend=resolve_backend(config.backend),
-        )
-        super().__init__(config, solver, rng)
-
-    @property
-    def charge_density(self) -> "np.ndarray | None":
-        """Total charge density from the most recent field solve."""
-        solver = self.field_solver
-        assert isinstance(solver, ChargeDepositionFieldSolver)
-        return _first_row(solver.last_rho)
-
-    @property
-    def potential(self) -> "np.ndarray | None":
-        """Electrostatic potential from the most recent field solve."""
-        solver = self.field_solver
-        assert isinstance(solver, ChargeDepositionFieldSolver)
-        return _first_row(solver.last_phi)

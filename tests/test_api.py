@@ -232,12 +232,12 @@ class TestClient:
         assert result.energy_variation() < 5e-3
 
     def test_energy_family_row_matches_solo_run(self, config):
-        from repro.pic.energy_conserving import EnergyConservingPIC
+        from repro.engines import make_engine
 
         cfg = config.with_updates(solver="energy")
         with small_client() as client:
             result = client.run(RunRequest(config=cfg, id="e"))
-        solo = EnergyConservingPIC(cfg).run(config.n_steps)
+        solo = make_engine([cfg]).run(config.n_steps).member(0)
         for name in ("kinetic", "total", "mode1"):
             np.testing.assert_array_equal(
                 np.asarray(result.series[name]), np.asarray(solo[name])

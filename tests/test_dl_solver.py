@@ -26,8 +26,10 @@ def mlp_solver(ps_grid, normalizer) -> DLFieldSolver:
 
 
 class TestPrepareInput:
+    """A single histogram is a batch of one."""
+
     def test_flat_shape(self, mlp_solver, ps_grid):
-        out = mlp_solver.prepare_input(np.ones(ps_grid.shape))
+        out = mlp_solver.prepare_inputs(np.ones((1, *ps_grid.shape)))
         assert out.shape == (1, ps_grid.size)
 
     def test_image_shape(self, ps_grid, normalizer):
@@ -36,53 +38,59 @@ class TestPrepareInput:
             channels=(2, 2), hidden_size=8, rng=0,
         )
         solver = DLFieldSolver(model, ps_grid, normalizer, input_kind="image")
-        out = solver.prepare_input(np.ones(ps_grid.shape))
+        out = solver.prepare_inputs(np.ones((1, *ps_grid.shape)))
         assert out.shape == (1, 1, ps_grid.n_v, ps_grid.n_x)
 
     def test_normalization_applied(self, mlp_solver, ps_grid):
-        hist = np.full(ps_grid.shape, 5.0)
-        out = mlp_solver.prepare_input(hist)
+        hist = np.full((1, *ps_grid.shape), 5.0)
+        out = mlp_solver.prepare_inputs(hist)
         np.testing.assert_allclose(out, 0.5)
 
     def test_wrong_histogram_shape_rejected(self, mlp_solver):
-        with pytest.raises(ValueError, match="does not match grid"):
-            mlp_solver.prepare_input(np.ones((3, 3)))
+        with pytest.raises(ValueError, match="do not match"):
+            mlp_solver.prepare_inputs(np.ones((1, 3, 3)))
 
 
 class TestFieldProtocol:
+    """Phase spaces are ``(batch, n)`` stacks; a single run is a batch of one."""
+
     def test_field_returns_grid_sized_array(self, mlp_solver):
         rng = np.random.default_rng(0)
-        x = rng.uniform(0, 2.0, 100)
-        v = rng.normal(0, 0.1, 100)
+        x = rng.uniform(0, 2.0, (1, 100))
+        v = rng.normal(0, 0.1, (1, 100))
         e = mlp_solver.field(x, v)
-        assert e.shape == (6,)
+        assert e.shape == (1, 6)
         assert np.all(np.isfinite(e))
+
+    def test_single_run_phase_space_rejected(self, mlp_solver):
+        with pytest.raises(ValueError, match=r"\(batch, n\)"):
+            mlp_solver.field(np.ones(10), np.zeros(10))
 
     def test_field_caches_last_histogram(self, mlp_solver, ps_grid):
         rng = np.random.default_rng(1)
-        x = rng.uniform(0, 2.0, 50)
-        v = rng.normal(0, 0.1, 50)
+        x = rng.uniform(0, 2.0, (1, 50))
+        v = rng.normal(0, 0.1, (1, 50))
         mlp_solver.field(x, v)
-        assert mlp_solver.last_histogram.sum() == pytest.approx(50)
+        assert mlp_solver.last_histograms.sum() == pytest.approx(50)
         np.testing.assert_array_equal(
-            mlp_solver.last_histogram, bin_phase_space(x, v, ps_grid, order="ngp")
+            mlp_solver.last_histograms[0], bin_phase_space(x[0], v[0], ps_grid, order="ngp")
         )
 
     def test_field_deterministic(self, mlp_solver):
         rng = np.random.default_rng(2)
-        x = rng.uniform(0, 2.0, 50)
-        v = rng.normal(size=50) * 0.1
+        x = rng.uniform(0, 2.0, (1, 50))
+        v = rng.normal(size=(1, 50)) * 0.1
         np.testing.assert_array_equal(mlp_solver.field(x, v), mlp_solver.field(x, v))
 
     def test_cic_binning_option(self, ps_grid, normalizer):
         model = build_mlp(input_size=ps_grid.size, output_size=6, hidden_size=8, rng=0)
         solver = DLFieldSolver(model, ps_grid, normalizer, binning="cic")
         rng = np.random.default_rng(3)
-        x = rng.uniform(0, 2.0, 50)
-        v = rng.normal(size=50) * 0.1
+        x = rng.uniform(0, 2.0, (1, 50))
+        v = rng.normal(size=(1, 50)) * 0.1
         solver.field(x, v)
         np.testing.assert_allclose(
-            solver.last_histogram, bin_phase_space(x, v, ps_grid, order="cic")
+            solver.last_histograms[0], bin_phase_space(x[0], v[0], ps_grid, order="cic")
         )
 
 
@@ -104,8 +112,8 @@ class TestPersistence:
         fresh_model = build_mlp(input_size=ps_grid.size, output_size=6, hidden_size=8, rng=99)
         loaded = DLFieldSolver.load(tmp_path / "solver", fresh_model)
         rng = np.random.default_rng(4)
-        x = rng.uniform(0, 2.0, 80)
-        v = rng.normal(size=80) * 0.2
+        x = rng.uniform(0, 2.0, (1, 80))
+        v = rng.normal(size=(1, 80)) * 0.2
         np.testing.assert_allclose(loaded.field(x, v), mlp_solver.field(x, v), atol=1e-12)
 
     def test_loaded_metadata(self, mlp_solver, ps_grid, tmp_path):
@@ -122,8 +130,8 @@ class TestPersistence:
         mlp_solver.save(tmp_path / "solver")
         loaded = DLFieldSolver.load_auto(tmp_path / "solver")
         rng = np.random.default_rng(5)
-        x = rng.uniform(0, 2.0, 60)
-        v = rng.normal(size=60) * 0.2
+        x = rng.uniform(0, 2.0, (1, 60))
+        v = rng.normal(size=(1, 60)) * 0.2
         np.testing.assert_array_equal(loaded.field(x, v), mlp_solver.field(x, v))
 
     def test_load_auto_rebuilds_cnn(self, ps_grid, normalizer, tmp_path):
@@ -135,6 +143,6 @@ class TestPersistence:
         solver.save(tmp_path / "cnn")
         loaded = DLFieldSolver.load_auto(tmp_path / "cnn")
         rng = np.random.default_rng(6)
-        x = rng.uniform(0, 2.0, 60)
-        v = rng.normal(size=60) * 0.2
+        x = rng.uniform(0, 2.0, (1, 60))
+        v = rng.normal(size=(1, 60)) * 0.2
         np.testing.assert_array_equal(loaded.field(x, v), solver.field(x, v))

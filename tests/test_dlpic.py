@@ -33,13 +33,13 @@ class TestCycle:
     def test_field_comes_from_network(self, config):
         solver = _untrained_solver(config)
         sim = DLPIC(config, solver)
-        expected = solver.predict_from_histogram(solver.last_histogram)
+        expected = solver.predict_from_histograms(solver.last_histograms)
         np.testing.assert_allclose(sim.efield, expected)
 
     def test_histogram_mass_tracks_particle_count(self, config):
         sim = DLPIC(config, _untrained_solver(config))
         sim.run(3)
-        assert sim.last_histogram.sum() == pytest.approx(config.n_particles)
+        assert sim.last_histograms[0].sum() == pytest.approx(config.n_particles)
 
     def test_no_charge_deposition_solver_involved(self, config):
         sim = DLPIC(config, _untrained_solver(config))
@@ -84,14 +84,15 @@ class TestAgainstTraditional:
     def test_mover_identical_to_traditional(self, config):
         """With the same field values, DL-PIC and traditional PIC move
         particles identically (the cycle only swaps the field solve)."""
-        from repro.pic.simulation import PICSimulation
+        from repro.pic.simulation import EnsembleSimulation
 
         class FixedField:
             def field(self, x, v):
-                return np.sin(2 * np.pi * np.arange(config.n_cells) / config.n_cells)
+                row = np.sin(2 * np.pi * np.arange(config.n_cells) / config.n_cells)
+                return np.broadcast_to(row, (x.shape[0], config.n_cells))
 
-        a = PICSimulation(config, FixedField())
-        b = PICSimulation(config, FixedField())
+        a = EnsembleSimulation(config, field_solver=FixedField())
+        b = EnsembleSimulation(config, field_solver=FixedField())
         a.step()
         b.step()
         np.testing.assert_array_equal(a.particles.x, b.particles.x)

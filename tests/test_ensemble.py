@@ -10,12 +10,7 @@ from repro.pic.grid import Grid1D
 from repro.pic.interpolation import deposit, gather
 from repro.pic.mover import push_velocities
 from repro.pic.poisson import PoissonSolver
-from repro.pic.simulation import (
-    EnsembleSimulation,
-    LiftedFieldSolver,
-    PICSimulation,
-    TraditionalPIC,
-)
+from repro.pic.simulation import EnsembleSimulation, TraditionalPIC
 
 
 @pytest.fixture
@@ -187,34 +182,36 @@ class TestEnsembleRun:
         assert steps == [1, 2, 3]
 
 
-class TestLiftedSolver:
-    def test_single_run_solver_drives_ensemble(self, config):
-        class ZeroField:
-            def field(self, x, v):
-                assert x.ndim == 1  # the lift hands each row separately
-                return np.zeros(config.n_cells)
+class TestFieldSolverContract:
+    """Field solvers are batch-native and used as given, never lifted."""
 
-        ens = EnsembleSimulation.from_config(config, batch=2, field_solver=ZeroField())
-        assert isinstance(ens.field_solver, LiftedFieldSolver)
-        v0 = ens.particles.v.copy()
-        ens.step()
-        np.testing.assert_array_equal(ens.particles.v, v0)
-
-    def test_pic_view_keeps_original_solver_reference(self, config):
-        class ZeroField:
+    def test_single_run_solver_rejected(self, config):
+        class SingleRunZeroField:
             def field(self, x, v):
                 return np.zeros(config.n_cells)
+
+        with pytest.raises(ValueError, match="field solver returned shape"):
+            EnsembleSimulation.from_config(
+                config, batch=2, field_solver=SingleRunZeroField()
+            )
+
+    def test_engine_keeps_original_solver_reference(self, config):
+        class ZeroField:
+            def field(self, x, v):
+                return np.zeros((x.shape[0], config.n_cells))
 
         solver = ZeroField()
-        sim = PICSimulation(config, solver)
+        sim = EnsembleSimulation(config, field_solver=solver)
         assert sim.field_solver is solver
+        v0 = sim.particles.v.copy()
         sim.step()
         assert sim.step_index == 1
+        np.testing.assert_array_equal(sim.particles.v, v0)
 
 
 class TestPICViewStateSync:
     def test_external_position_edit_respected(self, config):
-        """Writing to the 1-D view must feed back into the next step."""
+        """A reassigned position array must feed back into the next step."""
         sim_a = TraditionalPIC(config)
         sim_b = TraditionalPIC(config)
         shift = np.full(config.n_particles, 0.01)

@@ -40,7 +40,7 @@ class TestRegistration:
         assert mpi_rank_params(config) == MPI_DEFAULT_N_RANKS
         assert mpi_rank_params(config.with_updates(extra={"n_ranks": 2})) == 2
 
-    @pytest.mark.parametrize("bad", [0, -1, "three", 2.5])
+    @pytest.mark.parametrize("bad", [0, -1, "three", 2.5, 33])
     def test_malformed_rank_counts_rejected(self, config, bad):
         with pytest.raises(ValueError, match="n_ranks"):
             validate_engine_config(config.with_updates(extra={"n_ranks": bad}))

@@ -175,6 +175,6 @@ class TestBatchOneBitwise:
         for key in ("time", "kinetic", "potential", "total", "momentum", "mode1"):
             col = b[key][:, 0] if b[key].ndim == 2 else b[key]
             np.testing.assert_array_equal(a[key], col)
-        np.testing.assert_array_equal(single.particles.x, ens.particles.x[0])
-        np.testing.assert_array_equal(single.particles.v, ens.particles.v[0])
-        np.testing.assert_array_equal(single.efield, ens.efield[0])
+        np.testing.assert_array_equal(single.particles.x, ens.particles.x)
+        np.testing.assert_array_equal(single.particles.v, ens.particles.v)
+        np.testing.assert_array_equal(single.efield, ens.efield)

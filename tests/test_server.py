@@ -259,6 +259,51 @@ class TestBatchEndpoint:
         assert histogram.get(4, 0) >= 1
 
 
+class TestFamilyKnobValidation:
+    """A malformed family knob in ``config.extra`` is rejected on its own
+    request (400), and never fails the valid requests batched beside it."""
+
+    @staticmethod
+    def _envelope(request_id, **config):
+        """A v1 envelope built as raw JSON (a bad one cannot be a RunRequest)."""
+        extra = config.pop("extra", {})
+        return {"api_version": "v1", "id": request_id,
+                "config": {**small_config(**config).to_dict(), "extra": extra}}
+
+    @pytest.mark.parametrize("solver, extra, knob", [
+        ("energy", {"picard_max_iterations": "abc"}, "picard_max_iterations"),
+        ("energy", {"picard_max_iterations": 2.5}, "picard_max_iterations"),
+        ("energy", {"picard_tolerance": -1.0}, "picard_tolerance"),
+        ("mpi", {"n_ranks": 32}, "n_ranks"),
+    ])
+    def test_malformed_knob_answers_400(self, server, solver, extra, knob):
+        body = json.dumps(self._envelope("bad", solver=solver, extra=extra)).encode()
+        status, data = raw_request(server, "POST", "/v1/run", body)
+        assert status == 400
+        payload = json.loads(data)
+        assert payload["status"] == "error"
+        assert knob in payload["error"]
+
+    def test_valid_requests_beside_rejected_ones_complete(self, server):
+        lines = [
+            self._envelope("energy-ok", solver="energy", seed=1),
+            self._envelope("energy-bad", solver="energy", seed=2,
+                           extra={"picard_max_iterations": "abc"}),
+            self._envelope("mpi-ok", solver="mpi", seed=3, extra={"n_ranks": 2}),
+            self._envelope("mpi-bad", solver="mpi", seed=4, extra={"n_ranks": 32}),
+        ]
+        status, data = raw_request(
+            server, "POST", "/v1/batch",
+            "\n".join(json.dumps(line) for line in lines).encode())
+        assert status == 200
+        results = [RunResult.from_dict(json.loads(line))
+                   for line in data.decode().splitlines()]
+        assert [(r.id, r.status) for r in results] == [
+            ("energy-ok", "ok"), ("energy-bad", "error"),
+            ("mpi-ok", "ok"), ("mpi-bad", "error"),
+        ]
+
+
 class TestConcurrentParity:
     def test_many_connections_bitwise_parity(self, server):
         requests = [RunRequest(config=small_config(seed=200 + i), id=f"p-{i}")

@@ -202,7 +202,7 @@ class TestSimulationService:
         series = solo.run(config.n_steps).as_arrays()
         for name in ("time", "kinetic", "potential", "total", "momentum", "mode1"):
             np.testing.assert_array_equal(result.series[name], series[name])
-        np.testing.assert_array_equal(result.efield, solo.efield)
+        np.testing.assert_array_equal(result.efield, solo.efield[0])
 
     def test_cache_hit_skips_engine_execution(self, config):
         with SimulationService(start=False) as service:
@@ -323,7 +323,7 @@ class TestDLService:
         series = solo.run(config.n_steps).as_arrays()
         for name in ("kinetic", "potential", "total", "momentum", "mode1"):
             np.testing.assert_array_equal(result.series[name], series[name])
-        np.testing.assert_array_equal(result.efield, solo.efield)
+        np.testing.assert_array_equal(result.efield, solo.efield[0])
 
     def test_dl_and_traditional_results_have_distinct_slots(self, config, dl_solver):
         with SimulationService(dl_solver=dl_solver, start=False) as service:

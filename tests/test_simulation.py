@@ -5,7 +5,11 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.engines.observables import Observables, pic_observables
-from repro.pic.simulation import ChargeDepositionFieldSolver, PICSimulation, TraditionalPIC
+from repro.pic.simulation import (
+    ChargeDepositionFieldSolver,
+    EnsembleSimulation,
+    TraditionalPIC,
+)
 
 
 @pytest.fixture
@@ -16,7 +20,7 @@ def config() -> SimulationConfig:
 class TestInitialization:
     def test_initial_field_consistent_with_particles(self, config):
         sim = TraditionalPIC(config)
-        assert sim.efield.shape == (config.n_cells,)
+        assert sim.efield.shape == (1, config.n_cells)
         assert sim.time == 0.0
         assert sim.step_index == 0
 
@@ -31,16 +35,16 @@ class TestInitialization:
 
         sim = TraditionalPIC(config)
         loaded = load_two_stream(config)
-        e_at_p = gather(sim.grid, sim.efield, loaded.x, order=config.interpolation)
+        e_at_p = gather(sim.grid, sim.efield[0], loaded.x, order=config.interpolation)
         expected = loaded.v - 0.5 * config.qm * e_at_p * config.dt
-        np.testing.assert_allclose(sim.particles.v, expected, atol=1e-14)
+        np.testing.assert_allclose(sim.particles.v[0], expected, atol=1e-14)
 
     def test_v_at_integer_time_equals_loaded_velocities(self, config):
         from repro.pic.particles import load_two_stream
 
         sim = TraditionalPIC(config)
         loaded = load_two_stream(config)
-        np.testing.assert_allclose(sim.v_at_integer_time, loaded.v, atol=1e-14)
+        np.testing.assert_allclose(sim.v_at_integer_time[0], loaded.v, atol=1e-14)
 
 
 class TestStepping:
@@ -108,7 +112,7 @@ class TestConservation:
         sim = TraditionalPIC(config)
         for _ in range(5):
             sim.step()
-            assert abs(sim.charge_density.mean()) < 1e-12
+            assert abs(sim.field_solver.last_rho.mean()) < 1e-12
 
     def test_initial_kinetic_energy_matches_theory(self):
         cfg = SimulationConfig(n_cells=64, particles_per_cell=300, v0=0.2, vth=0.025, seed=3)
@@ -119,19 +123,19 @@ class TestConservation:
 
 class TestAccessors:
     def test_charge_density_and_potential_exposed(self, config):
-        sim = TraditionalPIC(config)
-        assert sim.charge_density.shape == (config.n_cells,)
-        assert sim.potential.shape == (config.n_cells,)
-        assert abs(sim.potential.mean()) < 1e-10
+        solver = TraditionalPIC(config).field_solver
+        assert solver.last_rho.shape == (1, config.n_cells)
+        assert solver.last_phi.shape == (1, config.n_cells)
+        assert abs(solver.last_phi.mean()) < 1e-10
 
 
 class TestPluggableFieldSolver:
     def test_custom_solver_drives_cycle(self, config):
         class ZeroField:
             def field(self, x, v):
-                return np.zeros(config.n_cells)
+                return np.zeros((x.shape[0], config.n_cells))
 
-        sim = PICSimulation(config, ZeroField())
+        sim = EnsembleSimulation(config, field_solver=ZeroField())
         v_before = sim.particles.v.copy()
         sim.step()
         # With E = 0 velocities never change; positions free-stream.
