@@ -10,8 +10,9 @@ The solver is batch-native: an ensemble of runs hands it stacked
 ``(batch, n)`` phase spaces and the whole stage — binning, frozen
 normalization, network evaluation — executes once per step for the
 entire batch (:meth:`DLFieldSolver.fields`).  One fused ``bincount``
-builds every histogram, one normalization pass rescales the stack, and
-ONE network forward predicts all fields.  A single run is a batch of
+builds every histogram from indices written into a reused workspace,
+one normalization pass rescales the stack, and ONE network forward
+predicts all fields.  A single run is a batch of
 one, and the inference stack guarantees each batched row is bitwise
 identical to that row's batch of one (see ``repro.nn.layers``).
 """
@@ -21,10 +22,12 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
 
+from repro.kernels.workspace import Workspace
 from repro.nn.network import Sequential
 from repro.phasespace.binning import PhaseSpaceGrid, bin_phase_space_batch
 from repro.phasespace.normalization import MinMaxNormalizer
@@ -51,7 +54,11 @@ class DLFieldSolver:
 
     The object satisfies the batch-native ``FieldSolver`` protocol of
     ``repro.pic.simulation`` and plugs directly into the PIC cycle of an
-    :class:`~repro.pic.simulation.EnsembleSimulation`.
+    :class:`~repro.pic.simulation.EnsembleSimulation`.  One solver may
+    serve several engines on several threads at once (a service runs
+    every DL group through its one solver), so it keeps the binning
+    scratch in one :class:`~repro.kernels.workspace.Workspace` per
+    thread.
     """
 
     def __init__(
@@ -79,6 +86,7 @@ class DLFieldSolver:
         self._model_f32: "Sequential | None" = None
         # Kernel backend threaded into evaluation-mode Dense GEMMs.
         self._kernel_backend = None
+        self._local = threading.local()
 
     def set_kernel_backend(self, backend) -> None:
         """Route this solver's evaluation GEMMs through ``backend``.
@@ -148,7 +156,12 @@ class DLFieldSolver:
         the whole batch, and row ``b`` is bitwise identical to the same
         call on the batch of one ``(x[b:b+1], v[b:b+1])``.
         """
-        hists = bin_phase_space_batch(x, v, self.ps_grid, order=self.binning, dtype=x.dtype)
+        work = getattr(self._local, "work", None)
+        if work is None:
+            work = self._local.work = Workspace()
+        hists = bin_phase_space_batch(
+            x, v, self.ps_grid, order=self.binning, dtype=x.dtype, work=work
+        )
         self.last_histograms = hists
         return self.predict_from_histograms(hists)
 

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 import numpy as np
 
 from repro import constants
+from repro.kernels.workspace import Workspace
 
 if TYPE_CHECKING:
     from repro.pic.grid import Grid1D
@@ -367,13 +368,18 @@ class TrainingHistograms:
         box_length: float,
         order: str = "ngp",
     ) -> None:
-        from repro.phasespace.binning import PhaseSpaceGrid
+        from repro.phasespace.binning import BINNING_ORDERS, PhaseSpaceGrid
 
+        if order not in BINNING_ORDERS:
+            raise ValueError(
+                f"unknown binning order {order!r}; expected one of {BINNING_ORDERS}"
+            )
         self.ps_grid = PhaseSpaceGrid(
-            n_x=int(n_x), n_v=int(n_v), v_min=float(v_min), v_max=float(v_max),
-            box_length=float(box_length),
+            n_x=n_x, n_v=n_v, v_min=v_min, v_max=v_max, box_length=box_length
         )
         self.order = order
+        # Binning scratch reused by every record of this pipeline.
+        self._work = Workspace()
 
     def measure(self, frame: Frame) -> np.ndarray:
         from repro.phasespace.binning import bin_phase_space_batch
@@ -382,7 +388,9 @@ class TrainingHistograms:
         if frame.step == 0 and frame.v_center is not None:
             v = frame.v_center
         x = np.atleast_2d(frame.particles.x)
-        return bin_phase_space_batch(x, np.atleast_2d(v), self.ps_grid, order=self.order)
+        return bin_phase_space_batch(
+            x, np.atleast_2d(v), self.ps_grid, order=self.order, work=self._work
+        )
 
 
 def pic_observables(record_fields: bool = False) -> "list[Observable]":

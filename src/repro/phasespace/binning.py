@@ -12,16 +12,38 @@ The histogram has shape ``(n_v, n_x)``: rows index velocity (the
 vertical axis of the paper's phase-space images), columns index
 position.  Position is periodic on ``[0, L)``; velocity is clipped to
 ``[v_min, v_max]`` so the total histogram mass always equals the number
-of particles (an invariant the tests rely on).
+of particles (an invariant the tests rely on).  The clip happens on the
+float bin coordinate, before the cast to an integer index, so a huge,
+infinite or NaN velocity lands in an edge bin (NaN in the lowest) and
+keeps its unit mass instead of overflowing the cast.
+
+:func:`bin_phase_space` is the 1-D reference.  The batched
+:func:`bin_phase_space_batch` reproduces it row by row, bit for bit;
+its NGP path is the one the DL field solve and the training harvest run
+every step, so it writes its particle-sized indices in place into a
+caller-owned :class:`~repro.kernels.workspace.Workspace` and takes a
+cheaper position index whenever every position is already wrapped into
+``[0, L)``.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import constants
+from repro.kernels.workspace import Workspace, wrap_indices
+
+#: The binning orders :func:`bin_phase_space` implements.
+BINNING_ORDERS = ("ngp", "cic")
+
+# CIC velocity coordinates are clamped to +-2**53 before the int cast:
+# every float that large is an integer, so its fractional weight is
+# already 0, and the clamped index still clips to the same edge bin.
+_CIC_CLAMP = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -48,6 +70,22 @@ class PhaseSpaceGrid:
     v_max: float = 0.5
 
     def __post_init__(self) -> None:
+        # Checked field by field (requests build grids from raw JSON
+        # scalars), then stored as plain int / float.
+        for name in ("n_x", "n_v"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer bin count, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("box_length", "v_min", "v_max"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.n_x < 1 or self.n_v < 1:
             raise ValueError(f"bin counts must be positive, got ({self.n_x}, {self.n_v})")
         if self.v_max <= self.v_min:
@@ -90,9 +128,48 @@ def _x_bins(x: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
 
 
 def _v_bins(v: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    """NGP velocity bin index, clipped to the window."""
-    idx = np.floor((v - grid.v_min) / grid.dv).astype(np.int64)
-    return np.clip(idx, 0, grid.n_v - 1)
+    """NGP velocity bin index, clipped to the window before the cast."""
+    idx = np.floor((v - grid.v_min) / grid.dv)
+    return np.fmin(np.fmax(idx, 0), grid.n_v - 1).astype(np.int64)
+
+
+def _ngp_flat_batch(
+    x: np.ndarray, v: np.ndarray, grid: PhaseSpaceGrid, work: Workspace
+) -> np.ndarray:
+    """Flattened NGP cell indices of a ``(batch, n)`` phase space, in place.
+
+    Row ``b`` equals ``_v_bins(v[b]) * n_x + _x_bins(x[b])`` element for
+    element; the particle-sized scratch is one float64 and two int64
+    ``work`` buffers, and the returned indices are one of them.
+
+    * x: when every position lies in ``[0, L)`` — the PIC cycle's
+      wrapped positions always do — ``np.mod`` is the identity (``-0.0``
+      aside, which truncates to the same 0) and ``floor`` of the
+      non-negative ``x / dx`` equals the truncating cast, so the index
+      is that cast wrapped by :func:`wrap_indices` (``x / dx`` may round
+      up to ``n_x`` just below ``L``).  Anything else takes the
+      :func:`_x_bins` reference.
+    * v: :func:`_v_bins`' floor, clamp and cast, in that order, on one
+      buffer.
+    """
+    s = work.get("bin_s", x.shape, np.float64)
+    jx = work.get("bin_jx", x.shape, np.int64)
+    flat = work.get("bin_flat", x.shape, np.int64)
+    if x.size and 0.0 <= x.min() and x.max() < grid.box_length:
+        np.divide(x, grid.dx, out=s)
+        np.copyto(jx, s, casting="unsafe")
+        wrap_indices(jx, grid.n_x)
+    else:
+        jx[...] = _x_bins(x, grid)
+    np.subtract(v, grid.v_min, out=s)
+    s /= grid.dv
+    np.floor(s, out=s)
+    np.fmax(s, 0, out=s)
+    np.fmin(s, grid.n_v - 1, out=s)
+    np.copyto(flat, s, casting="unsafe")
+    flat *= grid.n_x
+    flat += jx
+    return flat
 
 
 def _cic_flat_scatter(
@@ -113,6 +190,7 @@ def _cic_flat_scatter(
     jx0 = jx % grid.n_x
     jx1 = (jx + 1) % grid.n_x
     sv = (v - grid.v_min) / grid.dv - 0.5
+    np.fmin(np.fmax(sv, -_CIC_CLAMP), _CIC_CLAMP, out=sv)
     jv = np.floor(sv).astype(np.int64)
     fv = sv - jv
     # Clamp in velocity: out-of-window weight collapses onto edge bins.
@@ -164,7 +242,7 @@ def bin_phase_space(
         np.add.at(hist, flat, weights)
         hist = hist.reshape(grid.shape)
     else:
-        raise ValueError(f"unknown binning order {order!r}; expected 'ngp' or 'cic'")
+        raise ValueError(f"unknown binning order {order!r}; expected one of {BINNING_ORDERS}")
     return hist.astype(dtype, copy=False)
 
 
@@ -174,6 +252,7 @@ def bin_phase_space_batch(
     grid: PhaseSpaceGrid,
     order: str = "ngp",
     dtype: "np.dtype | type" = np.float64,
+    work: "Workspace | None" = None,
 ) -> np.ndarray:
     """Bin a whole ensemble of phase spaces in one fused scatter.
 
@@ -181,9 +260,12 @@ def bin_phase_space_batch(
     ``(batch, n_v, n_x)`` with row ``b`` bitwise identical to
     ``bin_phase_space(x[b], v[b], grid, order)``:
 
-    * NGP: all cell indices are fused into one raveled index array
-      (offset by ``b * grid.size`` per row) and counted by a single
-      ``np.bincount`` — one C-level pass for the whole ensemble.
+    * NGP: every row's raveled cell indices, offset by ``b * grid.size``,
+      are computed in place (see :func:`_ngp_flat_batch`) and counted by
+      a single ``np.bincount`` — one C-level pass for the whole
+      ensemble.  ``work`` holds their particle-sized scratch; callers
+      that bin every step pass the workspace they own, ``None`` uses a
+      throwaway one.  The histogram itself is always a fresh array.
     * CIC: the four bilinear corner contributions of every row are
       scattered by one raveled ``np.add.at``.  Rows write to disjoint
       index ranges and each row's updates keep the single-run
@@ -200,12 +282,13 @@ def bin_phase_space_batch(
     batch = x.shape[0]
     offsets = np.arange(batch, dtype=np.int64)[:, None] * grid.size
     if order == "ngp":
-        flat = _v_bins(v, grid) * grid.n_x + _x_bins(x, grid) + offsets
+        flat = _ngp_flat_batch(x, v, grid, work if work is not None else Workspace())
+        flat += offsets
         hist = np.bincount(flat.ravel(), minlength=batch * grid.size).astype(np.float64)
     elif order == "cic":
         flat, weights = _cic_flat_scatter(x, v, grid)
         hist = np.zeros(batch * grid.size, dtype=np.float64)
         np.add.at(hist, (flat + offsets).ravel(), weights.ravel())
     else:
-        raise ValueError(f"unknown binning order {order!r}; expected 'ngp' or 'cic'")
+        raise ValueError(f"unknown binning order {order!r}; expected one of {BINNING_ORDERS}")
     return hist.reshape(batch, *grid.shape).astype(dtype, copy=False)

@@ -44,7 +44,8 @@ from repro.config import SimulationConfig
 from repro.engines.base import Engine, energy_picard_params
 from repro.engines.observables import Frame, Observables, pic_observables
 from repro.pic.grid import Grid1D
-from repro.pic.interpolation import Workspace, charge_density, deposit, gather
+from repro.kernels.workspace import Workspace
+from repro.pic.interpolation import charge_density, deposit, gather
 from repro.pic.particles import ParticleSet
 from repro.pic.poisson import PoissonSolver
 from repro.pic.scenarios import load_ensemble

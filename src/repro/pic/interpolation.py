@@ -33,11 +33,11 @@ pool, always reproducing the reference rows bit for bit.
 overhead).
 
 Both routines — and the leapfrog pushers in :mod:`repro.pic.mover` —
-also take an optional :class:`Workspace`: the named, full-size scratch
-buffers their particle-sized intermediates (grid coordinates, node
-indices, weights, field samples, products) are written into with
-``out=`` ufuncs instead of being allocated afresh on every call.  The
-contract:
+also take an optional :class:`~repro.kernels.workspace.Workspace`: the
+named, full-size scratch buffers their particle-sized intermediates
+(grid coordinates, node indices, weights, field samples, products) are
+written into with ``out=`` ufuncs instead of being allocated afresh on
+every call.  The contract:
 
 * **engine-owned** — an engine (and a traditional field solver) keeps
   one workspace for its lifetime, so after the first step no kernel
@@ -63,32 +63,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels import KernelBackend
+from repro.kernels.workspace import Workspace, wrap_indices
 from repro.pic.grid import Grid1D
 
 _ORDERS = ("ngp", "cic", "tsc")
-
-
-class Workspace:
-    """Named scratch buffers for the particle kernels, reused across calls.
-
-    :meth:`get` returns the buffer registered under ``name``, allocating
-    it on first use — or again when a call asks for another shape or
-    dtype, so one workspace serves any sequence of calls correctly and
-    holds at most one buffer per name.  Buffer contents are undefined
-    between calls: they are scratch, never results.  A workspace is not
-    shared between engines or threads; slabs of one kernel call write
-    disjoint row slices of buffers fetched before the slabs start.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: "dict[str, np.ndarray]" = {}
-
-    def get(self, name: str, shape: "tuple[int, ...]", dtype: "np.dtype | type") -> np.ndarray:
-        """The ``(name, shape, dtype)`` buffer, allocated on first use."""
-        buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = self._buffers[name] = np.empty(shape, dtype=dtype)
-        return buf
 
 
 def _run_rows(backend: "KernelBackend | None", n_rows: int, fn) -> None:
@@ -141,20 +119,6 @@ def _wrap_positions(x: np.ndarray, length: float) -> np.ndarray:
     return np.mod(x, length)
 
 
-def _wrap_indices(j: np.ndarray, n: int) -> None:
-    """Periodic index wrap in place; bit-mask fast path for power-of-two grids.
-
-    Two's-complement ``j & (n - 1)`` equals ``j % n`` for every integer
-    when ``n`` is a power of two (it keeps the low bits, i.e. the value
-    modulo ``2**k``), and is roughly an order of magnitude cheaper than
-    the integer-division modulo.
-    """
-    if n & (n - 1) == 0:
-        np.bitwise_and(j, n - 1, out=j)
-    else:
-        np.remainder(j, n, out=j)
-
-
 def _stencil_buffers(
     work: Workspace, order: str, shape: "tuple[int, int]", dtype: np.dtype
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
@@ -201,16 +165,16 @@ def _fill_stencil(
         s += 0.5
         j = idx[:, 0]
         np.copyto(j, s, casting="unsafe")
-        _wrap_indices(j, n)
+        wrap_indices(j, n)
         return
     if order == "cic":
         j, frac = idx[:, 0], w[:, 1]
         np.copyto(j, s, casting="unsafe")
         np.subtract(s, j, out=frac, dtype=s.dtype, casting="unsafe")
         np.subtract(1.0, frac, out=w[:, 0])
-        _wrap_indices(j, n)
+        wrap_indices(j, n)
         np.add(j, 1, out=idx[:, 1])
-        _wrap_indices(idx[:, 1], n)
+        wrap_indices(idx[:, 1], n)
         return
     # tsc: nearest node j, offset d in [-1/2, 1/2), quadratic weights
     # 0.5 (0.5 - d)^2, 0.75 - d^2 and 0.5 (0.5 + d)^2.
@@ -227,11 +191,11 @@ def _fill_stencil(
     np.add(d, 0.5, out=w_right)
     np.multiply(w_right, w_right, out=w_right)
     w_right *= 0.5
-    _wrap_indices(j, n)
+    wrap_indices(j, n)
     np.subtract(j, 1, out=idx[:, 0])
-    _wrap_indices(idx[:, 0], n)
+    wrap_indices(idx[:, 0], n)
     np.add(j, 1, out=idx[:, 2])
-    _wrap_indices(idx[:, 2], n)
+    wrap_indices(idx[:, 2], n)
 
 
 def deposit(

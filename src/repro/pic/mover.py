@@ -20,7 +20,7 @@ row chunks concurrently, producing the reference bit pattern because
 each output row depends only on the matching input rows.
 
 The leapfrog pushers also take an optional kernel ``work`` space
-(:class:`repro.pic.interpolation.Workspace`, same contract as the
+(:class:`repro.kernels.workspace.Workspace`, same contract as the
 gather and deposit): their particle-sized intermediates — the kick
 ``qm * E * dt``, the float32 floor wrap, the float64 wrap mask — live
 in its row-sliced buffers, while the updated ``x`` / ``v`` they return
@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels import KernelBackend
-from repro.pic.interpolation import Workspace
+from repro.kernels.workspace import Workspace
 
 
 def _rows(backend: "KernelBackend | None", a: np.ndarray, fn) -> None:

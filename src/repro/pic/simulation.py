@@ -32,7 +32,8 @@ from repro.engines.base import STRUCTURAL_FIELDS, Engine
 from repro.engines.observables import Frame, Observables, pic_observables
 from repro.kernels import KernelBackend, resolve_backend
 from repro.pic.grid import Grid1D
-from repro.pic.interpolation import Workspace, charge_density, gather
+from repro.kernels.workspace import Workspace
+from repro.pic.interpolation import charge_density, gather
 from repro.pic.mover import (
     push_positions,
     push_velocities,
@@ -131,7 +132,7 @@ class EnsembleSimulation(Engine):
     half times, diagnostics at integer times via the time-centered
     velocity average.
 
-    The engine owns the kernel :class:`~repro.pic.interpolation.Workspace`
+    The engine owns the kernel :class:`~repro.kernels.workspace.Workspace`
     its gather and pushers write their intermediates into (see
     :meth:`step` for the contract), and caches the field gathered at the
     current ``(particles.x, efield)``.

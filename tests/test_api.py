@@ -74,6 +74,21 @@ class TestRunRequestSchema:
         with pytest.raises(ValueError, match="vlasov"):
             RunRequest(config=config, observables=["phase_space"])
 
+    @pytest.mark.parametrize("param, value", [
+        ("order", "tsc"),
+        ("v_min", float("nan")),
+        ("v_max", float("inf")),
+        ("box_length", float("inf")),
+        ("n_x", 2.5),
+        ("n_x", True),
+        ("n_v", "8"),
+    ])
+    def test_malformed_training_pairs_rejected_naming_the_parameter(
+        self, config, param, value
+    ):
+        with pytest.raises(ValueError, match=param):
+            RunRequest(config=config, observables=[{"name": "training_pairs", param: value}])
+
     def test_observables_canonicalized(self, config):
         a = RunRequest(config=config, id="a", observables=["mode1", "energies"])
         b = RunRequest(config=config, id="a",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.phasespace import binning
 from repro.phasespace.binning import PhaseSpaceGrid, bin_phase_space, bin_phase_space_batch
 
 
@@ -40,6 +41,32 @@ class TestGridGeometry:
     def test_invalid_grid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PhaseSpaceGrid(**{"n_x": 8, "n_v": 4, **kwargs})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_x", 2.5),
+            ("n_x", True),
+            ("n_v", 8.0),
+            ("n_v", "8"),
+            ("v_min", float("nan")),
+            ("v_max", float("inf")),
+            ("v_min", -float("inf")),
+            ("box_length", float("inf")),
+            ("box_length", float("nan")),
+            ("v_max", True),
+            ("v_min", "-1"),
+        ],
+    )
+    def test_malformed_field_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            PhaseSpaceGrid(**{"n_x": 8, "n_v": 4, name: value})
+
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        grid = PhaseSpaceGrid(n_x=np.int64(8), n_v=np.int32(4), v_min=np.float32(-1.0))
+        assert type(grid.n_x) is int and type(grid.n_v) is int
+        assert type(grid.v_min) is float
+        assert grid == PhaseSpaceGrid(n_x=8, n_v=4, v_min=-1.0)
 
 
 class TestNGPBinning:
@@ -185,6 +212,110 @@ class TestBatchedBinning:
     def test_unknown_order_rejected(self, grid):
         with pytest.raises(ValueError, match="unknown binning order"):
             bin_phase_space_batch(np.zeros((1, 2)), np.zeros((1, 2)), grid, order="tsc")
+
+    @staticmethod
+    def _special_positions(grid: PhaseSpaceGrid) -> np.ndarray:
+        """Cell edges, their neighbours, signed zeros, ``L`` and outliers."""
+        length = grid.box_length
+        edges = np.arange(grid.n_x + 1) * grid.dx
+        return np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [0.0, -0.0, np.nextafter(length, 0.0), length, -length, -1e-300, 2.5 * length],
+        ])
+
+    # On the 24-cell grid, x / dx rounds up to n_x just below L = 3.3, and
+    # L / dx rounds down below n_x at L = 2.1.
+    GRIDS = [(n_x, length) for n_x in (16, 24) for length in (2.1, 3.3)]
+
+    @pytest.mark.parametrize("n_x, box_length", GRIDS)
+    @pytest.mark.parametrize("positions", ["wrapped", "with_L", "all"])
+    def test_special_positions_match_reference(self, n_x, box_length, positions):
+        grid = PhaseSpaceGrid(n_x=n_x, n_v=4, box_length=box_length, v_min=-1.0, v_max=1.0)
+        x = self._special_positions(grid)
+        if positions != "all":
+            x = x[(x >= 0.0) & (x < box_length)]
+        if positions == "with_L":
+            x = np.append(x, box_length)
+        x = np.stack([x, x[::-1]])
+        v = np.linspace(-1.5, 1.5, x.shape[1])[None].repeat(2, axis=0)
+        batched = bin_phase_space_batch(x, v, grid)
+        for b in range(2):
+            np.testing.assert_array_equal(batched[b], bin_phase_space(x[b], v[b], grid))
+
+    @given(data=st.data(), grid_shape=st.sampled_from(GRIDS),
+           outliers=st.sampled_from(["none", "below", "above", "both"]),
+           order=st.sampled_from(["ngp", "cic"]))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_reference_on_edges_and_outliers(self, data, grid_shape, outliers, order):
+        """Mixed special and random positions, out-of-window and non-finite
+        velocities: each row equals the 1-D reference, whether the batch
+        is wrapped into ``[0, L)`` (the in-place index path) or holds
+        positions below 0 or at and above ``L`` (the fallback)."""
+        n_x, length = grid_shape
+        grid = PhaseSpaceGrid(n_x=n_x, n_v=8, box_length=length, v_min=-1.0, v_max=1.0)
+        specials = self._special_positions(grid)
+        x_values = (st.sampled_from([x for x in specials if 0.0 <= x < length])
+                    | st.floats(0.0, length, exclude_max=True))
+        if outliers in ("below", "both"):
+            x_values = (x_values | st.sampled_from([x for x in specials if x < 0.0])
+                        | st.floats(-3 * length, 0.0, exclude_max=True))
+        if outliers in ("above", "both"):
+            x_values = (x_values | st.sampled_from([x for x in specials if x >= length])
+                        | st.floats(length, 3 * length))
+        batch = data.draw(st.integers(1, 4), label="batch")
+        n = data.draw(st.integers(1, 30), label="n")
+        x = np.array(data.draw(st.lists(x_values, min_size=batch * n, max_size=batch * n)))
+        v = np.array(data.draw(st.lists(
+            st.floats(-3.0, 3.0)
+            | st.sampled_from([-1.0, 1.0, np.nextafter(1.0, 0.0), 1e300, np.inf, np.nan]),
+            min_size=batch * n, max_size=batch * n,
+        )))
+        x, v = x.reshape(batch, n), v.reshape(batch, n)
+        batched = bin_phase_space_batch(x, v, grid, order=order)
+        for b in range(batch):
+            np.testing.assert_array_equal(
+                batched[b], bin_phase_space(x[b], v[b], grid, order=order)
+            )
+
+    def test_mod_reference_only_for_unwrapped_positions(self, grid, monkeypatch):
+        """Positions in ``[0, L)`` skip the ``np.mod`` reference index."""
+        calls = []
+        original = binning._x_bins
+
+        def counted(x, g):
+            calls.append(x.shape)
+            return original(x, g)
+
+        monkeypatch.setattr(binning, "_x_bins", counted)
+        x = np.array([[0.0, -0.0, np.nextafter(grid.box_length, 0.0)]])
+        v = np.zeros_like(x)
+        bin_phase_space_batch(x, v, grid)
+        assert calls == []
+        bin_phase_space_batch(np.append(x, [[grid.box_length]], axis=1), np.zeros((1, 4)), grid)
+        assert calls == [(1, 4)]
+
+
+class TestExtremeVelocities:
+    """A velocity the int cast cannot hold lands in its edge row with unit mass."""
+
+    @pytest.mark.parametrize("order", ["ngp", "cic"])
+    @pytest.mark.parametrize("value, row", [
+        (np.inf, -1), (1e300, -1), (-np.inf, 0), (-1e300, 0), (np.nan, 0),
+    ])
+    def test_lands_in_edge_row_with_unit_mass(self, grid, order, value, row):
+        x = np.array([0.3, 0.9, 1.7])
+        v = np.array([0.25, value, -0.3])
+        hist = bin_phase_space(x, v, grid, order=order)
+        assert np.all(np.isfinite(hist))
+        assert hist.sum() == pytest.approx(3.0, rel=1e-12)
+        alone = bin_phase_space(x[1:2], v[1:2], grid, order=order)
+        assert alone[row].sum() == pytest.approx(1.0, rel=1e-12)
+        batched = bin_phase_space_batch(np.stack([x, x[::-1]]), np.stack([v, v[::-1]]),
+                                        grid, order=order)
+        np.testing.assert_array_equal(batched[0], hist)
+        np.testing.assert_array_equal(
+            batched[1], bin_phase_space(x[::-1], v[::-1], grid, order=order)
+        )
 
 
 class TestValidation:

@@ -304,6 +304,53 @@ class TestFamilyKnobValidation:
         ]
 
 
+class TestTrainingPairsValidation:
+    """Malformed ``training_pairs`` parameters are rejected at submit time
+    (400), and never fail the valid requests batched beside them."""
+
+    @staticmethod
+    def _line(request_id, params):
+        """A raw v1 envelope line; ``params`` is JSON text, so it can hold
+        ``NaN`` or ``1e309`` (which parses to inf)."""
+        config = json.dumps(small_config().to_dict())
+        return (
+            f'{{"api_version": "v1", "id": "{request_id}", "config": {config}, '
+            f'"observables": [{{"name": "training_pairs", {params}}}, "fields"]}}'
+        )
+
+    @pytest.mark.parametrize("params, name", [
+        ('"order": "tsc"', "order"),
+        ('"v_min": NaN', "v_min"),
+        ('"v_max": Infinity', "v_max"),
+        ('"box_length": 1e309', "box_length"),
+        ('"n_x": 2.5', "n_x"),
+        ('"n_x": true', "n_x"),
+    ])
+    def test_malformed_parameter_answers_400(self, server, params, name):
+        status, data = raw_request(
+            server, "POST", "/v1/run", self._line("bad", params).encode())
+        assert status == 400
+        payload = json.loads(data)
+        assert payload["status"] == "error"
+        assert name in payload["error"]
+
+    def test_valid_line_beside_rejected_one_completes(self, server):
+        lines = [
+            self._line("pairs-bad", '"box_length": 1e309'),
+            self._line("pairs-ok", '"n_x": 8, "n_v": 4, "order": "cic"'),
+        ]
+        status, data = raw_request(
+            server, "POST", "/v1/batch", "\n".join(lines).encode())
+        assert status == 200
+        results = [RunResult.from_dict(json.loads(line))
+                   for line in data.decode().splitlines()]
+        assert [(r.id, r.status) for r in results] == [
+            ("pairs-bad", "error"), ("pairs-ok", "ok"),
+        ]
+        assert "box_length" in results[0].error
+        assert results[1].series["histograms"].shape == (5, 4, 8)
+
+
 class TestConcurrentParity:
     def test_many_connections_bitwise_parity(self, server):
         requests = [RunRequest(config=small_config(seed=200 + i), id=f"p-{i}")
