@@ -142,8 +142,9 @@ def _ngp_flat_batch(
     element; the particle-sized scratch is one float64 and two int64
     ``work`` buffers, and the returned indices are one of them.
 
-    * x: when every position lies in ``[0, L)`` — the PIC cycle's
-      wrapped positions always do — ``np.mod`` is the identity (``-0.0``
+    * x: when every position lies in ``[0, L)`` — the float64 PIC
+      cycle's wrapped positions always do; the float32 tier's cheap wrap
+      can land on ``L`` itself — ``np.mod`` is the identity (``-0.0``
       aside, which truncates to the same 0) and ``floor`` of the
       non-negative ``x / dx`` equals the truncating cast, so the index
       is that cast wrapped by :func:`wrap_indices` (``x / dx`` may round

@@ -223,13 +223,15 @@ class TestBatchedBinning:
             [0.0, -0.0, np.nextafter(length, 0.0), length, -length, -1e-300, 2.5 * length],
         ])
 
-    # On the 24-cell grid, x / dx rounds up to n_x just below L = 3.3, and
-    # L / dx rounds down below n_x at L = 2.1.
+    # On the 24-cell grid x / dx rounds up to n_x just below L = 3.3, so
+    # the in-place path must wrap it; at L = 2.1 it does not round up.
     GRIDS = [(n_x, length) for n_x in (16, 24) for length in (2.1, 3.3)]
 
     @pytest.mark.parametrize("n_x, box_length", GRIDS)
     @pytest.mark.parametrize("positions", ["wrapped", "with_L", "all"])
     def test_special_positions_match_reference(self, n_x, box_length, positions):
+        """Every special position in ``[0, L)`` (the in-place path), then
+        with ``L`` or every outlier added (the fallback)."""
         grid = PhaseSpaceGrid(n_x=n_x, n_v=4, box_length=box_length, v_min=-1.0, v_max=1.0)
         x = self._special_positions(grid)
         if positions != "all":
