@@ -1,5 +1,7 @@
 """Experiment harness at the fast preset (full pipeline, tiny scale)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,44 @@ class TestPipeline:
             second.mlp_solver.model.predict(xn), first.mlp_solver.model.predict(xn)
         )
         np.testing.assert_array_equal(second.test.inputs, first.test.inputs)
+
+
+# The fast preset's networks and datasets, recorded before the pipeline
+# moved onto the campaign stream and the model registry.  Each dataset
+# digest is sha256 over its inputs, targets and params bytes, in order.
+PINNED_FINGERPRINTS = {
+    "mlp": "41143bc7dc8a0daf3f4f21b20cf4a99155445ea97efaa95d3a2fe12de07e8416",
+    "cnn": "63010e378a8a2512b7158e8b79c8a01dcaf4cd6ee1d5b4ee3d942d6a6c49b9b6",
+}
+PINNED_DATASETS = {
+    "train": "a393dbe4fe31fde8e4f947e19f780fa2df91497ec8a6931473260151308021d0",
+    "val": "f2d40ed8abf59efb3cf72845f8761b9184fd6e6c7c2f65b0177f8b9a2170620b",
+    "test": "0629eea5bcd652afaa450e0821a3d2331b0d3006172cd3f72eaa94136d3bb4fd",
+    "test2": "4befb0b68a1cc6b05d0a08f0a7047e9742fbbbcf14080cd445b1bc5cc3931d6b",
+}
+
+
+def _dataset_digest(dataset):
+    h = hashlib.sha256()
+    for values in (dataset.inputs, dataset.targets, dataset.params):
+        h.update(np.ascontiguousarray(values).tobytes())
+    return h.hexdigest()
+
+
+def _assert_pinned(solvers):
+    assert solvers.mlp_solver.fingerprint() == PINNED_FINGERPRINTS["mlp"]
+    assert solvers.cnn_solver.fingerprint() == PINNED_FINGERPRINTS["cnn"]
+    for name, digest in PINNED_DATASETS.items():
+        assert _dataset_digest(getattr(solvers, name)) == digest, name
+
+
+class TestPipelinePins:
+    def test_in_memory(self, fast_solvers):
+        _assert_pinned(fast_solvers)
+
+    def test_cold_and_warm_cache(self, tmp_path):
+        _assert_pinned(train_solvers(fast_preset(), cache_dir=tmp_path))
+        _assert_pinned(train_solvers(fast_preset(), cache_dir=tmp_path))
 
 
 class TestTable1:
