@@ -14,7 +14,6 @@ from repro.datagen.stream import (
     CompletedShard,
     ShardSpec,
     campaign_hash,
-    stream_campaign,
 )
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "harvest_via_client",
     "run_campaign",
     "run_test_set_ii",
-    "stream_campaign",
     "fast_campaign",
     "medium_campaign",
     "paper_campaign",

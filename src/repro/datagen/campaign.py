@@ -3,6 +3,9 @@
 Section IV-A1 of the paper: 20 combinations of ``(v0, vth)``, 10
 seeded "experiments" per combination (data augmentation), 200 steps
 per run, one (histogram, field) pair per step — 40,000 pairs total.
+"Test Set II" is a derived sweep over unseen parameters
+(:meth:`CampaignConfig.test_set_ii`), so it runs, streams and caches
+exactly like the training campaign.
 
 Every run is a public-API run request: each config becomes a
 :class:`~repro.api.RunRequest` selecting the ``training_pairs`` +
@@ -21,7 +24,7 @@ assembly, :func:`dataset_from_result`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -95,6 +98,33 @@ class CampaignConfig:
             self.base_config.with_updates(v0=v0, vth=vth, seed=seed)
             for v0, vth, seed in self.simulation_specs()
         ]
+
+    def test_set_ii(
+        self,
+        v0_values: Sequence[float],
+        vth_values: Sequence[float],
+        seed: int = 777,
+    ) -> "CampaignConfig":
+        """The paper's "Test Set II" sweep over *unseen* parameters.
+
+        One run per ``(v0, vth)`` pair on this campaign's base config,
+        phase-space grid and binning, seeded from master seed ``seed``.
+        Raises if the pairs overlap this sweep.
+        """
+        overlap = set(v0_values) & set(self.v0_values)
+        overlap_vth = set(vth_values) & set(self.vth_values)
+        if overlap and overlap_vth:
+            raise ValueError(
+                f"test-set-II parameters overlap the training sweep: v0 {overlap}, "
+                f"vth {overlap_vth}"
+            )
+        return replace(
+            self,
+            v0_values=tuple(v0_values),
+            vth_values=tuple(vth_values),
+            experiments_per_combo=1,
+            master_seed=seed,
+        )
 
     def to_canonical_dict(self) -> dict:
         """JSON-stable description of the sweep (the campaign identity).
@@ -256,28 +286,10 @@ def run_test_set_ii(
 ) -> FieldDataset:
     """Build the paper's "Test Set II" from *unseen* parameters.
 
-    Runs one simulation per unseen ``(v0, vth)`` combination and keeps
-    a random subsample of ``n_samples`` pairs, mimicking the paper's
-    1,000-sample held-out set from parameters "not included in the
-    initial data set".
+    Runs :meth:`CampaignConfig.test_set_ii` (one simulation per unseen
+    ``(v0, vth)`` combination) and keeps a random subsample of
+    ``n_samples`` pairs, mimicking the paper's 1,000-sample held-out
+    set from parameters "not included in the initial data set".
     """
-    overlap = set(v0_values) & set(campaign.v0_values)
-    overlap_vth = set(vth_values) & set(campaign.vth_values)
-    if overlap and overlap_vth:
-        raise ValueError(
-            f"test-set-II parameters overlap the training sweep: v0 {overlap}, vth {overlap_vth}"
-        )
-    seeds = spawn_seeds(seed, len(v0_values) * len(vth_values))
-    cfgs = [
-        campaign.base_config.with_updates(v0=v0, vth=vth, seed=seeds[i])
-        for i, (v0, vth) in enumerate(
-            (v0, vth) for v0 in v0_values for vth in vth_values
-        )
-    ]
-    full = harvest_via_client(
-        cfgs, campaign.ps_grid, campaign.binning, campaign.include_initial_state
-    )
-    if n_samples >= len(full):
-        return full
-    order = np.random.default_rng(seed).permutation(len(full))[:n_samples]
-    return full.subset(order)
+    full = run_campaign(campaign.test_set_ii(v0_values, vth_values, seed))
+    return full.subsample(n_samples, seed)

@@ -87,6 +87,14 @@ class FieldDataset:
             ps_grid=self.ps_grid,
         )
 
+    def subsample(
+        self, n_samples: int, rng: "int | np.random.Generator | None" = None
+    ) -> "FieldDataset":
+        """A random ``n_samples``-pair subset; the whole set if it is no larger."""
+        if n_samples >= len(self):
+            return self
+        return self.subset(as_generator(rng).permutation(len(self))[:n_samples])
+
     def shuffled(self, rng: "int | np.random.Generator | None" = None) -> "FieldDataset":
         """Jointly shuffled copy (the paper shuffles before splitting)."""
         order = as_generator(rng).permutation(len(self))

@@ -26,9 +26,7 @@ by its config + seed, independent of batch composition.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import itertools
 import json
 import os
 from collections import deque
@@ -46,16 +44,13 @@ from repro.datagen.campaign import (
 from repro.datagen.dataset import FieldDataset
 from repro.obs.metrics import CAMPAIGN_SHARDS
 from repro.obs.trace import NOOP_TRACER
+from repro.utils.io import atomic_write, sha256_file
 
 if TYPE_CHECKING:
     from repro.api.client import Client
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
-
-# Same unique-temp-name scheme as the result store: pid + counter, so
-# concurrent writers can never interleave into one temp file.
-_TMP_COUNTER = itertools.count()
 
 
 def campaign_hash(campaign: CampaignConfig, shard_size: int) -> str:
@@ -67,14 +62,6 @@ def campaign_hash(campaign: CampaignConfig, shard_size: int) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
     ).hexdigest()
-
-
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -246,16 +233,8 @@ class CampaignStream:
 
     def _write_manifest(self, manifest: dict) -> None:
         """Atomically replace the manifest (temp file + ``os.replace``)."""
-        tmp = self.manifest_path.with_name(
-            f".tmp-{os.getpid()}-{next(_TMP_COUNTER)}-{MANIFEST_NAME}"
-        )
-        try:
-            tmp.write_text(json.dumps(manifest, indent=2))
-            os.replace(tmp, self.manifest_path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
+        text = json.dumps(manifest, indent=2)
+        atomic_write(self.manifest_path, lambda tmp: tmp.write_text(text))
 
     def _verify_durable(self, spec: ShardSpec, manifest: dict) -> "CompletedShard | None":
         """Adopt an intact durable shard; ``None`` means re-execute."""
@@ -263,7 +242,7 @@ class CampaignStream:
         if entry is None:
             return None
         path = self.out_dir / entry.get("file", spec.filename)
-        if not path.exists() or _sha256_file(path) != entry.get("sha256"):
+        if not path.exists() or sha256_file(path) != entry.get("sha256"):
             return None  # truncated, corrupt or deleted — re-request
         return CompletedShard(
             index=spec.index,
@@ -316,15 +295,8 @@ class CampaignStream:
     ) -> CompletedShard:
         """Durably publish one executed shard and record it."""
         path = self.out_dir / spec.filename
-        tmp = path.with_name(f".tmp-{os.getpid()}-{next(_TMP_COUNTER)}-{path.name}")
-        try:
-            dataset.save(tmp)
-            digest = _sha256_file(tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
+        atomic_write(path, dataset.save)
+        digest = sha256_file(path)
         manifest["shards"][str(spec.index)] = {
             "file": spec.filename,
             "sha256": digest,
@@ -453,11 +425,3 @@ class CampaignStream:
             "complete": intact == len(plan),
         }
 
-
-def stream_campaign(
-    campaign: CampaignConfig,
-    out_dir: "str | os.PathLike[str]",
-    **kwargs: object,
-) -> CampaignStream:
-    """Build a :class:`CampaignStream` (keyword args forwarded)."""
-    return CampaignStream(campaign, out_dir, **kwargs)

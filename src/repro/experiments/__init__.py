@@ -1,8 +1,8 @@
 """Experiment harness: one entry point per paper table/figure.
 
 * :mod:`repro.experiments.pipeline` — dataset generation + network
-  training shared by all experiments (with on-disk caching so the
-  benchmark suite trains each preset once);
+  training shared by all experiments (kept in the campaign stream and
+  the model registry, so each preset trains once);
 * :mod:`repro.experiments.table1` — Table I (MAE / max error);
 * :mod:`repro.experiments.fig4` — Fig. 4 (growth-rate validation);
 * :mod:`repro.experiments.fig5` — Fig. 5 (energy/momentum);

@@ -1,10 +1,18 @@
-"""Shared dataset-generation + training pipeline with on-disk caching.
+"""The shared Sec. IV pipeline, kept in the repo's content-addressed stores.
 
 All paper experiments need the same expensive prerequisite: a training
 campaign and two trained networks.  :func:`train_solvers` runs the full
 Sec. IV pipeline (sweep -> shuffle/split -> Eq. 5 normalization -> Adam
-training of the MLP and CNN) and caches every artifact under a preset-
-named directory, so the benchmark suite pays the cost once.
+training of the MLP and CNN) and keeps its artifacts under one root::
+
+    <root>/campaigns/<campaign hash>/     # CampaignStream shards + manifest.json
+    <root>/registry/models/<fingerprint>/ # ModelRegistry checkpoints + lineage
+    <root>/presets/<preset hash>.json     # the fingerprints a preset trained
+
+A repeat call verifies the shards instead of running them.  The preset
+hash covers every :class:`ExperimentPreset` field except ``name``, so
+any knob change retrains.  The pointer file is needed because the
+registry stores identical weights once, whichever preset trained them.
 
 Three presets scale the identical pipeline: ``paper`` (full 40k-sample
 sweep, 1024-wide networks, 150/100 epochs — hours on CPU), ``medium``
@@ -13,27 +21,32 @@ sweep, 1024-wide networks, 150/100 epochs — hours on CPU), ``medium``
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import tempfile
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-
-import numpy as np
 
 from repro import constants
 from repro.config import SimulationConfig
-from repro.datagen.campaign import CampaignConfig, run_campaign, run_test_set_ii
+from repro.datagen.campaign import CampaignConfig
 from repro.datagen.dataset import FieldDataset
 from repro.datagen.presets import fast_campaign, medium_campaign, paper_campaign
+from repro.datagen.stream import CampaignStream, campaign_hash
 from repro.dlpic.solver import DLFieldSolver
 from repro.models.architectures import build_cnn, build_mlp
 from repro.nn.losses import MSELoss
-from repro.nn.network import Sequential
 from repro.nn.optimizers import Adam
 from repro.nn.training import Trainer, TrainingHistory
 from repro.phasespace.normalization import MinMaxNormalizer
+from repro.registry import ModelRegistry
+from repro.utils.io import atomic_write
 
 #: Default artifact cache location (created on demand).
 DEFAULT_CACHE = Path(__file__).resolve().parents[3] / ".artifacts"
+
+# Runs per campaign shard; part of the campaign hash, so fixed.
+_SHARD_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -131,7 +144,11 @@ def fast_preset() -> ExperimentPreset:
 
 @dataclass
 class TrainedSolvers:
-    """Everything downstream experiments need, post-training."""
+    """Everything downstream experiments need, post-training.
+
+    ``campaign_hash`` is the training campaign's manifest hash.  A
+    history is ``None`` when its network came from the registry.
+    """
 
     preset: ExperimentPreset
     mlp_solver: DLFieldSolver
@@ -140,51 +157,68 @@ class TrainedSolvers:
     val: FieldDataset
     test: FieldDataset
     test2: FieldDataset
+    campaign_hash: str
     mlp_history: "TrainingHistory | None" = None
     cnn_history: "TrainingHistory | None" = None
 
 
-def _build_mlp_for(preset: ExperimentPreset, rng: "int | None" = None) -> Sequential:
-    grid = preset.campaign.ps_grid
-    return build_mlp(
-        input_size=grid.size,
-        output_size=preset.campaign.base_config.n_cells,
-        hidden_size=preset.mlp_hidden,
-        rng=preset.train_seed if rng is None else rng,
-    )
+def _preset_hash(preset: ExperimentPreset) -> str:
+    """sha256 over every preset field except ``name``."""
+    payload = {f.name: getattr(preset, f.name) for f in fields(preset) if f.name != "name"}
+    payload["campaign"] = preset.campaign.to_canonical_dict()
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _build_cnn_for(preset: ExperimentPreset, rng: "int | None" = None) -> Sequential:
-    grid = preset.campaign.ps_grid
-    return build_cnn(
-        input_shape=(1, grid.n_v, grid.n_x),
-        output_size=preset.campaign.base_config.n_cells,
-        channels=preset.cnn_channels,
-        hidden_size=preset.cnn_hidden,
-        rng=preset.train_seed + 1 if rng is None else rng,
+def _stream(campaign: CampaignConfig, root: Path, n_workers: int) -> CampaignStream:
+    """The campaign's stream into its content-addressed shard directory."""
+    out_dir = root / "campaigns" / campaign_hash(campaign, _SHARD_SIZE)
+    # One shard is one engine group: keep a shard in flight per worker.
+    return CampaignStream(
+        campaign, out_dir, shard_size=_SHARD_SIZE,
+        prefetch_depth=max(2, n_workers), workers=n_workers,
     )
 
 
 def _train_network(
-    model: Sequential,
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    x_val: np.ndarray,
-    y_val: np.ndarray,
-    epochs: int,
+    kind: str,
     preset: ExperimentPreset,
+    train: FieldDataset,
+    val: FieldDataset,
+    normalizer: MinMaxNormalizer,
     verbose: bool,
-) -> TrainingHistory:
+) -> "tuple[DLFieldSolver, TrainingHistory]":
+    """Train the preset's ``"mlp"`` or ``"cnn"`` on the normalized split."""
+    grid = preset.campaign.ps_grid
+    n_cells = preset.campaign.base_config.n_cells
+    if kind == "mlp":
+        model = build_mlp(
+            input_size=grid.size, output_size=n_cells,
+            hidden_size=preset.mlp_hidden, rng=preset.train_seed,
+        )
+        epochs, input_kind = preset.mlp_epochs, "flat"
+        x_train, x_val = train.flat_inputs(), val.flat_inputs()
+    else:
+        model = build_cnn(
+            input_shape=(1, grid.n_v, grid.n_x), output_size=n_cells,
+            channels=preset.cnn_channels, hidden_size=preset.cnn_hidden,
+            rng=preset.train_seed + 1,
+        )
+        epochs, input_kind = preset.cnn_epochs, "image"
+        x_train, x_val = train.image_inputs(), val.image_inputs()
     trainer = Trainer(model, MSELoss(), Adam(lr=preset.learning_rate))
-    return trainer.fit(
-        x_train,
-        y_train,
+    history = trainer.fit(
+        normalizer.transform(x_train),
+        train.targets,
         epochs=epochs,
         batch_size=preset.batch_size,
-        validation=(x_val, y_val),
+        validation=(normalizer.transform(x_val), val.targets),
         rng=preset.train_seed,
         verbose=verbose,
     )
+    solver = DLFieldSolver(
+        model, grid, normalizer, input_kind=input_kind, binning=preset.campaign.binning
+    )
+    return solver, history
 
 
 def train_solvers(
@@ -194,99 +228,75 @@ def train_solvers(
     n_workers: int = 1,
     verbose: bool = False,
 ) -> TrainedSolvers:
-    """Run (or load from cache) the full Sec. IV pipeline for ``preset``.
+    """Run the full Sec. IV pipeline for ``preset``, reusing ``cache_dir``.
 
-    Caching: datasets and trained solver bundles are stored under
-    ``cache_dir / preset.name``; a subsequent call with the same preset
-    name loads everything instead of recomputing.  Pass
-    ``cache_dir=None`` to force a fresh in-memory run.
+    Datasets stream through :class:`CampaignStream` directories and
+    networks live in ``ModelRegistry(cache_dir / "registry")`` (see the
+    module docstring): a repeat call trains nothing and re-runs no
+    simulation, and an ``include_cnn=True`` call after an MLP-only one
+    trains only the CNN.  ``cache_dir=None`` runs the same pipeline on
+    a temporary root.  ``n_workers`` spreads the campaigns' runs over
+    spawned worker processes; the results do not depend on it.
     """
-    cache = None if cache_dir is None else Path(cache_dir) / preset.name
-    if cache is not None and (cache / "complete.json").exists():
-        return _load_cached(preset, cache, include_cnn)
+    if cache_dir is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            return train_solvers(preset, tmp, include_cnn, n_workers, verbose)
+    root = Path(cache_dir)
 
-    # 1. Data generation (Sec. IV-A1).
-    full = run_campaign(preset.campaign, n_workers=n_workers)
-    test2 = run_test_set_ii(
-        preset.campaign, preset.test2_v0, preset.test2_vth, preset.n_test2
+    # 1. Data generation (Sec. IV-A1): the sweep, and Test Set II from
+    #    unseen parameters.
+    stream = _stream(preset.campaign, root, n_workers)
+    full = stream.dataset()
+    unseen = preset.campaign.test_set_ii(preset.test2_v0, preset.test2_vth)
+    test2 = _stream(unseen, root, n_workers).dataset().subsample(
+        preset.n_test2, unseen.master_seed
     )
     train, val, test = full.split(preset.n_val, preset.n_test, rng=preset.train_seed)
 
     # 2. Input normalization (Eq. 5), fitted on the training inputs only.
     normalizer = MinMaxNormalizer().fit(train.inputs)
-    xt_flat = normalizer.transform(train.flat_inputs())
-    xv_flat = normalizer.transform(val.flat_inputs())
 
-    # 3. Train the MLP (Sec. IV-A: 3x1024 ReLU + 64 linear).
-    mlp = _build_mlp_for(preset)
-    mlp_history = _train_network(
-        mlp, xt_flat, train.targets, xv_flat, val.targets, preset.mlp_epochs, preset, verbose
-    )
-    mlp_solver = DLFieldSolver(
-        mlp, preset.campaign.ps_grid, normalizer, input_kind="flat",
-        binning=preset.campaign.binning,
-    )
-
-    # 4. Train the CNN (2 x [conv, conv, maxpool] + MLP head).
-    cnn_solver = None
-    cnn_history = None
-    if include_cnn:
-        xt_img = normalizer.transform(train.image_inputs())
-        xv_img = normalizer.transform(val.image_inputs())
-        cnn = _build_cnn_for(preset)
-        cnn_history = _train_network(
-            cnn, xt_img, train.targets, xv_img, val.targets, preset.cnn_epochs, preset, verbose
+    # 3. The MLP (Sec. IV-A: 3x1024 ReLU + 64 linear) and the CNN
+    #    (2 x [conv, conv, maxpool] + MLP head): each is loaded from the
+    #    registry entry the preset's pointer names, or trained and
+    #    registered.
+    registry = ModelRegistry(root / "registry")
+    pointer_path = root / "presets" / f"{_preset_hash(preset)}.json"
+    try:
+        pointer = json.loads(pointer_path.read_text())
+    except (OSError, ValueError):
+        pointer = {}
+    solvers: "dict[str, DLFieldSolver | None]" = {"cnn": None}
+    histories: "dict[str, TrainingHistory | None]" = {"mlp": None, "cnn": None}
+    for kind in ("mlp", "cnn") if include_cnn else ("mlp",):
+        try:
+            entry = registry.get(pointer[kind])
+        except (KeyError, ValueError):  # never trained, or its entry is gone
+            entry = None
+        if entry is not None:
+            solvers[kind] = entry.load()
+            continue
+        solver, history = _train_network(kind, preset, train, val, normalizer, verbose)
+        registry.register(
+            solver,
+            campaign_manifest_hash=stream.campaign_hash,
+            training={"network": kind, "history": asdict(history)},
         )
-        cnn_solver = DLFieldSolver(
-            cnn, preset.campaign.ps_grid, normalizer, input_kind="image",
-            binning=preset.campaign.binning,
-        )
+        solvers[kind], histories[kind] = solver, history
+        pointer[kind] = solver.fingerprint()
+        pointer_path.parent.mkdir(parents=True, exist_ok=True)
+        text = json.dumps(pointer, indent=2, sort_keys=True)
+        atomic_write(pointer_path, lambda tmp: tmp.write_text(text))
 
-    result = TrainedSolvers(
-        preset=preset,
-        mlp_solver=mlp_solver,
-        cnn_solver=cnn_solver,
-        train=train,
-        val=val,
-        test=test,
-        test2=test2,
-        mlp_history=mlp_history,
-        cnn_history=cnn_history,
-    )
-    if cache is not None:
-        _save_cached(result, cache)
-    return result
-
-
-def _save_cached(result: TrainedSolvers, cache: Path) -> None:
-    cache.mkdir(parents=True, exist_ok=True)
-    result.train.save(cache / "train.npz")
-    result.val.save(cache / "val.npz")
-    result.test.save(cache / "test.npz")
-    result.test2.save(cache / "test2.npz")
-    result.mlp_solver.save(cache / "mlp")
-    meta = {"include_cnn": result.cnn_solver is not None}
-    if result.cnn_solver is not None:
-        result.cnn_solver.save(cache / "cnn")
-    (cache / "complete.json").write_text(json.dumps(meta))
-
-
-def _load_cached(preset: ExperimentPreset, cache: Path, include_cnn: bool) -> TrainedSolvers:
-    meta = json.loads((cache / "complete.json").read_text())
-    train = FieldDataset.load(cache / "train.npz")
-    val = FieldDataset.load(cache / "val.npz")
-    test = FieldDataset.load(cache / "test.npz")
-    test2 = FieldDataset.load(cache / "test2.npz")
-    mlp_solver = DLFieldSolver.load(cache / "mlp", _build_mlp_for(preset))
-    cnn_solver = None
-    if include_cnn and meta.get("include_cnn"):
-        cnn_solver = DLFieldSolver.load(cache / "cnn", _build_cnn_for(preset))
     return TrainedSolvers(
         preset=preset,
-        mlp_solver=mlp_solver,
-        cnn_solver=cnn_solver,
+        mlp_solver=solvers["mlp"],
+        cnn_solver=solvers["cnn"],
         train=train,
         val=val,
         test=test,
         test2=test2,
+        campaign_hash=stream.campaign_hash,
+        mlp_history=histories["mlp"],
+        cnn_history=histories["cnn"],
     )

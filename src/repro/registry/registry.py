@@ -18,8 +18,6 @@ same slot whatever produced them.
 from __future__ import annotations
 
 import contextlib
-import hashlib
-import itertools
 import json
 import os
 import shutil
@@ -29,6 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.obs.metrics import REGISTRY_MODELS
+from repro.utils.io import sha256_file, temp_path
 
 if TYPE_CHECKING:
     from repro.dlpic.solver import DLFieldSolver
@@ -47,10 +46,6 @@ _CHECKPOINT_FILES = ("model.npz", "solver.json")
 
 _META_NAME = "meta.json"
 _META_VERSION = 1
-
-# Unique temp-dir names per process (same pid+counter scheme as the
-# result store's temp files).
-_TMP_COUNTER = itertools.count()
 
 
 def default_registry_root() -> Path:
@@ -91,14 +86,6 @@ def resolve_model_dir(value: "str | os.PathLike[str]") -> str:
     else:
         registry, prefix = ModelRegistry(), rest
     return str(registry.get(prefix).path)
-
-
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -171,17 +158,15 @@ class ModelRegistry:
             self._update_gauge()
             return self._entry(target)
         self.models_dir.mkdir(parents=True, exist_ok=True)
-        tmp = self.models_dir / f".tmp-{os.getpid()}-{next(_TMP_COUNTER)}"
+        tmp = temp_path(target)
         try:
             solver.save(tmp)
-            weight_hash = _sha256_file(tmp / "model.npz")
+            files = {name: sha256_file(tmp / name) for name in _CHECKPOINT_FILES}
             meta = {
                 "version": _META_VERSION,
                 "fingerprint": fingerprint,
-                "weight_hash": weight_hash,
-                "files": {
-                    name: _sha256_file(tmp / name) for name in _CHECKPOINT_FILES
-                },
+                "weight_hash": files["model.npz"],
+                "files": files,
                 "created_at": time.time(),
                 "lineage": {
                     "campaign_manifest_hash": campaign_manifest_hash,
@@ -278,7 +263,7 @@ class ModelRegistry:
             return False
         for name, recorded in model.meta.get("files", {}).items():
             path = model.path / name
-            if not path.exists() or _sha256_file(path) != recorded:
+            if not path.exists() or sha256_file(path) != recorded:
                 return False
         try:
             return model.load().fingerprint() == model.fingerprint

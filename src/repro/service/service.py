@@ -185,7 +185,7 @@ class SimulationService:
         )
         self._store_errors = self.metrics.counter(
             "repro_service_store_errors_total",
-            "Executed results the result store failed to write.",
+            "Result-store archives that failed to read at lookup or to write at delivery.",
         )
         self.metrics.gauge(
             "repro_service_pending", "Requests waiting in the micro-batcher.",
@@ -272,7 +272,11 @@ class SimulationService:
             # outside the service lock so a multi-ms archive read never
             # stalls other submitters or the worker.
             t_store = time.perf_counter()
-            cached = self.store.get(key)
+            try:
+                cached = self.store.get(key)
+            except Exception:  # noqa: BLE001 — an unreadable archive is a miss
+                cached = None
+                self._store_errors.inc()
             store_s = time.perf_counter() - t_store
             if submit_span:
                 Span(

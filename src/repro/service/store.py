@@ -18,9 +18,7 @@ transparently re-read from disk and promoted back.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import itertools
 import os
 import threading
 from collections import OrderedDict
@@ -32,20 +30,13 @@ import numpy as np
 from repro.config import SimulationConfig
 from repro.engines.base import available_engines
 from repro.engines.observables import canonical_observables, observables_token
-from repro.utils.io import load_npz_dict, save_npz_dict
+from repro.utils.io import atomic_write, load_npz_dict, save_npz_dict
 
 # Built-in families; the authoritative list is the engine registry
 # (available_engines()), which user-registered families join.
 SOLVER_FAMILIES = ("traditional", "dl", "vlasov", "energy", "mpi")
 
 _SERIES_PREFIX = "series_"
-
-# Per-process temp-file counter: combined with the pid it makes every
-# concurrent writer's temp name unique, so two threads (or two
-# processes) putting the same key can never interleave writes into one
-# temp file — each writes its own and the atomic rename settles the
-# race with some complete archive.
-_TMP_COUNTER = itertools.count()
 
 _DEFAULT_OBS_TOKEN = observables_token(canonical_observables(None))
 
@@ -142,17 +133,6 @@ class SimulationResult:
     def n_steps(self) -> int:
         return len(self.series["time"]) - 1
 
-    def energy_variation(self) -> float:
-        """Max relative deviation of total energy from its initial value.
-
-        Same definition as :meth:`History.energy_variation`, computed
-        from the served series.
-        """
-        total = np.asarray(self.series["total"])
-        if total.size == 0:
-            raise ValueError("result series is empty")
-        return float(np.max(np.abs(total - total[0])) / abs(total[0]))
-
 
 class ResultStore:
     """In-memory LRU of :class:`SimulationResult` + optional disk tier.
@@ -246,20 +226,11 @@ class ResultStore:
                 payload[name] = np.asarray(values)
         for name, values in result.series.items():
             payload[_SERIES_PREFIX + name] = np.asarray(values)
-        path = self._disk_path(result.key)
-        # The temp name must keep the .npz suffix (numpy appends one
-        # otherwise) for the atomic rename to find the file it wrote.
-        tmp = path.with_name(
-            f".tmp-{os.getpid()}-{next(_TMP_COUNTER)}-{path.name}"
+        # Each writer has its own temp file, and the atomic rename
+        # settles a race on one key with some complete archive.
+        atomic_write(
+            self._disk_path(result.key), lambda tmp: save_npz_dict(tmp, payload)
         )
-        try:
-            save_npz_dict(tmp, payload)
-            os.replace(tmp, path)
-        except BaseException:
-            # Never leave a stray temp file behind a failed write.
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
 
     @staticmethod
     def _load(key: str, path: Path) -> SimulationResult:

@@ -1,13 +1,20 @@
-"""Artifact I/O helpers built on ``numpy.savez``."""
+"""Artifact I/O helpers: ``numpy.savez`` archives, atomic writes, file hashes."""
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import itertools
 import json
 import os
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
+
+# With the pid, this makes every concurrent writer's temp name unique:
+# two threads or processes writing one target never share a temp file.
+_TMP_COUNTER = itertools.count()
 
 
 def ensure_dir(path: "str | os.PathLike[str]") -> Path:
@@ -51,3 +58,38 @@ def load_npz_dict(path: "str | os.PathLike[str]") -> dict[str, Any]:
             else:
                 out[key] = archive[key]
     return out
+
+
+def temp_path(path: "str | os.PathLike[str]") -> Path:
+    """A unique hidden sibling of ``path`` to write before publishing.
+
+    It ends in ``path.name``, so ``numpy.savez`` (which appends ``.npz``
+    to other names) writes exactly the file the rename publishes.
+    """
+    path = Path(path)
+    return path.with_name(f".tmp-{os.getpid()}-{next(_TMP_COUNTER)}-{path.name}")
+
+
+def atomic_write(path: "str | os.PathLike[str]", write: Callable[[Path], object]) -> None:
+    """Publish a file atomically: ``write(tmp)``, then ``os.replace``.
+
+    A reader never sees a half-written ``path``, and a failed write
+    leaves no temp file behind.
+    """
+    tmp = temp_path(path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def sha256_file(path: "str | os.PathLike[str]") -> str:
+    """Hex sha256 of a file's bytes, read in 1 MiB chunks."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()

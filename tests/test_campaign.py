@@ -11,6 +11,7 @@ from repro.datagen.campaign import (
     run_test_set_ii,
 )
 from repro.phasespace.binning import PhaseSpaceGrid
+from repro.utils.rng import spawn_seeds
 
 
 def _campaign(**overrides) -> CampaignConfig:
@@ -147,6 +148,22 @@ class TestRunCampaign:
 
 
 class TestTestSetII:
+    def test_derived_campaign_runs_the_historical_configs(self):
+        # Test Set II used to seed one run per (v0, vth) pair itself:
+        # spawn_seeds(777, n) over v0-major pairs on the base config.
+        c = _campaign()
+        v0s, vths = (0.15, 0.25), (0.005, 0.02, 0.03)
+        seeds = spawn_seeds(777, len(v0s) * len(vths))
+        pairs = [(v0, vth) for v0 in v0s for vth in vths]
+        expected = [
+            c.base_config.with_updates(v0=v0, vth=vth, seed=seed)
+            for (v0, vth), seed in zip(pairs, seeds)
+        ]
+        derived = c.test_set_ii(v0s, vths)
+        assert derived.run_configs() == expected
+        assert (derived.ps_grid, derived.binning) == (c.ps_grid, c.binning)
+        assert derived.n_simulations == len(pairs)
+
     def test_unseen_parameters_only(self):
         c = _campaign()
         data = run_test_set_ii(c, v0_values=[0.15], vth_values=[0.005], n_samples=4)

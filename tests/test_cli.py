@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,11 +491,31 @@ class TestTrainAndReproduce:
         assert "gamma" in capsys.readouterr().out
         payload = json.loads(out.read_text())
         assert payload["gamma_theory"] == pytest.approx(0.3536, rel=1e-3)
+        assert len(payload["campaign_hash"]) == len(payload["model_fingerprint"]) == 64
 
-    def test_reproduce_table1_from_cache(self, capsys, cache):
-        code = main(["reproduce", "table1", "--preset", "fast", "--cache", cache])
+    def test_reproduce_table1_from_cache(self, capsys, cache, tmp_path):
+        out = tmp_path / "table1.json"
+        code = main([
+            "reproduce", "table1", "--preset", "fast", "--cache", cache,
+            "--out", str(out),
+        ])
         assert code == 0
         assert "Mean Absolute Error" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        # The cache was trained with --no-cnn: the CNN trains now.
+        for row in ("MLP-I", "MLP-II", "CNN-I", "CNN-II"):
+            assert payload[row]["mae"] > 0, row
+        # Lineage: both networks are registry entries naming the
+        # training campaign, whose manifest sits under the cache root.
+        from repro.registry import ModelRegistry
+
+        registry = ModelRegistry(Path(cache) / "registry")
+        for key in ("model_fingerprint", "cnn_fingerprint"):
+            entry = registry.get(payload[key])
+            assert entry.fingerprint == payload[key]
+            assert entry.lineage["campaign_manifest_hash"] == payload["campaign_hash"]
+        manifest = Path(cache) / "campaigns" / payload["campaign_hash"] / "manifest.json"
+        assert json.loads(manifest.read_text())["campaign_hash"] == payload["campaign_hash"]
 
 
 class TestTraceCommand:

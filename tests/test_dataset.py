@@ -91,6 +91,17 @@ class TestSubsetShuffleSplit:
             dataset.split(n_val=10, n_test=10)
 
 
+class TestSubsample:
+    def test_draws_a_seeded_subset(self, dataset):
+        part = dataset.subsample(3, rng=7)
+        order = np.random.default_rng(7).permutation(len(dataset))[:3]
+        np.testing.assert_array_equal(part.inputs, dataset.inputs[order])
+        np.testing.assert_array_equal(part.params, dataset.params[order])
+
+    def test_keeps_everything_when_asked_for_more(self, dataset):
+        assert dataset.subsample(len(dataset)) is dataset
+
+
 class TestConcatenate:
     def test_concat(self, dataset):
         combined = FieldDataset.concatenate([dataset, dataset])

@@ -1,6 +1,9 @@
 """Experiment harness at the fast preset (full pipeline, tiny scale)."""
 
 import hashlib
+import json
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from repro.experiments import (
     train_solvers,
 )
 from repro.experiments.runs import run_pair, run_traditional
+from repro.obs.metrics import PROCESS_METRICS, total
+from repro.registry import ModelRegistry
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +111,88 @@ class TestPipelinePins:
     def test_cold_and_warm_cache(self, tmp_path):
         _assert_pinned(train_solvers(fast_preset(), cache_dir=tmp_path))
         _assert_pinned(train_solvers(fast_preset(), cache_dir=tmp_path))
+
+
+def _executed_shards():
+    return total(
+        PROCESS_METRICS.snapshot(), "repro_campaign_shards_total", status="executed"
+    )
+
+
+class TestCacheContract:
+    """The pipeline keys its networks by every preset field but the name."""
+
+    def test_any_knob_change_retrains(self, tmp_path):
+        default = train_solvers(fast_preset(), cache_dir=tmp_path, include_cnn=False)
+        tweaked = train_solvers(
+            replace(fast_preset(), mlp_epochs=1, learning_rate=0.5),
+            cache_dir=tmp_path, include_cnn=False,
+        )
+        assert tweaked.mlp_history is not None
+        assert tweaked.mlp_history.n_epochs == 1
+        assert tweaked.mlp_solver.fingerprint() != default.mlp_solver.fingerprint()
+
+    def test_width_change_trains_instead_of_raising(self, tmp_path):
+        train_solvers(fast_preset(), cache_dir=tmp_path, include_cnn=False)
+        wide = train_solvers(
+            replace(fast_preset(), mlp_hidden=32), cache_dir=tmp_path, include_cnn=False
+        )
+        assert wide.mlp_history is not None
+        assert wide.mlp_solver.model.state_dict()["0.W"].shape == (512, 32)
+
+    def test_cnn_after_mlp_only_reuses_the_mlp(self, tmp_path):
+        train_solvers(fast_preset(), cache_dir=tmp_path, include_cnn=False)
+        both = train_solvers(fast_preset(), cache_dir=tmp_path, include_cnn=True)
+        assert both.mlp_history is None  # loaded from the registry
+        assert both.cnn_history is not None
+        _assert_pinned(both)
+
+    def test_repeat_call_trains_and_simulates_nothing(self, tmp_path):
+        before = _executed_shards()
+        first = train_solvers(fast_preset(), cache_dir=tmp_path)
+        cold = _executed_shards()
+        second = train_solvers(fast_preset(), cache_dir=tmp_path)
+        assert cold > before  # the cold call streams its campaigns
+        assert _executed_shards() == cold
+        assert second.mlp_history is None and second.cnn_history is None
+        assert first.mlp_history is not None and first.cnn_history is not None
+        assert second.campaign_hash == first.campaign_hash
+
+    def test_presets_with_equal_weights_share_one_entry(self, tmp_path):
+        a = fast_preset()
+        b = replace(a, n_test2=30)
+        first_a = train_solvers(a, cache_dir=tmp_path, include_cnn=False)
+        first_b = train_solvers(b, cache_dir=tmp_path, include_cnn=False)
+        assert first_a.mlp_history is not None and first_b.mlp_history is not None
+        assert first_a.mlp_solver.fingerprint() == first_b.mlp_solver.fingerprint()
+        assert len(ModelRegistry(tmp_path / "registry")) == 1
+        for preset in (a, b):
+            again = train_solvers(preset, cache_dir=tmp_path, include_cnn=False)
+            assert again.mlp_history is None
+            assert len(again.test2) == preset.n_test2
+
+    def test_pointer_to_a_deleted_entry_retrains(self, tmp_path):
+        first = train_solvers(fast_preset(), cache_dir=tmp_path, include_cnn=False)
+        registry = ModelRegistry(tmp_path / "registry")
+        shutil.rmtree(registry.get(first.mlp_solver.fingerprint()).path)
+        again = train_solvers(fast_preset(), cache_dir=tmp_path, include_cnn=False)
+        assert again.mlp_history is not None
+        assert again.mlp_solver.fingerprint() == PINNED_FINGERPRINTS["mlp"]
+        assert first.mlp_solver.fingerprint() in registry
+
+    def test_registry_lineage_names_the_campaign(self, tmp_path):
+        solvers = train_solvers(fast_preset(), cache_dir=tmp_path)
+        manifest = tmp_path / "campaigns" / solvers.campaign_hash / "manifest.json"
+        assert json.loads(manifest.read_text())["campaign_hash"] == solvers.campaign_hash
+        registry = ModelRegistry(tmp_path / "registry")
+        for kind, solver in (("mlp", solvers.mlp_solver), ("cnn", solvers.cnn_solver)):
+            lineage = registry.get(solver.fingerprint()).lineage
+            assert lineage["campaign_manifest_hash"] == solvers.campaign_hash
+            assert lineage["training"]["network"] == kind
+            history = lineage["training"]["history"]
+            assert history["loss"] == (
+                solvers.mlp_history if kind == "mlp" else solvers.cnn_history
+            ).loss
 
 
 class TestTable1:

@@ -219,6 +219,26 @@ class TestRunEndpoint:
         assert second.cache_hit and second.submit_status == "cached"
 
 
+class TestTornStoreArchive:
+    def test_unreadable_archive_is_served_as_a_miss(self, tmp_path):
+        from repro.service import ResultStore
+
+        request = RunRequest(config=small_config(seed=56), id="torn")
+        with Client(background=False, store=ResultStore(directory=tmp_path)) as local:
+            key = local.run(request).key
+        with open(tmp_path / f"{key}.npz", "r+b") as fh:
+            fh.truncate(100)
+        with serve_in_thread(store=ResultStore(directory=tmp_path)) as srv:
+            status, body = raw_request(
+                srv, "POST", "/v1/run", json.dumps(request.to_dict()).encode("utf-8")
+            )
+            assert status == 200
+            assert json.loads(body)["status"] == "ok"
+            with Client.connect(srv.url) as remote:
+                assert remote.run(request).cache_hit
+                assert total(remote.stats, "repro_service_store_errors_total") == 1
+
+
 class TestBatchEndpoint:
     def test_jsonl_round_trip_order_and_per_line_errors(self, server):
         lines = [

@@ -297,6 +297,34 @@ class TestSimulationService:
         assert future.result(timeout=0).config == config
 
 
+class TestTornStoreArchive:
+    """An unreadable archive is a counted cache miss, not a failed submit."""
+
+    def _torn_store(self, config, tmp_path):
+        from repro.api import Client
+
+        with Client(background=False, store=ResultStore(directory=tmp_path)) as client:
+            key = client.run(config).key
+        path = tmp_path / f"{key}.npz"
+        with open(path, "r+b") as fh:
+            fh.truncate(100)
+        return path
+
+    def test_unreadable_archive_is_a_miss_and_is_rewritten(self, config, tmp_path):
+        from repro.api import Client
+
+        self._torn_store(config, tmp_path)
+        store = ResultStore(directory=tmp_path)
+        with Client(background=False, store=store) as client:
+            first = client.run(config)
+            assert first.status == "ok" and not first.cache_hit
+            assert total(client.stats, "repro_service_store_errors_total") == 1
+            second = client.run(config)
+            assert second.cache_hit
+        # Delivery's write-through replaced the torn archive.
+        assert ResultStore(directory=tmp_path).get(first.key) is not None
+
+
 class TestDLService:
     @pytest.fixture
     def dl_solver(self, config):

@@ -1,9 +1,18 @@
-"""Utility helpers: RNG plumbing, npz I/O, timer."""
+"""Utility helpers: RNG plumbing, npz I/O, atomic writes, timer."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from repro.utils.io import ensure_dir, load_npz_dict, save_npz_dict
+from repro.utils.io import (
+    atomic_write,
+    ensure_dir,
+    load_npz_dict,
+    save_npz_dict,
+    sha256_file,
+    temp_path,
+)
 from repro.utils.rng import as_generator, spawn_generators, spawn_seeds
 from repro.utils.timer import Timer
 
@@ -57,6 +66,41 @@ class TestNpzDict:
     def test_reserved_key_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_npz_dict(tmp_path / "x.npz", {"__meta__": 1})
+
+
+class TestAtomicWrite:
+    def test_publishes_the_written_file(self, tmp_path):
+        target = tmp_path / "out.npz"
+        seen = []
+
+        def write(tmp):
+            seen.append(tmp)
+            save_npz_dict(tmp, {"a": np.arange(3.0)})
+
+        atomic_write(target, write)
+        np.testing.assert_array_equal(load_npz_dict(target)["a"], np.arange(3.0))
+        # The temp file kept the target's name as its tail (numpy
+        # appends .npz otherwise) and is gone after the rename.
+        assert seen[0].name.startswith(".tmp-") and seen[0].name.endswith("-out.npz")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.npz"]
+
+    def test_failed_write_leaves_neither_temp_nor_target(self, tmp_path):
+        def write(tmp):
+            tmp.write_text("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(tmp_path / "manifest.json", write)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_temp_names_are_unique_within_a_process(self, tmp_path):
+        assert temp_path(tmp_path / "x") != temp_path(tmp_path / "x")
+
+    def test_sha256_file(self, tmp_path):
+        path = tmp_path / "blob"
+        data = bytes(range(256)) * 5000  # spans several read chunks
+        path.write_bytes(data)
+        assert sha256_file(path) == hashlib.sha256(data).hexdigest()
 
     def test_creates_parent_dirs(self, tmp_path):
         path = save_npz_dict(tmp_path / "a" / "b" / "c.npz", {"x": np.zeros(1)})
