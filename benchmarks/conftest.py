@@ -1,9 +1,10 @@
 """Benchmark fixtures.
 
 The benches regenerate the paper's tables/figures at the ``medium``
-preset.  Training is expensive (~15 min CPU), so the trained solvers
-are cached on disk under ``.artifacts/medium`` — the first benchmark
-session pays the cost, later sessions load in seconds.
+preset.  Training is expensive (~15 min CPU), so the campaign and the
+trained solvers are kept under ``.artifacts`` (the campaign stream and
+the model registry) — the first benchmark session pays the cost, later
+sessions load in seconds.
 
 Numeric results are also dumped to ``.artifacts/results/*.json`` so the
 EXPERIMENTS.md paper-vs-measured tables can cite exact values.

@@ -3,9 +3,11 @@
 
 Runs the full pipeline — traditional-PIC data campaign, shuffle/split,
 Eq. 5 min-max normalization, Adam training of the MLP (and optionally
-the CNN) — and prints Table I for the trained networks.  Artifacts are
-cached under ``.artifacts/<preset>`` and reused by the other examples
-and the benchmark suite.
+the CNN) — and prints Table I for the trained networks.  The campaign
+shards land in ``.artifacts/campaigns/`` and the networks in the model
+registry ``.artifacts/registry/``, where the other examples and the
+benchmark suite find them again (``repro models --registry
+.artifacts/registry`` lists them).
 
 Run:  python examples/train_dl_solver.py [--preset fast|medium|paper]
                                          [--no-cnn] [--workers N]
@@ -34,7 +36,7 @@ def main() -> None:
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel workers for the data campaign")
     parser.add_argument("--no-cache", action="store_true",
-                        help="do not read/write the artifact cache")
+                        help="run on a temporary cache instead of ./.artifacts")
     args = parser.parse_args()
 
     preset = PRESETS[args.preset]()

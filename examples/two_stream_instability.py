@@ -27,7 +27,7 @@ def main() -> None:
     preset = {"fast": fast_preset, "medium": medium_preset}[args.preset]()
 
     print(f"Loading/training the {preset.name!r} solvers "
-          f"(cached under ./.artifacts/{preset.name}) ...")
+          f"(kept in the model registry ./.artifacts/registry) ...")
     solvers = train_solvers(preset, cache_dir="./.artifacts", include_cnn=False)
 
     config = preset.validation_config()

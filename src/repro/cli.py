@@ -869,36 +869,37 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
     preset = {"fast": fast_preset, "medium": medium_preset}[args.preset]()
     solvers = train_solvers(preset, cache_dir=args.cache, include_cnn=True)
-    # Lineage: the training campaign's manifest hash and the registry
-    # fingerprints of the networks behind the numbers.
-    payload: dict = {"campaign_hash": solvers.campaign_hash,
-                     "model_fingerprint": solvers.mlp_solver.fingerprint()}
+    payload: dict
     if args.artifact == "table1":
         rows = run_table1(solvers)
         print(format_table1(rows))
+        payload = {f"{r.network}-{r.test_set}": {"mae": r.mae, "max_error": r.max_error}
+                   for r in rows}
         payload["cnn_fingerprint"] = solvers.cnn_solver.fingerprint()
-        for r in rows:
-            payload[f"{r.network}-{r.test_set}"] = {"mae": r.mae, "max_error": r.max_error}
     elif args.artifact == "fig4":
         r4 = run_fig4(solvers.mlp_solver, preset.validation_config())
         print(r4.summary())
-        payload.update({"gamma_theory": r4.gamma_theory,
-                        "gamma_traditional": r4.fit_traditional.gamma,
-                        "gamma_dl": r4.fit_dl.gamma})
+        payload = {"gamma_theory": r4.gamma_theory,
+                   "gamma_traditional": r4.fit_traditional.gamma,
+                   "gamma_dl": r4.fit_dl.gamma}
     elif args.artifact == "fig5":
         r5 = run_fig5(solvers.mlp_solver, preset.validation_config())
         print(r5.summary())
-        payload.update({"energy_variation_traditional": r5.energy_variation_traditional,
-                        "energy_variation_dl": r5.energy_variation_dl,
-                        "momentum_drift_traditional": r5.momentum_drift_traditional,
-                        "momentum_drift_dl": r5.momentum_drift_dl})
+        payload = {"energy_variation_traditional": r5.energy_variation_traditional,
+                   "energy_variation_dl": r5.energy_variation_dl,
+                   "momentum_drift_traditional": r5.momentum_drift_traditional,
+                   "momentum_drift_dl": r5.momentum_drift_dl}
     else:
         r6 = run_fig6(solvers.mlp_solver, preset.coldbeam_config())
         print(r6.summary())
-        payload.update({"spread_traditional": r6.metrics_traditional.max_spread,
-                        "spread_dl": r6.metrics_dl.max_spread,
-                        "rippled_traditional": r6.metrics_traditional.rippled,
-                        "rippled_dl": r6.metrics_dl.rippled})
+        payload = {"spread_traditional": r6.metrics_traditional.max_spread,
+                   "spread_dl": r6.metrics_dl.max_spread,
+                   "rippled_traditional": r6.metrics_traditional.rippled,
+                   "rippled_dl": r6.metrics_dl.rippled}
+    # Lineage: the training campaign's manifest hash and the registry
+    # fingerprint of the MLP behind the numbers.
+    payload.update(campaign_hash=solvers.campaign_hash,
+                   model_fingerprint=solvers.mlp_solver.fingerprint())
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)

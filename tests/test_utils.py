@@ -67,6 +67,10 @@ class TestNpzDict:
         with pytest.raises(ValueError):
             save_npz_dict(tmp_path / "x.npz", {"__meta__": 1})
 
+    def test_creates_parent_dirs(self, tmp_path):
+        path = save_npz_dict(tmp_path / "a" / "b" / "c.npz", {"x": np.zeros(1)})
+        assert path.exists()
+
 
 class TestAtomicWrite:
     def test_publishes_the_written_file(self, tmp_path):
@@ -101,10 +105,6 @@ class TestAtomicWrite:
         data = bytes(range(256)) * 5000  # spans several read chunks
         path.write_bytes(data)
         assert sha256_file(path) == hashlib.sha256(data).hexdigest()
-
-    def test_creates_parent_dirs(self, tmp_path):
-        path = save_npz_dict(tmp_path / "a" / "b" / "c.npz", {"x": np.zeros(1)})
-        assert path.exists()
 
 
 class TestEnsureDir:
