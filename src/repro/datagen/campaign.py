@@ -40,6 +40,13 @@ from repro.utils.rng import spawn_seeds
 _ENSEMBLE_PARTICLE_BUDGET = 8_000_000
 
 
+def _ensemble_size(n_particles: int, n_runs: int, workers: int = 1) -> int:
+    """Runs per harvest ensemble: the particle budget's share, and with
+    ``workers > 1`` at most ``ceil(n_runs / workers)`` so every worker gets one."""
+    size = max(1, _ENSEMBLE_PARTICLE_BUDGET // n_particles)
+    return min(size, math.ceil(n_runs / workers)) if workers > 1 else size
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Specification of a data-generation sweep.
@@ -100,10 +107,7 @@ class CampaignConfig:
         ]
 
     def test_set_ii(
-        self,
-        v0_values: Sequence[float],
-        vth_values: Sequence[float],
-        seed: int = 777,
+        self, v0_values: Sequence[float], vth_values: Sequence[float], seed: int = 777
     ) -> "CampaignConfig":
         """The paper's "Test Set II" sweep over *unseen* parameters.
 
@@ -229,9 +233,7 @@ def harvest_via_client(
     configs = list(configs)
     if not configs:
         raise ValueError("ensemble harvest needs at least one configuration")
-    chunk = max(1, _ENSEMBLE_PARTICLE_BUDGET // max(cfg.n_particles for cfg in configs))
-    if workers > 1:
-        chunk = min(chunk, math.ceil(len(configs) / workers))
+    chunk = _ensemble_size(max(cfg.n_particles for cfg in configs), len(configs), workers)
     selection = _harvest_observables(ps_grid, binning)
     requests = [
         RunRequest(
@@ -289,7 +291,9 @@ def run_test_set_ii(
     Runs :meth:`CampaignConfig.test_set_ii` (one simulation per unseen
     ``(v0, vth)`` combination) and keeps a random subsample of
     ``n_samples`` pairs, mimicking the paper's 1,000-sample held-out
-    set from parameters "not included in the initial data set".
+    set from parameters "not included in the initial data set".  This
+    is the in-memory twin of the pipeline's streamed Test Set II, which
+    composes the same derived campaign and :meth:`FieldDataset.subsample`.
     """
     full = run_campaign(campaign.test_set_ii(v0_values, vth_values, seed))
     return full.subsample(n_samples, seed)

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Iterator
 from repro.config import SimulationConfig
 from repro.datagen.campaign import (
     CampaignConfig,
-    _ENSEMBLE_PARTICLE_BUDGET,
+    _ensemble_size,
     _harvest_observables,
     dataset_from_result,
 )
@@ -168,9 +168,7 @@ class CampaignStream:
         self._owns_client = client is None
         self._workers = workers
         if max_batch_size is None:
-            chunk = max(
-                1, _ENSEMBLE_PARTICLE_BUDGET // campaign.base_config.n_particles
-            )
+            chunk = _ensemble_size(campaign.base_config.n_particles, campaign.n_simulations)
             max_batch_size = min(shard_size, chunk)
         self._max_batch_size = max_batch_size
         self.campaign_hash = campaign_hash(campaign, shard_size)

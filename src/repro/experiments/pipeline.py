@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import shutil
 import tempfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from repro import constants
 from repro.config import SimulationConfig
-from repro.datagen.campaign import CampaignConfig
+from repro.datagen.campaign import CampaignConfig, _ensemble_size
 from repro.datagen.dataset import FieldDataset
 from repro.datagen.presets import fast_campaign, medium_campaign, paper_campaign
 from repro.datagen.stream import CampaignStream, campaign_hash
@@ -169,13 +171,19 @@ def _preset_hash(preset: ExperimentPreset) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _stream(campaign: CampaignConfig, root: Path, n_workers: int) -> CampaignStream:
-    """The campaign's stream into its content-addressed shard directory."""
+def _stream(campaign: CampaignConfig, root: Path, n_workers: int = 1) -> CampaignStream:
+    """The campaign's stream into its content-addressed shard directory.
+
+    With ``n_workers > 1`` the runs form ``harvest_via_client``'s
+    ensembles, one per worker, all in flight at once.
+    """
     out_dir = root / "campaigns" / campaign_hash(campaign, _SHARD_SIZE)
-    # One shard is one engine group: keep a shard in flight per worker.
+    if n_workers == 1:
+        return CampaignStream(campaign, out_dir, shard_size=_SHARD_SIZE)
+    size = _ensemble_size(campaign.base_config.n_particles, campaign.n_simulations, n_workers)
     return CampaignStream(
-        campaign, out_dir, shard_size=_SHARD_SIZE,
-        prefetch_depth=max(2, n_workers), workers=n_workers,
+        campaign, out_dir, shard_size=_SHARD_SIZE, workers=n_workers, max_batch_size=size,
+        prefetch_depth=math.ceil(n_workers * size / _SHARD_SIZE),
     )
 
 
@@ -207,13 +215,9 @@ def _train_network(
         x_train, x_val = train.image_inputs(), val.image_inputs()
     trainer = Trainer(model, MSELoss(), Adam(lr=preset.learning_rate))
     history = trainer.fit(
-        normalizer.transform(x_train),
-        train.targets,
-        epochs=epochs,
-        batch_size=preset.batch_size,
-        validation=(normalizer.transform(x_val), val.targets),
-        rng=preset.train_seed,
-        verbose=verbose,
+        normalizer.transform(x_train), train.targets, epochs=epochs,
+        batch_size=preset.batch_size, validation=(normalizer.transform(x_val), val.targets),
+        rng=preset.train_seed, verbose=verbose,
     )
     solver = DLFieldSolver(
         model, grid, normalizer, input_kind=input_kind, binning=preset.campaign.binning
@@ -234,9 +238,10 @@ def train_solvers(
     networks live in ``ModelRegistry(cache_dir / "registry")`` (see the
     module docstring): a repeat call trains nothing and re-runs no
     simulation, and an ``include_cnn=True`` call after an MLP-only one
-    trains only the CNN.  ``cache_dir=None`` runs the same pipeline on
-    a temporary root.  ``n_workers`` spreads the campaigns' runs over
-    spawned worker processes; the results do not depend on it.
+    trains only the CNN; a corrupt registry entry is replaced by a
+    retrained one.  ``cache_dir=None`` runs the same pipeline on a
+    temporary root.  ``n_workers`` spreads the training campaign's runs
+    over spawned worker processes; the results do not depend on it.
     """
     if cache_dir is None:
         with tempfile.TemporaryDirectory() as tmp:
@@ -248,9 +253,7 @@ def train_solvers(
     stream = _stream(preset.campaign, root, n_workers)
     full = stream.dataset()
     unseen = preset.campaign.test_set_ii(preset.test2_v0, preset.test2_vth)
-    test2 = _stream(unseen, root, n_workers).dataset().subsample(
-        preset.n_test2, unseen.master_seed
-    )
+    test2 = _stream(unseen, root).dataset().subsample(preset.n_test2, unseen.master_seed)
     train, val, test = full.split(preset.n_val, preset.n_test, rng=preset.train_seed)
 
     # 2. Input normalization (Eq. 5), fitted on the training inputs only.
@@ -269,13 +272,13 @@ def train_solvers(
     solvers: "dict[str, DLFieldSolver | None]" = {"cnn": None}
     histories: "dict[str, TrainingHistory | None]" = {"mlp": None, "cnn": None}
     for kind in ("mlp", "cnn") if include_cnn else ("mlp",):
-        try:
-            entry = registry.get(pointer[kind])
-        except (KeyError, ValueError):  # never trained, or its entry is gone
-            entry = None
-        if entry is not None:
-            solvers[kind] = entry.load()
-            continue
+        fingerprint = pointer.get(kind, "")
+        if fingerprint in registry:  # else never trained, or its entry is gone
+            if registry.verify(fingerprint):
+                solvers[kind] = registry.get(fingerprint).load()
+                continue
+            # Corrupt (it fails verify): retrain it and register it afresh.
+            shutil.rmtree(registry.models_dir / fingerprint, ignore_errors=True)
         solver, history = _train_network(kind, preset, train, val, normalizer, verbose)
         registry.register(
             solver,
@@ -289,14 +292,7 @@ def train_solvers(
         atomic_write(pointer_path, lambda tmp: tmp.write_text(text))
 
     return TrainedSolvers(
-        preset=preset,
-        mlp_solver=solvers["mlp"],
-        cnn_solver=solvers["cnn"],
-        train=train,
-        val=val,
-        test=test,
-        test2=test2,
-        campaign_hash=stream.campaign_hash,
-        mlp_history=histories["mlp"],
-        cnn_history=histories["cnn"],
+        preset=preset, mlp_solver=solvers["mlp"], cnn_solver=solvers["cnn"],
+        train=train, val=val, test=test, test2=test2, campaign_hash=stream.campaign_hash,
+        mlp_history=histories["mlp"], cnn_history=histories["cnn"],
     )

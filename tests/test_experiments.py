@@ -17,6 +17,7 @@ from repro.experiments import (
     run_table1,
     train_solvers,
 )
+from repro.experiments.pipeline import _stream, medium_preset
 from repro.experiments.runs import run_pair, run_traditional
 from repro.obs.metrics import PROCESS_METRICS, total
 from repro.registry import ModelRegistry
@@ -179,6 +180,40 @@ class TestCacheContract:
         assert again.mlp_history is not None
         assert again.mlp_solver.fingerprint() == PINNED_FINGERPRINTS["mlp"]
         assert first.mlp_solver.fingerprint() in registry
+
+    def test_truncated_entry_is_retrained_and_replaced(self, tmp_path):
+        train_solvers(fast_preset(), cache_dir=tmp_path, include_cnn=False)
+        registry = ModelRegistry(tmp_path / "registry")
+        weights = registry.get(PINNED_FINGERPRINTS["mlp"]).path / "model.npz"
+        weights.write_bytes(weights.read_bytes()[:100])
+        again = train_solvers(fast_preset(), cache_dir=tmp_path, include_cnn=False)
+        assert again.mlp_history is not None
+        assert again.mlp_solver.fingerprint() == PINNED_FINGERPRINTS["mlp"]
+        assert registry.verify(PINNED_FINGERPRINTS["mlp"])
+        third = train_solvers(fast_preset(), cache_dir=tmp_path, include_cnn=False)
+        assert third.mlp_history is None
+
+    def test_entry_whose_weights_changed_is_retrained(self, tmp_path):
+        train_solvers(fast_preset(), cache_dir=tmp_path, include_cnn=False)
+        registry = ModelRegistry(tmp_path / "registry")
+        weights = registry.get(PINNED_FINGERPRINTS["mlp"]).path / "model.npz"
+        with np.load(weights) as archive:
+            arrays = dict(archive)
+        arrays["0.W"] = arrays["0.W"] + 1.0  # still loads, hashes elsewhere
+        np.savez_compressed(weights, **arrays)
+        again = train_solvers(fast_preset(), cache_dir=tmp_path, include_cnn=False)
+        assert again.mlp_history is not None
+        assert again.mlp_solver.fingerprint() == PINNED_FINGERPRINTS["mlp"]
+        assert registry.verify(PINNED_FINGERPRINTS["mlp"])
+
+    def test_workers_each_get_one_ensemble_in_flight(self, tmp_path):
+        # harvest_via_client's grouping: the medium sweep's 20 runs form
+        # one ensemble per worker, and every run is in flight at once.
+        campaign = medium_preset().campaign
+        for n_workers, size in ((2, 10), (4, 5)):
+            stream = _stream(campaign, tmp_path, n_workers)
+            assert stream._max_batch_size == size
+            assert stream.prefetch_depth * stream.shard_size >= campaign.n_simulations
 
     def test_registry_lineage_names_the_campaign(self, tmp_path):
         solvers = train_solvers(fast_preset(), cache_dir=tmp_path)
