@@ -174,8 +174,10 @@ def _preset_hash(preset: ExperimentPreset) -> str:
 def _stream(campaign: CampaignConfig, root: Path, n_workers: int = 1) -> CampaignStream:
     """The campaign's stream into its content-addressed shard directory.
 
-    With ``n_workers > 1`` the runs form ``harvest_via_client``'s
-    ensembles, one per worker, all in flight at once.
+    One worker streams shard-sized ensembles, two shards in flight (on
+    the medium sweep ~25% faster than one 20-run ensemble).  With
+    ``n_workers > 1`` the runs form ``harvest_via_client``'s ensembles,
+    all in flight at once, so every worker gets one.
     """
     out_dir = root / "campaigns" / campaign_hash(campaign, _SHARD_SIZE)
     if n_workers == 1:
