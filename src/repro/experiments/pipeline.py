@@ -174,8 +174,8 @@ def _preset_hash(preset: ExperimentPreset) -> str:
 def _stream(campaign: CampaignConfig, root: Path, n_workers: int = 1) -> CampaignStream:
     """The campaign's stream into its content-addressed shard directory.
 
-    One worker streams shard-sized ensembles, two shards in flight (on
-    the medium sweep ~25% faster than one 20-run ensemble).  With
+    One worker streams shard-sized ensembles, two shards in flight,
+    which measured faster than one sweep-sized ensemble.  With
     ``n_workers > 1`` the runs form ``harvest_via_client``'s ensembles,
     all in flight at once, so every worker gets one.
     """
