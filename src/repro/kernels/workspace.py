@@ -23,10 +23,23 @@ class Workspace:
     between calls: they are scratch, never results.  A workspace is not
     shared between engines or threads; slabs of one kernel call write
     disjoint row slices of buffers fetched before the slabs start.
+
+    One exception hands scratch from call to call: :attr:`stencil`.  A
+    :func:`~repro.pic.interpolation.deposit` leaves the particle→grid
+    stencil of its positions in the buffers and records there which
+    positions array (by identity), grid and order it belongs to; the
+    next :func:`~repro.pic.interpolation.gather` on this workspace, given
+    that same array, grid and order, reads the stencil instead of
+    rebuilding it.  Every gather clears the record, so the handoff is
+    one-shot.  Because the match is by identity, the positions must not
+    be edited in place between the deposit and the gather: assign a new
+    array instead.
     """
 
     def __init__(self) -> None:
         self._buffers: "dict[str, np.ndarray]" = {}
+        # Set by a deposit, consumed by the next gather (see above).
+        self.stencil: "object | None" = None
 
     def get(self, name: str, shape: "tuple[int, ...]", dtype: "np.dtype | type") -> np.ndarray:
         """The ``(name, shape, dtype)`` buffer, allocated on first use."""

@@ -12,8 +12,12 @@ order (Birdsall & Langdon, Ch. 8):
 The same shape function is used for both gather and deposit so the
 resulting traditional PIC method is momentum conserving.
 
-All routines are fully vectorized: deposits use ``np.add.at`` on index
-arrays, gathers use ``np.take``.  Positions are assumed periodic on
+All routines are fully vectorized: gathers use ``np.take``, and
+deposits scatter each row's nodes in particle order.  float64 rows use
+a weighted ``np.bincount``, which adds in ``np.add.at``'s element order
+(so the bits are equal) and runs faster; float32 rows keep
+``np.add.at``, because bincount accumulates in double and float32 sums
+must round in single precision.  Positions are assumed periodic on
 ``[0, L)``; callers should wrap positions first (``Grid1D.wrap``),
 although a single wrap is also applied defensively here.
 
@@ -49,7 +53,14 @@ every call.  The contract:
 * **escaping state is always fresh** — a kernel's result (the gathered
   field, the deposited density, the pushed particles) is a new array
   on every call and never aliases the workspace, so callers may hold
-  on to it across steps.
+  on to it across steps;
+* **one stencil per deposit → gather pair** — a deposit keeps its
+  products out of the stencil buffers and records on the workspace
+  which positions array (by identity), grid and order the stencil
+  belongs to.  The next gather on that workspace with the same three
+  reads the stencil instead of rebuilding it; every gather clears the
+  record and a deposit never reads it, so the handoff is one-shot.  The
+  positions must not be edited in place between the two.
 
 Engines hand that state from step to step by reassignment and cache
 what they computed from it (see
@@ -59,6 +70,8 @@ assign a new array instead.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,6 +130,35 @@ def _wrap_positions(x: np.ndarray, length: float) -> np.ndarray:
         if xmax < length or (xmax == length and x.dtype == np.float32):
             return x
     return np.mod(x, length)
+
+
+class _Stencil(NamedTuple):
+    """What the stencil buffers of a workspace hold after a deposit."""
+
+    positions: object  # the caller's array, matched by identity
+    grid: Grid1D
+    order: str
+    x: np.ndarray  # the positions checked and wrapped, as the stencil saw them
+
+
+def _recorded_positions(
+    work: Workspace, positions: object, grid: Grid1D, order: str
+) -> "np.ndarray | None":
+    """The wrapped positions of the stencil a deposit left in ``work``.
+
+    None unless that deposit was given this very ``positions`` array, an
+    equal grid and the same order.  Clears the record either way, so a
+    stencil serves one gather.
+    """
+    record, work.stencil = work.stencil, None
+    if (
+        record is not None
+        and record.positions is positions
+        and record.grid == grid
+        and record.order == order
+    ):
+        return record.x
+    return None
 
 
 def _stencil_buffers(
@@ -220,9 +262,12 @@ def deposit(
     raises ``ValueError``.  ``backend`` selects how the independent
     rows execute and ``work`` holds the particle-sized intermediates
     (see the module docstring); every backend reproduces the default's
-    rows bit for bit.
+    rows bit for bit.  The stencil is left in ``work`` for the next
+    :func:`gather` at the same positions.
     """
     _check_order(order)
+    work = work if work is not None else Workspace()
+    work.stencil = None
     x = _wrap_positions(_check_positions(positions), grid.length)
     try:
         w = np.broadcast_to(np.asarray(weights, dtype=x.dtype), x.shape)
@@ -239,27 +284,32 @@ def deposit(
     # the historical bit-for-bit accumulation, float32 runs accumulate
     # (and return) single precision.
     out = np.zeros((batch, grid.n_cells), dtype=x.dtype)
-    s, idx, wts = _stencil_buffers(
-        work if work is not None else Workspace(), order, x2.shape, x.dtype
-    )
-    row_idx, row_wts = idx.reshape(batch, -1), wts.reshape(batch, -1)
+    s, idx, wts = _stencil_buffers(work, order, x2.shape, x.dtype)
+    # The weighted products get their own buffer, so the stencil
+    # survives for the gather.
+    qw = work.get("qw", idx.shape, x.dtype)
+    row_idx, row_qw = idx.reshape(batch, -1), qw.reshape(batch, -1)
+    single = x.dtype == np.float32
 
     def slab(lo: int, hi: int) -> None:
-        rows = wts[lo:hi]
-        _fill_stencil(x2[lo:hi], grid, order, s[lo:hi], idx[lo:hi], rows)
+        _fill_stencil(x2[lo:hi], grid, order, s[lo:hi], idx[lo:hi], wts[lo:hi])
         if order == "ngp":
-            rows[:, 0] = w2[lo:hi]
+            qw[lo:hi, 0] = w2[lo:hi]
         else:
-            np.multiply(w2[lo:hi, None, :], rows, out=rows)
-        # One np.add.at per row, on 1-D operands (ufunc.at is several
+            np.multiply(w2[lo:hi, None, :], wts[lo:hi], out=qw[lo:hi])
+        # One scatter per row, on 1-D operands (ufunc.at is several
         # times faster on those than on 2-D ones).  A row's nodes
         # scatter block by block in particle order — every output
         # cell accumulates in the same order as ever, so the bits do
-        # not depend on the slab bounds.
+        # not depend on the slab bounds or on bincount vs np.add.at.
         for b in range(lo, hi):
-            np.add.at(out[b], row_idx[b], row_wts[b])
+            if single:
+                np.add.at(out[b], row_idx[b], row_qw[b])
+            else:
+                out[b] = np.bincount(row_idx[b], weights=row_qw[b], minlength=grid.n_cells)
 
     _run_rows(backend, batch, slab)
+    work.stencil = _Stencil(positions, grid, order, x)
     out /= grid.dx
     return out if batched else out[0]
 
@@ -280,13 +330,19 @@ def gather(
     result is ``(batch, n)``.  ``backend`` routes the batched rows and
     ``work`` holds the particle-sized intermediates (see the module
     docstring); results are bit-identical for every backend.  The
-    result itself is always a fresh array.
+    result itself is always a fresh array.  Right after a
+    :func:`deposit` on ``work`` at the same ``positions`` array, grid
+    and order, the gather reads the stencil that deposit left.
     """
     _check_order(order)
     field = np.asarray(field)
     if field.dtype != np.float32:
         field = np.asarray(field, dtype=np.float64)
-    x = _wrap_positions(_check_positions(positions), grid.length)
+    work = work if work is not None else Workspace()
+    x = _recorded_positions(work, positions, grid, order)
+    filled = x is not None
+    if x is None:
+        x = _wrap_positions(_check_positions(positions), grid.length)
     if x.ndim == 1 and field.shape != (grid.n_cells,):
         raise ValueError(f"field has shape {field.shape}, expected ({grid.n_cells},)")
     x2 = x if x.ndim == 2 else x[None]
@@ -306,7 +362,6 @@ def gather(
     else:
         out_dtype = np.result_type(field.dtype, x.dtype)
     out = np.empty(x2.shape, dtype=out_dtype)
-    work = work if work is not None else Workspace()
     s, idx, w = _stencil_buffers(work, order, x2.shape, x.dtype)
     # Promoting the (grid-sized) field once is exact, so the node
     # samples land in the result dtype with the reference values.
@@ -314,7 +369,8 @@ def gather(
     picks = work.get("picks", idx.shape, out_dtype) if order != "ngp" else None
 
     def slab(lo: int, hi: int) -> None:
-        _fill_stencil(x2[lo:hi], grid, order, s[lo:hi], idx[lo:hi], w[lo:hi])
+        if not filled:
+            _fill_stencil(x2[lo:hi], grid, order, s[lo:hi], idx[lo:hi], w[lo:hi])
         # Per-row takes read a grid-sized field row straight from
         # cache; mode="clip" is unbuffered and a no-op on indices
         # that are already wrapped.

@@ -73,9 +73,12 @@ class ChargeDepositionFieldSolver:
     the charge density at grid points + Poisson solve + gradient).
     Batch-capable: with ``(batch, n)`` positions the deposit scatters
     every row into its own density row and the Poisson solve batches
-    its FFTs along the last axis.  The solver owns the kernel workspace
-    its deposits write their intermediates into, so one instance must
-    not serve two concurrently stepping engines.
+    its FFTs along the last axis.  Its deposits write their
+    intermediates into the kernel workspace ``work`` (by default one of
+    the solver's own), so one instance must not serve two concurrently
+    stepping engines.  :class:`EnsembleSimulation` hands its default
+    solver the engine's own workspace, so the stencil a deposit builds
+    at ``x_{n+1}`` is the one the engine's next gather reads.
     """
 
     def __init__(
@@ -87,6 +90,7 @@ class ChargeDepositionFieldSolver:
         gradient: str = "central",
         background: float = 1.0,
         backend: "KernelBackend | None" = None,
+        work: "Workspace | None" = None,
     ) -> None:
         self.grid = grid
         self.particle_charge = particle_charge
@@ -96,7 +100,7 @@ class ChargeDepositionFieldSolver:
         self.poisson = PoissonSolver(grid, method=poisson_method, gradient=gradient)
         self.last_rho: "np.ndarray | None" = None
         self.last_phi: "np.ndarray | None" = None
-        self._work = Workspace()
+        self._work = work if work is not None else Workspace()
 
     def field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         rho = charge_density(
@@ -123,7 +127,8 @@ class EnsembleSimulation(Engine):
         ``STRUCTURAL_FIELDS``.
     field_solver:
         Optional batch-native :class:`FieldSolver`; defaults to the
-        traditional batched charge-deposit + Poisson solve.
+        traditional batched charge-deposit + Poisson solve, sharing the
+        engine's kernel workspace.
     rngs:
         Optional per-member RNG overrides (seeds or generators); by
         default each member loads from its own ``config.seed``.
@@ -163,6 +168,7 @@ class EnsembleSimulation(Engine):
                 poisson_method=ref.poisson_solver,
                 gradient=ref.gradient,
                 backend=self._backend,
+                work=self._work,
             )
         self.field_solver = field_solver
         self.particles: ParticleSet = load_ensemble(self.configs, rngs)
@@ -260,14 +266,21 @@ class EnsembleSimulation(Engine):
         ``efield`` are still the arrays it was computed from (a
         reassigned array triggers a fresh gather).
 
+        One stencil build per step: the default field solver deposits
+        into the engine's workspace, and the sync gather at ``x_{n+1}``
+        reads the particle→grid stencil that deposit left there instead
+        of building it again.  (A DL step bins instead of depositing,
+        so its sync gather builds the one stencil.)
+
         Workspace contract: the kernels write every particle-sized
         intermediate into the engine-owned workspace, in row slices per
         backend chunk; the state that escapes the step — ``particles.x``,
         ``particles.v``, the synchronized velocities, ``efield`` and the
         cached field at the particles — is a fresh array every step, so
         references held from earlier steps keep their values.
-        Editing that state *in place* between steps is unsupported (the
-        gather cache cannot see it); assign a new array instead.
+        Editing that state *in place* between steps is unsupported
+        (neither the gather cache nor the stencil handoff can see it);
+        assign a new array instead.
         """
         cfg = self.config
         backend = self._backend

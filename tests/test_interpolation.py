@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.pic import interpolation
 from repro.pic.grid import Grid1D
-from repro.pic.interpolation import charge_density, deposit, gather
+from repro.pic.interpolation import Workspace, charge_density, deposit, gather
 
 ORDERS = ["ngp", "cic", "tsc"]
 
@@ -171,3 +172,64 @@ class TestDepositProperties:
         rho = deposit(grid, x, 1.0, order=order)
         rho_shifted = deposit(grid, x + shift * grid.dx, 1.0, order=order)
         np.testing.assert_allclose(rho_shifted, np.roll(rho, shift), atol=1e-9)
+
+
+def _add_at_deposit(grid, positions, weights, order):
+    """The reference scatter: one ``np.add.at`` per row, node block by
+    node block in particle order, of the weighted stencil."""
+    x = interpolation._wrap_positions(interpolation._check_positions(positions), grid.length)
+    x2 = np.atleast_2d(x)
+    w2 = np.atleast_2d(np.broadcast_to(np.asarray(weights, dtype=x.dtype), x.shape))
+    s, idx, w = interpolation._stencil_buffers(Workspace(), order, x2.shape, x.dtype)
+    interpolation._fill_stencil(x2, grid, order, s, idx, w)
+    if order == "ngp":
+        w[:, 0] = w2
+    else:
+        np.multiply(w2[:, None, :], w, out=w)
+    out = np.zeros((x2.shape[0], grid.n_cells), dtype=x.dtype)
+    for b in range(x2.shape[0]):
+        np.add.at(out[b], idx[b].ravel(), w[b].ravel())
+    out /= grid.dx
+    return out if x.ndim == 2 else out[0]
+
+
+@st.composite
+def _deposit_inputs(draw):
+    """Batches of 1-4 rows, with positions on and around the box edges and
+    scalar or per-particle weights (signed zeros, negatives, ``q * v``)."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    grid = draw(st.sampled_from([Grid1D(16, 4.0), Grid1D(12, 2.0532)]))
+    length = dtype(grid.length)
+    width = 32 if dtype == np.float32 else 64
+    batch = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 24))
+    edges = [0.0, -0.0, length, np.nextafter(length, dtype(0))]
+    position = st.one_of(
+        st.sampled_from(edges),
+        st.floats(float(-2 * length), float(3 * length), width=width),
+    )
+    x = np.array(draw(st.lists(position, min_size=batch * n, max_size=batch * n)), dtype=dtype)
+    x = x.reshape(batch, n)
+    if batch == 1 and draw(st.booleans()):
+        x = x[0]
+    kind = draw(st.sampled_from(["scalar", "per_particle", "charge_times_velocity"]))
+    value = st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-5.0, 5.0, width=width))
+    if kind == "scalar":
+        weights = draw(value)
+    else:
+        w = np.array(draw(st.lists(value, min_size=x.size, max_size=x.size)), dtype=dtype)
+        weights = w.reshape(x.shape)
+        if kind == "charge_times_velocity":
+            weights = dtype(-0.0125) * weights
+    return grid, x, weights
+
+
+class TestDepositScatterParity:
+    @given(inputs=_deposit_inputs(), order=st.sampled_from(ORDERS))
+    @settings(max_examples=200, deadline=None)
+    def test_deposit_matches_row_by_row_add_at_bitwise(self, inputs, order):
+        grid, x, weights = inputs
+        got = deposit(grid, x, weights, order=order)
+        expected = _add_at_deposit(grid, x, weights, order)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()

@@ -10,8 +10,10 @@ kernel workspace.  Any change to the step that moves a single bit of
 any of these runs fails here, whatever the change was meant to do.
 
 The rest checks the mechanism directly: a steady-state step of the
-traditional and the DL engines does exactly one ``gather``, and it
-allocates no fresh particle-sized scratch.
+traditional and the DL engines does exactly one ``gather`` and builds
+one particle→grid stencil, and it allocates no fresh particle-sized
+scratch.  The stencil a deposit hands its workspace's next gather is
+never served stale.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from repro.phasespace.normalization import MinMaxNormalizer
 from repro.pic import interpolation, simulation
 from repro.pic.grid import Grid1D
 from repro.pic.interpolation import Workspace, deposit, gather
+from repro.pic.energy_conserving import EnergyConservingEnsemble
 from repro.pic.mover import push_positions, push_velocities
-from repro.pic.simulation import EnsembleSimulation
+from repro.pic.simulation import ChargeDepositionFieldSolver, EnsembleSimulation
 
 ORDERS = ("ngp", "cic", "tsc")
 DTYPES = ("float64", "float32")
@@ -159,6 +162,133 @@ def test_one_gather_per_steady_state_step(gather_calls, family):
     for _ in range(5):
         engine.step()
     assert gather_calls[0] - before == 5
+
+
+@pytest.fixture
+def stencil_fills(monkeypatch) -> "list[int]":
+    """Count every particle→grid stencil the kernels build."""
+    calls = [0]
+    original = interpolation._fill_stencil
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(interpolation, "_fill_stencil", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["traditional", "dl"])
+def test_one_stencil_build_per_steady_state_step(stencil_fills, family):
+    """The traditional sync gather reads the stencil its step's deposit
+    built; the DL step bins instead, so its sync gather builds the one."""
+    if family == "dl":
+        engine = DLEnsemble.from_config(SMALL, 3, _dl_solver(SMALL))
+    else:
+        engine = EnsembleSimulation.from_config(SMALL, 3)
+    engine.step()
+    before = stencil_fills[0]
+    for _ in range(5):
+        engine.step()
+    assert stencil_fills[0] - before == 5
+
+
+def test_energy_step_builds_one_stencil_per_midpoint_solve(stencil_fills, monkeypatch):
+    """Each Picard midpoint solve deposits and gathers at one ``x_half``."""
+    solves = [0]
+    original = EnergyConservingEnsemble._midpoint_fields
+
+    def counted(self, *args):
+        solves[0] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(EnergyConservingEnsemble, "_midpoint_fields", counted)
+    engine = EnergyConservingEnsemble(SMALL.with_updates(solver="energy"))
+    before = stencil_fills[0]
+    for _ in range(3):
+        engine.step()
+    assert solves[0] >= 6  # a Picard iteration and the final solve per step
+    assert stencil_fills[0] - before == solves[0]
+
+
+# -- the deposit -> gather stencil is never served stale ------------------
+
+
+def _assert_bitwise(got: np.ndarray, expected: np.ndarray) -> None:
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.fixture(params=["numpy", "threaded"])
+def handoff_backend(request) -> "ThreadedBackend | None":
+    return ThreadedBackend(max_workers=2) if request.param == "threaded" else None
+
+
+@pytest.fixture
+def handoff_state() -> "tuple[Grid1D, np.ndarray, np.ndarray, np.ndarray]":
+    rng = np.random.default_rng(11)
+    grid = Grid1D(32, BASE.box_length)
+    x = rng.uniform(0.0, grid.length, size=(5, 3000))
+    v = rng.normal(0.0, 0.2, size=x.shape)
+    field = rng.normal(size=(5, grid.n_cells))
+    return grid, x, v, field
+
+
+def _edit_in_place(x: np.ndarray, length: float) -> None:
+    x[:, ::3] = np.mod(x[:, ::3] + 0.37, length)
+
+
+def test_solver_redeposits_positions_edited_in_place(handoff_backend, handoff_state):
+    grid, x, v, _ = handoff_state
+    solver = ChargeDepositionFieldSolver(grid, -0.01, backend=handoff_backend)
+    solver.field(x, v)
+    _edit_in_place(x, grid.length)
+    e = solver.field(x, v)
+    fresh = ChargeDepositionFieldSolver(grid, -0.01)
+    _assert_bitwise(e, fresh.field(x, v))
+    _assert_bitwise(solver.last_rho, fresh.last_rho)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_second_gather_rebuilds_positions_edited_in_place(
+    handoff_backend, handoff_state, order
+):
+    grid, x, v, field = handoff_state
+    work = Workspace()
+    deposit(grid, x, v, order=order, backend=handoff_backend, work=work)
+    _assert_bitwise(
+        gather(grid, field, x, order=order, backend=handoff_backend, work=work),
+        gather(grid, field, x, order=order),
+    )
+    _edit_in_place(x, grid.length)
+    _assert_bitwise(
+        gather(grid, field, x, order=order, backend=handoff_backend, work=work),
+        gather(grid, field, x, order=order),
+    )
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("change", ["copy", "order", "n_cells", "length"])
+def test_gather_with_other_arguments_builds_its_own_stencil(
+    handoff_backend, handoff_state, order, change
+):
+    grid, x, v, field = handoff_state
+    x_g, order_g, grid_g = x, order, grid
+    if change == "copy":
+        x_g = x.copy()
+    elif change == "order":
+        order_g = ORDERS[(ORDERS.index(order) + 1) % len(ORDERS)]
+    elif change == "n_cells":
+        grid_g = Grid1D(24, grid.length)
+    else:
+        grid_g = Grid1D(grid.n_cells, 0.75 * grid.length)
+    field_g = field[:, : grid_g.n_cells] if change == "n_cells" else field
+    work = Workspace()
+    deposit(grid, x, v, order=order, backend=handoff_backend, work=work)
+    _assert_bitwise(
+        gather(grid_g, field_g, x_g, order=order_g, backend=handoff_backend, work=work),
+        gather(grid_g, field_g, x_g, order=order_g),
+    )
 
 
 def test_threaded_slabs_share_one_workspace_race_free():
