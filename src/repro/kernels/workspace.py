@@ -30,10 +30,11 @@ class Workspace:
     positions array (by identity), grid and order it belongs to; the
     next :func:`~repro.pic.interpolation.gather` on this workspace, given
     that same array, grid and order, reads the stencil instead of
-    rebuilding it.  Every gather clears the record, so the handoff is
-    one-shot.  Because the match is by identity, the positions must not
-    be edited in place between the deposit and the gather: assign a new
-    array instead.
+    rebuilding it.  Every gather clears the record and a deposit never
+    reads it, so the handoff is one-shot and runs deposit → gather only.
+    Because the match is by identity, the positions must not be edited
+    in place between the deposit and the gather: assign a new array
+    instead.
     """
 
     def __init__(self) -> None:

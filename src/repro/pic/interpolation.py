@@ -54,13 +54,10 @@ every call.  The contract:
   field, the deposited density, the pushed particles) is a new array
   on every call and never aliases the workspace, so callers may hold
   on to it across steps;
-* **one stencil per deposit → gather pair** — a deposit keeps its
-  products out of the stencil buffers and records on the workspace
-  which positions array (by identity), grid and order the stencil
-  belongs to.  The next gather on that workspace with the same three
-  reads the stencil instead of rebuilding it; every gather clears the
-  record and a deposit never reads it, so the handoff is one-shot.  The
-  positions must not be edited in place between the two.
+* **one stencil per deposit → gather pair** — a deposit leaves its
+  stencil in the workspace for the next gather at the same positions
+  array, grid and order (see :class:`~repro.kernels.workspace.Workspace`),
+  so the positions must not be edited in place between the two.
 
 Engines hand that state from step to step by reassignment and cache
 what they computed from it (see
