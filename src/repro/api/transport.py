@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.api.envelope import RunRequest, RunResult, now
 from repro.obs.metrics import PROCESS_METRICS
-from repro.obs.trace import NOOP_TRACER, PARENT_HEADER, TRACE_HEADER, Tracer
+from repro.obs.trace import PARENT_HEADER, TRACE_HEADER, Tracer
 
 if TYPE_CHECKING:
     from repro.service.store import SimulationResult
@@ -94,8 +94,8 @@ class InProcessTransport:
         # that every service span nests under.
         root = None
         if trace is None:
-            tracer = getattr(self.service, "tracer", None) or NOOP_TRACER
-            if tracer.enabled:
+            tracer = getattr(self.service, "tracer", None)
+            if tracer is not None:
                 trace = tracer.start_trace("request")
                 root = trace.start_span("client.request")
                 parent_id = root.span_id
@@ -107,10 +107,11 @@ class InProcessTransport:
                 trace=trace,
                 parent_id=parent_id,
             )
-        except (ValueError, RuntimeError) as exc:
-            # Submit-time rejections (unservable config, closed service)
-            # ride the same error-result path as execution failures, so
-            # one bad request in a map() cannot break the gather.
+        except Exception as exc:  # noqa: BLE001 — travels in the result
+            # Submit-time failures (unservable config, closed service, a
+            # DL model that will not load) ride the same error-result
+            # path as execution failures, so one bad request in a map()
+            # cannot break the gather.
             if root:
                 root.set_attribute("error", f"{type(exc).__name__}: {exc}").finish()
             if trace:
@@ -216,7 +217,7 @@ class HttpTransport:
         self._host = parsed.hostname
         self._port = parsed.port or 80
         self._timeout = timeout
-        self.tracer = Tracer() if trace else NOOP_TRACER
+        self.tracer = Tracer() if trace else None
         self._local = threading.local()
         self._closed = False
         self._conns: "set[http.client.HTTPConnection]" = set()
@@ -277,9 +278,7 @@ class HttpTransport:
     # -- the transport surface -------------------------------------------
     def _roundtrip(self, request: RunRequest, submitted: float) -> RunResult:
         body = json.dumps(request.to_dict()).encode()
-        trace = (
-            self.tracer.start_trace("request") if self.tracer.enabled else None
-        )
+        trace = self.tracer.start_trace("request") if self.tracer is not None else None
         root = trace.start_span("client.request") if trace else None
         headers = None
         http_span = None

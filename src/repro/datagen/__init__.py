@@ -6,7 +6,6 @@ from repro.datagen.campaign import (
     dataset_from_result,
     harvest_via_client,
     run_campaign,
-    run_test_set_ii,
 )
 from repro.datagen.presets import fast_campaign, medium_campaign, paper_campaign
 from repro.datagen.stream import (
@@ -26,7 +25,6 @@ __all__ = [
     "dataset_from_result",
     "harvest_via_client",
     "run_campaign",
-    "run_test_set_ii",
     "fast_campaign",
     "medium_campaign",
     "paper_campaign",

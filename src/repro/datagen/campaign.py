@@ -278,22 +278,3 @@ def run_campaign(campaign: CampaignConfig, n_workers: int = 1) -> FieldDataset:
         workers=n_workers,
     )
 
-
-def run_test_set_ii(
-    campaign: CampaignConfig,
-    v0_values: Sequence[float],
-    vth_values: Sequence[float],
-    n_samples: int,
-    seed: int = 777,
-) -> FieldDataset:
-    """Build the paper's "Test Set II" from *unseen* parameters.
-
-    Runs :meth:`CampaignConfig.test_set_ii` (one simulation per unseen
-    ``(v0, vth)`` combination) and keeps a random subsample of
-    ``n_samples`` pairs, mimicking the paper's 1,000-sample held-out
-    set from parameters "not included in the initial data set".  This
-    is the in-memory twin of the pipeline's streamed Test Set II, which
-    composes the same derived campaign and :meth:`FieldDataset.subsample`.
-    """
-    full = run_campaign(campaign.test_set_ii(v0_values, vth_values, seed))
-    return full.subsample(n_samples, seed)

@@ -43,7 +43,6 @@ from repro.datagen.campaign import (
 )
 from repro.datagen.dataset import FieldDataset
 from repro.obs.metrics import CAMPAIGN_SHARDS
-from repro.obs.trace import NOOP_TRACER
 from repro.utils.io import atomic_write, sha256_file
 
 if TYPE_CHECKING:
@@ -320,8 +319,8 @@ class CampaignStream:
         plan = self.plan()
         client = self._client if self._client is not None else self._make_client()
         service = getattr(getattr(client, "transport", None), "service", None)
-        tracer = getattr(service, "tracer", NOOP_TRACER)
-        trace = tracer.start_trace("campaign") if tracer.enabled else None
+        tracer = getattr(service, "tracer", None)
+        trace = tracer.start_trace("campaign") if tracer is not None else None
         try:
             # (spec, adopted | None, futures | None, recorded): at most
             # prefetch_depth entries holding result data at any moment.

@@ -282,8 +282,11 @@ class Engine:
         The history includes the initial state, so it holds
         ``n_steps + 1`` records.  Pass any :class:`Observables`
         pipeline (e.g. one built from a request's observables
-        selection) to record custom measurements; ``callback`` fires
-        with the engine after every step (used by the data harvests).
+        selection) to record custom measurements.  ``callback`` fires
+        with the engine after every step and its record; its callers
+        are :func:`repro.service.executor.run_group_task` (the step
+        clock of traced groups) and
+        :func:`repro.vlasov.harvest.harvest_vlasov_ensemble`.
         ``n_steps=None`` runs ``config.n_steps``, which every member
         must then agree on.
         """

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import re
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
@@ -316,31 +315,6 @@ class PhaseSpaceSnapshot:
     def measure(self, frame: Frame) -> np.ndarray:
         f = frame.f if frame.f.ndim == 3 else frame.f[None]
         return np.array(f, copy=True)
-
-
-class StepTimer:
-    """Wall-clock time between consecutive records (tracing hook).
-
-    Appended *last* to a pipeline by the tracing layer so the
-    inter-record interval covers one full engine step (every other
-    observable included).  Emits a shape-``(1,)`` series independent of
-    the ensemble batch — per-series buffer shapes follow each
-    observable's own output.  The first record (pre-step state) times
-    the interval since construction, i.e. effectively 0.  Never
-    registered in the observable registry: requests cannot select it,
-    and the service pops the ``step_s`` series before results are
-    built, so traced results stay bitwise identical to untraced ones.
-    """
-
-    names = ("step_s",)
-
-    def __init__(self) -> None:
-        self._last = time.perf_counter()
-
-    def measure(self, frame: Frame) -> np.ndarray:
-        now = time.perf_counter()
-        elapsed, self._last = now - self._last, now
-        return np.array([elapsed])
 
 
 class TrainingHistograms:

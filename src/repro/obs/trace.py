@@ -9,15 +9,16 @@ instant is expressed relative to a base so traces survive process
 boundaries.
 
 Cross-process spans (executor workers, remote clients) are measured in
-their own process — whose perf-counter epoch is unrelated — shipped as
-*relative* span dicts (``start_s`` relative to their own window), and
-re-anchored into the adopting trace's timeline with
-:meth:`Trace.adopt`.
+their own process — whose perf-counter epoch is unrelated — on a local
+:class:`Trace`, shipped as its *relative* :meth:`Trace.span_dicts`
+(``start_s`` relative to their own window), and re-anchored into the
+adopting trace's timeline with :meth:`Trace.adopt`.
+:meth:`Span.to_dict` is the one writer of that wire format and
+:func:`spans_from_wire` its validator.
 
-Everything here is stdlib-only and thread-safe.  The zero-cost default
-is :data:`NOOP_TRACER`: its traces and spans are falsy singletons whose
-methods do nothing, so hot paths guard with ``if trace:`` and pay one
-attribute lookup when tracing is off.
+Everything here is stdlib-only and thread-safe.  Tracing off is
+``tracer is None``: a layer without a :class:`Tracer` opens no trace,
+and hot paths guard with ``if trace:`` on a trace that is ``None``.
 """
 
 from __future__ import annotations
@@ -29,19 +30,14 @@ from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
 
 __all__ = [
-    "NOOP_TRACE",
-    "NOOP_TRACER",
     "PARENT_HEADER",
     "TRACE_HEADER",
     "MAX_ATTRIBUTES_PER_SPAN",
     "MAX_SPANS_PER_TRACE",
-    "NoopTracer",
     "Span",
     "Trace",
     "TraceBuffer",
     "Tracer",
-    "new_span_id",
-    "new_trace_id",
     "span_tree",
     "spans_from_wire",
 ]
@@ -58,18 +54,6 @@ MAX_ATTRIBUTES_PER_SPAN = 16
 MAX_SPANS_PER_TRACE = 512
 
 _SCALARS = (str, int, float, bool)
-
-
-def new_trace_id() -> str:
-    """A fresh 32-hex-char trace id."""
-
-    return uuid.uuid4().hex
-
-
-def new_span_id() -> str:
-    """A fresh 16-hex-char span id."""
-
-    return uuid.uuid4().hex[:16]
 
 
 def _clean_attr(value):
@@ -91,7 +75,7 @@ class Span:
 
     def __init__(self, name, *, trace=None, parent_id=None, start=None, span_id=None):
         self.name = str(name)
-        self.span_id = span_id if span_id is not None else new_span_id()
+        self.span_id = span_id if span_id is not None else uuid.uuid4().hex[:16]
         self.parent_id = parent_id
         self.start = time.perf_counter() if start is None else float(start)
         self.end = None
@@ -204,7 +188,7 @@ class Trace:
     """A bounded, thread-safe collection of spans for one request."""
 
     def __init__(self, trace_id=None, *, name="request", buffer=None):
-        self.trace_id = trace_id if trace_id is not None else new_trace_id()
+        self.trace_id = trace_id if trace_id is not None else uuid.uuid4().hex
         self.name = str(name)
         self.t0 = time.perf_counter()
         self.dropped = 0
@@ -213,9 +197,6 @@ class Trace:
         self._finished = False
         self._buffer = buffer
         self._lock = threading.Lock()
-
-    def __bool__(self):
-        return True
 
     # -- recording -----------------------------------------------------
 
@@ -422,8 +403,6 @@ class TraceBuffer:
 class Tracer:
     """Factory for traces, bound to a :class:`TraceBuffer`."""
 
-    enabled = True
-
     def __init__(self, *, buffer=None, capacity=256):
         self.buffer = buffer if buffer is not None else TraceBuffer(capacity)
 
@@ -432,93 +411,3 @@ class Tracer:
 
     def get(self, trace_id):
         return self.buffer.get(trace_id)
-
-
-class _NoopSpan:
-    """Falsy do-nothing span; one shared instance serves every call."""
-
-    __slots__ = ()
-    name = ""
-    span_id = ""
-    parent_id = None
-    start = 0.0
-    end = 0.0
-    duration_s = 0.0
-    attributes: dict = {}
-
-    def __bool__(self):
-        return False
-
-    def set_attribute(self, key, value):
-        return self
-
-    def finish(self, *, end=None):
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-class _NoopTrace:
-    """Falsy do-nothing trace returned by :class:`NoopTracer`."""
-
-    __slots__ = ()
-    trace_id = ""
-    name = ""
-    t0 = 0.0
-    dropped = 0
-
-    def __bool__(self):
-        return False
-
-    def start_span(self, name, *, parent_id=None):
-        return NOOP_SPAN
-
-    span = start_span
-
-    def add_span(self, span):
-        return None
-
-    def adopt(self, spans, *, anchor, parent_id=None):
-        return None
-
-    def adopt_remote(self, spans):
-        return None
-
-    def finish(self):
-        return self
-
-    def span_dicts(self):
-        return []
-
-    def to_payload(self):
-        return {
-            "trace_id": "",
-            "name": "",
-            "n_spans": 0,
-            "duration_s": 0.0,
-            "dropped_spans": 0,
-            "complete": False,
-            "spans": [],
-        }
-
-
-class NoopTracer:
-    """Zero-cost tracer: every trace/span is a shared falsy singleton."""
-
-    enabled = False
-    buffer = None
-
-    def start_trace(self, name="request", *, trace_id=None):
-        return NOOP_TRACE
-
-    def get(self, trace_id):
-        return None
-
-
-NOOP_SPAN = _NoopSpan()
-NOOP_TRACE = _NoopTrace()
-NOOP_TRACER = NoopTracer()

@@ -28,7 +28,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from repro.config import SimulationConfig
-from repro.engines.base import STRUCTURAL_FIELDS, Engine
+from repro.engines.base import Engine
 from repro.engines.observables import Frame, Observables, pic_observables
 from repro.kernels import KernelBackend, resolve_backend
 from repro.pic.grid import Grid1D
@@ -45,7 +45,6 @@ from repro.pic.poisson import PoissonSolver
 from repro.pic.scenarios import load_ensemble
 
 __all__ = [
-    "STRUCTURAL_FIELDS",  # canonical home: repro.engines.base
     "FieldSolver",
     "ChargeDepositionFieldSolver",
     "EnsembleSimulation",
@@ -124,7 +123,7 @@ class EnsembleSimulation(Engine):
         parameters, loading and perturbation, but must agree on the
         structural fields (grid, time step, particle count,
         interpolation and solver choices) listed in
-        ``STRUCTURAL_FIELDS``.
+        :data:`repro.engines.base.STRUCTURAL_FIELDS`.
     field_solver:
         Optional batch-native :class:`FieldSolver`; defaults to the
         traditional batched charge-deposit + Poisson solve, sharing the

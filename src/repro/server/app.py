@@ -73,7 +73,7 @@ from repro.api.envelope import (
 )
 from repro.api.transport import InProcessTransport
 from repro.obs.metrics import MetricsRegistry, render_prometheus
-from repro.obs.trace import NOOP_TRACER, PARENT_HEADER, TRACE_HEADER, spans_from_wire
+from repro.obs.trace import PARENT_HEADER, TRACE_HEADER, spans_from_wire
 from repro.server.http import (
     BadRequest,
     HttpRequest,
@@ -175,7 +175,7 @@ class SimulationServer:
         else:
             self._owns_service = False
         self.service = service
-        self.tracer = getattr(service, "tracer", None) or NOOP_TRACER
+        self.tracer = getattr(service, "tracer", None)
         self._transport = InProcessTransport(service)
         self.host = host
         self.port = port
@@ -416,12 +416,12 @@ class SimulationServer:
 
     def _handle_trace(self, request: HttpRequest) -> "tuple[int, Any]":
         """The trace endpoints (404 unless the service traces)."""
-        buffer = self.tracer.buffer
-        if buffer is None:
+        if self.tracer is None:
             return 404, error_body(
                 "tracing is disabled on this server; start it with "
                 "`repro serve --trace` (SimulationServer(tracing=True))"
             )
+        buffer = self.tracer.buffer
         parts = [p for p in request.path.split("/") if p]  # ["v1","trace",...]
         if request.method == "GET" and len(parts) == 2:
             return 200, {"traces": buffer.ids(), "buffer": buffer.stats()}
@@ -553,7 +553,7 @@ class SimulationServer:
 
         trace = None
         server_span = None
-        if self.tracer.enabled:
+        if self.tracer is not None:
             trace = self.tracer.start_trace("request", trace_id=trace_id)
             server_span = trace.start_span("server.request", parent_id=parent_id)
             server_span.set_attribute("endpoint", endpoint)

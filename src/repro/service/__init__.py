@@ -9,7 +9,7 @@ served result is bitwise identical to running its config alone; the
 ``repro serve`` CLI drains JSONL request streams through this service.
 """
 
-from repro.service.batcher import GROUP_FIELDS, MicroBatcher, PendingRequest, group_key
+from repro.service.batcher import MicroBatcher, PendingRequest
 from repro.service.executor import (
     Executor,
     GroupOutcome,
@@ -25,18 +25,11 @@ from repro.service.service import (
     STATUS_QUEUED,
     SimulationService,
 )
-from repro.service.store import (
-    SOLVER_FAMILIES,
-    ResultStore,
-    SimulationResult,
-    result_key,
-)
+from repro.service.store import ResultStore, SimulationResult, result_key
 
 __all__ = [
-    "GROUP_FIELDS",
     "MicroBatcher",
     "PendingRequest",
-    "group_key",
     "Executor",
     "GroupOutcome",
     "GroupTask",
@@ -49,7 +42,6 @@ __all__ = [
     "STATUS_INFLIGHT",
     "STATUS_QUEUED",
     "SimulationService",
-    "SOLVER_FAMILIES",
     "ResultStore",
     "SimulationResult",
     "result_key",

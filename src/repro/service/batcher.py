@@ -1,7 +1,7 @@
 """Dynamic micro-batching of compatible simulation requests.
 
-Requests are bucketed by :func:`group_key` — the engine registry's
-structural-compatibility key for the config's solver family
+Requests are bucketed by the engine registry's structural-compatibility
+key for the config's solver family
 (:func:`repro.engines.engine_group_key`), which folds in the structural
 config fields that family's batched engine requires to agree across an
 ensemble, plus ``n_steps`` (one ``run()`` call per group) and the
@@ -27,21 +27,7 @@ from dataclasses import dataclass, field
 from typing import Hashable
 
 from repro.config import SimulationConfig
-from repro.engines.base import STRUCTURAL_FIELDS, engine_group_key
-
-# Kept importable for compatibility: the PIC families' structural
-# fields plus n_steps.  The authoritative grouping is per-family via
-# the engine registry (see group_key).
-GROUP_FIELDS = STRUCTURAL_FIELDS + ("n_steps",)
-
-
-def group_key(config: SimulationConfig) -> Hashable:
-    """Compatibility bucket of a request (hashable tuple).
-
-    The key delegates to the engine registry, so user-registered
-    families group correctly too.
-    """
-    return engine_group_key(config)
+from repro.engines.base import engine_group_key
 
 
 @dataclass
@@ -101,7 +87,7 @@ class MicroBatcher:
 
     def add(self, request: PendingRequest) -> None:
         """File a request under its compatibility bucket."""
-        bucket = (group_key(request.config), request.observables)
+        bucket = (engine_group_key(request.config), request.observables)
         self._groups.setdefault(bucket, []).append(request)
 
     def take_ready(self, now: "float | None" = None) -> list[list[PendingRequest]]:

@@ -53,8 +53,8 @@ import numpy as np
 
 from repro.config import SimulationConfig
 from repro.engines.base import make_engine, validate_engine_config
-from repro.engines.observables import Observables, StepTimer, resolve_observables
-from repro.obs.trace import new_span_id
+from repro.engines.observables import Observables, resolve_observables
+from repro.obs.trace import Span, Trace
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,9 @@ class GroupTask:
     observables: "tuple | None"
     phase_space: "tuple[bool, ...]"
     model_dir: "str | None" = None
-    #: When set, the engine call measures per-step timings (via a
-    #: :class:`~repro.engines.observables.StepTimer` appended to the
-    #: pipeline) and ships worker-side spans back in the outcome.
+    #: When set, the engine call clocks each step through
+    #: ``Engine.run(callback=)`` and ships worker-side spans back in
+    #: the outcome; the recorded series are the untraced ones.
     traced: bool = False
 
     def __len__(self) -> int:
@@ -96,9 +96,9 @@ class GroupOutcome:
     ``worker_pid`` labels the service's executed-run counter and
     ``exec_s`` splits the group's wall time into execution and executor
     queue.  ``spans`` carries worker-side trace spans for traced tasks:
-    wire-format dicts whose ``start_s`` is relative to the worker's own
-    execution window (the adopting trace re-anchors them into its
-    timeline).
+    a worker-local :meth:`Trace.span_dicts`, whose ``start_s`` is
+    relative to the worker's own execution window (the adopting trace
+    re-anchors them into its timeline).
     """
 
     series: "dict[str, np.ndarray]"
@@ -182,22 +182,21 @@ def run_group_task(task: GroupTask, dl_solver: "object | None" = None) -> GroupO
     started = time.perf_counter()
     configs = tuple(SimulationConfig.from_dict(dict(d)) for d in task.configs)
     spec = validate_engine_config(configs[0])
-    observables = resolve_observables(task.observables, spec.kind)
-    if task.traced:
-        # StepTimer goes LAST so its inter-record interval covers one
-        # full engine step including every other observable's cost.
-        observables = list(observables) + [StepTimer()]
-    pipeline = Observables(observables)
+    pipeline = Observables(resolve_observables(task.observables, spec.kind))
     if task.solver == "dl" and dl_solver is None:
         dl_solver = _dl_solver_for(task.model_dir)
     sim = make_engine(configs, dl_solver=dl_solver)
+    # A traced run stamps the end of every step (its record included);
+    # consecutive stamps, the first from here, are the step times.
+    step_ends: "list[float]" = []
     t_built = time.perf_counter()
-    history = sim.run(task.n_steps, history=pipeline)
+    history = sim.run(
+        task.n_steps,
+        history=pipeline,
+        callback=(lambda _: step_ends.append(time.perf_counter())) if task.traced else None,
+    )
     t_run_done = time.perf_counter()
     series = history.as_arrays()
-    # Popping the timing series (not slicing around it) keeps every
-    # result series object identical to the untraced pipeline's output.
-    step_s = series.pop("step_s", None) if task.traced else None
     particles = getattr(sim, "particles", None)
     v_integer = getattr(sim, "v_at_integer_time", None)
     distribution = getattr(sim, "f", None)
@@ -216,7 +215,7 @@ def run_group_task(task: GroupTask, dl_solver: "object | None" = None) -> GroupO
     spans: "tuple[dict, ...]" = ()
     if task.traced:
         spans = _worker_spans(
-            started, t_built, t_run_done, done, step_s,
+            started, t_built, t_run_done, done, step_ends,
             n_steps=task.n_steps, batch=len(configs),
             dtype=configs[0].dtype, backend=configs[0].backend,
         )
@@ -236,7 +235,7 @@ def _worker_spans(
     t_built: float,
     t_run_done: float,
     t_done: float,
-    step_s: "np.ndarray | None",
+    step_ends: "list[float]",
     *,
     n_steps: int,
     batch: int,
@@ -246,60 +245,36 @@ def _worker_spans(
     """Worker-side spans in wire format, ``start_s`` relative to ``t0``.
 
     The worker's ``perf_counter`` epoch is unrelated to the service's,
-    so these ship as offsets inside the worker's own execution window;
-    the adopting trace anchors the window just before delivery.
+    so the spans go on a worker-local :class:`Trace` and ship as its
+    :meth:`~Trace.span_dicts`: offsets inside the worker's own
+    execution window, which the adopting trace anchors just before
+    delivery.  Every instant is already measured, so each span finishes
+    at its explicit end, parents first (the root leads the list).
     """
-    root_id = new_span_id()
-    run_id = new_span_id()
-    spans = [
-        {
-            "span_id": root_id,
-            "parent_id": None,
-            "name": "executor.worker_run",
-            "start_s": 0.0,
-            "duration_s": t_done - t0,
-            "attributes": {
-                "worker_pid": os.getpid(),
-                "batch": int(batch),
-                "dtype": dtype,
-                "backend": backend,
-            },
-        },
-        {
-            "span_id": new_span_id(),
-            "parent_id": root_id,
-            "name": "engine.build",
-            "start_s": 0.0,
-            "duration_s": t_built - t0,
-        },
-        {
-            "span_id": run_id,
-            "parent_id": root_id,
-            "name": "engine.run",
-            "start_s": t_built - t0,
-            "duration_s": t_run_done - t_built,
-        },
-    ]
-    if step_s is not None and step_s.size > 1:
-        # Drop the first record: it times construction-to-first-record,
-        # not an engine step.
-        flat = step_s.ravel()[1:]
-        spans.append(
-            {
-                "span_id": new_span_id(),
-                "parent_id": run_id,
-                "name": "engine.steps",
-                "start_s": t_built - t0,
-                "duration_s": float(flat.sum()),
-                "attributes": {
-                    "n_steps": int(n_steps),
-                    "step_p50_s": float(np.percentile(flat, 50)),
-                    "step_p99_s": float(np.percentile(flat, 99)),
-                    "step_max_s": float(flat.max()),
-                },
-            }
+    trace = Trace()
+    root = (
+        Span("executor.worker_run", trace=trace, start=t0)
+        .set_attribute("worker_pid", os.getpid())
+        .set_attribute("batch", int(batch))
+        .set_attribute("dtype", dtype)
+        .set_attribute("backend", backend)
+        .finish(end=t_done)
+    )
+    Span("engine.build", trace=trace, parent_id=root.span_id, start=t0).finish(end=t_built)
+    run = Span(
+        "engine.run", trace=trace, parent_id=root.span_id, start=t_built
+    ).finish(end=t_run_done)
+    if step_ends:
+        step_s = np.diff([t_built, *step_ends])
+        (
+            Span("engine.steps", trace=trace, parent_id=run.span_id, start=t_built)
+            .set_attribute("n_steps", int(n_steps))
+            .set_attribute("step_p50_s", float(np.percentile(step_s, 50)))
+            .set_attribute("step_p99_s", float(np.percentile(step_s, 99)))
+            .set_attribute("step_max_s", float(step_s.max()))
+            .finish(end=step_ends[-1])
         )
-    return tuple(spans)
+    return tuple(trace.span_dicts())
 
 
 def _pool_run_task(task: GroupTask) -> GroupOutcome:

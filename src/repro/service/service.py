@@ -52,7 +52,7 @@ from repro.config import SimulationConfig
 from repro.engines.base import validate_engine_config
 from repro.engines.observables import canonical_observables, resolve_observables
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NOOP_TRACER, Span, Tracer
+from repro.obs.trace import Span, Tracer
 from repro.service.batcher import MicroBatcher, PendingRequest
 from repro.service.executor import (
     Executor,
@@ -119,8 +119,8 @@ class SimulationService:
         every request carries a :class:`~repro.obs.trace.Trace` through
         submit → batch → dispatch → worker execution → delivery, and
         completed traces land in ``service.tracer.buffer``.  When off,
-        the module-level no-op tracer is used and the per-request cost
-        is a handful of ``perf_counter`` calls for the always-on stage
+        ``service.tracer`` is ``None`` and the per-request cost is a
+        handful of ``perf_counter`` calls for the always-on stage
         timings.
     """
 
@@ -139,7 +139,7 @@ class SimulationService:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.tracer = Tracer() if tracing else NOOP_TRACER
+        self.tracer = Tracer() if tracing else None
         self.store = store if store is not None else ResultStore()
         self._batcher = MicroBatcher(max_batch_size=max_batch_size, max_wait=max_wait)
         self._dl_solver = dl_solver
@@ -255,7 +255,7 @@ class SimulationService:
         """
         t_submit = time.perf_counter()
         if trace is None:
-            trace = self.tracer.start_trace("request") if self.tracer.enabled else None
+            trace = self.tracer.start_trace("request") if self.tracer is not None else None
         submit_span = (
             trace.start_span("service.submit", parent_id=parent_id) if trace else None
         )

@@ -32,10 +32,6 @@ from repro.engines.base import available_engines
 from repro.engines.observables import canonical_observables, observables_token
 from repro.utils.io import atomic_write, load_npz_dict, save_npz_dict
 
-# Built-in families; the authoritative list is the engine registry
-# (available_engines()), which user-registered families join.
-SOLVER_FAMILIES = ("traditional", "dl", "vlasov", "energy", "mpi")
-
 _SERIES_PREFIX = "series_"
 
 _DEFAULT_OBS_TOKEN = observables_token(canonical_observables(None))

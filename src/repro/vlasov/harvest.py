@@ -16,6 +16,7 @@ import numpy as np
 from repro.config import SimulationConfig
 from repro.datagen.dataset import FieldDataset
 from repro.engines.base import make_engine, vlasov_grid_params
+from repro.engines.observables import Observables
 from repro.phasespace.binning import PhaseSpaceGrid
 
 
@@ -97,18 +98,16 @@ def harvest_vlasov_ensemble(
     targets: list[list[np.ndarray]] = [[] for _ in range(batch)]
     steps: list[int] = []
 
-    def collect() -> None:
+    def collect(engine) -> None:
+        if engine.step_index % stride:
+            return
         for b in range(batch):
-            inputs[b].append(expected_counts(sim.f[b], geometry, ps_grid, n_particles))
-            targets[b].append(sim.efield[b].copy())
+            inputs[b].append(expected_counts(engine.f[b], geometry, ps_grid, n_particles))
+            targets[b].append(engine.efield[b].copy())
+        steps.append(engine.step_index)
 
-    collect()
-    steps.append(0)
-    for i in range(1, n_steps + 1):
-        sim.step()
-        if i % stride == 0:
-            collect()
-            steps.append(i)
+    collect(sim)
+    sim.run(n_steps, history=Observables(()), callback=collect)
 
     step_col = np.asarray(steps, dtype=np.float64)
     n_kept = step_col.size

@@ -268,6 +268,23 @@ class TestClient:
             with pytest.raises(ApiError, match="no-model"):
                 client.run(bad)
 
+    def test_model_load_failure_travels_as_error_result(self, config, tmp_path):
+        # A service given only model_dir= loads the network on the first
+        # dl submit; a missing directory fails that load at submit time.
+        lost = RunRequest(config=config.with_updates(solver="dl"), id="lost-model")
+        with small_client(
+            model_dir=str(tmp_path / "missing"), raise_on_error=False, tracing=True
+        ) as client:
+            result = client.submit(lost).result()
+            assert result.status == "error"
+            assert "FileNotFoundError" in result.error
+            assert client.service.tracer.buffer.last().to_payload()["complete"] is True
+            results = client.map([lost, RunRequest(config=config, id="plain")])
+        assert [(r.id, r.status) for r in results] == [
+            ("lost-model", "error"), ("plain", "ok"),
+        ]
+        assert "FileNotFoundError" in results[0].error
+
     def test_bare_config_accepted_and_auto_named(self, config):
         with small_client() as client:
             result = client.run(config)

@@ -8,7 +8,6 @@ from repro.datagen.campaign import (
     CampaignConfig,
     harvest_via_client,
     run_campaign,
-    run_test_set_ii,
 )
 from repro.phasespace.binning import PhaseSpaceGrid
 from repro.utils.rng import spawn_seeds
@@ -166,16 +165,16 @@ class TestTestSetII:
 
     def test_unseen_parameters_only(self):
         c = _campaign()
-        data = run_test_set_ii(c, v0_values=[0.15], vth_values=[0.005], n_samples=4)
+        data = run_campaign(c.test_set_ii([0.15], [0.005])).subsample(4, 777)
         assert len(data) == 4
         assert np.all(data.params[:, 0] == 0.15)
 
     def test_overlap_with_training_sweep_rejected(self):
         c = _campaign()
         with pytest.raises(ValueError, match="overlap"):
-            run_test_set_ii(c, v0_values=[0.1], vth_values=[0.0], n_samples=10)
+            c.test_set_ii([0.1], [0.0])
 
     def test_requesting_more_than_available_returns_all(self):
         c = _campaign()
-        data = run_test_set_ii(c, v0_values=[0.15], vth_values=[0.005], n_samples=10_000)
+        data = run_campaign(c.test_set_ii([0.15], [0.005])).subsample(10_000, 777)
         assert len(data) == 6  # one 5-step run + initial state

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import signal
@@ -10,9 +11,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import Client, HttpTransport, RunRequest
 from repro.config import SimulationConfig
 from repro.engines.base import make_engine
-from repro.obs import total
+from repro.obs import spans_from_wire, total
+from repro.server import serve_in_thread
 from repro.service import (
     GroupTask,
     GroupTimeoutError,
@@ -61,6 +64,85 @@ def _assert_results_bitwise_equal(a, b) -> None:
         assert (va is None) == (vb is None)
         if va is not None:
             assert np.array_equal(va, vb)
+
+
+def _assert_worker_span_tree(spans, n_steps: int) -> dict:
+    """Check the worker half of a trace; returns its root span.
+
+    One ``executor.worker_run`` root with ``engine.build`` and
+    ``engine.run`` under it and ``engine.steps`` under ``engine.run``;
+    every child inside its parent's window (with 1 ns of slack for the
+    rounding an adopting trace's re-anchoring adds).
+    """
+    worker = {"executor.worker_run", "engine.build", "engine.run", "engine.steps"}
+    by_name = {}
+    for span in spans:
+        if span["name"] in worker:
+            by_name.setdefault(span["name"], []).append(span)
+    assert set(by_name) == worker
+    assert all(len(found) == 1 for found in by_name.values()), by_name
+    root, build, run, steps = (
+        by_name[name][0]
+        for name in ("executor.worker_run", "engine.build", "engine.run", "engine.steps")
+    )
+    assert build["parent_id"] == run["parent_id"] == root["span_id"]
+    assert steps["parent_id"] == run["span_id"]
+    attrs = steps["attributes"]
+    assert attrs["n_steps"] == n_steps
+    assert 0 < attrs["step_p50_s"] <= attrs["step_p99_s"] <= attrs["step_max_s"]
+    for child, parent in ((build, root), (run, root), (steps, run)):
+        assert parent["start_s"] - 1e-9 <= child["start_s"]
+        assert (
+            child["start_s"] + child["duration_s"]
+            <= parent["start_s"] + parent["duration_s"] + 1e-9
+        ), (child, parent)
+    return root
+
+
+class TestWorkerSpans:
+    """What a traced group ships back: ``Span`` dicts in wire format."""
+
+    def test_traced_task_ships_one_worker_tree(self, tiny_config):
+        task = dataclasses.replace(_task(tiny_config), traced=True)
+        spans = list(run_group_task(task).spans)
+        assert spans_from_wire(spans) == spans
+        root = _assert_worker_span_tree(spans, task.n_steps)
+        assert root["parent_id"] is None
+        assert [span["parent_id"] for span in spans].count(None) == 1
+        assert root["attributes"]["worker_pid"] == os.getpid()
+
+    def test_untraced_task_ships_no_spans_and_the_same_bits(self, tiny_config):
+        task = _task(tiny_config, tiny_config.with_updates(seed=9), phase_space=True)
+        plain = run_group_task(task)
+        traced = run_group_task(dataclasses.replace(task, traced=True))
+        assert plain.spans == ()
+        assert list(plain.series) == list(traced.series)
+        for name, values in plain.series.items():
+            other = traced.series[name]
+            assert values.dtype == other.dtype, name
+            assert values.tobytes() == other.tobytes(), name
+        assert plain.efield.tobytes() == traced.efield.tobytes()
+        for a, b in zip(plain.final_x + plain.final_v, traced.final_x + traced.final_v):
+            assert a.tobytes() == b.tobytes()
+
+    def test_spans_built_in_a_spawned_worker(self, tiny_config):
+        with Client(workers=2, tracing=True) as client:
+            result = client.run(RunRequest(config=tiny_config, id="spawned"))
+            spans = client.service.tracer.get(result.timings["trace_id"]).span_dicts()
+        root = _assert_worker_span_tree(spans, tiny_config.n_steps)
+        assert root["attributes"]["worker_pid"] != os.getpid()
+        (dispatch,) = [span for span in spans if span["name"] == "executor.dispatch"]
+        assert root["parent_id"] == dispatch["span_id"]
+
+
+class TestTracingOff:
+    def test_default_layers_hold_no_tracer(self):
+        with SimulationService(start=False) as service:
+            assert service.tracer is None
+        with HttpTransport("http://127.0.0.1:8787") as transport:
+            assert transport.tracer is None
+        with serve_in_thread() as server:
+            assert server.tracer is None
 
 
 class TestInlineExecutor:

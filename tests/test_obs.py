@@ -8,10 +8,7 @@ import pytest
 
 from repro.api import Client, RunRequest, RunResult
 from repro.config import SimulationConfig
-from repro.engines.observables import StepTimer
 from repro.obs import (
-    NOOP_TRACE,
-    NOOP_TRACER,
     MetricsRegistry,
     Span,
     Trace,
@@ -23,7 +20,7 @@ from repro.obs import (
     spans_from_wire,
     total,
 )
-from repro.obs.trace import MAX_ATTRIBUTES_PER_SPAN, MAX_SPANS_PER_TRACE, NOOP_SPAN
+from repro.obs.trace import MAX_ATTRIBUTES_PER_SPAN, MAX_SPANS_PER_TRACE
 
 
 def small_config(**kwargs):
@@ -232,28 +229,6 @@ class TestTraceBuffer:
             TraceBuffer(capacity=0)
 
 
-class TestNoop:
-    def test_noop_objects_are_falsy_and_inert(self):
-        assert not NOOP_TRACER.enabled
-        assert NOOP_TRACER.buffer is None
-        trace = NOOP_TRACER.start_trace("anything")
-        assert trace is NOOP_TRACE
-        assert not trace
-        span = trace.start_span("x", parent_id="y")
-        assert span is NOOP_SPAN
-        assert not span
-        assert span.set_attribute("k", "v") is span
-        assert span.finish() is span
-        with trace.span("ctx"):
-            pass
-        trace.adopt([], anchor=0.0)
-        trace.adopt_remote([])
-        assert trace.finish() is trace
-        assert trace.span_dicts() == []
-        assert trace.to_payload()["n_spans"] == 0
-        assert NOOP_TRACER.get("anything") is None
-
-
 class TestDurationHistogram:
     """The registry's histogram family (stage durations in seconds)."""
 
@@ -401,17 +376,6 @@ class TestWaterfall:
         assert "(3 spans dropped)" in render_waterfall(payload)
 
 
-class TestStepTimer:
-    def test_measures_elapsed_per_call(self):
-        timer = StepTimer()
-        assert timer.names == ("step_s",)
-        first = timer.measure(None)
-        second = timer.measure(None)
-        assert first.shape == (1,)
-        assert float(first[0]) >= 0.0
-        assert float(second[0]) >= 0.0
-
-
 @pytest.fixture(scope="module")
 def result_payload():
     """A real OK result envelope to mutate in timings-validation tests."""
@@ -519,7 +483,7 @@ class TestInProcessTracing:
         with Client(background=False) as client:
             result = client.run(RunRequest(config=small_config(seed=6), id="u1"))
             assert "trace_id" not in result.timings
-            assert not client.service.tracer.enabled
+            assert client.service.tracer is None
 
     def test_submit_rejection_finishes_its_trace(self):
         # solver="dl" without a loaded model is rejected at submit time;

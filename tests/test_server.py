@@ -239,6 +239,46 @@ class TestTornStoreArchive:
                 assert total(remote.stats, "repro_service_store_errors_total") == 1
 
 
+class TestSubmitTimeFailure:
+    """A dl request whose model fails to load answers instead of hanging up."""
+
+    LOST = RunRequest(config=small_config(solver="dl"), id="lost-model")
+
+    def test_run_answers_500_and_keeps_the_connection(self, tmp_path):
+        with serve_in_thread(model_dir=str(tmp_path / "missing")) as srv:
+            conn = http.client.HTTPConnection(srv.host, srv.port, timeout=30)
+            try:
+                conn.request("POST", "/v1/run", body=json.dumps(self.LOST.to_dict()),
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                assert response.status == 500
+                assert payload["status"] == "error"
+                assert payload["id"] == "lost-model"
+                assert "FileNotFoundError" in payload["error"]
+                conn.request("GET", "/v1/health")
+                health = conn.getresponse()
+                assert health.status == 200
+                assert json.loads(health.read())["status"] == "ok"
+            finally:
+                conn.close()
+            status, data = raw_request(srv, "GET", "/v1/metrics")
+            assert status == 200
+            assert total(json.loads(data), "repro_requests_total",
+                         endpoint="/v1/run", status="error") == 1
+
+    def test_batch_answers_200_with_one_error_line(self, tmp_path):
+        with serve_in_thread(model_dir=str(tmp_path / "missing")) as srv:
+            status, data = raw_request(
+                srv, "POST", "/v1/batch", json.dumps(self.LOST.to_dict()).encode()
+            )
+        assert status == 200
+        (line,) = data.decode().splitlines()
+        payload = json.loads(line)
+        assert (payload["id"], payload["status"]) == ("lost-model", "error")
+        assert "FileNotFoundError" in payload["error"]
+
+
 class TestBatchEndpoint:
     def test_jsonl_round_trip_order_and_per_line_errors(self, server):
         lines = [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
+from repro.engines import engine_group_key
 from repro.obs import total
 from repro.pic.simulation import TraditionalPIC
 from repro.service import (
@@ -17,7 +18,6 @@ from repro.service import (
     ResultStore,
     SimulationResult,
     SimulationService,
-    group_key,
     parse_request,
     read_requests,
     result_key,
@@ -54,18 +54,18 @@ def _pending(config, at=0.0):
 
 class TestGroupKey:
     def test_structural_fields_separate_groups(self, config):
-        base = group_key(config)
-        assert group_key(config.with_updates(n_cells=32)) != base
-        assert group_key(config.with_updates(n_steps=7)) != base
-        assert group_key(config.with_updates(poisson_solver="fd")) != base
-        assert group_key(config.with_updates(interpolation="ngp")) != base
-        assert group_key(config.with_updates(solver="dl")) != base
+        base = engine_group_key(config)
+        assert engine_group_key(config.with_updates(n_cells=32)) != base
+        assert engine_group_key(config.with_updates(n_steps=7)) != base
+        assert engine_group_key(config.with_updates(poisson_solver="fd")) != base
+        assert engine_group_key(config.with_updates(interpolation="ngp")) != base
+        assert engine_group_key(config.with_updates(solver="dl")) != base
 
     def test_physics_fields_share_a_group(self, config):
-        base = group_key(config)
-        assert group_key(config.with_updates(scenario="cold_beam", v0=0.4)) == base
-        assert group_key(config.with_updates(seed=99)) == base
-        assert group_key(config.with_updates(extra={"bump_fraction": 0.2})) == base
+        base = engine_group_key(config)
+        assert engine_group_key(config.with_updates(scenario="cold_beam", v0=0.4)) == base
+        assert engine_group_key(config.with_updates(seed=99)) == base
+        assert engine_group_key(config.with_updates(extra={"bump_fraction": 0.2})) == base
 
 
 class TestMicroBatcher:
