@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""End-to-end tracing smoke: serve, trace one request, render the waterfall.
+"""End-to-end tracing smoke: serve, trace requests, render the waterfall.
 
 Stands up the networked service with tracing on, sends one traced
 request through ``Client.connect(url, tracing=True)``, then checks the
