@@ -1,5 +1,7 @@
 """Optimizer update rules and convergence behavior."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,29 @@ class TestAdam:
         opt.step(_pair([1.0], [1.0]))
         with pytest.raises(ValueError):
             opt.step(_pair([1.0], [1.0]) + _pair([2.0], [1.0]))
+
+    def test_paper_mlp_update_is_pinned(self):
+        """Three Adam steps on the paper MLP's 6,360,128 parameters, bit for bit.
+
+        The gradients are drawn, not computed, so no matmul (and no BLAS)
+        enters the digest: only the update rule's ufunc sequence does.
+        """
+        from repro.models.architectures import build_mlp
+
+        pairs = build_mlp(rng=0).param_grad_pairs()
+        assert sum(p.size for p, _ in pairs) == 6_360_128
+        rng = np.random.default_rng(1)
+        opt = Adam(lr=1e-4)
+        for _ in range(3):
+            for _, g in pairs:
+                g[...] = rng.standard_normal(g.shape)
+            opt.step(pairs)
+        digest = hashlib.sha256()
+        for p, _ in pairs:
+            digest.update(p.tobytes())
+        assert digest.hexdigest() == (
+            "1ae0980f53da9c1802f4803e9dac91d86aab129c9d8f9e4b07e760ce39415835"
+        )
 
 
 class TestRMSProp:
