@@ -11,6 +11,8 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
@@ -54,6 +56,11 @@ def _check_string_keys(value: Any) -> None:
     elif isinstance(value, (list, tuple)):
         for v in value:
             _check_string_keys(v)
+
+
+# Numeric fields, checked for type (and finiteness) before any range check.
+_REAL_FIELDS = ("box_length", "dt", "v0", "vth", "qm", "perturbation")
+_INTEGER_FIELDS = ("n_cells", "particles_per_cell", "n_steps", "perturbation_mode", "seed")
 
 
 def _json_ready(value: Any) -> Any:
@@ -190,6 +197,16 @@ class SimulationConfig:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.box_length <= 0:
             raise ValueError(f"box_length must be positive, got {self.box_length}")
         if self.n_cells < 2:

@@ -1,60 +1,44 @@
-"""A from-scratch NumPy deep-learning framework.
+"""A from-scratch NumPy deep-learning stack.
 
 This subpackage replaces the paper's TensorFlow/Keras dependency (not
-installable in this offline environment) with a minimal but complete
-deep-learning stack: layers with exact analytic backprop, losses,
-SGD/Adam optimizers, a ``Sequential`` container with npz checkpoints, a
-``DataLoader`` and a ``Trainer``.  Layer gradients are verified against
-finite differences in the test suite.
+installable in this offline environment) with exactly the recipe the
+paper trains (Sec. IV-A): Dense, ReLU, Conv2D, MaxPool2D and Flatten
+layers with exact analytic backprop and Glorot-uniform weights, the MSE
+loss, the Adam optimizer, a ``Sequential`` container with npz
+checkpoints, a shuffling ``DataLoader`` and a fixed-epoch ``Trainer``.
+Layer gradients are verified against finite differences in the test
+suite.
 """
 
-from repro.nn.initializers import glorot_uniform, he_normal, zeros_init
+from repro.nn.initializers import glorot_uniform
 from repro.nn.layers import (
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
     Layer,
     MaxPool2D,
     ReLU,
-    Sigmoid,
-    Tanh,
 )
-from repro.nn.losses import HuberLoss, MAELoss, MSELoss
-from repro.nn.metrics import (
-    max_absolute_error,
-    mean_absolute_error,
-    mean_squared_error,
-)
+from repro.nn.losses import MSELoss
+from repro.nn.metrics import max_absolute_error, mean_absolute_error
 from repro.nn.network import Sequential
-from repro.nn.optimizers import SGD, Adam, RMSProp
-from repro.nn.data import DataLoader, train_val_test_split
+from repro.nn.optimizers import Adam
+from repro.nn.data import DataLoader
 from repro.nn.training import Trainer
 
 __all__ = [
     "glorot_uniform",
-    "he_normal",
-    "zeros_init",
     "Layer",
     "Dense",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
-    "Dropout",
     "Flatten",
     "Conv2D",
     "MaxPool2D",
     "MSELoss",
-    "MAELoss",
-    "HuberLoss",
     "Sequential",
-    "SGD",
     "Adam",
-    "RMSProp",
     "DataLoader",
-    "train_val_test_split",
     "Trainer",
     "mean_absolute_error",
     "max_absolute_error",
-    "mean_squared_error",
 ]

@@ -1,8 +1,8 @@
-"""Mini-batch iteration and dataset splitting.
+"""Mini-batch iteration.
 
-The paper shuffles its 40,000 samples and splits 38,000/1,000/1,000
-into train/validation/test (Sec. IV-A1); ``train_val_test_split``
-implements exactly that protocol.
+The paper shuffles its samples every epoch and trains on batches of
+64 (Sec. IV-A); the train/validation/test split happens upstream, in
+``repro.datagen.FieldDataset.split``.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from repro.utils.rng import as_generator
 
 
 class DataLoader:
-    """Iterates ``(X, y)`` mini-batches, optionally reshuffling each epoch.
+    """Iterates shuffled ``(X, y)`` mini-batches.
 
-    ``X`` and ``y`` must share their first (sample) dimension.  When
-    ``shuffle=True`` a new permutation is drawn from ``rng`` at every
-    iteration, so epochs see different batch compositions.
+    ``X`` and ``y`` must share their first (sample) dimension.  A new
+    permutation is drawn from ``rng`` at every iteration, so epochs see
+    different batch compositions; the last batch of an epoch holds the
+    remainder when ``batch_size`` does not divide the sample count.
     """
 
     def __init__(
@@ -27,8 +28,6 @@ class DataLoader:
         x: np.ndarray,
         y: np.ndarray,
         batch_size: int = 64,
-        shuffle: bool = True,
-        drop_last: bool = False,
         rng: "int | np.random.Generator | None" = None,
     ) -> None:
         x = np.asarray(x)
@@ -42,8 +41,6 @@ class DataLoader:
         self.x = x
         self.y = y
         self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.drop_last = drop_last
         self.rng = as_generator(rng)
 
     @property
@@ -53,51 +50,10 @@ class DataLoader:
 
     def __len__(self) -> int:
         """Number of batches per epoch."""
-        if self.drop_last:
-            return self.n_samples // self.batch_size
         return (self.n_samples + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        order = (
-            self.rng.permutation(self.n_samples)
-            if self.shuffle
-            else np.arange(self.n_samples)
-        )
-        stop = len(self) * self.batch_size if self.drop_last else self.n_samples
-        for start in range(0, stop, self.batch_size):
+        order = self.rng.permutation(self.n_samples)
+        for start in range(0, self.n_samples, self.batch_size):
             idx = order[start : start + self.batch_size]
-            if self.drop_last and idx.shape[0] < self.batch_size:
-                break
             yield self.x[idx], self.y[idx]
-
-
-def train_val_test_split(
-    x: np.ndarray,
-    y: np.ndarray,
-    n_val: int,
-    n_test: int,
-    rng: "int | np.random.Generator | None" = None,
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Shuffle jointly, then split off ``n_val`` and ``n_test`` samples.
-
-    Returns ``(train, val, test)`` tuples of ``(X, y)``; the train split
-    receives everything left over (38,000 in the paper's setup).
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    n = x.shape[0]
-    if y.shape[0] != n:
-        raise ValueError(f"X has {n} samples but y has {y.shape[0]}")
-    if n_val < 0 or n_test < 0:
-        raise ValueError("split sizes must be non-negative")
-    if n_val + n_test >= n:
-        raise ValueError(f"cannot carve {n_val}+{n_test} samples out of {n}")
-    order = as_generator(rng).permutation(n)
-    test_idx = order[:n_test]
-    val_idx = order[n_test : n_test + n_val]
-    train_idx = order[n_test + n_val :]
-    return (
-        (x[train_idx], y[train_idx]),
-        (x[val_idx], y[val_idx]),
-        (x[test_idx], y[test_idx]),
-    )

@@ -1,8 +1,8 @@
-"""Weight initializers.
+"""Weight initialization.
 
 Keras defaults (what the paper's code would have used) are Glorot
-uniform for both Dense and Conv2D kernels; He normal is provided as the
-usual alternative for ReLU stacks.
+uniform for both Dense and Conv2D kernels, with zero biases; every
+layer draws its kernel from :func:`glorot_uniform`.
 """
 
 from __future__ import annotations
@@ -33,31 +33,3 @@ def glorot_uniform(
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
-
-def he_normal(
-    shape: tuple[int, ...], rng: "int | np.random.Generator | None" = None
-) -> np.ndarray:
-    """He normal: N(0, sqrt(2/fan_in)), suited to ReLU activations."""
-    rng = as_generator(rng)
-    fan_in, _ = _fan_in_out(shape)
-    return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
-
-
-def zeros_init(shape: tuple[int, ...], rng: "int | np.random.Generator | None" = None) -> np.ndarray:
-    """All-zeros (biases)."""
-    return np.zeros(shape, dtype=np.float64)
-
-
-INITIALIZERS = {
-    "glorot_uniform": glorot_uniform,
-    "he_normal": he_normal,
-    "zeros": zeros_init,
-}
-
-
-def get_initializer(name: str):
-    """Look up an initializer by name."""
-    try:
-        return INITIALIZERS[name]
-    except KeyError:
-        raise ValueError(f"unknown initializer {name!r}; expected one of {sorted(INITIALIZERS)}")

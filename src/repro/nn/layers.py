@@ -3,8 +3,9 @@
 Every layer implements ``forward(x, training)`` and ``backward(grad)``
 where ``backward`` consumes the gradient of the loss with respect to
 the layer output and returns the gradient with respect to the input,
-accumulating parameter gradients in ``layer.grads``.  All gradients are
-verified against central finite differences in ``tests/test_gradcheck``.
+accumulating parameter gradients in ``layer.grads``.  The test suite
+checks every gradient against central finite differences
+(``tests/gradcheck.py``).
 ``backward`` requires a preceding ``forward(..., training=True)``:
 evaluation-mode forwards are an inference fast path that caches no
 backward state (inputs, masks, argmaxes) at all.
@@ -43,14 +44,11 @@ concurrently — never splitting a block, hence never changing a bit.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.kernels import KernelBackend
-from repro.nn.initializers import get_initializer
-from repro.utils.rng import as_generator
+from repro.nn.initializers import glorot_uniform
 
 
 def _eval_dtype(x: np.ndarray) -> np.ndarray:
@@ -151,7 +149,6 @@ class Dense(Layer):
         self,
         in_features: int,
         out_features: int,
-        weight_init: str = "glorot_uniform",
         rng: "int | np.random.Generator | None" = None,
     ) -> None:
         super().__init__()
@@ -159,9 +156,8 @@ class Dense(Layer):
             raise ValueError(f"invalid Dense shape ({in_features}, {out_features})")
         self.in_features = in_features
         self.out_features = out_features
-        init = get_initializer(weight_init)
         self.params = {
-            "W": init((in_features, out_features), rng).astype(np.float64),
+            "W": glorot_uniform((in_features, out_features), rng),
             "b": np.zeros(out_features, dtype=np.float64),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -221,70 +217,6 @@ class ReLU(Layer):
         return np.where(self._mask, grad, 0.0)
 
 
-class Tanh(Layer):
-    """Hyperbolic-tangent activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._y: "np.ndarray | None" = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64) if training else _eval_dtype(x)
-        y = np.tanh(x)
-        self._y = y if training else None
-        return y
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._y is None:
-            raise RuntimeError("backward called before forward")
-        return grad * (1.0 - self._y**2)
-
-
-class Sigmoid(Layer):
-    """Logistic activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._y: "np.ndarray | None" = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64) if training else _eval_dtype(x)
-        y = 0.5 * (1.0 + np.tanh(0.5 * x))  # numerically stable sigmoid
-        self._y = y if training else None
-        return y
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._y is None:
-            raise RuntimeError("backward called before forward")
-        return grad * self._y * (1.0 - self._y)
-
-
-class Dropout(Layer):
-    """Inverted dropout; active only when ``training=True``."""
-
-    def __init__(self, rate: float, rng: "int | np.random.Generator | None" = None) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self.rng = as_generator(rng)
-        self._mask: "np.ndarray | None" = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64) if training else _eval_dtype(x)
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return np.asarray(grad, dtype=np.float64)
-        return grad * self._mask
-
-
 class Flatten(Layer):
     """Flatten all non-batch dimensions."""
 
@@ -321,7 +253,6 @@ class Conv2D(Layer):
         out_channels: int,
         kernel_size: "int | tuple[int, int]" = 3,
         padding: str = "same",
-        weight_init: str = "glorot_uniform",
         rng: "int | np.random.Generator | None" = None,
     ) -> None:
         super().__init__()
@@ -338,9 +269,8 @@ class Conv2D(Layer):
         self.out_channels = out_channels
         self.kernel_size = (kh, kw)
         self.padding = padding
-        init = get_initializer(weight_init)
         self.params = {
-            "W": init((out_channels, in_channels, kh, kw), rng).astype(np.float64),
+            "W": glorot_uniform((out_channels, in_channels, kh, kw), rng),
             "b": np.zeros(out_channels, dtype=np.float64),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}

@@ -1,8 +1,7 @@
-"""Regression losses.
+"""Regression loss.
 
-The paper trains with the standard regression setup (Keras default MSE)
-and *evaluates* with MAE (Table I); both are provided, plus Huber as
-the usual robust alternative.
+The paper trains with the standard regression setup (Keras default
+MSE) and *evaluates* with MAE (Table I, see :mod:`repro.nn.metrics`).
 """
 
 from __future__ import annotations
@@ -10,38 +9,23 @@ from __future__ import annotations
 import numpy as np
 
 
-class Loss:
-    """Interface: ``forward`` returns a scalar, ``backward`` its gradient."""
+class MSELoss:
+    """Mean squared error over all elements.
+
+    ``forward`` returns the scalar loss; ``backward`` returns its
+    gradient with respect to the most recent ``forward``'s prediction.
+    """
+
+    def __init__(self) -> None:
+        self._diff: "np.ndarray | None" = None
 
     def forward(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def backward(self) -> np.ndarray:
-        """Gradient of the most recent ``forward`` w.r.t. the prediction."""
-        raise NotImplementedError
-
-    def __call__(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        return self.forward(prediction, target)
-
-    @staticmethod
-    def _validate(prediction: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p = np.asarray(prediction, dtype=np.float64)
         t = np.asarray(target, dtype=np.float64)
         if p.shape != t.shape:
             raise ValueError(f"prediction {p.shape} and target {t.shape} differ")
         if p.size == 0:
             raise ValueError("empty loss input")
-        return p, t
-
-
-class MSELoss(Loss):
-    """Mean squared error over all elements."""
-
-    def __init__(self) -> None:
-        self._diff: "np.ndarray | None" = None
-
-    def forward(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        p, t = self._validate(prediction, target)
         self._diff = p - t
         return float(np.mean(self._diff**2))
 
@@ -50,43 +34,5 @@ class MSELoss(Loss):
             raise RuntimeError("backward called before forward")
         return 2.0 * self._diff / self._diff.size
 
-
-class MAELoss(Loss):
-    """Mean absolute error over all elements (paper's Table I metric)."""
-
-    def __init__(self) -> None:
-        self._diff: "np.ndarray | None" = None
-
-    def forward(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        p, t = self._validate(prediction, target)
-        self._diff = p - t
-        return float(np.mean(np.abs(self._diff)))
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return np.sign(self._diff) / self._diff.size
-
-
-class HuberLoss(Loss):
-    """Huber loss: quadratic near zero, linear beyond ``delta``."""
-
-    def __init__(self, delta: float = 1.0) -> None:
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        self.delta = delta
-        self._diff: "np.ndarray | None" = None
-
-    def forward(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        p, t = self._validate(prediction, target)
-        self._diff = p - t
-        a = np.abs(self._diff)
-        quad = 0.5 * a**2
-        lin = self.delta * (a - 0.5 * self.delta)
-        return float(np.mean(np.where(a <= self.delta, quad, lin)))
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        clipped = np.clip(self._diff, -self.delta, self.delta)
-        return clipped / self._diff.size
+    def __call__(self, prediction: np.ndarray, target: np.ndarray) -> float:
+        return self.forward(prediction, target)

@@ -30,15 +30,3 @@ def max_absolute_error(prediction: np.ndarray, target: np.ndarray) -> float:
     p, t = _validate(prediction, target)
     return float(np.max(np.abs(p - t)))
 
-
-def mean_squared_error(prediction: np.ndarray, target: np.ndarray) -> float:
-    """Mean of squared errors over all elements."""
-    p, t = _validate(prediction, target)
-    return float(np.mean((p - t) ** 2))
-
-
-def per_sample_mae(prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """MAE per sample (mean over every non-batch axis)."""
-    p, t = _validate(prediction, target)
-    axes = tuple(range(1, p.ndim))
-    return np.mean(np.abs(p - t), axis=axes)

@@ -5,14 +5,14 @@ from __future__ import annotations
 import ast
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.nn.layers import Layer
 
 # Layer constructors a checkpoint fingerprint may name (Sequential.from_saved).
-_FINGERPRINT_LAYERS = ("Dense", "ReLU", "Tanh", "Sigmoid", "Flatten", "Conv2D", "MaxPool2D")
+_FINGERPRINT_LAYERS = ("Dense", "ReLU", "Flatten", "Conv2D", "MaxPool2D")
 
 
 def _layer_from_fingerprint(text: str) -> Layer:
@@ -45,21 +45,11 @@ class Sequential:
     >>> model.backward(grad_y)                       # doctest: +SKIP
     """
 
-    def __init__(self, layers: "Sequence[Layer] | None" = None) -> None:
-        self.layers: list[Layer] = list(layers) if layers is not None else []
+    def __init__(self, layers: Sequence[Layer]) -> None:
+        self.layers: list[Layer] = list(layers)
         for layer in self.layers:
-            self._check_layer(layer)
-
-    @staticmethod
-    def _check_layer(layer: Layer) -> None:
-        if not isinstance(layer, Layer):
-            raise TypeError(f"expected a Layer, got {type(layer).__name__}")
-
-    def add(self, layer: Layer) -> "Sequential":
-        """Append a layer; returns self for chaining."""
-        self._check_layer(layer)
-        self.layers.append(layer)
-        return self
+            if not isinstance(layer, Layer):
+                raise TypeError(f"expected a Layer, got {type(layer).__name__}")
 
     # -- forward / backward --------------------------------------------
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -133,13 +123,6 @@ class Sequential:
         """Total trainable scalar count."""
         return sum(layer.n_parameters for layer in self.layers)
 
-    def summary(self) -> str:
-        """Human-readable architecture listing."""
-        lines = [f"Sequential with {len(self.layers)} layers, {self.n_parameters:,} parameters"]
-        for i, layer in enumerate(self.layers):
-            lines.append(f"  [{i:2d}] {layer!r:60s} params={layer.n_parameters:,}")
-        return "\n".join(lines)
-
     # -- persistence -----------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:
         """Flat mapping ``"{layer_index}.{param_name}" -> array``."""
@@ -188,10 +171,10 @@ class Sequential:
         layer constructors with literal arguments, then the saved
         parameters are loaded into the rebuilt stack.  A checkpoint is
         data, not code: like the ``allow_pickle=False`` loads, a
-        hostile ``model.npz`` must not be able to run anything.  Works
-        for every layer whose ``repr`` round-trips (Dense, activations,
-        Flatten, Conv2D, MaxPool2D); layers that do not (e.g. Dropout)
-        raise with a pointer to constructing the model explicitly.
+        hostile ``model.npz`` must not be able to run anything.  Every
+        layer of the stack round-trips its ``repr`` (Dense, ReLU,
+        Flatten, Conv2D, MaxPool2D); any other name raises with a
+        pointer to constructing the model explicitly.
         """
         path = Path(path)
         with np.load(path, allow_pickle=False) as archive:

@@ -1,58 +1,23 @@
-"""Gradient-descent optimizers.
+"""The Adam optimizer.
 
 The paper uses Adam with learning rate 1e-4 and batch size 64
-(Sec. IV-A).  Implementations follow the canonical update rules
-(Kingma & Ba 2015 for Adam, with bias correction); state is kept per
-parameter slot, indexed by position in the parameter list, which is
-stable because architectures are fixed during training.
+(Sec. IV-A).  The update follows Kingma & Ba 2015 with bias
+correction; state is kept per parameter slot, indexed by position in
+the parameter list, which is stable because architectures are fixed
+during training.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-ParamGradPairs = "list[tuple[np.ndarray, np.ndarray]]"
 
+class Adam:
+    """Adam with bias-corrected first/second moment estimates.
 
-class Optimizer:
-    """Interface: ``step`` applies one in-place update per parameter."""
-
-    def __init__(self, lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
-
-    def step(self, param_grad_pairs: "list[tuple[np.ndarray, np.ndarray]]") -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, lr: float = 0.01, momentum: float = 0.0) -> None:
-        super().__init__(lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity: "list[np.ndarray] | None" = None
-
-    def step(self, param_grad_pairs: "list[tuple[np.ndarray, np.ndarray]]") -> None:
-        if self.momentum == 0.0:
-            for p, g in param_grad_pairs:
-                p -= self.lr * g
-            return
-        if self._velocity is None:
-            self._velocity = [np.zeros_like(p) for p, _ in param_grad_pairs]
-        if len(self._velocity) != len(param_grad_pairs):
-            raise ValueError("parameter list changed between optimizer steps")
-        for v, (p, g) in zip(self._velocity, param_grad_pairs):
-            v *= self.momentum
-            v -= self.lr * g
-            p += v
-
-
-class Adam(Optimizer):
-    """Adam with bias-corrected first/second moment estimates."""
+    ``step`` applies one in-place update per ``(parameter, gradient)``
+    pair.
+    """
 
     def __init__(
         self,
@@ -61,11 +26,13 @@ class Adam(Optimizer):
         beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> None:
-        super().__init__(lr)
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError(f"betas must be in [0, 1), got ({beta1}, {beta2})")
         if eps <= 0:
             raise ValueError(f"eps must be positive, got {eps}")
+        self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -89,25 +56,3 @@ class Adam(Optimizer):
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-class RMSProp(Optimizer):
-    """RMSProp with exponentially decaying squared-gradient average."""
-
-    def __init__(self, lr: float = 1e-3, rho: float = 0.9, eps: float = 1e-8) -> None:
-        super().__init__(lr)
-        if not 0.0 <= rho < 1.0:
-            raise ValueError(f"rho must be in [0, 1), got {rho}")
-        self.rho = rho
-        self.eps = eps
-        self._cache: "list[np.ndarray] | None" = None
-
-    def step(self, param_grad_pairs: "list[tuple[np.ndarray, np.ndarray]]") -> None:
-        if self._cache is None:
-            self._cache = [np.zeros_like(p) for p, _ in param_grad_pairs]
-        if len(self._cache) != len(param_grad_pairs):
-            raise ValueError("parameter list changed between optimizer steps")
-        for c, (p, g) in zip(self._cache, param_grad_pairs):
-            c *= self.rho
-            c += (1.0 - self.rho) * g * g
-            p -= self.lr * g / (np.sqrt(c) + self.eps)

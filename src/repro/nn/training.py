@@ -1,9 +1,8 @@
 """Training loop.
 
 Reproduces the paper's protocol: mini-batch Adam (batch 64, lr 1e-4)
-for a fixed number of epochs with a validation set monitored each
-epoch.  Early stopping is available but off by default (the paper
-trains a fixed 150/100 epochs).
+for a fixed number of epochs (the paper trains 150/100) with a
+validation set monitored each epoch.
 """
 
 from __future__ import annotations
@@ -14,11 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.nn.data import DataLoader
-from repro.nn.losses import Loss, MSELoss
+from repro.nn.losses import MSELoss
 from repro.nn.metrics import mean_absolute_error
 from repro.nn.network import Sequential
-from repro.nn.optimizers import Adam, Optimizer
-from repro.utils.rng import as_generator
+from repro.nn.optimizers import Adam
 
 
 @dataclass
@@ -34,21 +32,15 @@ class TrainingHistory:
     def n_epochs(self) -> int:
         return len(self.loss)
 
-    def best_epoch(self) -> int:
-        """Index of the epoch with the lowest validation loss."""
-        if not self.val_loss:
-            raise ValueError("no validation history recorded")
-        return int(np.argmin(self.val_loss))
-
 
 class Trainer:
-    """Binds a model, a loss and an optimizer into a fit/evaluate API."""
+    """Binds a model, a loss and an optimizer into a training loop."""
 
     def __init__(
         self,
         model: Sequential,
-        loss: "Loss | None" = None,
-        optimizer: "Optimizer | None" = None,
+        loss: "MSELoss | None" = None,
+        optimizer: "Adam | None" = None,
     ) -> None:
         self.model = model
         self.loss = loss if loss is not None else MSELoss()
@@ -71,23 +63,13 @@ class Trainer:
         batch_size: int = 64,
         validation: "tuple[np.ndarray, np.ndarray] | None" = None,
         rng: "int | np.random.Generator | None" = None,
-        patience: "int | None" = None,
         verbose: bool = False,
     ) -> TrainingHistory:
-        """Train for ``epochs`` epochs; optionally early-stop on val loss.
-
-        ``patience`` (if set) stops training after that many epochs
-        without a new validation-loss minimum; the best weights are NOT
-        restored (matching simple Keras usage without checkpointing).
-        """
+        """Train for ``epochs`` epochs, reshuffling the batches each epoch."""
         if epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {epochs}")
-        if patience is not None and validation is None:
-            raise ValueError("early stopping requires a validation set")
-        loader = DataLoader(x, y, batch_size=batch_size, shuffle=True, rng=as_generator(rng))
+        loader = DataLoader(x, y, batch_size=batch_size, rng=rng)
         history = TrainingHistory()
-        best_val = np.inf
-        stale = 0
         for epoch in range(epochs):
             start = time.perf_counter()
             batch_losses = [self.train_step(xb, yb) for xb, yb in loader]
@@ -102,23 +84,4 @@ class Trainer:
                 if validation is not None:
                     msg += f"  val_loss={history.val_loss[-1]:.3e}  val_mae={history.val_mae[-1]:.3e}"
                 print(msg)
-            if patience is not None:
-                if history.val_loss[-1] < best_val - 1e-12:
-                    best_val = history.val_loss[-1]
-                    stale = 0
-                else:
-                    stale += 1
-                    if stale >= patience:
-                        break
         return history
-
-    def evaluate(self, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
-        """Loss + MAE/max-error metrics on a held-out set."""
-        from repro.nn.metrics import max_absolute_error  # local to avoid cycle noise
-
-        pred = self.model.predict(x)
-        return {
-            "loss": self.loss.forward(pred, np.asarray(y, dtype=np.float64)),
-            "mae": mean_absolute_error(pred, y),
-            "max_error": max_absolute_error(pred, y),
-        }

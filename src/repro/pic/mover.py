@@ -6,10 +6,6 @@ The paper uses the classic 1D electrostatic leapfrog (Eqs. 1-2):
     v^{n+1/2} = v^{n-1/2} + (q/m) E^n(x^n) \\Delta t \\\\
     x^{n+1}   = x^n + v^{n+1/2} \\Delta t
 
-A Boris pusher (with optional magnetic field) is included as the
-standard extension point for electromagnetic problems; with ``B = 0``
-it reduces exactly to the leapfrog velocity update.
-
 All pushers are purely elementwise, so they operate unchanged on a
 single run (arrays of shape ``(n,)``) or on a stacked ensemble of
 independent runs (``(batch, n)``) — the batched update of row ``b`` is
@@ -185,31 +181,3 @@ def synchronize_velocities(
     """
     return _kick(v, e_at_particles, 0.5 * qm, dt, backend, work, np.add)
 
-
-def boris_push_velocities(
-    v: np.ndarray,
-    e_at_particles: np.ndarray,
-    qm: float,
-    dt: float,
-    b: float = 0.0,
-) -> np.ndarray:
-    """Boris rotation pusher for 1D motion with an out-of-plane ``B``.
-
-    For a particle moving in x with ``B = B e_z`` the in-plane velocity
-    ``(v_x, v_y)`` rotates; this 1D reduction tracks only ``v_x`` and
-    assumes ``v_y = 0`` each step, so it is exact for ``B = 0`` (where
-    it coincides with :func:`push_velocities`) and provided as the
-    electromagnetic extension hook.
-    """
-    half_accel = 0.5 * qm * e_at_particles * dt
-    v_minus = v + half_accel
-    if b == 0.0:
-        return v_minus + half_accel
-    t = 0.5 * qm * b * dt
-    s = 2.0 * t / (1.0 + t * t)
-    # v' = v- + v- x t ; v+ = v- + v' x s  (2D rotation, v_y starts at 0)
-    vx_minus, vy_minus = v_minus, np.zeros_like(v_minus)
-    vx_prime = vx_minus + vy_minus * t
-    vy_prime = vy_minus - vx_minus * t
-    vx_plus = vx_minus + vy_prime * s
-    return vx_plus + half_accel

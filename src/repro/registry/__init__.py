@@ -21,7 +21,6 @@ from repro.registry.registry import (
     ModelRegistry,
     RegisteredModel,
     default_registry_root,
-    is_registry_ref,
     resolve_model_dir,
 )
 
@@ -31,6 +30,5 @@ __all__ = [
     "ModelRegistry",
     "RegisteredModel",
     "default_registry_root",
-    "is_registry_ref",
     "resolve_model_dir",
 ]

@@ -56,11 +56,6 @@ def default_registry_root() -> Path:
     return Path(".artifacts") / "registry"
 
 
-def is_registry_ref(value: "str | os.PathLike[str] | None") -> bool:
-    """Whether a ``model_dir`` value is a ``registry:`` reference."""
-    return value is not None and str(value).startswith(REGISTRY_SCHEME)
-
-
 def resolve_model_dir(value: "str | os.PathLike[str]") -> str:
     """Resolve a ``model_dir`` value to a concrete checkpoint directory.
 

@@ -30,19 +30,6 @@ def as_generator(rng: "int | np.random.Generator | np.random.SeedSequence | None
     return np.random.default_rng(rng)
 
 
-def spawn_generators(rng: "int | np.random.Generator | None", n: int) -> list[np.random.Generator]:
-    """Derive ``n`` statistically independent child generators.
-
-    Uses ``SeedSequence.spawn`` semantics via fresh integer seeds drawn
-    from the parent stream, which keeps the parent usable afterwards.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of generators: {n}")
-    parent = as_generator(rng)
-    seeds = parent.integers(0, 2**63 - 1, size=n, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
 def spawn_seeds(rng: "int | np.random.Generator | None", n: int) -> list[int]:
     """Derive ``n`` independent integer seeds (picklable, for workers)."""
     if n < 0:

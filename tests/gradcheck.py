@@ -1,4 +1,4 @@
-"""Finite-difference gradient verification utilities (used by tests)."""
+"""Finite-difference gradient checks shared by the layer and loss tests."""
 
 from __future__ import annotations
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import constants
@@ -61,11 +62,30 @@ class TestValidation:
             {"poisson_solver": "multigrid"},
             {"gradient": "forward"},
             {"loading": "sobol"},
+            {"dt": None},
+            {"box_length": "1.0"},
+            {"vth": [0.1]},
+            {"qm": {"value": -1.0}},
+            {"n_cells": None},
+            {"seed": "0"},
+            {"v0": float("inf")},
+            {"perturbation": float("-inf")},
+            {"dt": float("nan")},
+            {"n_cells": 8.0},
+            {"particles_per_cell": 10.0},
+            {"n_steps": 2.5},
+            {"perturbation_mode": 1.0},
+            {"seed": 1.5},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        (field_name,) = kwargs
+        with pytest.raises(ValueError, match=field_name):
             SimulationConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimulationConfig(n_cells=np.int64(16), seed=np.int32(3))
+        assert cfg.n_cells == 16 and cfg.seed == 3
 
     @pytest.mark.parametrize("interp", ["ngp", "cic", "tsc"])
     def test_valid_interpolations_accepted(self, interp):

@@ -1,9 +1,9 @@
-"""DataLoader and the paper's shuffle-then-split protocol."""
+"""DataLoader: shuffled mini-batches, reshuffled every epoch."""
 
 import numpy as np
 import pytest
 
-from repro.nn.data import DataLoader, train_val_test_split
+from repro.nn.data import DataLoader
 
 
 @pytest.fixture
@@ -17,43 +17,31 @@ def xy():
 class TestDataLoader:
     def test_number_of_batches(self, xy):
         x, y = xy
-        assert len(DataLoader(x, y, batch_size=16, shuffle=False)) == 4
-        assert len(DataLoader(x, y, batch_size=16, shuffle=False, drop_last=True)) == 3
-        assert len(DataLoader(x, y, batch_size=50, shuffle=False)) == 1
-
-    def test_batches_cover_all_samples_without_shuffle(self, xy):
-        x, y = xy
-        loader = DataLoader(x, y, batch_size=16, shuffle=False)
-        seen = np.concatenate([yb for _, yb in loader])
-        np.testing.assert_array_equal(seen, y)
+        assert len(DataLoader(x, y, batch_size=16)) == 4
+        assert len(DataLoader(x, y, batch_size=50)) == 1
 
     def test_last_partial_batch(self, xy):
         x, y = xy
-        batches = list(DataLoader(x, y, batch_size=16, shuffle=False))
+        batches = list(DataLoader(x, y, batch_size=16, rng=0))
         assert batches[-1][0].shape[0] == 2
-
-    def test_drop_last_skips_partial(self, xy):
-        x, y = xy
-        batches = list(DataLoader(x, y, batch_size=16, shuffle=False, drop_last=True))
-        assert all(xb.shape[0] == 16 for xb, _ in batches)
 
     def test_shuffle_is_a_permutation(self, xy):
         x, y = xy
-        loader = DataLoader(x, y, batch_size=7, shuffle=True, rng=1)
+        loader = DataLoader(x, y, batch_size=7, rng=1)
         seen = np.concatenate([yb for _, yb in loader])
         np.testing.assert_array_equal(np.sort(seen), np.sort(y))
         assert not np.array_equal(seen, y)
 
     def test_shuffle_differs_between_epochs(self, xy):
         x, y = xy
-        loader = DataLoader(x, y, batch_size=50, shuffle=True, rng=2)
+        loader = DataLoader(x, y, batch_size=50, rng=2)
         first = next(iter(loader))[1].copy()
         second = next(iter(loader))[1].copy()
         assert not np.array_equal(first, second)
 
     def test_x_y_rows_stay_paired(self, xy):
         x, y = xy
-        loader = DataLoader(x, y, batch_size=8, shuffle=True, rng=3)
+        loader = DataLoader(x, y, batch_size=8, rng=3)
         for xb, yb in loader:
             np.testing.assert_allclose(xb, x[yb.astype(int)])
 
@@ -71,44 +59,3 @@ class TestDataLoader:
             DataLoader(x, y, batch_size=0)
         with pytest.raises(ValueError):
             DataLoader(np.zeros((0, 2)), np.zeros(0))
-
-
-class TestSplit:
-    def test_split_sizes_match_paper_protocol(self):
-        x = np.zeros((40_000, 2))
-        y = np.zeros(40_000)
-        (xt, _), (xv, _), (xs, _) = train_val_test_split(x, y, n_val=1000, n_test=1000, rng=0)
-        assert xt.shape[0] == 38_000
-        assert xv.shape[0] == 1000
-        assert xs.shape[0] == 1000
-
-    def test_splits_are_disjoint_and_exhaustive(self):
-        x = np.arange(30, dtype=float).reshape(30, 1)
-        y = np.arange(30, dtype=float)
-        (_, yt), (_, yv), (_, ys) = train_val_test_split(x, y, n_val=5, n_test=5, rng=1)
-        combined = np.sort(np.concatenate([yt, yv, ys]))
-        np.testing.assert_array_equal(combined, y)
-
-    def test_rows_stay_paired(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(20, 2))
-        y = x[:, 0] * 2
-        (xt, yt), _, _ = train_val_test_split(x, y, n_val=3, n_test=3, rng=3)
-        np.testing.assert_allclose(yt, xt[:, 0] * 2)
-
-    def test_seeded_split_reproducible(self):
-        x = np.arange(20, dtype=float).reshape(20, 1)
-        y = np.arange(20, dtype=float)
-        a = train_val_test_split(x, y, 4, 4, rng=7)[0][1]
-        b = train_val_test_split(x, y, 4, 4, rng=7)[0][1]
-        np.testing.assert_array_equal(a, b)
-
-    def test_validation_errors(self):
-        x = np.zeros((10, 1))
-        y = np.zeros(10)
-        with pytest.raises(ValueError):
-            train_val_test_split(x, y, n_val=5, n_test=5)
-        with pytest.raises(ValueError):
-            train_val_test_split(x, y, n_val=-1, n_test=0)
-        with pytest.raises(ValueError):
-            train_val_test_split(x, np.zeros(9), 1, 1)

@@ -3,20 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.nn.gradcheck import (
+from gradcheck import (
     check_layer_input_gradient,
     check_layer_param_gradients,
     numerical_gradient,
 )
-from repro.nn.layers import (
-    Conv2D,
-    Dense,
-    Flatten,
-    MaxPool2D,
-    ReLU,
-    Sigmoid,
-    Tanh,
-)
+from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 
 TOL = 1e-6
 
@@ -44,8 +36,6 @@ class TestInputGradients:
             (Dense(6, 4, rng=0), (3, 6)),
             (Dense(1, 1, rng=1), (1, 1)),
             (ReLU(), (4, 5)),
-            (Tanh(), (4, 5)),
-            (Sigmoid(), (4, 5)),
             (Flatten(), (2, 3, 4)),
             (Conv2D(1, 2, 3, padding="same", rng=2), (2, 1, 6, 6)),
             (Conv2D(3, 2, 3, padding="valid", rng=3), (2, 3, 5, 7)),
@@ -55,7 +45,7 @@ class TestInputGradients:
             (MaxPool2D((1, 2)), (1, 2, 3, 4)),
         ],
         ids=[
-            "dense", "dense-1x1", "relu", "tanh", "sigmoid", "flatten",
+            "dense", "dense-1x1", "relu", "flatten",
             "conv-same", "conv-valid", "conv-rect", "conv-1x1",
             "pool-2x2", "pool-1x2",
         ],

@@ -1,14 +1,9 @@
-"""Weight initializers."""
+"""Glorot-uniform weight initialization."""
 
 import numpy as np
 import pytest
 
-from repro.nn.initializers import (
-    get_initializer,
-    glorot_uniform,
-    he_normal,
-    zeros_init,
-)
+from repro.nn.initializers import glorot_uniform
 
 
 class TestGlorot:
@@ -33,28 +28,3 @@ class TestGlorot:
     def test_unsupported_shape(self):
         with pytest.raises(ValueError):
             glorot_uniform((3,), rng=0)
-
-
-class TestHeNormal:
-    def test_std_matches_fan_in(self):
-        w = he_normal((1000, 100), rng=3)
-        assert w.std() == pytest.approx(np.sqrt(2.0 / 1000), rel=0.05)
-
-    def test_conv_fan_in(self):
-        w = he_normal((16, 8, 3, 3), rng=4)
-        assert w.std() == pytest.approx(np.sqrt(2.0 / (8 * 9)), rel=0.1)
-
-
-class TestZeros:
-    def test_zeros(self):
-        np.testing.assert_array_equal(zeros_init((3, 4)), np.zeros((3, 4)))
-
-
-class TestRegistry:
-    @pytest.mark.parametrize("name", ["glorot_uniform", "he_normal", "zeros"])
-    def test_lookup(self, name):
-        assert callable(get_initializer(name))
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown initializer"):
-            get_initializer("orthogonal")

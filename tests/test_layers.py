@@ -3,16 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import (
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    MaxPool2D,
-    ReLU,
-    Sigmoid,
-    Tanh,
-)
+from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 
 
 class TestDense:
@@ -74,49 +65,8 @@ class TestActivations:
         grad = layer.backward(np.array([[5.0, 5.0]]))
         np.testing.assert_allclose(grad, [[0.0, 5.0]])
 
-    def test_tanh_matches_numpy(self):
-        x = np.linspace(-2, 2, 7).reshape(1, -1)
-        np.testing.assert_allclose(Tanh().forward(x), np.tanh(x))
-
-    def test_sigmoid_range_and_midpoint(self):
-        out = Sigmoid().forward(np.array([[-50.0, 0.0, 50.0]]))
-        np.testing.assert_allclose(out, [[0.0, 0.5, 1.0]], atol=1e-12)
-
-    def test_sigmoid_stable_for_large_negative(self):
-        out = Sigmoid().forward(np.array([[-1e4]]))
-        assert np.isfinite(out).all()
-
     def test_activation_has_no_parameters(self):
         assert ReLU().n_parameters == 0
-        assert Tanh().n_parameters == 0
-
-
-class TestDropout:
-    def test_identity_in_eval_mode(self):
-        x = np.random.default_rng(0).normal(size=(4, 6))
-        np.testing.assert_array_equal(Dropout(0.5, rng=0).forward(x, training=False), x)
-
-    def test_zero_rate_is_identity_in_training(self):
-        x = np.random.default_rng(1).normal(size=(4, 6))
-        np.testing.assert_array_equal(Dropout(0.0, rng=0).forward(x, training=True), x)
-
-    def test_training_mode_zeroes_and_rescales(self):
-        x = np.ones((2000,)).reshape(1, -1)
-        out = Dropout(0.5, rng=3).forward(x, training=True)
-        kept = out[out != 0]
-        np.testing.assert_allclose(kept, 2.0)
-        assert 0.4 < (out != 0).mean() < 0.6
-
-    def test_backward_uses_same_mask(self):
-        layer = Dropout(0.5, rng=4)
-        x = np.ones((1, 100))
-        out = layer.forward(x, training=True)
-        grad = layer.backward(np.ones_like(x))
-        np.testing.assert_array_equal(grad != 0, out != 0)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
 
 class TestFlatten:
@@ -246,7 +196,7 @@ class TestInferenceMode:
     def _cached_attrs(self, layer):
         return {
             name: getattr(layer, name)
-            for name in ("_x", "_mask", "_y", "_shape", "_x_padded", "_x_shape", "_argmax")
+            for name in ("_x", "_mask", "_shape", "_x_padded", "_x_shape", "_argmax")
             if hasattr(layer, name)
         }
 
@@ -255,13 +205,11 @@ class TestInferenceMode:
         [
             (Dense(6, 4, rng=0), (3, 6)),
             (ReLU(), (3, 5)),
-            (Tanh(), (3, 5)),
-            (Sigmoid(), (3, 5)),
             (Flatten(), (2, 3, 4)),
             (Conv2D(1, 2, 3, padding="same", rng=1), (2, 1, 6, 6)),
             (MaxPool2D(2), (2, 1, 4, 4)),
         ],
-        ids=["dense", "relu", "tanh", "sigmoid", "flatten", "conv", "pool"],
+        ids=["dense", "relu", "flatten", "conv", "pool"],
     )
     def test_eval_forward_caches_nothing_and_backward_raises(self, layer, shape):
         x = np.random.default_rng(0).normal(size=shape)

@@ -1,10 +1,10 @@
-"""Regression losses and their gradients."""
+"""The MSE loss and its gradient."""
 
 import numpy as np
 import pytest
 
-from repro.nn.gradcheck import numerical_gradient
-from repro.nn.losses import HuberLoss, MAELoss, MSELoss
+from gradcheck import numerical_gradient
+from repro.nn.losses import MSELoss
 
 
 class TestMSE:
@@ -32,60 +32,13 @@ class TestMSE:
             MSELoss().backward()
 
 
-class TestMAE:
-    def test_value_is_paper_eq6(self):
-        loss = MAELoss()
-        pred = np.array([[0.1, 0.3], [0.0, -0.2]])
-        target = np.array([[0.0, 0.0], [0.0, 0.0]])
-        assert loss.forward(pred, target) == pytest.approx(0.15)
-
-    def test_gradient_is_scaled_sign(self):
-        loss = MAELoss()
-        pred = np.array([1.0, -2.0, 5.0])
-        target = np.array([0.0, 0.0, 6.0])
-        loss.forward(pred, target)
-        np.testing.assert_allclose(loss.backward(), np.array([1.0, -1.0, -1.0]) / 3)
-
-
-class TestHuber:
-    def test_quadratic_region_matches_half_mse(self):
-        loss = HuberLoss(delta=10.0)
-        pred = np.array([0.5, -0.3])
-        target = np.zeros(2)
-        assert loss.forward(pred, target) == pytest.approx(0.5 * np.mean(pred**2))
-
-    def test_linear_region(self):
-        loss = HuberLoss(delta=1.0)
-        value = loss.forward(np.array([5.0]), np.array([0.0]))
-        assert value == pytest.approx(1.0 * (5.0 - 0.5))
-
-    def test_gradient_clipped(self):
-        loss = HuberLoss(delta=1.0)
-        loss.forward(np.array([5.0, 0.2]), np.zeros(2))
-        np.testing.assert_allclose(loss.backward(), [0.5, 0.1])
-
-    def test_gradient_matches_finite_differences(self):
-        loss = HuberLoss(delta=0.7)
-        rng = np.random.default_rng(2)
-        pred = rng.normal(size=6)
-        target = rng.normal(size=6)
-        loss.forward(pred, target)
-        numeric = numerical_gradient(lambda p: loss.forward(p, target), pred.copy())
-        loss.forward(pred, target)
-        np.testing.assert_allclose(loss.backward(), numeric, atol=1e-6)
-
-    def test_invalid_delta(self):
-        with pytest.raises(ValueError):
-            HuberLoss(delta=0.0)
-
-
 class TestValidation:
-    @pytest.mark.parametrize("loss", [MSELoss(), MAELoss(), HuberLoss()])
+    @pytest.mark.parametrize("loss", [MSELoss()])
     def test_shape_mismatch_rejected(self, loss):
         with pytest.raises(ValueError):
             loss.forward(np.zeros(3), np.zeros(4))
 
-    @pytest.mark.parametrize("loss", [MSELoss(), MAELoss(), HuberLoss()])
+    @pytest.mark.parametrize("loss", [MSELoss()])
     def test_empty_rejected(self, loss):
         with pytest.raises(ValueError):
             loss.forward(np.zeros(0), np.zeros(0))

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.metrics import (
-    max_absolute_error,
-    mean_absolute_error,
-    mean_squared_error,
-    per_sample_mae,
-)
+from repro.nn.metrics import max_absolute_error, mean_absolute_error
 
 
 class TestMAE:
@@ -39,36 +34,13 @@ class TestMaxError:
         assert max_absolute_error(a, b) >= mean_absolute_error(a, b)
 
 
-class TestMSE:
-    def test_value(self):
-        assert mean_squared_error(np.array([2.0]), np.array([0.0])) == 4.0
-
-
-class TestPerSample:
-    def test_per_sample_shape_and_mean(self):
-        pred = np.array([[1.0, 1.0], [0.0, 0.0]])
-        target = np.zeros((2, 2))
-        per = per_sample_mae(pred, target)
-        np.testing.assert_allclose(per, [1.0, 0.0])
-        assert per.mean() == pytest.approx(mean_absolute_error(pred, target))
-
-    def test_3d_samples(self):
-        pred = np.ones((3, 2, 2))
-        target = np.zeros((3, 2, 2))
-        np.testing.assert_allclose(per_sample_mae(pred, target), 1.0)
-
-
 class TestValidation:
-    @pytest.mark.parametrize(
-        "fn", [mean_absolute_error, max_absolute_error, mean_squared_error, per_sample_mae]
-    )
+    @pytest.mark.parametrize("fn", [mean_absolute_error, max_absolute_error])
     def test_shape_mismatch(self, fn):
         with pytest.raises(ValueError):
             fn(np.zeros(3), np.zeros(4))
 
-    @pytest.mark.parametrize(
-        "fn", [mean_absolute_error, max_absolute_error, mean_squared_error]
-    )
+    @pytest.mark.parametrize("fn", [mean_absolute_error, max_absolute_error])
     def test_empty(self, fn):
         with pytest.raises(ValueError):
             fn(np.zeros(0), np.zeros(0))

@@ -1,4 +1,4 @@
-"""Leapfrog and Boris pushers."""
+"""Leapfrog pushers."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.kernels import ThreadedBackend
 from repro.pic.interpolation import Workspace
 from repro.pic.mover import (
-    boris_push_velocities,
     push_positions,
     push_velocities,
     rewind_velocities,
@@ -143,29 +142,3 @@ class TestHarmonicOscillator:
             energies.append(0.5 * v_sync**2 + 0.5 * x**2)
         energies = np.asarray(energies)
         assert np.max(np.abs(energies - 0.5)) < 0.02
-
-
-class TestBoris:
-    def test_boris_reduces_to_leapfrog_without_b(self):
-        rng = np.random.default_rng(1)
-        v = rng.normal(size=20)
-        e = rng.normal(size=20)
-        np.testing.assert_allclose(
-            boris_push_velocities(v, e, qm=-1.0, dt=0.2, b=0.0),
-            push_velocities(v, e, qm=-1.0, dt=0.2),
-            atol=1e-14,
-        )
-
-    def test_boris_with_field_and_rotation_differs(self):
-        v = np.array([1.0])
-        e = np.array([0.0])
-        out = boris_push_velocities(v, e, qm=1.0, dt=0.5, b=1.0)
-        # Pure rotation reduces v_x magnitude (some velocity rotated into v_y).
-        assert abs(out[0]) < 1.0
-
-    def test_boris_rotation_angle_small_b(self):
-        """For small angles the 1D-projected rotation matches cos(theta)."""
-        v = np.array([1.0])
-        dt, b = 0.01, 1.0
-        out = boris_push_velocities(v, np.zeros(1), qm=1.0, dt=dt, b=b)
-        assert out[0] == pytest.approx(np.cos(dt), abs=1e-6)

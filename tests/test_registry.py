@@ -15,7 +15,6 @@ from repro.phasespace.normalization import MinMaxNormalizer
 from repro.registry import (
     REGISTRY_ENV,
     ModelRegistry,
-    is_registry_ref,
     resolve_model_dir,
 )
 
@@ -128,11 +127,6 @@ class TestVerifyAndGc:
 
 
 class TestReferences:
-    def test_is_registry_ref(self):
-        assert is_registry_ref("registry:abc123")
-        assert not is_registry_ref("checkpoints/mlp")
-        assert not is_registry_ref(None)
-
     def test_plain_paths_pass_through(self):
         assert resolve_model_dir("checkpoints/mlp") == "checkpoints/mlp"
 

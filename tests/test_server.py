@@ -344,6 +344,23 @@ class TestFamilyKnobValidation:
         assert payload["status"] == "error"
         assert knob in payload["error"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt", None),
+        ("v0", float("inf")),
+        ("dt", float("nan")),
+        ("n_cells", 8.0),
+        ("n_steps", 2.5),
+        ("seed", 1.5),
+    ])
+    def test_malformed_config_field_answers_400(self, server, field, value):
+        envelope = self._envelope("bad")
+        envelope["config"][field] = value
+        status, data = raw_request(server, "POST", "/v1/run", json.dumps(envelope).encode())
+        assert status == 400
+        payload = json.loads(data)
+        assert payload["status"] == "error"
+        assert field in payload["error"]
+
     def test_valid_requests_beside_rejected_ones_complete(self, server):
         lines = [
             self._envelope("energy-ok", solver="energy", seed=1),

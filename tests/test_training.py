@@ -1,4 +1,4 @@
-"""Trainer: convergence, validation tracking, early stopping."""
+"""Trainer: convergence and validation tracking over fixed epochs."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.nn.layers import Dense, ReLU
 from repro.nn.losses import MSELoss
 from repro.nn.network import Sequential
 from repro.nn.optimizers import Adam
-from repro.nn.training import Trainer, TrainingHistory
+from repro.nn.training import Trainer
 
 
 def _regression_problem(n=200, seed=0):
@@ -73,49 +73,3 @@ class TestFit:
         x, y = _regression_problem(40)
         Trainer(_model()).fit(x, y, epochs=1, rng=0, verbose=True)
         assert "epoch" in capsys.readouterr().out
-
-
-class TestEarlyStopping:
-    def test_stops_when_validation_stalls(self):
-        x, y = _regression_problem(100)
-        # A frozen validation target the model can't improve on forever:
-        # use pure noise as validation so val loss plateaus quickly.
-        rng = np.random.default_rng(9)
-        xv = rng.normal(size=(30, 4))
-        yv = rng.normal(size=(30, 2)) * 100.0
-        trainer = Trainer(_model(), MSELoss(), Adam(lr=1e-3))
-        history = trainer.fit(
-            x, y, epochs=200, batch_size=32, rng=0, validation=(xv, yv), patience=3
-        )
-        assert history.n_epochs < 200
-
-    def test_patience_requires_validation(self):
-        x, y = _regression_problem(30)
-        with pytest.raises(ValueError):
-            Trainer(_model()).fit(x, y, epochs=5, patience=2)
-
-    def test_best_epoch(self):
-        history = TrainingHistory(loss=[1, 1, 1], val_loss=[3.0, 1.0, 2.0])
-        assert history.best_epoch() == 1
-
-    def test_best_epoch_without_validation(self):
-        with pytest.raises(ValueError):
-            TrainingHistory(loss=[1.0]).best_epoch()
-
-
-class TestEvaluate:
-    def test_keys_and_consistency(self):
-        x, y = _regression_problem(60)
-        trainer = Trainer(_model())
-        out = trainer.evaluate(x, y)
-        assert set(out) == {"loss", "mae", "max_error"}
-        assert out["max_error"] >= out["mae"] > 0
-
-    def test_perfect_model_evaluates_to_zero(self):
-        model = Sequential([Dense(2, 2, rng=0)])
-        model.layers[0].params["W"][...] = np.eye(2)
-        model.layers[0].params["b"][...] = 0.0
-        x = np.random.default_rng(0).normal(size=(10, 2))
-        out = Trainer(model).evaluate(x, x)
-        assert out["loss"] == pytest.approx(0.0, abs=1e-20)
-        assert out["mae"] == pytest.approx(0.0, abs=1e-12)

@@ -13,7 +13,7 @@ from repro.utils.io import (
     sha256_file,
     temp_path,
 )
-from repro.utils.rng import as_generator, spawn_generators, spawn_seeds
+from repro.utils.rng import as_generator, spawn_seeds
 from repro.utils.timer import Timer
 
 
@@ -37,15 +37,9 @@ class TestRng:
         seeds = spawn_seeds(7, 100)
         assert len(set(seeds)) == 100
 
-    def test_spawn_generators_independent_streams(self):
-        g1, g2 = spawn_generators(3, 2)
-        assert not np.array_equal(g1.random(10), g2.random(10))
-
     def test_spawn_negative_rejected(self):
         with pytest.raises(ValueError):
             spawn_seeds(0, -1)
-        with pytest.raises(ValueError):
-            spawn_generators(0, -2)
 
 
 class TestNpzDict:
