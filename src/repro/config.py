@@ -205,7 +205,7 @@ class SimulationConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
+            if not isinstance(value, numbers.Integral) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.box_length <= 0:
             raise ValueError(f"box_length must be positive, got {self.box_length}")

@@ -3,17 +3,13 @@
 Every stochastic component of the library (particle loading, dataset
 shuffling, weight initialization, ...) takes either a seed or a
 ``numpy.random.Generator``.  These helpers normalize between the two and
-derive independent child streams, so that a single top-level seed makes
+derive independent child seeds, so that a single top-level seed makes
 a whole campaign reproducible.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-
-RngLike = "int | np.random.Generator | np.random.SeedSequence | None"
 
 
 def as_generator(rng: "int | np.random.Generator | np.random.SeedSequence | None") -> np.random.Generator:

@@ -80,7 +80,7 @@ class TestValidation:
     )
     def test_invalid_values_rejected(self, kwargs):
         (field_name,) = kwargs
-        with pytest.raises(ValueError, match=field_name):
+        with pytest.raises(ValueError, match=rf"\b{field_name}\b"):
             SimulationConfig(**kwargs)
 
     def test_numpy_integers_accepted(self):

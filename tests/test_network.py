@@ -125,8 +125,7 @@ class TestPersistence:
         np.testing.assert_array_equal(clone.forward(x), expected)
 
     def test_from_saved_rejects_unreconstructable_layer(self, model, tmp_path):
-        """A layer name outside the whitelist is refused, even one that
-        once existed in the stack."""
+        """A layer name the fingerprint whitelist does not hold is refused."""
         import json as _json
 
         path = model.save(tmp_path / "model.npz")

@@ -359,7 +359,7 @@ class TestFamilyKnobValidation:
         assert status == 400
         payload = json.loads(data)
         assert payload["status"] == "error"
-        assert field in payload["error"]
+        assert re.search(rf"\b{field}\b", payload["error"])
 
     def test_valid_requests_beside_rejected_ones_complete(self, server):
         lines = [
