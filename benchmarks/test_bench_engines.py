@@ -161,15 +161,15 @@ class _LegacyEnsembleHistory:
     def __len__(self) -> int:
         return len(self.time)
 
-    def record_frame(self, frame) -> None:
-        ke = kinetic_energy_rows(frame.particles, v=frame.v_center)
-        fe = field_energy_rows(frame.grid, frame.efield)
-        self.time.append(frame.time)
+    def record_frame(self, engine) -> None:
+        ke = kinetic_energy_rows(engine.particles, v=engine.v_at_integer_time)
+        fe = field_energy_rows(engine.grid, engine.efield)
+        self.time.append(engine.time)
         self.kinetic.append(ke)
         self.potential.append(fe)
         self.total.append(ke + fe)
-        self.momentum.append(total_momentum_rows(frame.particles, v=frame.v_center))
-        self.mode1.append(mode_amplitude_rows(frame.efield, mode=1))
+        self.momentum.append(total_momentum_rows(engine.particles, v=engine.v_at_integer_time))
+        self.mode1.append(mode_amplitude_rows(engine.efield, mode=1))
 
     def as_arrays(self) -> dict:
         return {
@@ -191,10 +191,10 @@ def _run_pic_with(history_factory):
 
 
 def test_observables_pipeline_overhead(results_dir):
-    from repro.engines import Observables, pic_observables
+    from repro.engines import Observables, resolve_observables
 
     def streaming_recorder():
-        return Observables(pic_observables())
+        return Observables(resolve_observables(None))
 
     # The two recorders must agree exactly before we time them.
     new_series = _run_pic_with(streaming_recorder).as_arrays()

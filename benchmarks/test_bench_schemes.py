@@ -15,7 +15,7 @@ import numpy as np
 from conftest import dump_result
 
 from repro.dlpic.simulation import DLPIC
-from repro.engines.observables import Observables, pic_observables
+from repro.engines.observables import Observables, resolve_observables
 from repro.pic.energy_conserving import EnergyConservingEnsemble
 from repro.pic.simulation import TraditionalPIC
 from repro.theory.dispersion import growth_rate_cold
@@ -39,7 +39,9 @@ def test_scheme_conservation_triangle(solvers, results_dir, benchmark):
             ("dl", DLPIC(config, solvers.mlp_solver)),
         ):
             # Every scheme runs a batch of one: record 1-D series.
-            hist = sim.run(config.n_steps, history=Observables(pic_observables(), squeeze=True))
+            hist = sim.run(
+                config.n_steps, history=Observables(resolve_observables(None), squeeze=True)
+            )
             a = hist.as_arrays()
             fit = fit_growth_rate(a["time"], a["mode1"])
             out[name] = {

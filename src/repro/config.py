@@ -207,6 +207,12 @@ class SimulationConfig:
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if not isinstance(value, numbers.Integral) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        # A numpy scalar is stored as its Python value, so the config
+        # serializes and keys like its plain-Python twin.
+        for name in _INTEGER_FIELDS + _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, np.generic):
+                object.__setattr__(self, name, value.item())
         if self.box_length <= 0:
             raise ValueError(f"box_length must be positive, got {self.box_length}")
         if self.n_cells < 2:

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.config import SimulationConfig
 from repro.dlpic.solver import DLFieldSolver
-from repro.engines.observables import Observables, pic_observables
+from repro.engines.observables import Observables, resolve_observables
 from repro.kernels import resolve_backend
 from repro.pic.simulation import EnsembleSimulation
 
@@ -106,6 +106,6 @@ class DLPIC(DLEnsemble):
     ) -> None:
         super().__init__(config, solver, rngs=[rng])
 
-    def observables(self, record_fields: bool = False) -> Observables:
+    def observables(self) -> Observables:
         """A fresh recorder of 1-D series for this single run."""
-        return Observables(pic_observables(record_fields=record_fields), squeeze=True)
+        return Observables(resolve_observables(None), squeeze=True)

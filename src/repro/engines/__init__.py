@@ -19,31 +19,17 @@ from repro.engines.base import (
     engine_group_key,
     get_engine_spec,
     make_engine,
-    register_engine,
     structural_key,
     validate_engine_config,
     vlasov_grid_params,
 )
 from repro.engines.observables import (
-    DEFAULT_OBSERVABLES,
-    FieldSnapshot,
-    Frame,
     ModeAmplitude,
-    Observable,
-    ObservableSpec,
     Observables,
-    ParticleEnergyMomentum,
-    PhaseSpaceSnapshot,
-    TrainingHistograms,
-    VlasovEnergyMomentum,
-    available_observables,
     canonical_observables,
     observables_token,
-    pic_observables,
-    register_observable,
     resolve_observables,
     selection_to_jsonable,
-    vlasov_observables,
 )
 
 __all__ = [
@@ -54,29 +40,15 @@ __all__ = [
     "engine_group_key",
     "get_engine_spec",
     "make_engine",
-    "register_engine",
     "structural_key",
     "validate_engine_config",
     "vlasov_grid_params",
-    "DEFAULT_OBSERVABLES",
-    "FieldSnapshot",
-    "Frame",
     "ModeAmplitude",
-    "Observable",
-    "ObservableSpec",
     "Observables",
-    "ParticleEnergyMomentum",
-    "PhaseSpaceSnapshot",
-    "TrainingHistograms",
-    "VlasovEnergyMomentum",
-    "available_observables",
     "canonical_observables",
     "observables_token",
-    "pic_observables",
-    "register_observable",
     "resolve_observables",
     "selection_to_jsonable",
-    "vlasov_observables",
     "VlasovEnsemble",
 ]
 

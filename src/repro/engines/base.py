@@ -27,7 +27,8 @@ Every engine class inherits :class:`Engine`, which owns the one
 member check (a single config is a batch of one; an empty batch or a
 member off the structural key is rejected) and the one ``run`` loop —
 the single place a per-step hook such as a phase timer attaches.  A
-family supplies only ``step``, ``_record`` and ``observables``.
+family supplies ``step`` and the state its observables read (see
+:mod:`repro.engines.observables`).
 
 Every consumer — the micro-batching service, the CLI, the experiment
 pipeline, the data campaigns — builds engines exclusively through
@@ -44,14 +45,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from repro.config import SimulationConfig
-
-if TYPE_CHECKING:
-    from repro.engines.observables import Observables
+from repro.engines.observables import Observables, resolve_observables
 
 # Config fields that must agree across every member of a PIC ensemble
 # (the batched kernels share one grid, one time step and one
@@ -219,12 +218,15 @@ class Engine:
     """Base class of every engine family: the member check and the run loop.
 
     ``configs`` holds one :class:`SimulationConfig` per batched member
-    (``config`` is the structural reference, ``batch`` the count);
-    ``efield`` is the current ``(batch, n_cells)`` field.  A subclass
-    calls ``super().__init__(configs)`` and supplies :meth:`step` (one
-    cycle), :meth:`_record` (stream the current state into a recorder)
-    and :meth:`observables` (its default recorder); :meth:`run` is the
-    one loop every family shares.
+    (``config`` is the structural reference, ``batch`` the count).  A
+    subclass calls ``super().__init__(configs)``, supplies :meth:`step`
+    (one cycle) and keeps the state the observables read:
+    ``step_index``, ``time``, ``grid`` and the current ``(batch,
+    n_cells)`` ``efield``, plus ``particles`` and
+    ``v_at_integer_time`` on a particle engine.  :meth:`run` is the one
+    loop every family shares; it hands the engine itself to
+    :meth:`Observables.record_frame` before the first step and after
+    every step.
 
     The structural key every member must share is ``_structural_key``
     (the registry's key function of the family), whose entries are
@@ -263,20 +265,16 @@ class Engine:
         """Advance every member one cycle."""
         raise NotImplementedError
 
-    def _record(self, hist: "Observables") -> None:
-        """Stream the current state into ``hist`` as one frame."""
-        raise NotImplementedError
-
-    def observables(self, record_fields: bool = False) -> "Observables":
-        """A fresh default observables recorder for this engine."""
-        raise NotImplementedError
+    def observables(self) -> Observables:
+        """A fresh default recorder: energies, momentum and ``mode1``."""
+        return Observables(resolve_observables(None))
 
     def run(
         self,
         n_steps: "int | None" = None,
         history: "Observables | None" = None,
         callback: "Callable[[Engine], None] | None" = None,
-    ) -> "Observables":
+    ) -> Observables:
         """Run ``n_steps`` cycles, recording observables at every step.
 
         The history includes the initial state, so it holds
@@ -301,10 +299,10 @@ class Engine:
             raise ValueError(f"n_steps must be non-negative, got {n_steps}")
         hist = history if history is not None else self.observables()
         hist.reserve(len(hist) + n_steps + 1)  # stream into one preallocated buffer
-        self._record(hist)
+        hist.record_frame(self)
         for _ in range(n_steps):
             self.step()
-            self._record(hist)
+            hist.record_frame(self)
             if callback is not None:
                 callback(self)
         return hist

@@ -1,40 +1,30 @@
 """The streaming observables pipeline shared by every engine.
 
-Historically each engine family recorded diagnostics its own way: the
-single-run PIC cycle appended scalars to ``History`` lists, the batched
-ensemble appended ``(batch,)`` vectors to ``EnsembleHistory`` lists and
-the Vlasov solver kept a private dict of Python lists.  This module
-replaces all three with one pipeline:
-
-* an :class:`Observable` is a pluggable per-step measurement — it
-  receives a :class:`Frame` (the engine state at one record point) and
-  emits one or more named ``(batch, ...)`` values;
+* an :class:`Observable` is a per-step measurement of an engine's
+  current state: it reads ``step_index``, ``time``, ``grid`` and
+  ``efield``, plus ``particles`` and ``v_at_integer_time`` on a
+  particle engine or ``f``, ``v_centers``, ``dx`` and ``dv`` on the
+  Vlasov engine, and returns one ``(batch, ...)`` array per series it
+  names;
 * :class:`Observables` drives a set of observables and streams their
   values into preallocated ``(n_records, batch, ...)`` buffers (engines
   call :meth:`Observables.reserve` with ``n_steps + 1`` before a run,
   so the steady-state cost per record is pure numpy writes — no Python
   list appends, no reallocation);
-* the *observable registry* at the bottom exposes pluggable, named
+* :func:`resolve_observables` builds a pipeline from the named
   measurements (``"energies"``, ``"mode<k>"``, ``"fields"``,
   ``"phase_space"``, ``"training_pairs"``) that public API v1 requests
-  select per run; :func:`resolve_observables` builds a pipeline from a
-  selection for any engine family.
+  select per run, for either engine-state kind.
 
-Every default series produced here is bitwise identical to what the
-pre-pipeline recorders produced: the measurements below are the exact
-functions the old recorders called, in the same order, and the paper
-monitors them in Figs. 4-6 (fundamental mode amplitude ``E1``, total
-energy, total momentum).  The deprecated ``History`` /
-``EnsembleHistory`` wrapper classes were retired after one release;
-build an :class:`Observables` (or take one from
-``engine.observables()``) instead.
+The default selection records the series the paper monitors in
+Figs. 4-6: the fundamental mode amplitude ``E1``, the total energy
+and its parts, and the total momentum.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -43,10 +33,9 @@ from repro import constants
 from repro.kernels.workspace import Workspace
 
 if TYPE_CHECKING:
+    from repro.engines.base import Engine
     from repro.pic.grid import Grid1D
     from repro.pic.particles import ParticleSet
-
-SCALAR_SERIES = ("kinetic", "potential", "total", "momentum", "mode1")
 
 
 # ----------------------------------------------------------------------
@@ -171,131 +160,75 @@ def mode_amplitude_rows(e: np.ndarray, mode: int = 1) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Frames and observables
-
-
-class Frame:
-    """One engine state handed to the observables at a record point.
-
-    A frame is engine-agnostic: PIC engines populate ``particles`` and
-    ``v_center``, the Vlasov engines populate the phase-space density
-    ``f`` with its velocity grid.  ``efield`` is always present —
-    ``(batch, n_cells)`` stacked (engines record a single run as a
-    batch of one), or 1-D in a hand-built single-run frame — and every
-    observable reads only the attributes it needs.
-    """
-
-    __slots__ = (
-        "step", "time", "grid", "efield", "particles", "v_center",
-        "f", "v_centers", "dx", "dv",
-    )
-
-    def __init__(
-        self,
-        step: int,
-        time: float,
-        grid: "Grid1D",
-        efield: np.ndarray,
-        particles: "ParticleSet | None" = None,
-        v_center: "np.ndarray | None" = None,
-        f: "np.ndarray | None" = None,
-        v_centers: "np.ndarray | None" = None,
-        dx: "float | None" = None,
-        dv: "float | None" = None,
-    ) -> None:
-        self.step = step
-        self.time = time
-        self.grid = grid
-        self.efield = efield
-        self.particles = particles
-        self.v_center = v_center
-        self.f = f
-        self.v_centers = v_centers
-        self.dx = dx
-        self.dv = dv
-
-    @property
-    def batch(self) -> int:
-        """Number of stacked runs in this frame (1 for 1-D fields)."""
-        return self.efield.shape[0] if self.efield.ndim == 2 else 1
+# Observables
 
 
 class Observable(Protocol):
-    """A pluggable per-step measurement.
+    """A per-step measurement of an engine's current state.
 
     ``names`` lists the series this observable emits; ``measure``
-    returns one ``(batch, ...)`` array per name — as a mapping keyed by
-    name, as a tuple aligned with ``names``, or (for single-series
-    observables) as the bare array.  The aligned forms skip a dict
-    construction per record, which matters on the streaming hot path.
+    returns a tuple of ``(batch, ...)`` arrays aligned with ``names``.
     Emitting several series from one call lets related quantities share
-    intermediate results (e.g. ``total = kinetic + potential`` reuses
-    both energies) exactly like the legacy recorders did.
+    intermediate results (``total = kinetic + potential`` reuses both
+    energies).  ``engine`` is an :class:`~repro.engines.base.Engine`
+    or any object holding the attributes the measurement reads.
     """
 
     names: tuple[str, ...]
 
-    def measure(
-        self, frame: Frame
-    ) -> "dict[str, np.ndarray] | tuple[np.ndarray, ...] | np.ndarray":
-        """Measure this observable on one frame."""
+    def measure(self, engine: "Engine") -> "tuple[np.ndarray, ...]":
+        """Measure this observable on the engine's current state."""
         ...
 
 
-def _as_named(obs: "Observable", values: object) -> "dict[str, np.ndarray]":
-    """Normalize any legal ``measure`` return into a name-keyed dict."""
-    if isinstance(values, dict):
-        return values
-    if len(obs.names) == 1 and not isinstance(values, (tuple, list)):
-        return {obs.names[0]: values}
-    return dict(zip(obs.names, values))
-
-
 class ParticleEnergyMomentum:
-    """Kinetic/field/total energy and momentum of a PIC frame."""
+    """Kinetic/field/total energy and momentum of a particle engine.
+
+    Velocities are taken at integer time (``v_at_integer_time``), where
+    the positions and the field are.
+    """
 
     names = ("kinetic", "potential", "total", "momentum")
 
     def __init__(self, eps0: float = constants.EPSILON_0) -> None:
         self.eps0 = eps0
 
-    def measure(self, frame: Frame) -> "tuple[np.ndarray, ...]":
-        ke = kinetic_energy_rows(frame.particles, v=frame.v_center)
-        fe = field_energy_rows(frame.grid, frame.efield, eps0=self.eps0)
-        return ke, fe, ke + fe, total_momentum_rows(frame.particles, v=frame.v_center)
+    def measure(self, engine: "Engine") -> "tuple[np.ndarray, ...]":
+        v = engine.v_at_integer_time
+        ke = kinetic_energy_rows(engine.particles, v=v)
+        fe = field_energy_rows(engine.grid, engine.efield, eps0=self.eps0)
+        return ke, fe, ke + fe, total_momentum_rows(engine.particles, v=v)
 
 
 class VlasovEnergyMomentum:
-    """Energy and momentum moments of a Vlasov phase-space frame.
+    """Energy and momentum moments of a Vlasov engine's phase space.
 
     Per member: kinetic energy ``integral(v^2/2 f dx dv)``, field
     energy ``(1/2) integral(E^2 dx)`` and momentum
     ``integral(v f dx dv)`` with electron mass 1.  Each member reduces
-    its own slab in a fixed order, so the moments of a batched frame
-    are bitwise those of the member's batch-1 frame.
+    its own slab in a fixed order, so the moments of a batched engine
+    are bitwise those of the member's batch of one.
     """
 
     names = ("kinetic", "potential", "total", "momentum")
 
-    def measure(self, frame: Frame) -> "tuple[np.ndarray, ...]":
-        f = frame.f if frame.f.ndim == 3 else frame.f[None]
-        e = np.atleast_2d(frame.efield)
-        v = frame.v_centers
-        dx, dv = frame.dx, frame.dv
+    def measure(self, engine: "Engine") -> "tuple[np.ndarray, ...]":
+        f, e, v = engine.f, engine.efield, engine.v_centers
+        dx, dv = engine.dx, engine.dv
         ke = 0.5 * np.sum(f * (v**2)[:, None], axis=(1, 2)) * dx * dv
         fe = 0.5 * np.sum(e * e, axis=-1) * dx
         return ke, fe, ke + fe, np.sum(f * v[:, None], axis=(1, 2)) * dx * dv
 
 
 class ModeAmplitude:
-    """Fourier-mode amplitude of the field (``mode1`` by default)."""
+    """Fourier-mode amplitude of the field, series ``mode<k>``."""
 
-    def __init__(self, mode: int = 1, name: "str | None" = None) -> None:
+    def __init__(self, mode: int = 1) -> None:
         self.mode = mode
-        self.names = (name if name is not None else f"mode{mode}",)
+        self.names = (f"mode{mode}",)
 
-    def measure(self, frame: Frame) -> np.ndarray:
-        return mode_amplitude_rows(frame.efield, mode=self.mode)
+    def measure(self, engine: "Engine") -> "tuple[np.ndarray]":
+        return (mode_amplitude_rows(engine.efield, mode=self.mode),)
 
 
 class FieldSnapshot:
@@ -303,8 +236,8 @@ class FieldSnapshot:
 
     names = ("fields",)
 
-    def measure(self, frame: Frame) -> np.ndarray:
-        return np.array(np.atleast_2d(frame.efield), copy=True)
+    def measure(self, engine: "Engine") -> "tuple[np.ndarray]":
+        return (np.array(np.atleast_2d(engine.efield), copy=True),)
 
 
 class PhaseSpaceSnapshot:
@@ -312,9 +245,8 @@ class PhaseSpaceSnapshot:
 
     names = ("f",)
 
-    def measure(self, frame: Frame) -> np.ndarray:
-        f = frame.f if frame.f.ndim == 3 else frame.f[None]
-        return np.array(f, copy=True)
+    def measure(self, engine: "Engine") -> "tuple[np.ndarray]":
+        return (engine.f.copy(),)
 
 
 class TrainingHistograms:
@@ -324,11 +256,10 @@ class TrainingHistograms:
     :class:`~repro.phasespace.binning.PhaseSpaceGrid` exactly like the
     data-generation harvest: positions at integer time with the
     trailing half-step velocities — except at the initial record, where
-    velocities are still synchronized and the time-centered
-    ``frame.v_center`` is used (matching how the DL-PIC computes its
-    very first field).  Selecting this observable together with
-    ``"fields"`` through the service yields the campaign's
-    (histogram, field) training pairs per request.
+    velocities are still synchronized and ``v_at_integer_time`` is used
+    (matching how the DL-PIC computes its very first field).  Selecting
+    this observable together with ``"fields"`` through the service
+    yields the campaign's (histogram, field) training pairs per request.
     """
 
     names = ("histograms",)
@@ -355,49 +286,28 @@ class TrainingHistograms:
         # Binning scratch reused by every record of this pipeline.
         self._work = Workspace()
 
-    def measure(self, frame: Frame) -> np.ndarray:
+    def measure(self, engine: "Engine") -> "tuple[np.ndarray]":
         from repro.phasespace.binning import bin_phase_space_batch
 
-        v = frame.particles.v
-        if frame.step == 0 and frame.v_center is not None:
-            v = frame.v_center
-        x = np.atleast_2d(frame.particles.x)
-        return bin_phase_space_batch(
+        v = engine.v_at_integer_time if engine.step_index == 0 else engine.particles.v
+        x = np.atleast_2d(engine.particles.x)
+        return (bin_phase_space_batch(
             x, np.atleast_2d(v), self.ps_grid, order=self.order, work=self._work
-        )
-
-
-def pic_observables(record_fields: bool = False) -> "list[Observable]":
-    """The default PIC pipeline (energies, momentum and ``mode1``)."""
-    obs: "list[Observable]" = [ParticleEnergyMomentum(), ModeAmplitude(mode=1)]
-    if record_fields:
-        obs.append(FieldSnapshot())
-    return obs
-
-
-def vlasov_observables(
-    record_fields: bool = False, record_distribution: bool = False
-) -> "list[Observable]":
-    """The default Vlasov pipeline (same scalar series as PIC)."""
-    obs: "list[Observable]" = [VlasovEnergyMomentum(), ModeAmplitude(mode=1)]
-    if record_fields:
-        obs.append(FieldSnapshot())
-    if record_distribution:
-        obs.append(PhaseSpaceSnapshot())
-    return obs
+        ),)
 
 
 # ----------------------------------------------------------------------
-# The observable registry: named, per-request-selectable measurements
+# The selectable observables
 #
 # The public API's ``observables: [...]`` request field resolves here.
-# A selection entry is a registered name (``"energies"``), a
-# parameterized form (``{"name": "mode", "mode": 3}``) or the
-# ``"mode<k>"`` string sugar for it; :func:`canonical_observables`
-# normalizes any of these into a sorted, deduplicated tuple of
-# ``(name, ((param, value), ...))`` pairs — the form folded into
-# service group keys and result-store addresses — and
-# :func:`resolve_observables` builds the pipeline for an engine family.
+# A selection entry is a name (``"energies"``), a parameterized form
+# (``{"name": "mode", "mode": 3}``) or the ``"mode<k>"`` string sugar
+# for it; :func:`canonical_observables` normalizes any of these into a
+# sorted, deduplicated tuple of ``(name, ((param, value), ...))`` pairs
+# — the form folded into service group keys and result-store addresses
+# — and :func:`resolve_observables` builds the pipeline for an engine
+# family's state kind (``"pic"`` or ``"vlasov"``, see
+# :class:`repro.engines.base.EngineSpec`).
 
 
 def _build_energies(kind: str) -> Observable:
@@ -440,42 +350,22 @@ def _build_training_pairs(
     )
 
 
-@dataclass(frozen=True)
-class ObservableSpec:
-    """One registered, per-request-selectable observable.
+#: Each selectable observable by name: ``build(kind, **params)`` raises
+#: ``ValueError`` for a kind it cannot measure and ``TypeError`` for an
+#: unknown parameter.
+_BUILDERS: "dict[str, Callable[..., Observable]]" = {
+    "energies": _build_energies,
+    "mode": _build_mode,
+    "fields": _build_fields,
+    "phase_space": _build_phase_space,
+    "training_pairs": _build_training_pairs,
+}
 
-    ``build(kind, **params)`` constructs the measurement for an engine
-    family's state ``kind`` (``"pic"`` or ``"vlasov"``, see
-    :class:`repro.engines.base.EngineSpec`); it raises ``ValueError``
-    for families it cannot measure and ``TypeError`` for unknown
-    parameters — both surfaced at request-parse/submit time.
-    """
-
-    name: str
-    build: "Callable[..., Observable]"
-    description: str = ""
-
-
-_OBSERVABLE_SPECS: "dict[str, ObservableSpec]" = {}
-
-#: The selection applied when a request names no observables — exactly
-#: the historical default recorders (energies, momentum, ``mode1``).
+#: The selection applied when a request names no observables: energies,
+#: momentum and ``mode1``.
 DEFAULT_OBSERVABLES = ("energies", "mode1")
 
 _MODE_SUGAR = re.compile(r"^mode(\d+)$")
-
-
-def register_observable(spec: ObservableSpec) -> ObservableSpec:
-    """Register a selectable observable under ``spec.name``."""
-    if spec.name in _OBSERVABLE_SPECS:
-        raise ValueError(f"observable {spec.name!r} is already registered")
-    _OBSERVABLE_SPECS[spec.name] = spec
-    return spec
-
-
-def available_observables() -> "tuple[str, ...]":
-    """Sorted names of every registered observable."""
-    return tuple(sorted(_OBSERVABLE_SPECS))
 
 
 def canonical_observables(
@@ -484,7 +374,7 @@ def canonical_observables(
     """Normalize a request's observables selection.
 
     ``None`` means :data:`DEFAULT_OBSERVABLES`.  Entries may be
-    registered names, ``"mode<k>"`` sugar, or ``{"name": ..., **params}``
+    observable names, ``"mode<k>"`` sugar, or ``{"name": ..., **params}``
     mappings.  The result is sorted and deduplicated — two requests
     selecting the same measurements in any order or spelling share one
     canonical form (and therefore one cache key and one service batch).
@@ -518,10 +408,10 @@ def canonical_observables(
             raise ValueError(
                 f"observables entries must be names or mappings, got {entry!r}"
             )
-        if name not in _OBSERVABLE_SPECS:
+        if name not in _BUILDERS:
             raise ValueError(
                 f"unknown observable {name!r}; available: "
-                f"{', '.join(available_observables())} (plus 'mode<k>' sugar)"
+                f"{', '.join(sorted(_BUILDERS))} (plus 'mode<k>' sugar)"
             )
         for key, value in params.items():
             if not isinstance(value, (str, int, float, bool)) and value is not None:
@@ -571,45 +461,17 @@ def resolve_observables(
     first), so callers can validate a request by resolving it — a bad
     name, an unsupported family or an unknown parameter all raise
     ``ValueError`` here instead of inside a running engine.
+    ``resolve_observables(None)`` is the default particle pipeline.
     """
     built: "list[Observable]" = []
     for name, params in canonical_observables(selection):
-        spec = _OBSERVABLE_SPECS[name]
         try:
-            built.append(spec.build(kind, **dict(params)))
+            built.append(_BUILDERS[name](kind, **dict(params)))
         except TypeError as exc:
             raise ValueError(
                 f"bad parameters for observable {name!r}: {exc}"
             ) from None
     return built
-
-
-register_observable(ObservableSpec(
-    name="energies",
-    build=_build_energies,
-    description="kinetic/potential/total energy and momentum per record",
-))
-register_observable(ObservableSpec(
-    name="mode",
-    build=_build_mode,
-    description="Fourier mode amplitude of the field (params: mode; sugar 'mode<k>')",
-))
-register_observable(ObservableSpec(
-    name="fields",
-    build=_build_fields,
-    description="full grid field snapshot per record (memory-hungry)",
-))
-register_observable(ObservableSpec(
-    name="phase_space",
-    build=_build_phase_space,
-    description="Vlasov distribution f(x, v) snapshot per record (vlasov only)",
-))
-register_observable(ObservableSpec(
-    name="training_pairs",
-    build=_build_training_pairs,
-    description="phase-space histograms in the DL training layout (pic only; "
-                "params: n_x, n_v, v_min, v_max, box_length, order)",
-))
 
 
 # ----------------------------------------------------------------------
@@ -622,31 +484,22 @@ class Observables:
     Parameters
     ----------
     observables:
-        The measurements to run at every record point.  Defaults to the
-        standard PIC scalar set (energies, momentum, ``mode1``).
+        The measurements to run at every record point
+        (``resolve_observables(None)`` is the default particle set:
+        energies, momentum and ``mode1``).
     squeeze:
         With ``True`` (the single-run recorders) ``as_arrays`` drops
-        the batch axis — series come back ``(n_records,)`` like the
-        legacy ``History``; requires batch 1.  With ``False`` series
-        are ``(n_records, batch)`` like ``EnsembleHistory``.
-    expected_records:
-        Initial buffer capacity.  Engines pass ``n_steps + 1`` through
-        :meth:`reserve` so a run never reallocates; incremental users
-        (record without a known length) grow by doubling.
+        the batch axis — series come back ``(n_records,)``; requires
+        batch 1.  With ``False`` series are ``(n_records, batch)``.
 
-    ``as_arrays`` returns trimmed views of the buffers (no copies);
-    treat them as read-only or copy before mutating.
+    Engines size the buffers through :meth:`reserve` so a run never
+    reallocates; recording without a known length grows them by
+    doubling.  ``as_arrays`` returns trimmed views of the buffers (no
+    copies); treat them as read-only or copy before mutating.
     """
 
-    def __init__(
-        self,
-        observables: "Sequence[Observable] | None" = None,
-        squeeze: bool = False,
-        expected_records: "int | None" = None,
-    ) -> None:
-        self.observables: "tuple[Observable, ...]" = tuple(
-            observables if observables is not None else pic_observables()
-        )
+    def __init__(self, observables: "Sequence[Observable]", squeeze: bool = False) -> None:
+        self.observables: "tuple[Observable, ...]" = tuple(observables)
         names: "list[str]" = []
         for obs in self.observables:
             for name in obs.names:
@@ -658,7 +511,7 @@ class Observables:
         self.batch: "int | None" = None
         self._n = 0
         self._capacity = 0
-        self._reserved = int(expected_records) if expected_records else 0
+        self._reserved = 0
         self._time: "np.ndarray | None" = None
         self._buffers: "dict[str, np.ndarray]" = {}
 
@@ -670,13 +523,14 @@ class Observables:
         if self.batch is not None and self._capacity < self._reserved:
             self._grow(self._reserved)
 
-    def _allocate(self, measured: "dict[str, np.ndarray]", batch: int) -> None:
+    def _allocate(self, values: "list[np.ndarray]", batch: int) -> None:
+        """Size one buffer per series after the first record's values."""
         self.batch = batch
         self._capacity = max(self._reserved, 64)
         self._time = np.empty(self._capacity, dtype=np.float64)
-        for name, values in measured.items():
+        for name, value in zip(self.names, values):
             self._buffers[name] = np.empty(
-                (self._capacity,) + values.shape, dtype=values.dtype
+                (self._capacity,) + value.shape, dtype=value.dtype
             )
         self._rebuild_write_plan()
 
@@ -695,51 +549,37 @@ class Observables:
     def _rebuild_write_plan(self) -> None:
         """Pre-bind each observable's target buffers for the record loop."""
         self._write_plan = [
-            (obs, obs.names, [self._buffers[name] for name in obs.names])
+            (obs, [self._buffers[name] for name in obs.names])
             for obs in self.observables
         ]
 
     # -- recording -------------------------------------------------------
-    def record_frame(self, frame: Frame) -> None:
-        """Measure every observable on ``frame`` and append one record."""
+    def record_frame(self, engine: "Engine") -> None:
+        """Measure every observable on ``engine``'s state and append one record."""
         if self.batch is None:
-            measured: "dict[str, np.ndarray]" = {}
-            for obs in self.observables:
-                measured.update(_as_named(obs, obs.measure(frame)))
-            batch = next(iter(measured.values())).shape[0] if measured else frame.batch
+            values = [value for obs in self.observables for value in obs.measure(engine)]
+            batch = values[0].shape[0] if values else engine.batch
             if self.squeeze and batch != 1:
                 raise ValueError(
                     f"squeezed (single-run) recorder got a batch of {batch}"
                 )
-            self._allocate(measured, batch)
-            self._time[0] = frame.time
-            for name, values in measured.items():
-                self._buffers[name][0] = values
+            self._allocate(values, batch)
+            self._time[0] = engine.time
+            for name, value in zip(self.names, values):
+                self._buffers[name][0] = value
             self._n = 1
             return
         if self._n == self._capacity:
             self._grow(self._n + 1)
         i = self._n
-        self._time[i] = frame.time
-        for obs, names, bufs in self._write_plan:
-            values = obs.measure(frame)
-            if isinstance(values, dict):
-                for name, buf in zip(names, bufs):
-                    buf[i] = values[name]
-            elif isinstance(values, (tuple, list)):
-                for buf, vals in zip(bufs, values):
-                    buf[i] = vals
-            else:
-                bufs[0][i] = values
+        self._time[i] = engine.time
+        for obs, bufs in self._write_plan:
+            for buf, value in zip(bufs, obs.measure(engine)):
+                buf[i] = value
         self._n = i + 1
 
     # -- views -----------------------------------------------------------
     def __len__(self) -> int:
-        return self._n
-
-    @property
-    def n_records(self) -> int:
-        """Number of records streamed so far."""
         return self._n
 
     def _series(self, name: str) -> np.ndarray:
@@ -764,8 +604,7 @@ class Observables:
 
         ``time`` is always ``(n_records,)``; every other series is
         ``(n_records, batch, ...)``, or ``(n_records, ...)`` when this
-        recorder squeezes — exactly the legacy ``History`` /
-        ``EnsembleHistory`` layouts.
+        recorder squeezes.
         """
         out = {"time": self._series("time")}
         for name in self.names:

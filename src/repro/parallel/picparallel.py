@@ -39,7 +39,7 @@ import numpy as np
 from repro.config import SimulationConfig
 from repro.dlpic.solver import DLFieldSolver
 from repro.engines.base import mpi_rank_params
-from repro.engines.observables import Observables, pic_observables
+from repro.engines.observables import Observables, resolve_observables
 from repro.parallel.comm import CommStats, SimulatedComm
 from repro.parallel.decomposition import DomainDecomposition1D
 from repro.phasespace.binning import PhaseSpaceGrid, bin_phase_space
@@ -185,7 +185,7 @@ def run_distributed_dl(
     sim = EnsembleSimulation(config, field_solver=solver, rngs=[rng])
     steps = config.n_steps if n_steps is None else n_steps
     comm.stats.reset()
-    history = sim.run(steps, history=Observables(pic_observables(), squeeze=True))
+    history = sim.run(steps, history=Observables(resolve_observables(None), squeeze=True))
     return DistributedPICResult(
         label="DL-based PIC", n_ranks=n_ranks, n_steps=steps, history=history, comm=comm.stats
     )

@@ -42,7 +42,6 @@ import numpy as np
 from repro import constants
 from repro.config import SimulationConfig
 from repro.engines.base import Engine, energy_picard_params
-from repro.engines.observables import Frame, Observables, pic_observables
 from repro.pic.grid import Grid1D
 from repro.kernels.workspace import Workspace
 from repro.pic.interpolation import charge_density, deposit, gather
@@ -146,14 +145,3 @@ class EnergyConservingEnsemble(Engine):
         self.efield = 2.0 * e_half - e_n
         self.step_index += 1
         self.time += dt
-
-    def observables(self, record_fields: bool = False) -> Observables:
-        """A fresh default observables recorder for this engine."""
-        return Observables(pic_observables(record_fields=record_fields))
-
-    def _record(self, hist: Observables) -> None:
-        # Velocities are synchronized (no staggering), so no v_center.
-        hist.record_frame(Frame(
-            self.step_index, self.time, self.grid, self.efield,
-            particles=self.particles,
-        ))

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.config import SimulationConfig
 from repro.engines.base import Engine
-from repro.engines.observables import Frame, Observables, pic_observables
+from repro.engines.observables import Observables, resolve_observables
 from repro.kernels import KernelBackend, resolve_backend
 from repro.pic.grid import Grid1D
 from repro.kernels.workspace import Workspace
@@ -227,17 +227,6 @@ class EnsembleSimulation(Engine):
         """Velocities synchronized to the current integer time, ``(batch, n)``."""
         return self._v_integer
 
-    def observables(self, record_fields: bool = False) -> Observables:
-        """A fresh default observables recorder for this engine."""
-        return Observables(pic_observables(record_fields=record_fields))
-
-    def _record(self, hist: Observables) -> None:
-        """Stream the current state into ``hist`` as one batched frame."""
-        hist.record_frame(Frame(
-            self.step_index, self.time, self.grid, self.efield,
-            particles=self.particles, v_center=self._v_integer,
-        ))
-
     def _field_at_particles(self) -> np.ndarray:
         """``E`` gathered at the current particles, at most once per state.
 
@@ -318,6 +307,6 @@ class TraditionalPIC(EnsembleSimulation):
     ) -> None:
         super().__init__(config, rngs=[rng])
 
-    def observables(self, record_fields: bool = False) -> Observables:
+    def observables(self) -> Observables:
         """A fresh recorder of 1-D series for this single run."""
-        return Observables(pic_observables(record_fields=record_fields), squeeze=True)
+        return Observables(resolve_observables(None), squeeze=True)

@@ -110,10 +110,6 @@ class SimulationService:
         An explicit :class:`~repro.service.executor.Executor` to run
         groups on, overriding ``workers`` (the caller keeps ownership
         and closes it).
-    group_timeout:
-        Per-group execution deadline in seconds for the sharded
-        executor (``None`` = no deadline); an expired group resolves
-        its requests with a ``GroupTimeoutError``.
     tracing:
         Enable end-to-end request tracing (default off).  When on,
         every request carries a :class:`~repro.obs.trace.Trace` through
@@ -134,7 +130,6 @@ class SimulationService:
         workers: int = 1,
         model_dir: "str | None" = None,
         executor: "Executor | None" = None,
-        group_timeout: "float | None" = None,
         tracing: bool = False,
     ) -> None:
         if workers < 1:
@@ -149,9 +144,7 @@ class SimulationService:
             self._executor = executor
             self._owns_executor = False
         elif workers > 1:
-            self._executor = ShardedExecutor(
-                workers, model_dir=self._model_dir, group_timeout=group_timeout
-            )
+            self._executor = ShardedExecutor(workers, model_dir=self._model_dir)
             self._owns_executor = True
         else:
             self._executor = InlineExecutor(dl_solver=dl_solver)

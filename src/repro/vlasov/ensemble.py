@@ -49,7 +49,7 @@ from repro.engines.base import (
     get_engine_spec,
     vlasov_grid_params,
 )
-from repro.engines.observables import Frame, Observables, vlasov_observables
+from repro.engines.observables import Observables, resolve_observables
 from repro.kernels import resolve_backend
 from repro.pic.grid import Grid1D
 from repro.pic.poisson import PoissonSolver
@@ -73,7 +73,8 @@ class VlasovEnsemble(Engine):
     The time stepping is the classic split — half x-advection, field
     update + full v-advection, half x-advection — executed on the whole
     stack at once.  The phase-space geometry (``n_x``, ``n_v``,
-    ``v_min``, ``v_max``, ``dx``, ``dv``) is read from the configs.
+    ``v_min``, ``v_max``, ``dx``, ``dv`` and the ``(n_v,)`` velocity
+    cell centers ``v_centers``) is read from the configs.
     """
 
     _structural_fields = VLASOV_STRUCTURAL_FIELDS + ("n_v", "v_min", "v_max")
@@ -112,14 +113,14 @@ class VlasovEnsemble(Engine):
         self.poisson = PoissonSolver(
             self.grid, method=ref.poisson_solver, gradient=ref.gradient
         )
-        self._v_centers = self.v_min + (np.arange(n_v) + 0.5) * self.dv
+        self.v_centers = self.v_min + (np.arange(n_v) + 0.5) * self.dv
         # The x-advection shift is a function of the velocity row only:
         # one weight/index computation serves the whole stack and every
         # step, so the interpolation weights and the (flattened) gather
         # indices are frozen here once.  Each member gathers exactly its
         # own elements with the same arithmetic, so rows stay bitwise
         # independent of the batch.
-        self._v_shift = self._v_centers * (0.5 * ref.dt) / self.dx
+        self._v_shift = self.v_centers * (0.5 * ref.dt) / self.dx
         cols = np.arange(n_x)[None, :] - self._v_shift[:, None]
         base = np.floor(cols).astype(np.int64)
         self._xadv_w = cols - base
@@ -142,7 +143,7 @@ class VlasovEnsemble(Engine):
         self._dtype = ref.np_dtype
         if self._dtype == np.float32:
             self.f = self.f.astype(np.float32)
-            self._v_centers = self._v_centers.astype(np.float32)
+            self.v_centers = self.v_centers.astype(np.float32)
             self._xadv_w = self._xadv_w.astype(np.float32)
             self._v_rows = self._v_rows.astype(np.float32)
         # The kernel backend tier: every advection is a slab function
@@ -170,9 +171,9 @@ class VlasovEnsemble(Engine):
         outflow through the velocity-window edges)."""
         return np.sum(self.f, axis=(1, 2)) * self.dx * self.dv
 
-    def observables(self, record_fields: bool = False) -> Observables:
-        """A fresh default observables recorder for this engine."""
-        return Observables(vlasov_observables(record_fields=record_fields))
+    def observables(self) -> Observables:
+        """A fresh default recorder: the Vlasov moments and ``mode1``."""
+        return Observables(resolve_observables(None, "vlasov"))
 
     # -- time stepping ---------------------------------------------------
     def _advect_x(self, f: np.ndarray) -> np.ndarray:
@@ -263,9 +264,3 @@ class VlasovEnsemble(Engine):
         self.efield = self._solve_field()
         self.time += cfg.dt
         self.step_index += 1
-
-    def _record(self, hist: Observables) -> None:
-        hist.record_frame(Frame(
-            self.step_index, self.time, self.grid, self.efield,
-            f=self.f, v_centers=self._v_centers, dx=self.dx, dv=self.dv,
-        ))

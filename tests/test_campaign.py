@@ -90,14 +90,14 @@ class TestHarvest:
 
     def test_targets_match_traditional_fields(self):
         """Each target is exactly the field the traditional PIC produced."""
-        from repro.engines.observables import Observables, pic_observables
+        from repro.engines.observables import Observables, resolve_observables
         from repro.pic.simulation import TraditionalPIC
 
         cfg = SimulationConfig(n_cells=16, particles_per_cell=20, n_steps=4, seed=3)
         data = harvest_via_client([cfg], PhaseSpaceGrid(n_x=8, n_v=4))
         sim = TraditionalPIC(cfg)
-        hist = sim.run(4, history=Observables(pic_observables(record_fields=True),
-                                              squeeze=True))
+        hist = sim.run(4, history=Observables(
+            resolve_observables(["energies", "mode1", "fields"]), squeeze=True))
         np.testing.assert_allclose(data.targets, hist.as_arrays()["fields"], atol=1e-14)
 
     def test_provenance_params(self):

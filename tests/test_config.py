@@ -87,6 +87,26 @@ class TestValidation:
         cfg = SimulationConfig(n_cells=np.int64(16), seed=np.int32(3))
         assert cfg.n_cells == 16 and cfg.seed == 3
 
+    @pytest.mark.parametrize("field_name, value", [
+        ("seed", np.int64(3)),
+        ("n_cells", np.int32(16)),
+        ("dt", np.float32(0.2)),
+    ])
+    def test_numpy_scalars_key_like_their_python_values(self, field_name, value):
+        cfg = SimulationConfig(**{field_name: value})
+        twin = SimulationConfig(**{field_name: value.item()})
+        assert type(getattr(cfg, field_name)) is type(value.item())
+        assert cfg == twin
+        assert cfg.cache_key() == twin.cache_key()
+
+    def test_numpy_seed_runs_through_the_client(self):
+        from repro.api import Client
+
+        cfg = SimulationConfig(n_cells=16, particles_per_cell=10, n_steps=3, seed=np.int64(3))
+        with Client(background=False, raise_on_error=False) as client:
+            result = client.run(cfg)
+        assert result.status == "ok", result.error
+
     @pytest.mark.parametrize("interp", ["ngp", "cic", "tsc"])
     def test_valid_interpolations_accepted(self, interp):
         assert SimulationConfig(interpolation=interp).interpolation == interp

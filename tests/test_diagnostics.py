@@ -1,9 +1,11 @@
 """Energy, momentum and spectral diagnostics."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.engines.observables import Frame, Observables, pic_observables
+from repro.engines.observables import Observables, resolve_observables
 from repro.pic.diagnostics import (
     field_energy,
     kinetic_energy,
@@ -17,11 +19,15 @@ from repro.pic.particles import ParticleSet
 
 def squeezed_history() -> Observables:
     """The single-run recorder that replaced the retired ``History``."""
-    return Observables(pic_observables(), squeeze=True)
+    return Observables(resolve_observables(None), squeeze=True)
 
 
 def record(hist, step, time, grid, ps, e, v_center=None) -> None:
-    hist.record_frame(Frame(step, time, grid, e, particles=ps, v_center=v_center))
+    """Record a hand-built single-run state holding the engine attributes."""
+    hist.record_frame(SimpleNamespace(
+        step_index=step, time=time, grid=grid, efield=e, particles=ps,
+        v_at_integer_time=ps.v if v_center is None else v_center,
+    ))
 
 
 @pytest.fixture
@@ -134,7 +140,7 @@ class TestSqueezedObservables:
             squeezed_history().momentum_drift()
 
     def test_record_fields_option(self, grid):
-        hist = Observables(pic_observables(record_fields=True), squeeze=True)
+        hist = Observables(resolve_observables(["energies", "mode1", "fields"]), squeeze=True)
         self._record_n(hist, grid, 3)
         assert hist.as_arrays()["fields"].shape == (3, grid.n_cells)
 

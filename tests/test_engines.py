@@ -1,5 +1,7 @@
 """The unified engine layer: registry, observables pipeline, Vlasov ensemble."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,19 @@ from repro.engines import (
     engine_group_key,
     get_engine_spec,
     make_engine,
-    pic_observables,
+    resolve_observables,
     validate_engine_config,
 )
-from repro.engines.observables import mode_amplitude, mode_amplitude_rows, vlasov_observables
+from repro.engines.observables import (
+    FieldSnapshot,
+    ModeAmplitude,
+    ParticleEnergyMomentum,
+    PhaseSpaceSnapshot,
+    TrainingHistograms,
+    VlasovEnergyMomentum,
+    mode_amplitude,
+    mode_amplitude_rows,
+)
 from repro.pic.scenarios import available_distributions, available_scenarios
 from repro.pic.simulation import TraditionalPIC
 
@@ -270,7 +281,9 @@ class TestSharedSchema:
     def test_vlasov_solo_run_uses_shared_contract(self):
         """A batch-1 Vlasov run records into a squeezed single-run recorder."""
         solo = make_engine(_vlasov_config())
-        result = solo.run(3, history=Observables(vlasov_observables(), squeeze=True))
+        result = solo.run(
+            3, history=Observables(resolve_observables(None, "vlasov"), squeeze=True)
+        )
         assert isinstance(result, Observables)
         series = result.as_arrays()
         assert sorted(series) == sorted(
@@ -327,15 +340,17 @@ class TestObservablesPipeline:
         assert capacity is None  # allocated lazily at first record
 
     def test_incremental_recording_grows(self):
-        from repro.engines.observables import Frame
         from repro.pic.grid import Grid1D
         from repro.pic.particles import ParticleSet
 
         grid = Grid1D(8, 2 * np.pi)
         ps = ParticleSet(np.zeros(4), np.full(4, 0.1), charge=-1.0, mass=1.0)
-        obs = Observables(pic_observables(), squeeze=True)
+        obs = Observables(resolve_observables(None), squeeze=True)
         for i in range(200):  # overflow the default capacity
-            obs.record_frame(Frame(i, 0.1 * i, grid, np.zeros(8), particles=ps))
+            obs.record_frame(SimpleNamespace(
+                step_index=i, time=0.1 * i, grid=grid, efield=np.zeros(8),
+                particles=ps, v_at_integer_time=ps.v,
+            ))
         assert len(obs) == 200
         assert obs["kinetic"].shape == (200,)
 
@@ -346,19 +361,15 @@ class TestObservablesPipeline:
             Observables([ModeAmplitude(mode=1), ModeAmplitude(mode=1)])
 
     def test_single_series_observable_may_return_one_tuple(self):
-        from repro.engines.observables import Frame
-        from repro.pic.grid import Grid1D
-
         class OneTuple:
             names = ("one",)
 
-            def measure(self, frame):
-                return (np.asarray([frame.time]),)
+            def measure(self, engine):
+                return (np.asarray([engine.time]),)
 
-        grid = Grid1D(8, 2 * np.pi)
         obs = Observables([OneTuple()], squeeze=True)
         for i in range(3):  # first record allocates, later ones hit the fast path
-            obs.record_frame(Frame(i, 0.5 * i, grid, np.zeros(8)))
+            obs.record_frame(SimpleNamespace(step_index=i, time=0.5 * i))
         np.testing.assert_array_equal(obs["one"], [0.0, 0.5, 1.0])
 
     def test_unknown_series_keyerror(self, config):
@@ -369,7 +380,43 @@ class TestObservablesPipeline:
     def test_squeezed_recorder_rejects_batches(self, config):
         engine = make_engine([config, config.with_updates(seed=1)])
         with pytest.raises(ValueError, match="batch"):
-            engine.run(1, history=Observables(pic_observables(), squeeze=True))
+            engine.run(1, history=Observables(resolve_observables(None), squeeze=True))
+
+
+# The class each selectable observable builds for each engine-state
+# kind; None marks a kind the observable cannot measure.
+OBSERVABLE_KINDS = {
+    "energies": {"pic": ParticleEnergyMomentum, "vlasov": VlasovEnergyMomentum},
+    "mode3": {"pic": ModeAmplitude, "vlasov": ModeAmplitude},
+    "fields": {"pic": FieldSnapshot, "vlasov": FieldSnapshot},
+    "phase_space": {"pic": None, "vlasov": PhaseSpaceSnapshot},
+    "training_pairs": {"pic": TrainingHistograms, "vlasov": None},
+}
+
+
+class TestObservableSelection:
+    """One name x kind matrix over ``resolve_observables``."""
+
+    @pytest.mark.parametrize("kind", ["pic", "vlasov"])
+    @pytest.mark.parametrize("name", sorted(OBSERVABLE_KINDS))
+    def test_name_by_kind(self, name, kind):
+        want = OBSERVABLE_KINDS[name][kind]
+        if want is None:
+            with pytest.raises(ValueError) as exc:
+                resolve_observables([name], kind)
+            assert repr(name) in str(exc.value) and repr(kind) in str(exc.value)
+            return
+        (built,) = resolve_observables([name], kind)
+        assert type(built) is want
+        if name == "mode3":
+            assert built.names == ("mode3",)
+
+    def test_unknown_name_lists_all_five(self):
+        with pytest.raises(ValueError, match="unknown observable 'wavelets'") as exc:
+            resolve_observables(["wavelets"])
+        assert "available: energies, fields, mode, phase_space, training_pairs" in str(
+            exc.value
+        )
 
 
 class TestRetiredShims:
@@ -385,7 +432,7 @@ class TestRetiredShims:
 
     def test_single_run_recorder_replacement(self, config):
         sim = TraditionalPIC(config)
-        hist = Observables(pic_observables(record_fields=True), squeeze=True)
+        hist = Observables(resolve_observables(["energies", "mode1", "fields"]), squeeze=True)
         sim.run(4, history=hist)
         assert len(hist) == 5
         assert hist["kinetic"].shape == (5,)
@@ -395,7 +442,7 @@ class TestRetiredShims:
 
     def test_batched_recorder_replacement(self, config):
         engine = make_engine([config, config.with_updates(seed=1)])
-        hist = Observables(pic_observables(record_fields=True))
+        hist = Observables(resolve_observables(["energies", "mode1", "fields"]))
         engine.run(3, history=hist)
         arrays = hist.as_arrays()
         assert arrays["kinetic"].shape == (4, 2)
@@ -406,7 +453,7 @@ class TestRetiredShims:
 
     def test_history_series_match_legacy_layout(self, config):
         """A squeezed single-run record equals the engine's batched record."""
-        hist = Observables(pic_observables(), squeeze=True)
+        hist = Observables(resolve_observables(None), squeeze=True)
         TraditionalPIC(config).run(4, history=hist)
         series = make_engine(config).run(4).as_arrays()
         for name in ("time", "kinetic", "potential", "total", "momentum", "mode1"):

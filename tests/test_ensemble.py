@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
-from repro.engines.observables import Observables, pic_observables
+from repro.engines.observables import Observables, resolve_observables
 from repro.pic import simulation
 from repro.pic.grid import Grid1D
 from repro.pic.interpolation import deposit, gather
@@ -160,7 +160,7 @@ class TestEnsembleRun:
 
     def test_record_fields(self, config):
         hist = EnsembleSimulation.from_config(config, batch=2).run(
-            3, history=Observables(pic_observables(record_fields=True))
+            3, history=Observables(resolve_observables(["energies", "mode1", "fields"]))
         )
         assert hist.as_arrays()["fields"].shape == (4, 2, config.n_cells)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
-from repro.engines.observables import Observables, pic_observables
+from repro.engines.observables import Observables, resolve_observables
 from repro.pic.simulation import (
     ChargeDepositionFieldSolver,
     EnsembleSimulation,
@@ -87,7 +87,7 @@ class TestStepping:
 
     def test_custom_history_object_used(self, config):
         sim = TraditionalPIC(config)
-        hist = Observables(pic_observables(record_fields=True), squeeze=True)
+        hist = Observables(resolve_observables(["energies", "mode1", "fields"]), squeeze=True)
         out = sim.run(3, history=hist)
         assert out is hist
         assert hist.as_arrays()["fields"].shape == (4, config.n_cells)
