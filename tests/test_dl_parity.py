@@ -9,7 +9,10 @@ indices in place:
   grid and a 24 x 12 one), served through ``Client(dl_solver=...)``
   with a fixed untrained MLP;
 * ``training_pairs`` harvests of the same three rows on the 24 x 12
-  grid, one per binning order.
+  grid, one per binning order;
+* ``dl`` batches of the same rows on a 32 x 16 grid, whose x axis is the
+  32-cell field grid (the table at the end, recorded later, before the
+  DL step shared a stencil between its binning and its gather).
 
 Each digest covers a run's series, final field and final particle state
 (``final_x`` and the integer-time ``final_v``), so any change to the
@@ -193,3 +196,93 @@ def test_training_pairs_harvest_matches_pinned(order):
         results = client.map(requests)
     assert results[0].series["histograms"].shape == (BASE.n_steps + 1, 12, 24)
     assert _result_digests(results) == HARVEST_PINNED[order]
+
+
+# -- phase-space grids whose x axis is the field grid ---------------------
+#
+# ``dl`` batches of the same three rows on a 32 x 16 phase-space grid,
+# whose x axis equals the 32-cell field grid, recorded the same way.
+# The first case bins NGP in float64 and gathers CIC, where one
+# particle→grid stencil can serve both the binning and the gather; each
+# other case differs from it in one respect that rules that out.  Every
+# kernel backend must reproduce the numpy recording.
+
+FIELD_GRID_CASES = {
+    # name: (binning order, dtype, gather order, phase-space box one ulp long)
+    "ngp/float64/cic": ("ngp", "float64", "cic", False),
+    "ngp/float32/cic": ("ngp", "float32", "cic", False),
+    "cic/float64/cic": ("cic", "float64", "cic", False),
+    "ngp/float64/ngp": ("ngp", "float64", "ngp", False),
+    "ngp/float64/tsc": ("ngp", "float64", "tsc", False),
+    "ngp/float64/cic/box+1ulp": ("ngp", "float64", "cic", True),
+}
+
+FIELD_GRID_PINNED = {
+    "ngp/float64/cic": (
+        "5f712375ba1e99865b9f252c72adbce962e9dba448b87907aa0f4e9924e0be7f",
+        "d4018cd3838e58f067a44717b7be2dd5e6c20c34eb282c87e6ea74cd3c3f6e34",
+        "e7dc403340037698a524296782b34c206daa4a1a703670ae92e1992bd024f9a3",
+    ),
+    "ngp/float32/cic": (
+        "d933d7bb5a53cf523eb5a2facee418d67e8d7e4ec28e5f3be33699c50cfe3f17",
+        "5cd36cac36ee997fd2e4001d0610b9b6ce5b1eadf0365537b098ae1ce99eb9bc",
+        "1af92cb109d4eb67f850ee88d7277af18f44c130b32c16f2fac0d0c15b82823c",
+    ),
+    "cic/float64/cic": (
+        "ed504fc684e423fe47000e3ca568839e0c8521e59e6328332df3c0260cc24cc2",
+        "50f425a04c7504e1a5d80ccb0ab4b86634e85499a342ba4823296950a215f9b3",
+        "e1ae4f9f09a08878c8542864d7ed284372259f38adcd0ca868f4a5fdc3899abe",
+    ),
+    "ngp/float64/ngp": (
+        "611cdbb5bd60259796c78fc3a926d5f066dd22c3563f0a81933ea9baecec2880",
+        "d9abb35c6b2d7e0d86118f14211ad85f6d5bbbfcedc3be71dc72cfc109fb941f",
+        "70e5fb14c4d59bf22a76ced8b497cf54d14a92d0df9450aec6ed789fd8a6d2d0",
+    ),
+    "ngp/float64/tsc": (
+        "bd03763685a5c0c14bf3c6569d6d490e1f49e6695be16b2a4a9e8fc0813c642b",
+        "64b469026298796f836792075675ea77910aeb9bdce581dc1ff30918c6b74755",
+        "a17262e4b859b79814b1a5255512dd48e773c2b5e6c0e4234dbbe43286a60188",
+    ),
+    "ngp/float64/cic/box+1ulp": (
+        "5f712375ba1e99865b9f252c72adbce962e9dba448b87907aa0f4e9924e0be7f",
+        "d4018cd3838e58f067a44717b7be2dd5e6c20c34eb282c87e6ea74cd3c3f6e34",
+        "e7dc403340037698a524296782b34c206daa4a1a703670ae92e1992bd024f9a3",
+    ),
+}
+
+
+def _field_grid_solver(order: str, long_box: bool) -> DLFieldSolver:
+    box_length = float(np.nextafter(BASE.box_length, np.inf)) if long_box else BASE.box_length
+    ps_grid = PhaseSpaceGrid(
+        n_x=BASE.n_cells, n_v=16, box_length=box_length, v_min=-0.35, v_max=0.35
+    )
+    model = build_mlp(input_size=ps_grid.size, output_size=BASE.n_cells, hidden_size=24, rng=0)
+    normalizer = MinMaxNormalizer.from_dict({"minimum": 0.0, "maximum": 30.0})
+    return DLFieldSolver(model, ps_grid, normalizer, input_kind="flat", binning=order)
+
+
+@pytest.fixture(scope="module")
+def served_field_grid() -> "dict[tuple[str, str], tuple[str, ...]]":
+    digests = {}
+    for name, (order, dtype, interpolation, long_box) in FIELD_GRID_CASES.items():
+        for backend in ("numpy", "threaded"):
+            with Client(
+                background=False, max_batch_size=8, dl_solver=_field_grid_solver(order, long_box)
+            ) as client:
+                results = client.map(
+                    _requests(dtype, interpolation=interpolation, backend=backend)
+                )
+                assert client.service.batch_size_histogram == {3: 1}, "not one 3-row batch"
+            digests[name, backend] = _result_digests(results)
+    return digests
+
+
+def test_field_grid_pins_cover_every_case():
+    assert sorted(FIELD_GRID_PINNED) == sorted(FIELD_GRID_CASES)
+    assert _field_grid_solver("ngp", True).ps_grid.box_length != BASE.box_length
+
+
+@pytest.mark.parametrize("backend", ["numpy", "threaded"])
+@pytest.mark.parametrize("case", sorted(FIELD_GRID_CASES))
+def test_served_dl_batch_on_the_field_grid_matches_pinned(served_field_grid, case, backend):
+    assert served_field_grid[case, backend] == FIELD_GRID_PINNED[case]
