@@ -219,6 +219,14 @@ class RunRequest:
         if self.observables is not None:
             selection = canonical_observables(self.observables)
             resolve_observables(selection, spec.kind)  # family-compatible?
+            highest = self.config.n_cells // 2
+            for name, params in selection:
+                mode = dict(params).get("mode", 1)
+                if name == "mode" and mode > highest:
+                    raise ValueError(
+                        f"observable 'mode{mode}' is out of range for "
+                        f"{self.config.n_cells} cells (the highest mode is {highest})"
+                    )
             object.__setattr__(self, "observables", selection)
         object.__setattr__(self, "metadata", _check_metadata(self.metadata))
         object.__setattr__(self, "tags", _check_tags(self.tags))

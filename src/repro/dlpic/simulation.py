@@ -40,7 +40,7 @@ class DLEnsemble(EnsembleSimulation):
 
     The ensemble engine drives the batch-native neural field solver
     directly: at each cycle the stacked ``(batch, n)`` phase spaces are
-    binned by one fused ``bincount``, normalized in one pass and pushed
+    binned in the engine's workspace, normalized in one pass and pushed
     through ONE network forward, so the most expensive stage of the DL
     cycle is amortized across the ensemble exactly like the Poisson
     solve is for traditional sweeps.  Row ``b`` reproduces
@@ -77,6 +77,18 @@ class DLEnsemble(EnsembleSimulation):
     ) -> "DLEnsemble":
         """Replicate ``config`` over ``batch`` seeded members (seed+b)."""
         return super().from_config(config, batch, seeds=seeds, field_solver=field_solver)
+
+    def _solve_field(self) -> np.ndarray:
+        """The DL solve, binning in this engine's workspace.
+
+        It leaves the CIC stencil of ``particles.x`` there for the sync
+        gather whenever the binning can share it (see
+        :meth:`DLFieldSolver.fields`).
+        """
+        return self.dl_solver.fields(
+            self.particles.x, self.particles.v, work=self._work, grid=self.grid,
+            gather_order=self.config.interpolation,
+        )
 
     @property
     def dl_solver(self) -> DLFieldSolver:

@@ -9,12 +9,18 @@ deposition and no Poisson solve take place.
 The solver is batch-native: an ensemble of runs hands it stacked
 ``(batch, n)`` phase spaces and the whole stage — binning, frozen
 normalization, network evaluation — executes once per step for the
-entire batch (:meth:`DLFieldSolver.fields`).  One fused ``bincount``
-builds every histogram from indices written into a reused workspace,
-one normalization pass rescales the stack, and ONE network forward
-predicts all fields.  A single run is a batch of
-one, and the inference stack guarantees each batched row is bitwise
-identical to that row's batch of one (see ``repro.nn.layers``).
+entire batch (:meth:`DLFieldSolver.fields`).  One ``bincount`` per
+row builds the histograms from indices written into the engine's
+workspace, one normalization pass rescales the stack, and ONE network
+forward predicts all fields.  A single run is a batch of one, and the
+inference stack guarantees each batched row is bitwise identical to
+that row's batch of one (see ``repro.nn.layers``).
+
+Binning keeps the paper's CIC gather of the field to the particles,
+and at the paper's resolution the phase-space x axis is the field grid:
+there the solve builds the gather's CIC stencil itself and bins with
+its left nodes, which are exactly the NGP x bins, so one DL step builds
+one particle→grid stencil, as the traditional step does.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +36,8 @@ from repro.kernels.workspace import Workspace
 from repro.nn.network import Sequential
 from repro.phasespace.binning import PhaseSpaceGrid, bin_phase_space_batch
 from repro.phasespace.normalization import MinMaxNormalizer
+from repro.pic.grid import Grid1D
+from repro.pic.interpolation import build_stencil
 
 _INPUT_KINDS = ("flat", "image")
 
@@ -56,9 +63,9 @@ class DLFieldSolver:
     ``repro.pic.simulation`` and plugs directly into the PIC cycle of an
     :class:`~repro.pic.simulation.EnsembleSimulation`.  One solver may
     serve several engines on several threads at once (a service runs
-    every DL group through its one solver), so it keeps the binning
-    scratch in one :class:`~repro.kernels.workspace.Workspace` per
-    thread.
+    every DL group through its one solver), so it keeps no scratch of
+    its own: each engine hands :meth:`fields` its
+    :class:`~repro.kernels.workspace.Workspace`.
     """
 
     def __init__(
@@ -86,7 +93,6 @@ class DLFieldSolver:
         self._model_f32: "Sequential | None" = None
         # Kernel backend threaded into evaluation-mode Dense GEMMs.
         self._kernel_backend = None
-        self._local = threading.local()
 
     def set_kernel_backend(self, backend) -> None:
         """Route this solver's evaluation GEMMs through ``backend``.
@@ -147,7 +153,14 @@ class DLFieldSolver:
         prepared = self.prepare_inputs(histograms)
         return self._eval_model(prepared.dtype).predict(prepared)
 
-    def fields(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def fields(
+        self,
+        x: np.ndarray,
+        v: np.ndarray,
+        work: "Workspace | None" = None,
+        grid: "Grid1D | None" = None,
+        gather_order: "str | None" = None,
+    ) -> np.ndarray:
         """Predict every ensemble member's field in one fused pass.
 
         ``x`` and ``v`` are stacked ``(batch, n)`` phase spaces; the
@@ -155,12 +168,30 @@ class DLFieldSolver:
         stage — binning, normalization, network forward — runs once for
         the whole batch, and row ``b`` is bitwise identical to the same
         call on the batch of one ``(x[b:b+1], v[b:b+1])``.
+
+        An engine passes its kernel workspace ``work``, its field
+        ``grid`` and its ``gather_order``.  The binning scratch then
+        lives in ``work`` (``None`` bins on a throwaway one).  When the
+        stencil can be shared — float64 positions, NGP binning, a CIC
+        gather and a phase-space x axis equal to ``grid`` — the solve
+        builds the CIC stencil of ``x`` into ``work`` through the
+        solver's kernel backend, where the engine's next gather at ``x``
+        reads it, and bins with its left nodes as the x bins.
         """
-        work = getattr(self._local, "work", None)
-        if work is None:
-            work = self._local.work = Workspace()
+        x_index = None
+        if (
+            work is not None
+            and grid is not None
+            and x.dtype == np.float64
+            and self.binning == "ngp"
+            and gather_order == "cic"
+            and self.ps_grid.n_x == grid.n_cells
+            and self.ps_grid.box_length == grid.length
+        ):
+            x_index = build_stencil(grid, x, work, "cic", self._kernel_backend)[:, 0]
         hists = bin_phase_space_batch(
-            x, v, self.ps_grid, order=self.binning, dtype=x.dtype, work=work
+            x, v, self.ps_grid, order=self.binning, dtype=x.dtype, work=work,
+            x_index=x_index,
         )
         self.last_histograms = hists
         return self.predict_from_histograms(hists)

@@ -190,13 +190,10 @@ class ParticleEnergyMomentum:
 
     names = ("kinetic", "potential", "total", "momentum")
 
-    def __init__(self, eps0: float = constants.EPSILON_0) -> None:
-        self.eps0 = eps0
-
     def measure(self, engine: "Engine") -> "tuple[np.ndarray, ...]":
         v = engine.v_at_integer_time
         ke = kinetic_energy_rows(engine.particles, v=v)
-        fe = field_energy_rows(engine.grid, engine.efield, eps0=self.eps0)
+        fe = field_energy_rows(engine.grid, engine.efield)
         return ke, fe, ke + fe, total_momentum_rows(engine.particles, v=v)
 
 
@@ -315,7 +312,7 @@ def _build_energies(kind: str) -> Observable:
 
 
 def _build_mode(kind: str, mode: int = 1) -> Observable:
-    return ModeAmplitude(mode=int(mode))
+    return ModeAmplitude(mode=mode)
 
 
 def _build_fields(kind: str) -> Observable:
@@ -378,7 +375,8 @@ def canonical_observables(
     mappings.  The result is sorted and deduplicated — two requests
     selecting the same measurements in any order or spelling share one
     canonical form (and therefore one cache key and one service batch).
-    Unknown names raise ``ValueError``.
+    Unknown names, and a ``mode`` that is not a non-negative ``int``,
+    raise ``ValueError``.
     """
     entries = []
     for entry in (DEFAULT_OBSERVABLES if selection is None else selection):
@@ -418,6 +416,12 @@ def canonical_observables(
                 raise ValueError(
                     f"observable {name!r} parameter {key!r} must be a JSON "
                     f"scalar, got {type(value).__name__}"
+                )
+        if name == "mode":
+            mode = params.get("mode", 1)
+            if isinstance(mode, bool) or not isinstance(mode, int) or mode < 0:
+                raise ValueError(
+                    f"observable 'mode' needs a non-negative integer 'mode', got {mode!r}"
                 )
         entries.append((name, tuple(sorted(params.items()))))
     if not entries:

@@ -21,9 +21,10 @@ keeps its unit mass instead of overflowing the cast.
 :func:`bin_phase_space_batch` reproduces it row by row, bit for bit;
 its NGP path is the one the DL field solve and the training harvest run
 every step, so it writes its particle-sized indices in place into a
-caller-owned :class:`~repro.kernels.workspace.Workspace` and takes a
+caller-owned :class:`~repro.kernels.workspace.Workspace`, takes a
 cheaper position index whenever every position is already wrapped into
-``[0, L)``.
+``[0, L)``, and takes none of its own when the caller hands it the x
+bins (the DL field solve's CIC stencil holds them).
 """
 
 from __future__ import annotations
@@ -133,43 +134,60 @@ def _v_bins(v: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     return np.fmin(np.fmax(idx, 0), grid.n_v - 1).astype(np.int64)
 
 
-def _ngp_flat_batch(
-    x: np.ndarray, v: np.ndarray, grid: PhaseSpaceGrid, work: Workspace
-) -> np.ndarray:
-    """Flattened NGP cell indices of a ``(batch, n)`` phase space, in place.
+def _x_index_batch(x: np.ndarray, grid: PhaseSpaceGrid, work: Workspace) -> np.ndarray:
+    """NGP x bins of a ``(batch, n)`` position array, in place.
 
-    Row ``b`` equals ``_v_bins(v[b]) * n_x + _x_bins(x[b])`` element for
-    element; the particle-sized scratch is one float64 and two int64
-    ``work`` buffers, and the returned indices are one of them.
-
-    * x: when every position lies in ``[0, L)`` — the float64 PIC
-      cycle's wrapped positions always do; the float32 tier's cheap wrap
-      can land on ``L`` itself — ``np.mod`` is the identity (``-0.0``
-      aside, which truncates to the same 0) and ``floor`` of the
-      non-negative ``x / dx`` equals the truncating cast, so the index
-      is that cast wrapped by :func:`wrap_indices` (``x / dx`` may round
-      up to ``n_x`` just below ``L``).  Anything else takes the
-      :func:`_x_bins` reference.
-    * v: :func:`_v_bins`' floor, clamp and cast, in that order, on one
-      buffer.
+    Equals :func:`_x_bins` element for element.  When every position
+    lies in ``[0, L)`` — the float64 PIC cycle's wrapped positions
+    always do; the float32 tier's cheap wrap can land on ``L`` itself —
+    ``np.mod`` is the identity (``-0.0`` aside, which truncates to the
+    same 0) and ``floor`` of the non-negative ``x / dx`` equals the
+    truncating cast, so the index is that cast wrapped by
+    :func:`wrap_indices` (``x / dx`` may round up to ``n_x`` just below
+    ``L``).  Anything else takes the :func:`_x_bins` reference.
     """
-    s = work.get("bin_s", x.shape, np.float64)
     jx = work.get("bin_jx", x.shape, np.int64)
-    flat = work.get("bin_flat", x.shape, np.int64)
     if x.size and 0.0 <= x.min() and x.max() < grid.box_length:
+        s = work.get("bin_s", x.shape, np.float64)
         np.divide(x, grid.dx, out=s)
         np.copyto(jx, s, casting="unsafe")
         wrap_indices(jx, grid.n_x)
     else:
         jx[...] = _x_bins(x, grid)
+    return jx
+
+
+def _ngp_flat_batch(
+    x: np.ndarray,
+    v: np.ndarray,
+    grid: PhaseSpaceGrid,
+    work: Workspace,
+    x_index: "np.ndarray | None" = None,
+) -> np.ndarray:
+    """Flattened NGP cell indices of a ``(batch, n)`` phase space, in place.
+
+    Row ``b`` equals ``_v_bins(v[b]) * n_x + _x_bins(x[b])`` element for
+    element; the particle-sized scratch is ``work`` buffers, and the
+    returned indices are one of them.
+
+    * x: ``x_index`` when the caller holds the x bins already, else
+      :func:`_x_index_batch`.
+    * v: :func:`_v_bins`' clamp and cast on one buffer, without its
+      ``floor``: the clamp bounds are integers, so truncating the
+      clamped coordinate gives ``floor``'s index for every float
+      (NaN, ``-0.0`` and the infinities included).
+    """
+    if x_index is None:
+        x_index = _x_index_batch(x, grid, work)
+    s = work.get("bin_s", x.shape, np.float64)
+    flat = work.get("bin_flat", x.shape, np.int64)
     np.subtract(v, grid.v_min, out=s)
     s /= grid.dv
-    np.floor(s, out=s)
     np.fmax(s, 0, out=s)
     np.fmin(s, grid.n_v - 1, out=s)
     np.copyto(flat, s, casting="unsafe")
     flat *= grid.n_x
-    flat += jx
+    flat += x_index
     return flat
 
 
@@ -254,19 +272,23 @@ def bin_phase_space_batch(
     order: str = "ngp",
     dtype: "np.dtype | type" = np.float64,
     work: "Workspace | None" = None,
+    x_index: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """Bin a whole ensemble of phase spaces in one fused scatter.
+    """Bin a whole ensemble of phase spaces.
 
     ``x`` and ``v`` are stacked ``(batch, n)`` arrays; the result is
     ``(batch, n_v, n_x)`` with row ``b`` bitwise identical to
     ``bin_phase_space(x[b], v[b], grid, order)``:
 
-    * NGP: every row's raveled cell indices, offset by ``b * grid.size``,
-      are computed in place (see :func:`_ngp_flat_batch`) and counted by
-      a single ``np.bincount`` — one C-level pass for the whole
-      ensemble.  ``work`` holds their particle-sized scratch; callers
-      that bin every step pass the workspace they own, ``None`` uses a
-      throwaway one.  The histogram itself is always a fresh array.
+    * NGP: every row's raveled cell indices are computed in place (see
+      :func:`_ngp_flat_batch`) and counted by one ``np.bincount`` per
+      row.  ``work`` holds their particle-sized scratch; callers that
+      bin every step pass the workspace they own, ``None`` uses a
+      throwaway one.  ``x_index``, an int64 ``(batch, n)`` array, gives
+      the x bins when the caller already holds them — the left nodes of
+      a CIC stencil of ``x`` on a field grid equal to this x axis are
+      exactly these bins — so the binning computes none of its own.
+      The histogram itself is always a fresh array.
     * CIC: the four bilinear corner contributions of every row are
       scattered by one raveled ``np.add.at``.  Rows write to disjoint
       index ranges and each row's updates keep the single-run
@@ -281,13 +303,16 @@ def bin_phase_space_batch(
             f"x and v must be (batch, n) arrays of equal shape, got {x.shape}, {v.shape}"
         )
     batch = x.shape[0]
-    offsets = np.arange(batch, dtype=np.int64)[:, None] * grid.size
     if order == "ngp":
-        flat = _ngp_flat_batch(x, v, grid, work if work is not None else Workspace())
-        flat += offsets
-        hist = np.bincount(flat.ravel(), minlength=batch * grid.size).astype(np.float64)
+        flat = _ngp_flat_batch(x, v, grid, work if work is not None else Workspace(), x_index)
+        hist = np.empty((batch, grid.size), dtype=np.float64)
+        for b in range(batch):
+            hist[b] = np.bincount(flat[b], minlength=grid.size)
     elif order == "cic":
+        if x_index is not None:
+            raise ValueError("x_index serves NGP binning only")
         flat, weights = _cic_flat_scatter(x, v, grid)
+        offsets = np.arange(batch, dtype=np.int64)[:, None] * grid.size
         hist = np.zeros(batch * grid.size, dtype=np.float64)
         np.add.at(hist, (flat + offsets).ravel(), weights.ravel())
     else:

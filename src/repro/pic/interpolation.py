@@ -54,10 +54,13 @@ every call.  The contract:
   field, the deposited density, the pushed particles) is a new array
   on every call and never aliases the workspace, so callers may hold
   on to it across steps;
-* **one stencil per deposit → gather pair** — a deposit leaves its
+* **one stencil per build → gather pair** — a deposit leaves its
   stencil in the workspace for the next gather at the same positions
   array, grid and order (see :class:`~repro.kernels.workspace.Workspace`),
-  so the positions must not be edited in place between the two.
+  and so does :func:`build_stencil`, the deposit's stencil without the
+  scatter, which the DL field solve calls for its own binning; the
+  positions must not be edited in place between the build and the
+  gather.
 
 Engines hand that state from step to step by reassignment and cache
 what they computed from it (see
@@ -177,6 +180,42 @@ def _stencil_buffers(
     )
 
 
+def _stencil_input(
+    work: Workspace, positions: np.ndarray, grid: Grid1D, order: str
+) -> np.ndarray:
+    """Check ``order`` and ``positions``, drop ``work``'s record and wrap.
+
+    The first steps of every stencil build: from here until the new
+    stencil is recorded, ``work`` records none.
+    """
+    _check_order(order)
+    work.stencil = None
+    return _wrap_positions(_check_positions(positions), grid.length)
+
+
+def _build_stencil(
+    work: Workspace, positions: object, grid: Grid1D, order: str,
+    x: np.ndarray, backend: "KernelBackend | None", then=None,
+) -> np.ndarray:
+    """Fill the stencil of ``x`` into ``work`` row slab by row slab, and record it.
+
+    ``x`` is ``positions`` after :func:`_stencil_input`.  ``then(lo,
+    hi)``, if given, runs on each slab right after its fill (the
+    deposit's scatter).  Returns the node-index buffer.
+    """
+    x2 = np.atleast_2d(x)
+    s, idx, w = _stencil_buffers(work, order, x2.shape, x.dtype)
+
+    def slab(lo: int, hi: int) -> None:
+        _fill_stencil(x2[lo:hi], grid, order, s[lo:hi], idx[lo:hi], w[lo:hi])
+        if then is not None:
+            then(lo, hi)
+
+    _run_rows(backend, x2.shape[0], slab)
+    work.stencil = _Stencil(positions, grid, order, x)
+    return idx
+
+
 def _fill_stencil(
     x: np.ndarray, grid: Grid1D, order: str,
     s: np.ndarray, idx: np.ndarray, w: np.ndarray,
@@ -262,10 +301,8 @@ def deposit(
     rows bit for bit.  The stencil is left in ``work`` for the next
     :func:`gather` at the same positions.
     """
-    _check_order(order)
     work = work if work is not None else Workspace()
-    work.stencil = None
-    x = _wrap_positions(_check_positions(positions), grid.length)
+    x = _stencil_input(work, positions, grid, order)
     try:
         w = np.broadcast_to(np.asarray(weights, dtype=x.dtype), x.shape)
     except ValueError:
@@ -281,15 +318,14 @@ def deposit(
     # the historical bit-for-bit accumulation, float32 runs accumulate
     # (and return) single precision.
     out = np.zeros((batch, grid.n_cells), dtype=x.dtype)
-    s, idx, wts = _stencil_buffers(work, order, x2.shape, x.dtype)
+    _, idx, wts = _stencil_buffers(work, order, x2.shape, x.dtype)
     # The weighted products get their own buffer, so the stencil
     # survives for the gather.
     qw = work.get("qw", idx.shape, x.dtype)
     row_idx, row_qw = idx.reshape(batch, -1), qw.reshape(batch, -1)
     single = x.dtype == np.float32
 
-    def slab(lo: int, hi: int) -> None:
-        _fill_stencil(x2[lo:hi], grid, order, s[lo:hi], idx[lo:hi], wts[lo:hi])
+    def scatter(lo: int, hi: int) -> None:
         if order == "ngp":
             qw[lo:hi, 0] = w2[lo:hi]
         else:
@@ -305,10 +341,32 @@ def deposit(
             else:
                 out[b] = np.bincount(row_idx[b], weights=row_qw[b], minlength=grid.n_cells)
 
-    _run_rows(backend, batch, slab)
-    work.stencil = _Stencil(positions, grid, order, x)
+    _build_stencil(work, positions, grid, order, x, backend, then=scatter)
     out /= grid.dx
     return out if batched else out[0]
+
+
+def build_stencil(
+    grid: Grid1D,
+    positions: np.ndarray,
+    work: Workspace,
+    order: str = "cic",
+    backend: "KernelBackend | None" = None,
+) -> np.ndarray:
+    """Build the particle→grid stencil of ``positions`` into ``work``.
+
+    The stencil a :func:`deposit` builds, without the scatter: it is
+    left in ``work`` and recorded, so the next :func:`gather` on
+    ``work`` at the same ``positions`` array, grid and order reads it.
+    Returns the node indices, ``(batch, k, n)`` for batched positions
+    (``(k, n)`` for 1-D ones) with ``k`` the stencil width: node ``i``
+    of every particle is block ``i``, wrapped into ``[0, n_cells)``.
+    The array is ``work``'s buffer, so it holds only until the next
+    kernel call on ``work``.
+    """
+    x = _stencil_input(work, positions, grid, order)
+    idx = _build_stencil(work, positions, grid, order, x, backend)
+    return idx if x.ndim == 2 else idx[0]
 
 
 def gather(

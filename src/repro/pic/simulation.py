@@ -182,9 +182,7 @@ class EnsembleSimulation(Engine):
         self.time: float = 0.0
         self.step_index: int = 0
         # Field at t=0 consistent with the initial particle state.
-        self.efield: np.ndarray = np.asarray(
-            self.field_solver.field(self.particles.x, self.particles.v), dtype=self._dtype
-        )
+        self.efield: np.ndarray = np.asarray(self._solve_field(), dtype=self._dtype)
         if self.efield.shape != (self.batch, ref.n_cells):
             raise ValueError(
                 f"field solver returned shape {self.efield.shape}, "
@@ -227,6 +225,10 @@ class EnsembleSimulation(Engine):
         """Velocities synchronized to the current integer time, ``(batch, n)``."""
         return self._v_integer
 
+    def _solve_field(self) -> np.ndarray:
+        """The field solver's ``E`` at the current phase space."""
+        return self.field_solver.field(self.particles.x, self.particles.v)
+
     def _field_at_particles(self) -> np.ndarray:
         """``E`` gathered at the current particles, at most once per state.
 
@@ -257,8 +259,10 @@ class EnsembleSimulation(Engine):
         One stencil build per step: the default field solver deposits
         into the engine's workspace, and the sync gather at ``x_{n+1}``
         reads the particle→grid stencil that deposit left there instead
-        of building it again.  (A DL step bins instead of depositing,
-        so its sync gather builds the one stencil.)
+        of building it again.  A DL step bins instead of depositing; its
+        solve leaves the stencil where its binning can share it (see
+        :meth:`repro.dlpic.DLFieldSolver.fields`), and otherwise the
+        sync gather builds the one stencil.
 
         Workspace contract: the kernels write every particle-sized
         intermediate into the engine-owned workspace, in row slices per
@@ -281,9 +285,7 @@ class EnsembleSimulation(Engine):
         self.particles.x = push_positions(
             self.particles.x, v_new, cfg.dt, cfg.box_length, backend=backend, work=work
         )
-        self.efield = np.asarray(
-            self.field_solver.field(self.particles.x, self.particles.v), dtype=self._dtype
-        )
+        self.efield = np.asarray(self._solve_field(), dtype=self._dtype)
         self.step_index += 1
         self.time += cfg.dt
         # Synchronize velocities to the new integer time t_{n+1} with a

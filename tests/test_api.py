@@ -139,6 +139,37 @@ class TestRunRequestSchema:
             RunRequest(config=config,
                        observables=[{"name": "mode", "mode": [1, 2]}])
 
+    # Each used to parse: the first two then failed inside the engine,
+    # 1.5 and true ran as mode1 but wrote an envelope that does not
+    # parse, and "3" ran as mode3 under another canonical selection.
+    BAD_MODES = [
+        ("mode40", "'mode40'"),
+        ({"name": "mode", "mode": -1}, "'mode'"),
+        ({"name": "mode", "mode": 1.5}, "'mode'"),
+        ({"name": "mode", "mode": True}, "'mode'"),
+        ({"name": "mode", "mode": "3"}, "'mode'"),
+    ]
+
+    @pytest.mark.parametrize("entry, named", BAD_MODES)
+    def test_bad_mode_rejected_at_parse_time_naming_the_observable(self, config, entry, named):
+        with pytest.raises(ValueError, match=named):
+            RunRequest(config=config, observables=[entry, "energies"])
+        envelope = {"api_version": "v1", "config": config.to_dict(),
+                    "observables": [entry]}
+        with pytest.raises(ValueError, match=named):
+            RunRequest.from_dict(envelope)
+
+    @pytest.mark.parametrize("mode", range(9))  # 0 to 16 // 2 on the fixture's 16 cells
+    def test_every_mode_in_range_round_trips_and_is_served(self, config, mode):
+        for entry in (f"mode{mode}", {"name": "mode", "mode": mode}):
+            req = RunRequest(config=config, id="m", observables=[entry])
+            assert RunRequest.from_dict(req.to_dict()) == req
+            assert req.observables == canonical_observables([f"mode{mode}"])
+        with small_client(raise_on_error=False) as client:
+            result = client.run(req)
+        assert result.ok, result.error
+        assert set(result.series) == {"time", f"mode{mode}"}
+
 
 class TestLegacyLines:
     def test_legacy_line_hard_errors_naming_the_envelope(self):

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels.workspace import Workspace
 from repro.phasespace import binning
 from repro.phasespace.binning import PhaseSpaceGrid, bin_phase_space, bin_phase_space_batch
+from repro.pic.grid import Grid1D
+from repro.pic.interpolation import build_stencil
 
 
 @pytest.fixture
@@ -278,6 +281,29 @@ class TestBatchedBinning:
             np.testing.assert_array_equal(
                 batched[b], bin_phase_space(x[b], v[b], grid, order=order)
             )
+
+    @pytest.mark.parametrize("n_x, box_length", GRIDS)
+    @pytest.mark.parametrize("positions", ["wrapped", "all", "non_finite"])
+    def test_cic_stencil_left_nodes_are_the_x_bins(self, n_x, box_length, positions):
+        """Handed the left nodes of a CIC stencil of ``x`` on the field grid
+        equal to the x axis, the binning gives its own index's histograms."""
+        grid = PhaseSpaceGrid(n_x=n_x, n_v=4, box_length=box_length, v_min=-1.0, v_max=1.0)
+        x = self._special_positions(grid)
+        if positions == "wrapped":
+            x = x[(x >= 0.0) & (x < box_length)]
+        elif positions == "non_finite":
+            x = np.append(x, [np.nan, np.inf, -np.inf])
+        x = np.stack([x, x[::-1]])
+        v = np.linspace(-1.5, 1.5, x.shape[1])[None].repeat(2, axis=0)
+        with np.errstate(invalid="ignore"):
+            idx = build_stencil(Grid1D(n_x, box_length), x, Workspace(), "cic")
+            handed = bin_phase_space_batch(x, v, grid, x_index=idx[:, 0])
+            np.testing.assert_array_equal(handed, bin_phase_space_batch(x, v, grid))
+
+    def test_x_index_serves_ngp_only(self, grid):
+        x = np.zeros((1, 2))
+        with pytest.raises(ValueError, match="NGP"):
+            bin_phase_space_batch(x, x, grid, order="cic", x_index=np.zeros((1, 2), np.int64))
 
     def test_mod_reference_only_for_unwrapped_positions(self, grid, monkeypatch):
         """Positions in ``[0, L)`` skip the ``np.mod`` reference index."""

@@ -381,6 +381,27 @@ class TestFamilyKnobValidation:
         ]
 
 
+class TestModeValidation:
+    """A ``mode`` observable that is not an integer in ``0..n_cells // 2``
+    answers 400, naming the observable."""
+
+    @pytest.mark.parametrize("entry, named", [
+        ('"mode40"', "mode40"),
+        ('{"name": "mode", "mode": -1}', "'mode'"),
+        ('{"name": "mode", "mode": 1.5}', "'mode'"),
+        ('{"name": "mode", "mode": true}', "'mode'"),
+        ('{"name": "mode", "mode": "3"}', "'mode'"),
+    ])
+    def test_bad_mode_answers_400(self, server, entry, named):
+        config = json.dumps(small_config().to_dict())
+        line = f'{{"api_version": "v1", "id": "m", "config": {config}, "observables": [{entry}]}}'
+        status, data = raw_request(server, "POST", "/v1/run", line.encode())
+        assert status == 400
+        payload = json.loads(data)
+        assert payload["status"] == "error"
+        assert named in payload["error"]
+
+
 class TestTrainingPairsValidation:
     """Malformed ``training_pairs`` parameters are rejected at submit time
     (400), and never fail the valid requests batched beside them."""

@@ -12,8 +12,8 @@ any of these runs fails here, whatever the change was meant to do.
 The rest checks the mechanism directly: a steady-state step of the
 traditional and the DL engines does exactly one ``gather`` and builds
 one particle→grid stencil, and it allocates no fresh particle-sized
-scratch.  The stencil a deposit hands its workspace's next gather is
-never served stale.
+scratch.  The stencil a deposit or a DL field solve hands its
+workspace's next gather is never served stale.
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ import pytest
 from repro.api import Client
 from repro.config import SimulationConfig
 from repro.dlpic import DLEnsemble, DLFieldSolver
+from repro.dlpic import solver as dl_solver_module
 from repro.kernels import ThreadedBackend
 from repro.models.architectures import build_mlp
+from repro.phasespace import binning
 from repro.phasespace.binning import PhaseSpaceGrid
 from repro.phasespace.normalization import MinMaxNormalizer
 from repro.pic import interpolation, simulation
@@ -181,7 +183,9 @@ def stencil_fills(monkeypatch) -> "list[int]":
 @pytest.mark.parametrize("family", ["traditional", "dl"])
 def test_one_stencil_build_per_steady_state_step(stencil_fills, family):
     """The traditional sync gather reads the stencil its step's deposit
-    built; the DL step bins instead, so its sync gather builds the one."""
+    built.  The DL solve builds it only where its binning can share it
+    (not on this 16 x 8 phase-space grid); elsewhere the sync gather
+    builds the one."""
     if family == "dl":
         engine = DLEnsemble.from_config(SMALL, 3, _dl_solver(SMALL))
     else:
@@ -289,6 +293,152 @@ def test_gather_with_other_arguments_builds_its_own_stencil(
         gather(grid_g, field_g, x_g, order=order_g, backend=handoff_backend, work=work),
         gather(grid_g, field_g, x_g, order=order_g),
     )
+
+
+# -- the DL solve leaves its stencil for the sync gather ------------------
+
+
+def _field_grid_dl_solver(
+    grid: Grid1D, binning_order: str = "ngp", long_box: bool = False
+) -> DLFieldSolver:
+    """A DL solver whose phase-space x axis is ``grid`` (one ulp longer with ``long_box``)."""
+    box_length = float(np.nextafter(grid.length, np.inf)) if long_box else grid.length
+    ps_grid = PhaseSpaceGrid(n_x=grid.n_cells, n_v=16, box_length=box_length)
+    model = build_mlp(input_size=ps_grid.size, output_size=grid.n_cells, hidden_size=24, rng=0)
+    normalizer = MinMaxNormalizer.from_dict({"minimum": 0.0, "maximum": 60.0})
+    return DLFieldSolver(model, ps_grid, normalizer, binning=binning_order)
+
+
+# name: (config updates, binning order, phase-space box one ulp long).
+# Only the first shares; each other case differs from it in one respect.
+SHARING_CASES = {
+    "shared": ({}, "ngp", False),
+    "float32": ({"dtype": "float32"}, "ngp", False),
+    "cic_binning": ({}, "cic", False),
+    "ngp_gather": ({"interpolation": "ngp"}, "ngp", False),
+    "tsc_gather": ({"interpolation": "tsc"}, "ngp", False),
+    "box+1ulp": ({}, "ngp", True),
+}
+
+
+@pytest.fixture
+def stencil_rows(monkeypatch) -> "list[int]":
+    """Count the rows of every particle→grid stencil the kernels build.
+
+    A threaded build fills its rows in several slabs, so rows, not
+    fills, count the builds under every backend: one build is a batch.
+    """
+    rows = [0]
+    original = interpolation._fill_stencil
+
+    def counted(x, *args):
+        rows[0] += x.shape[0]
+        return original(x, *args)
+
+    monkeypatch.setattr(interpolation, "_fill_stencil", counted)
+    return rows
+
+
+@pytest.fixture
+def handed_x_bins(monkeypatch) -> "list[bool]":
+    """Per DL binning call: whether the solve handed the binning its x bins."""
+    handed = []
+    original = dl_solver_module.bin_phase_space_batch
+
+    def spy(*args, x_index=None, **kwargs):
+        handed.append(x_index is not None)
+        return original(*args, x_index=x_index, **kwargs)
+
+    monkeypatch.setattr(dl_solver_module, "bin_phase_space_batch", spy)
+    return handed
+
+
+@pytest.fixture
+def own_x_bins(monkeypatch) -> "list[int]":
+    """Count the x indices the NGP binning computes itself."""
+    calls = [0]
+    original = binning._x_index_batch
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(binning, "_x_index_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", list(SHARING_CASES))
+def test_dl_binning_takes_its_x_bins_from_the_stencil_only_when_shared(
+    stencil_rows, handed_x_bins, own_x_bins, case, backend
+):
+    """Where the stencil can be shared, the DL solve builds it, the binning
+    computes no x index and the sync gather builds nothing; every
+    neighbour bins as before and its gather builds the stencil."""
+    updates, binning_order, long_box = SHARING_CASES[case]
+    config = SMALL.with_updates(backend=backend, **updates)
+    solver = _field_grid_dl_solver(Grid1D(config.n_cells, config.box_length),
+                                   binning_order, long_box)
+    engine = DLEnsemble.from_config(config, 3, solver)
+    engine.step()
+    rows, own, handed = stencil_rows[0], own_x_bins[0], len(handed_x_bins)
+    for _ in range(5):
+        engine.step()
+    shared = case == "shared"
+    assert handed_x_bins[handed:] == [shared] * 5
+    assert own_x_bins[0] - own == (0 if shared or binning_order == "cic" else 5)
+    assert stencil_rows[0] - rows == 5 * engine.batch
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_dl_step_sharing_its_stencil_keeps_every_bit(backend):
+    """The shared stencil's step equals the plain ensemble's, whose solve
+    (``DLFieldSolver.field``) has no workspace and shares nothing."""
+    config = SMALL.with_updates(backend=backend)
+    grid = Grid1D(config.n_cells, config.box_length)
+    shared = DLEnsemble.from_config(config, 3, _field_grid_dl_solver(grid))
+    plain = EnsembleSimulation.from_config(config, 3, field_solver=_field_grid_dl_solver(grid))
+    for _ in range(6):
+        shared.step()
+        plain.step()
+    for got, want in [
+        (shared.particles.x, plain.particles.x),
+        (shared.particles.v, plain.particles.v),
+        (shared.v_at_integer_time, plain.v_at_integer_time),
+        (shared.efield, plain.efield),
+    ]:
+        _assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("change", ["none", "copy", "ngp", "tsc", "n_cells", "length"])
+def test_gather_after_a_dl_solve_builds_its_own_stencil_unless_it_matches(
+    handoff_backend, handoff_state, stencil_rows, change
+):
+    """A gather at the DL solve's positions array, grid and CIC order reads
+    the solve's stencil; at a copy of the positions, in another order or
+    on another grid it builds its own.  Both equal a fresh gather."""
+    grid, x, v, field = handoff_state
+    x_g, order_g, grid_g = x, "cic", grid
+    if change == "copy":
+        x_g = x.copy()
+    elif change in ("ngp", "tsc"):
+        order_g = change
+    elif change == "n_cells":
+        grid_g = Grid1D(24, grid.length)
+    elif change == "length":
+        grid_g = Grid1D(grid.n_cells, 0.75 * grid.length)
+    field_g = field[:, : grid_g.n_cells]
+    solver = _field_grid_dl_solver(grid)
+    solver.set_kernel_backend(handoff_backend)
+    work = Workspace()
+    solver.fields(x, v, work=work, grid=grid, gather_order="cic")
+    rows = stencil_rows[0]
+    _assert_bitwise(
+        gather(grid_g, field_g, x_g, order=order_g, backend=handoff_backend, work=work),
+        gather(grid_g, field_g, x_g, order=order_g),
+    )
+    # The fresh reference gather builds one stencil of its own.
+    assert stencil_rows[0] - rows == (1 if change == "none" else 2) * len(x)
 
 
 def test_threaded_slabs_share_one_workspace_race_free():
