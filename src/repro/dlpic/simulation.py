@@ -79,12 +79,7 @@ class DLEnsemble(EnsembleSimulation):
         return super().from_config(config, batch, seeds=seeds, field_solver=field_solver)
 
     def _solve_field(self) -> np.ndarray:
-        """The DL solve, binning in this engine's workspace.
-
-        It leaves the CIC stencil of ``particles.x`` there for the sync
-        gather whenever the binning can share it (see
-        :meth:`DLFieldSolver.fields`).
-        """
+        """The DL solve on this engine's workspace, grid and gather order."""
         return self.dl_solver.fields(
             self.particles.x, self.particles.v, work=self._work, grid=self.grid,
             gather_order=self.config.interpolation,

@@ -183,11 +183,7 @@ def _stencil_buffers(
 def _stencil_input(
     work: Workspace, positions: np.ndarray, grid: Grid1D, order: str
 ) -> np.ndarray:
-    """Check ``order`` and ``positions``, drop ``work``'s record and wrap.
-
-    The first steps of every stencil build: from here until the new
-    stencil is recorded, ``work`` records none.
-    """
+    """Check ``order`` and ``positions``, drop ``work``'s record and wrap."""
     _check_order(order)
     work.stencil = None
     return _wrap_positions(_check_positions(positions), grid.length)
@@ -197,11 +193,11 @@ def _build_stencil(
     work: Workspace, positions: object, grid: Grid1D, order: str,
     x: np.ndarray, backend: "KernelBackend | None", then=None,
 ) -> np.ndarray:
-    """Fill the stencil of ``x`` into ``work`` row slab by row slab, and record it.
+    """Fill the stencil of ``x`` (``positions`` after :func:`_stencil_input`)
+    into ``work`` slab by slab, then record it; returns the node indices.
 
-    ``x`` is ``positions`` after :func:`_stencil_input`.  ``then(lo,
-    hi)``, if given, runs on each slab right after its fill (the
-    deposit's scatter).  Returns the node-index buffer.
+    ``then(lo, hi)``, if given, runs on each slab after its fill (the
+    deposit's scatter).
     """
     x2 = np.atleast_2d(x)
     s, idx, w = _stencil_buffers(work, order, x2.shape, x.dtype)
@@ -355,18 +351,15 @@ def build_stencil(
 ) -> np.ndarray:
     """Build the particle→grid stencil of ``positions`` into ``work``.
 
-    The stencil a :func:`deposit` builds, without the scatter: it is
-    left in ``work`` and recorded, so the next :func:`gather` on
-    ``work`` at the same ``positions`` array, grid and order reads it.
-    Returns the node indices, ``(batch, k, n)`` for batched positions
-    (``(k, n)`` for 1-D ones) with ``k`` the stencil width: node ``i``
-    of every particle is block ``i``, wrapped into ``[0, n_cells)``.
-    The array is ``work``'s buffer, so it holds only until the next
-    kernel call on ``work``.
+    A :func:`deposit` without the scatter: the stencil is left in
+    ``work`` for the next :func:`gather` at the same ``positions``
+    array, grid and order.  Returns the wrapped node indices,
+    ``(batch, k, n)`` with ``k`` the stencil width (1-D positions are a
+    batch of one); they are ``work``'s buffer, valid until the next
+    kernel call on it.
     """
     x = _stencil_input(work, positions, grid, order)
-    idx = _build_stencil(work, positions, grid, order, x, backend)
-    return idx if x.ndim == 2 else idx[0]
+    return _build_stencil(work, positions, grid, order, x, backend)
 
 
 def gather(

@@ -373,18 +373,21 @@ def test_dl_binning_takes_its_x_bins_from_the_stencil_only_when_shared(
     stencil_rows, handed_x_bins, own_x_bins, case, backend
 ):
     """Where the stencil can be shared, the DL solve builds it, the binning
-    computes no x index and the sync gather builds nothing; every
-    neighbour bins as before and its gather builds the stencil."""
+    computes no x index and the t=0 rewind gather and every sync gather
+    build nothing; every neighbour bins as before and its gathers build
+    the stencil."""
     updates, binning_order, long_box = SHARING_CASES[case]
     config = SMALL.with_updates(backend=backend, **updates)
     solver = _field_grid_dl_solver(Grid1D(config.n_cells, config.box_length),
                                    binning_order, long_box)
     engine = DLEnsemble.from_config(config, 3, solver)
+    shared = case == "shared"
+    assert handed_x_bins == [shared]
+    assert stencil_rows[0] == engine.batch
     engine.step()
     rows, own, handed = stencil_rows[0], own_x_bins[0], len(handed_x_bins)
     for _ in range(5):
         engine.step()
-    shared = case == "shared"
     assert handed_x_bins[handed:] == [shared] * 5
     assert own_x_bins[0] - own == (0 if shared or binning_order == "cic" else 5)
     assert stencil_rows[0] - rows == 5 * engine.batch
