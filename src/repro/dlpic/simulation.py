@@ -94,8 +94,13 @@ class DLEnsemble(EnsembleSimulation):
 
     @property
     def last_histograms(self) -> "np.ndarray | None":
-        """Stacked ``(batch, n_v, n_x)`` histograms of the latest step."""
-        return self.dl_solver.last_histograms
+        """Stacked ``(batch, n_v, n_x)`` histograms of this engine's latest solve.
+
+        Read from the engine's workspace, where :meth:`_solve_field`'s
+        solve leaves them: the shared solver's own attribute holds the
+        latest solve of whichever engine ran last.
+        """
+        return self._work.histograms
 
 
 class DLPIC(DLEnsemble):

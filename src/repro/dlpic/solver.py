@@ -177,6 +177,11 @@ class DLFieldSolver:
         builds the CIC stencil of ``x`` into ``work`` through the
         solver's kernel backend, where the engine's next gather at ``x``
         reads it, and bins with its left nodes as the x bins.
+
+        The stacked histograms are left in :attr:`last_histograms` and,
+        when ``work`` is given, in ``work.histograms``, which is where an
+        engine reads its own: the solver's attribute is whichever
+        engine's solve ran last.
         """
         x_index = None
         if (
@@ -194,6 +199,8 @@ class DLFieldSolver:
             x_index=x_index,
         )
         self.last_histograms = hists
+        if work is not None:
+            work.histograms = hists
         return self.predict_from_histograms(hists)
 
     def field(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -37,12 +37,20 @@ class Workspace:
     Because the match is by identity, the positions must not be edited
     in place between the build and the gather: assign a new array
     instead.
+
+    The DL field solve (:meth:`repro.dlpic.DLFieldSolver.fields`) leaves
+    a result too: the phase-space histograms it binned, in
+    :attr:`histograms`, which the engine that owns the workspace reports
+    as its own.  One solver serves many engines, so its own record is
+    the latest solve of any of them.
     """
 
     def __init__(self) -> None:
         self._buffers: "dict[str, np.ndarray]" = {}
         # Set by a stencil build, consumed by the next gather (see above).
         self.stencil: "object | None" = None
+        # Set by each DL field solve on this workspace (see above).
+        self.histograms: "np.ndarray | None" = None
 
     def get(self, name: str, shape: "tuple[int, ...]", dtype: "np.dtype | type") -> np.ndarray:
         """The ``(name, shape, dtype)`` buffer, allocated on first use."""

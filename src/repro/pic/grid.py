@@ -7,6 +7,26 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def wrap_positions(x: np.ndarray, length: float) -> np.ndarray:
+    """Periodic wrap into ``[0, length)``, skipped when already there.
+
+    ``np.mod`` is the identity on in-range values, except that it turns
+    ``-0.0`` into ``+0.0`` (no particle loader emits ``-0.0``), so
+    the min/max check keeps the bits while sparing a full division pass
+    over what is, in the PIC cycle and the particle loaders, almost
+    always in-range data.  The float32 tier's cheap wrap
+    (:func:`repro.pic.mover.push_positions`) can land a particle exactly
+    *on* ``length``; the particle-grid kernels wrap index ``n_cells`` to
+    node 0 with the correct weights, so such float32 arrays pass through
+    too.
+    """
+    if x.size and 0.0 <= x.min():
+        xmax = x.max()
+        if xmax < length or (xmax == length and x.dtype == np.float32):
+            return x
+    return np.mod(x, length)
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """A uniform periodic grid on ``[0, length)``.
@@ -54,5 +74,5 @@ class Grid1D:
         return 2.0 * np.pi * np.fft.rfftfreq(self.n_cells, d=self.dx)
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
-        """Map positions into ``[0, length)`` periodically."""
-        return np.mod(x, self.length)
+        """Map positions into ``[0, length)`` periodically (:func:`wrap_positions`)."""
+        return wrap_positions(np.asarray(x), self.length)

@@ -77,7 +77,7 @@ import numpy as np
 
 from repro.kernels import KernelBackend
 from repro.kernels.workspace import Workspace, wrap_indices
-from repro.pic.grid import Grid1D
+from repro.pic.grid import Grid1D, wrap_positions
 
 _ORDERS = ("ngp", "cic", "tsc")
 
@@ -113,23 +113,6 @@ def _check_positions(positions: np.ndarray) -> np.ndarray:
             f"array, got shape {x.shape}"
         )
     return x
-
-
-def _wrap_positions(x: np.ndarray, length: float) -> np.ndarray:
-    """Defensive periodic wrap, skipped when already in ``[0, L)``.
-
-    ``np.mod`` is an identity on in-range values, so the fast path is
-    bitwise equivalent — it just avoids a full division pass over what
-    is, in the PIC cycle, always pre-wrapped data.  The float32 tier's
-    cheap wrap (:func:`repro.pic.mover.push_positions`) can land a
-    particle exactly *on* ``L``; index ``n_cells`` wraps to node 0 with
-    the correct weights, so such positions pass through too.
-    """
-    if x.size and 0.0 <= x.min():
-        xmax = x.max()
-        if xmax < length or (xmax == length and x.dtype == np.float32):
-            return x
-    return np.mod(x, length)
 
 
 class _Stencil(NamedTuple):
@@ -186,7 +169,7 @@ def _stencil_input(
     """Check ``order`` and ``positions``, drop ``work``'s record and wrap."""
     _check_order(order)
     work.stencil = None
-    return _wrap_positions(_check_positions(positions), grid.length)
+    return wrap_positions(_check_positions(positions), grid.length)
 
 
 def _build_stencil(
@@ -390,7 +373,7 @@ def gather(
     x = _recorded_positions(work, positions, grid, order)
     filled = x is not None
     if x is None:
-        x = _wrap_positions(_check_positions(positions), grid.length)
+        x = wrap_positions(_check_positions(positions), grid.length)
     if x.ndim == 1 and field.shape != (grid.n_cells,):
         raise ValueError(f"field has shape {field.shape}, expected ({grid.n_cells},)")
     x2 = x if x.ndim == 2 else x[None]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import SimulationConfig
+from repro.pic.grid import wrap_positions
 from repro.utils.rng import as_generator
 
 
@@ -110,7 +111,7 @@ def load_two_stream(
         # density perturbation of relative amplitude ~ a*k at mode m.
         k = 2.0 * np.pi * config.perturbation_mode / L
         x = x + (config.perturbation / k) * np.sin(k * x)
-    x = np.mod(x, L)
+    x = wrap_positions(x, L)
 
     v = np.empty(n, dtype=np.float64)
     v[:half] = config.v0

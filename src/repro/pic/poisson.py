@@ -12,6 +12,8 @@ provided (all agree on smooth fields, tests cross-check them):
 * ``"direct"`` — the same finite-difference operator solved as a banded
   linear system (scipy LU) with the gauge fixed by pinning ``phi_0 = 0``
   and the compatibility condition enforced by removing the mean charge.
+  It is the only solver that needs scipy, and it imports scipy on first
+  use, so a process that never asks for it starts without loading scipy.
 
 The periodic Poisson problem is singular: solutions are defined up to a
 constant and require ``mean(rho) = 0``.  All solvers remove the mean of
@@ -29,7 +31,6 @@ corresponding single solve.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from repro import constants
 from repro.pic.grid import Grid1D
@@ -89,6 +90,8 @@ def solve_poisson_direct(grid: Grid1D, rho: np.ndarray, eps0: float = constants.
     fixed by pinning ``phi[0] = 0`` and the result is re-centered to
     zero mean to match the other solvers.
     """
+    import scipy.linalg  # here, not at module level: see the module docstring
+
     rho = _validate_rho(grid, rho)
     if rho.ndim == 2:
         # Row-by-row keeps each solve bitwise identical to the single

@@ -69,6 +69,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.config import SimulationConfig
+from repro.pic.grid import wrap_positions
 from repro.pic.particles import ParticleSet, load_two_stream
 from repro.utils.rng import as_generator
 
@@ -264,7 +265,7 @@ def _positions(
     if amp != 0.0:
         k = 2.0 * np.pi * config.perturbation_mode / L
         x = x + (amp / k) * np.sin(k * x)
-    return np.mod(x, L)
+    return wrap_positions(x, L)
 
 
 def _thermalize(v: np.ndarray, vth: float, rng: np.random.Generator) -> np.ndarray:
@@ -350,7 +351,7 @@ def _random_perturbation(config: SimulationConfig, rng: np.random.Generator) -> 
         phase = rng.uniform(0.0, 2.0 * np.pi)
         k = 2.0 * np.pi * mode / L
         x = x + (amp / k) * np.sin(k * x + phase)
-    x = np.mod(x, L)
+    x = wrap_positions(x, L)
     v = _thermalize(np.zeros(n), config.vth, rng)
     return _particle_set(config, x, v)
 

@@ -21,7 +21,9 @@ The system is unstable iff ``a < 1``; the growth rate is maximal,
 paper's box tuning (``k1 v0 = 3.06 * 0.2 = 0.612 = sqrt(3/8)``).
 
 A general complex root solver (:func:`solve_dispersion`) and a
-warm-fluid correction are provided for validation and extensions.
+warm-fluid correction are provided for validation and extensions.  The
+root solver is the only function here that needs scipy, and it imports
+scipy on first use, so importing :mod:`repro.theory` does not load it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import cmath
 import math
 
 import numpy as np
-import scipy.optimize
 
 from repro import constants
 
@@ -112,6 +113,8 @@ def solve_dispersion(
     weakly damped oscillation when stable).  Uses a 2D real Newton
     solve over (Re omega, Im omega).
     """
+    import scipy.optimize  # here, not at module level: see the module docstring
+
     if guess is None:
         gamma = growth_rate_cold(k, v0, wp)
         guess = complex(0.0, gamma) if gamma > 0 else complex(1.05 * k * v0, 0.0)

@@ -10,7 +10,7 @@ import pytest
 from repro.config import SimulationConfig
 from repro.dlpic import DLEnsemble, DLFieldSolver, DLPIC
 from repro.models.architectures import build_cnn, build_mlp
-from repro.phasespace.binning import PhaseSpaceGrid
+from repro.phasespace.binning import PhaseSpaceGrid, bin_phase_space_batch
 from repro.phasespace.normalization import MinMaxNormalizer
 from repro.pic.simulation import EnsembleSimulation
 
@@ -114,6 +114,24 @@ class TestBatchedSolverStage:
         np.testing.assert_allclose(
             ens.last_histograms.sum(axis=(1, 2)), config.n_particles, rtol=1e-12
         )
+
+    def test_engines_sharing_a_solver_report_their_own_histograms(self, config):
+        """A service runs every DL group through one solver: each engine
+        reports the histograms of its own latest solve, not the solver's."""
+        solver = _solver(config)
+        a = DLEnsemble.from_config(config, 2, solver)
+        b = DLEnsemble.from_config(config.with_updates(seed=10), 3, solver)
+        a.step()
+        b.step()
+        assert a.last_histograms.shape == (2, 8, 16)
+        assert b.last_histograms.shape == (3, 8, 16)
+        assert a.last_histograms is not b.last_histograms
+        for ens in (a, b):
+            np.testing.assert_array_equal(
+                ens.last_histograms,
+                bin_phase_space_batch(ens.particles.x, ens.particles.v, solver.ps_grid),
+            )
+        assert solver.last_histograms is b.last_histograms
 
     def test_fields_shape(self, config):
         solver = _solver(config)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pic import interpolation
-from repro.pic.grid import Grid1D
+from repro.pic.grid import Grid1D, wrap_positions
 from repro.pic.interpolation import Workspace, charge_density, deposit, gather
 
 ORDERS = ["ngp", "cic", "tsc"]
@@ -177,7 +177,7 @@ class TestDepositProperties:
 def _add_at_deposit(grid, positions, weights, order):
     """The reference scatter: one ``np.add.at`` per row, node block by
     node block in particle order, of the weighted stencil."""
-    x = interpolation._wrap_positions(interpolation._check_positions(positions), grid.length)
+    x = wrap_positions(interpolation._check_positions(positions), grid.length)
     x2 = np.atleast_2d(x)
     w2 = np.atleast_2d(np.broadcast_to(np.asarray(weights, dtype=x.dtype), x.shape))
     s, idx, w = interpolation._stencil_buffers(Workspace(), order, x2.shape, x.dtype)
