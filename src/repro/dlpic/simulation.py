@@ -96,9 +96,9 @@ class DLEnsemble(EnsembleSimulation):
     def last_histograms(self) -> "np.ndarray | None":
         """Stacked ``(batch, n_v, n_x)`` histograms of this engine's latest solve.
 
-        Read from the engine's workspace, where :meth:`_solve_field`'s
-        solve leaves them: the shared solver's own attribute holds the
-        latest solve of whichever engine ran last.
+        Read from the engine's workspace, where the DL solve leaves them;
+        the solver's own ``last_histograms`` is whichever engine's solve
+        ran last.
         """
         return self._work.histograms
 

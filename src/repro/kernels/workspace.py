@@ -41,8 +41,7 @@ class Workspace:
     The DL field solve (:meth:`repro.dlpic.DLFieldSolver.fields`) leaves
     a result too: the phase-space histograms it binned, in
     :attr:`histograms`, which the engine that owns the workspace reports
-    as its own.  One solver serves many engines, so its own record is
-    the latest solve of any of them.
+    as its own.
     """
 
     def __init__(self) -> None:
