@@ -23,9 +23,12 @@ Two in-process execution modes:
 * ``background=True`` (default) — the service runs its worker thread;
   futures resolve as micro-batches flush.
 * ``background=False`` — fully synchronous: submissions queue until
-  :meth:`flush` (which ``run()``/``map()`` call for you), then execute
-  on the calling thread.  Deterministic and thread-free; the mode the
-  experiment pipeline and the data campaigns use.
+  :meth:`flush` (which ``run()``/``map()`` call for you, as does the
+  first ``result()`` or ``exception()`` on a pending future from
+  :meth:`submit`), then execute on the calling thread, so requests
+  filed before the wait run as one micro-batch.  Deterministic and
+  thread-free; the mode the experiment pipeline and the data campaigns
+  use.
 """
 
 from __future__ import annotations

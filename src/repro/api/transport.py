@@ -27,7 +27,7 @@ import json
 import threading
 import urllib.parse
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
 from repro.api.envelope import RunRequest, RunResult, now
 from repro.obs.metrics import PROCESS_METRICS
@@ -63,6 +63,30 @@ class Transport(Protocol):
         ...
 
 
+class _FlushOnWait(Future):
+    """A synchronous service's future: waiting on it runs what is pending.
+
+    A thread-free service executes only on ``flush()``, so a caller that
+    waits on a future it submitted would otherwise wait forever.
+    Flushing at the first wait, not at submit, keeps requests filed
+    together in one micro-batch.
+    """
+
+    def __init__(self, flush: "Callable[[], None]") -> None:
+        super().__init__()
+        self._flush = flush
+
+    def result(self, timeout: "float | None" = None) -> RunResult:
+        if not self.done():
+            self._flush()
+        return super().result(timeout)
+
+    def exception(self, timeout: "float | None" = None) -> "BaseException | None":
+        if not self.done():
+            self._flush()
+        return super().exception(timeout)
+
+
 class InProcessTransport:
     """Requests execute in this process, through a ``SimulationService``.
 
@@ -87,7 +111,9 @@ class InProcessTransport:
         parent_id: "str | None" = None,
     ) -> "Future[RunResult]":
         submitted = now()
-        outer: "Future[RunResult]" = Future()
+        outer: "Future[RunResult]" = (
+            Future() if self._has_worker() else _FlushOnWait(self.service.flush)
+        )
         # When the service has tracing on and no caller-provided trace
         # context arrives (the HTTP server passes its own), the client
         # side of the trace starts here: a ``client.request`` root span
@@ -152,10 +178,13 @@ class InProcessTransport:
         self.service.flush()
 
     def drain(self) -> None:
+        if not self._has_worker():
+            self.service.flush()
+
+    def _has_worker(self) -> bool:
         # A synchronous (thread-free) service only executes on flush;
         # a background service resolves futures on its own.
-        if getattr(self.service, "_thread", None) is None:
-            self.service.flush()
+        return getattr(self.service, "_thread", None) is not None
 
     def close(self) -> None:
         if self._owns_service:

@@ -306,8 +306,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         print("configuration is linearly stable (k1*v0 >= 1)")
     if args.out:
-        save_npz_dict(args.out, {k: np.asarray(v) for k, v in series.items()})
-        print(f"history saved to {args.out}")
+        out = save_npz_dict(args.out, {k: np.asarray(v) for k, v in series.items()})
+        print(f"history saved to {out}")
     return 0
 
 
@@ -399,8 +399,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         payload["v0"] = np.array([r.config.v0 for r in requests])
         payload["vth"] = np.array([r.config.vth for r in requests])
         payload["seed"] = np.array([float(r.config.seed) for r in requests])
-        save_npz_dict(args.out, payload)
-        print(f"histories saved to {args.out}")
+        out = save_npz_dict(args.out, payload)
+        print(f"histories saved to {out}")
     return 0
 
 
@@ -789,8 +789,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
           f"{stats['runs_skipped']} skipped)")
     if args.export:
         data = FieldDataset.concatenate([shard.load() for shard in shards])
-        data.save(args.export)
-        print(f"exported {len(data):,} pairs to {args.export}")
+        out = data.save(args.export)
+        print(f"exported {len(data):,} pairs to {out}")
     return 0
 
 

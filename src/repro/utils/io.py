@@ -1,4 +1,4 @@
-"""Artifact I/O helpers: ``numpy.savez`` archives, atomic writes, file hashes."""
+"""Artifact I/O helpers: ``.npz`` archives, atomic writes, file hashes."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import os
+import zipfile
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -15,6 +16,9 @@ import numpy as np
 # With the pid, this makes every concurrent writer's temp name unique:
 # two threads or processes writing one target never share a temp file.
 _TMP_COUNTER = itertools.count()
+
+# The deflate level of every archive save_npz_dict writes (see why there).
+_DEFLATE_LEVEL = 1
 
 
 def ensure_dir(path: "str | os.PathLike[str]") -> Path:
@@ -30,8 +34,21 @@ def save_npz_dict(path: "str | os.PathLike[str]", data: Mapping[str, Any]) -> Pa
     Non-array values are stored via a JSON side-channel under the
     reserved key ``__meta__`` so that round-tripping preserves python
     scalars, strings, lists and dicts.
+
+    The archive has the layout ``numpy.savez_compressed`` writes (one
+    ``<key>.npy`` entry per array, zip64 headers, no pickles), so
+    ``np.load`` reads it, but it is deflated at level 1 rather than
+    numpy's fixed level 6.  Archives here are written once per result
+    or shard and read back rarely, so write time counts more than
+    bytes: the uint16 counts of a campaign shard (804 histograms of
+    32 x 64) deflated in 22 ms at level 1 against 57 ms at level 6, for
+    308 KB against 274 KB (2-vCPU x86_64, zlib via CPython 3.11).  As
+    with numpy, ``.npz`` is appended to a name that lacks it; the path
+    returned is the file written.
     """
     path = Path(path)
+    if not path.name.endswith(".npz"):
+        path = path.with_name(path.name + ".npz")
     ensure_dir(path.parent)
     arrays: dict[str, np.ndarray] = {}
     meta: dict[str, Any] = {}
@@ -43,7 +60,14 @@ def save_npz_dict(path: "str | os.PathLike[str]", data: Mapping[str, Any]) -> Pa
         else:
             meta[key] = value
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez_compressed(path, **arrays)
+    with zipfile.ZipFile(
+        path, "w", zipfile.ZIP_DEFLATED, compresslevel=_DEFLATE_LEVEL
+    ) as archive:
+        for key, value in arrays.items():
+            # force_zip64 as numpy's own writer does: the entry's size is
+            # not known before it is written.
+            with archive.open(f"{key}.npy", "w", force_zip64=True) as entry:
+                np.lib.format.write_array(entry, value, allow_pickle=False)
     return path
 
 
@@ -63,7 +87,8 @@ def load_npz_dict(path: "str | os.PathLike[str]") -> dict[str, Any]:
 def temp_path(path: "str | os.PathLike[str]") -> Path:
     """A unique hidden sibling of ``path`` to write before publishing.
 
-    It ends in ``path.name``, so ``numpy.savez`` (which appends ``.npz``
+    It ends in ``path.name``, so for a ``.npz`` target
+    :func:`save_npz_dict` (which, like ``numpy.savez``, appends ``.npz``
     to other names) writes exactly the file the rename publishes.
     """
     path = Path(path)

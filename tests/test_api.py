@@ -316,6 +316,23 @@ class TestClient:
         ]
         assert "FileNotFoundError" in results[0].error
 
+    @pytest.mark.parametrize("wait", ["result", "exception"])
+    def test_waiting_on_a_synchronous_future_runs_it(self, config, wait):
+        # A thread-free service executes only on flush; without one at
+        # the wait, this raises TimeoutError.
+        with small_client() as client:
+            future = client.submit(RunRequest(config=config, id="w"))
+            getattr(future, wait)(timeout=5)
+            assert future.done() and future.result().status == "ok"
+
+    def test_synchronous_futures_filed_together_run_as_one_group(self, config):
+        with small_client() as client:
+            first = client.submit(config.with_updates(seed=1))
+            second = client.submit(config.with_updates(seed=2))
+            assert second.result(timeout=5).status == "ok"
+            assert first.done() and first.result().status == "ok"
+            assert client.service.batch_size_histogram == {2: 1}
+
     def test_bare_config_accepted_and_auto_named(self, config):
         with small_client() as client:
             result = client.run(config)

@@ -129,3 +129,66 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.targets, dataset.targets)
         np.testing.assert_array_equal(loaded.params, dataset.params)
         assert loaded.ps_grid == dataset.ps_grid
+
+    def test_save_appends_npz_and_returns_the_file_written(self, dataset, tmp_path):
+        loaded = FieldDataset.load(dataset.save(tmp_path / "data"))
+        np.testing.assert_array_equal(loaded.inputs, dataset.inputs)
+
+
+def _one_value(value: float, dtype=np.float64) -> FieldDataset:
+    inputs = np.zeros((2, 3, 4), dtype=dtype)
+    inputs[1, 2, 3] = value
+    return FieldDataset(
+        inputs=inputs, targets=np.ones((2, 8)), params=np.zeros((2, 4)),
+        ps_grid=PhaseSpaceGrid(n_x=4, n_v=3, box_length=1.0),
+    )
+
+
+def _stored_dtype(path) -> np.dtype:
+    with np.load(path, allow_pickle=False) as archive:
+        return archive["inputs"].dtype
+
+
+class TestCountEncoding:
+    """``save`` narrows integer counts; ``load`` gives back every bit."""
+
+    @pytest.mark.parametrize(
+        ("value", "stored"),
+        [
+            (255, np.uint8), (256, np.uint16),
+            (65535, np.uint16), (65536, np.uint32),
+            (2**32 - 1, np.uint32), (2**32, np.float64),
+        ],
+    )
+    def test_counts_store_in_the_narrowest_dtype_that_holds_them(
+        self, tmp_path, value, stored
+    ):
+        data = _one_value(value)
+        path = data.save(tmp_path / "d.npz")
+        assert _stored_dtype(path) == stored
+        loaded = FieldDataset.load(path)
+        assert loaded.inputs.dtype == np.float64
+        assert np.array_equal(loaded.inputs.view(np.uint64), data.inputs.view(np.uint64))
+
+    @pytest.mark.parametrize("value", [0.5, -0.0, np.nan, np.inf, -np.inf, -1.0])
+    def test_non_counts_stay_float64_bit_for_bit(self, tmp_path, value):
+        data = _one_value(value)
+        path = data.save(tmp_path / "d.npz")
+        assert _stored_dtype(path) == np.float64
+        loaded = FieldDataset.load(path)
+        assert np.array_equal(loaded.inputs.view(np.uint64), data.inputs.view(np.uint64))
+
+    def test_float32_inputs_stay_float32(self, tmp_path):
+        data = _one_value(7, dtype=np.float32)
+        path = data.save(tmp_path / "d.npz")
+        assert _stored_dtype(path) == np.float32
+        assert np.array_equal(FieldDataset.load(path).inputs, data.inputs)
+
+    def test_empty_dataset_round_trips(self, grid, tmp_path):
+        empty = FieldDataset(
+            inputs=np.zeros((0, 4, 8)), targets=np.zeros((0, 16)),
+            params=np.zeros((0, 4)), ps_grid=grid,
+        )
+        loaded = FieldDataset.load(empty.save(tmp_path / "d.npz"))
+        assert loaded.inputs.shape == (0, 4, 8) and loaded.inputs.dtype == np.float64
+        assert loaded.targets.shape == (0, 16) and len(loaded) == 0

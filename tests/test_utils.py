@@ -1,6 +1,7 @@
 """Utility helpers: RNG plumbing, npz I/O, atomic writes, timer."""
 
 import hashlib
+import zipfile
 
 import numpy as np
 import pytest
@@ -64,6 +65,31 @@ class TestNpzDict:
     def test_creates_parent_dirs(self, tmp_path):
         path = save_npz_dict(tmp_path / "a" / "b" / "c.npz", {"x": np.zeros(1)})
         assert path.exists()
+
+    def test_appends_npz_like_numpy_and_returns_the_file_written(self, tmp_path):
+        path = save_npz_dict(tmp_path / "data", {"x": np.arange(3)})
+        assert path == tmp_path / "data.npz"
+        assert [p.name for p in tmp_path.iterdir()] == ["data.npz"]
+        np.testing.assert_array_equal(load_npz_dict(path)["x"], np.arange(3))
+
+    def test_archive_is_deflated_deterministic_and_read_by_np_load(self, tmp_path):
+        data = {"counts": np.arange(1000, dtype=np.uint16) % 7, "n": 3}
+        a = save_npz_dict(tmp_path / "a.npz", data)
+        b = save_npz_dict(tmp_path / "b.npz", data)
+        # No timestamps: equal data writes equal bytes (shard hashes
+        # in a campaign manifest rely on this).
+        assert a.read_bytes() == b.read_bytes()
+        with zipfile.ZipFile(a) as archive:
+            assert [i.filename for i in archive.infolist()] == ["counts.npy", "__meta__.npy"]
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+        with np.load(a, allow_pickle=False) as archive:
+            assert archive["counts"].dtype == np.uint16
+            np.testing.assert_array_equal(archive["counts"], data["counts"])
+
+    def test_object_arrays_rejected(self, tmp_path):
+        # load_npz_dict reads no pickles, so none are written either.
+        with pytest.raises(ValueError):
+            save_npz_dict(tmp_path / "x.npz", {"x": np.array([{"a": 1}], dtype=object)})
 
 
 class TestAtomicWrite:
