@@ -103,8 +103,9 @@ class TestAtomicWrite:
 
         atomic_write(target, write)
         np.testing.assert_array_equal(load_npz_dict(target)["a"], np.arange(3.0))
-        # The temp file kept the target's name as its tail (numpy
-        # appends .npz otherwise) and is gone after the rename.
+        # The temp file kept the target's name as its tail
+        # (save_npz_dict appends .npz otherwise) and is gone after the
+        # rename.
         assert seen[0].name.startswith(".tmp-") and seen[0].name.endswith("-out.npz")
         assert [p.name for p in tmp_path.iterdir()] == ["out.npz"]
 
