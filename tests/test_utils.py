@@ -76,8 +76,8 @@ class TestNpzDict:
         data = {"counts": np.arange(1000, dtype=np.uint16) % 7, "n": 3}
         a = save_npz_dict(tmp_path / "a.npz", data)
         b = save_npz_dict(tmp_path / "b.npz", data)
-        # No timestamps: equal data writes equal bytes (shard hashes
-        # in a campaign manifest rely on this).
+        # Entry timestamps are fixed, not the clock: equal data writes
+        # equal bytes (shard hashes in a campaign manifest rely on this).
         assert a.read_bytes() == b.read_bytes()
         with zipfile.ZipFile(a) as archive:
             assert [i.filename for i in archive.infolist()] == ["counts.npy", "__meta__.npy"]
