@@ -48,11 +48,7 @@ def _make_solver() -> DLFieldSolver:
 
 
 def _run_sequential(solver: DLFieldSolver) -> list[dict]:
-    """BATCH independent DL runs, the pre-batching way: a Python loop.
-
-    Final states are snapshotted per run because the shared solver's
-    ``last_histograms`` are overwritten by each subsequent run.
-    """
+    """BATCH independent DL runs, the pre-batching way: a Python loop."""
     finals = []
     for b in range(BATCH):
         sim = DLPIC(CONFIG.with_updates(seed=CONFIG.seed + b), solver)

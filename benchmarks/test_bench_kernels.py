@@ -77,9 +77,7 @@ def _force_backend(family, ens, backend) -> None:
     """Inject a concrete backend instance so worker counts are pinned
     regardless of the host (a 1-core box would otherwise fall through)."""
     ens._backend = backend
-    if family == "dl":
-        ens.field_solver.set_kernel_backend(backend)
-    elif family == "traditional":
+    if family == "traditional":
         ens.field_solver.backend = backend
 
 

@@ -11,6 +11,7 @@ pytest-benchmark's statistics.
 import numpy as np
 import pytest
 
+from repro.kernels.workspace import Workspace
 from repro.pic.grid import Grid1D
 from repro.pic.poisson import (
     solve_poisson_direct,
@@ -51,8 +52,9 @@ def test_dl_field_solve(particle_state, solvers, benchmark):
 def test_dl_inference_only(particle_state, solvers, benchmark):
     """Network inference alone (excluding the phase-space binning)."""
     config, x, v = particle_state
-    solvers.mlp_solver.field(x, v)  # populate the histogram cache
-    hists = solvers.mlp_solver.last_histograms
+    work = Workspace()
+    solvers.mlp_solver.fields(x, v, work=work)
+    hists = work.histograms
     e = benchmark(solvers.mlp_solver.predict_from_histograms, hists)
     assert e.shape == (1, config.n_cells)
 

@@ -22,7 +22,6 @@ import numpy as np
 from repro.config import SimulationConfig
 from repro.dlpic.solver import DLFieldSolver
 from repro.engines.observables import Observables, resolve_observables
-from repro.kernels import resolve_backend
 from repro.pic.simulation import EnsembleSimulation
 
 
@@ -62,9 +61,6 @@ class DLEnsemble(EnsembleSimulation):
         configs = tuple(configs)
         if configs:
             _check_box_length(field_solver, configs[0])
-            # Thread the ensemble's kernel backend into the solver's
-            # evaluation GEMMs before the initial field solve runs.
-            field_solver.set_kernel_backend(resolve_backend(configs[0].backend))
         super().__init__(configs, field_solver=field_solver, rngs=rngs)
 
     @classmethod
@@ -79,10 +75,10 @@ class DLEnsemble(EnsembleSimulation):
         return super().from_config(config, batch, seeds=seeds, field_solver=field_solver)
 
     def _solve_field(self) -> np.ndarray:
-        """The DL solve on this engine's workspace, grid and gather order."""
+        """The DL solve on this engine's workspace, grid, gather order and backend."""
         return self.dl_solver.fields(
             self.particles.x, self.particles.v, work=self._work, grid=self.grid,
-            gather_order=self.config.interpolation,
+            gather_order=self.config.interpolation, backend=self._backend,
         )
 
     @property
@@ -96,9 +92,7 @@ class DLEnsemble(EnsembleSimulation):
     def last_histograms(self) -> "np.ndarray | None":
         """Stacked ``(batch, n_v, n_x)`` histograms of this engine's latest solve.
 
-        Read from the engine's workspace, where the DL solve leaves them;
-        the solver's own ``last_histograms`` is whichever engine's solve
-        ran last.
+        Read from the engine's workspace, where the DL solve leaves them.
         """
         return self._work.histograms
 

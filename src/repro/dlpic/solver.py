@@ -26,12 +26,14 @@ one particle→grid stencil, as the traditional step does.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 
+from repro.kernels import KernelBackend
 from repro.kernels.workspace import Workspace
 from repro.nn.network import Sequential
 from repro.phasespace.binning import PhaseSpaceGrid, bin_phase_space_batch
@@ -63,9 +65,10 @@ class DLFieldSolver:
     ``repro.pic.simulation`` and plugs directly into the PIC cycle of an
     :class:`~repro.pic.simulation.EnsembleSimulation`.  One solver may
     serve several engines on several threads at once (a service runs
-    every DL group through its one solver), so it keeps no scratch of
-    its own: each engine hands :meth:`fields` its
-    :class:`~repro.kernels.workspace.Workspace`.
+    every DL group through its one solver), so it holds only frozen
+    weights and preprocessing: each engine hands :meth:`fields` its
+    :class:`~repro.kernels.workspace.Workspace` and its kernel backend
+    on every call.
     """
 
     def __init__(
@@ -85,30 +88,10 @@ class DLFieldSolver:
         self.normalizer = normalizer
         self.input_kind = input_kind
         self.binning = binning
-        self.last_histograms: "np.ndarray | None" = None
         # The float32 serving tier: a deep copy of the model with the
         # weights cast down, built lazily on the first float32 call
-        # (weights are frozen at serving time — call
-        # :meth:`invalidate_float32_cache` after mutating them).
+        # (the weights are frozen once the solver serves).
         self._model_f32: "Sequential | None" = None
-        # Kernel backend threaded into evaluation-mode Dense GEMMs.
-        self._kernel_backend = None
-
-    def set_kernel_backend(self, backend) -> None:
-        """Route this solver's evaluation GEMMs through ``backend``.
-
-        ``backend`` is a ``repro.kernels`` backend or ``None`` (the
-        reference block loop).  Applied to both the float64 model and
-        the lazily built float32 copy.
-        """
-        self._kernel_backend = backend
-        self.model.set_eval_backend(backend)
-        if self._model_f32 is not None:
-            self._model_f32.set_eval_backend(backend)
-
-    def invalidate_float32_cache(self) -> None:
-        """Drop the float32 weight copy (call after mutating weights)."""
-        self._model_f32 = None
 
     def _eval_model(self, dtype: np.dtype) -> Sequential:
         """The model matching an input dtype (float32 copy built lazily)."""
@@ -119,7 +102,6 @@ class DLFieldSolver:
             for layer in model.layers:
                 for key, value in layer.params.items():
                     layer.params[key] = value.astype(np.float32)
-            model.set_eval_backend(self._kernel_backend)
             self._model_f32 = model
         return self._model_f32
 
@@ -160,6 +142,7 @@ class DLFieldSolver:
         work: "Workspace | None" = None,
         grid: "Grid1D | None" = None,
         gather_order: "str | None" = None,
+        backend: "KernelBackend | None" = None,
     ) -> np.ndarray:
         """Predict every ensemble member's field in one fused pass.
 
@@ -170,18 +153,17 @@ class DLFieldSolver:
         call on the batch of one ``(x[b:b+1], v[b:b+1])``.
 
         An engine passes its kernel workspace ``work``, its field
-        ``grid`` and its ``gather_order``.  The binning scratch then
-        lives in ``work`` (``None`` bins on a throwaway one).  When the
-        stencil can be shared — float64 positions, NGP binning, a CIC
-        gather and a phase-space x axis equal to ``grid`` — the solve
-        builds the CIC stencil of ``x`` into ``work`` through the
-        solver's kernel backend, where the engine's next gather at ``x``
-        reads it, and bins with its left nodes as the x bins.
+        ``grid``, its ``gather_order`` and its kernel ``backend``.  The
+        binning scratch then lives in ``work`` (``None`` bins on a
+        throwaway one).  When the stencil can be shared — float64
+        positions, NGP binning, a CIC gather and a phase-space x axis
+        equal to ``grid`` — the solve builds the CIC stencil of ``x``
+        into ``work`` through ``backend`` (``None``: the reference
+        slab), where the engine's next gather at ``x`` reads it, and
+        bins with its left nodes as the x bins.
 
-        The stacked histograms are left in :attr:`last_histograms` and,
-        when ``work`` is given, in ``work.histograms``, which is where an
-        engine reads its own: the solver's attribute is whichever
-        engine's solve ran last.
+        When ``work`` is given, the stacked histograms are left in
+        ``work.histograms``, which is where a caller reads them.
         """
         x_index = None
         if (
@@ -193,12 +175,11 @@ class DLFieldSolver:
             and self.ps_grid.n_x == grid.n_cells
             and self.ps_grid.box_length == grid.length
         ):
-            x_index = build_stencil(grid, x, work, "cic", self._kernel_backend)[:, 0]
+            x_index = build_stencil(grid, x, work, "cic", backend)[:, 0]
         hists = bin_phase_space_batch(
             x, v, self.ps_grid, order=self.binning, dtype=x.dtype, work=work,
             x_index=x_index,
         )
-        self.last_histograms = hists
         if work is not None:
             work.histograms = hists
         return self.predict_from_histograms(hists)
@@ -229,20 +210,18 @@ class DLFieldSolver:
         for key in sorted(state):
             h.update(key.encode("utf-8"))
             h.update(np.ascontiguousarray(state[key]).tobytes())
-        meta = {
+        h.update(json.dumps(self._preprocessing(), sort_keys=True).encode("utf-8"))
+        return h.hexdigest()
+
+    def _preprocessing(self) -> dict:
+        """The frozen preprocessing: what :meth:`fingerprint` hashes beside
+        the network and what ``solver.json`` stores."""
+        return {
             "input_kind": self.input_kind,
             "binning": self.binning,
             "normalizer": self.normalizer.to_dict(),
-            "ps_grid": {
-                "n_x": self.ps_grid.n_x,
-                "n_v": self.ps_grid.n_v,
-                "box_length": self.ps_grid.box_length,
-                "v_min": self.ps_grid.v_min,
-                "v_max": self.ps_grid.v_max,
-            },
+            "ps_grid": dataclasses.asdict(self.ps_grid),
         }
-        h.update(json.dumps(meta, sort_keys=True).encode("utf-8"))
-        return h.hexdigest()
 
     # -- persistence -----------------------------------------------------
     def save(self, directory: "str | Path") -> Path:
@@ -250,19 +229,7 @@ class DLFieldSolver:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         self.model.save(directory / "model.npz")
-        meta = {
-            "input_kind": self.input_kind,
-            "binning": self.binning,
-            "normalizer": self.normalizer.to_dict(),
-            "ps_grid": {
-                "n_x": self.ps_grid.n_x,
-                "n_v": self.ps_grid.n_v,
-                "box_length": self.ps_grid.box_length,
-                "v_min": self.ps_grid.v_min,
-                "v_max": self.ps_grid.v_max,
-            },
-        }
-        (directory / "solver.json").write_text(json.dumps(meta, indent=2))
+        (directory / "solver.json").write_text(json.dumps(self._preprocessing(), indent=2))
         return directory
 
     @classmethod

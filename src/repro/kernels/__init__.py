@@ -1,13 +1,18 @@
 """Pluggable kernel backends for the hot numerical paths.
 
 The engines compute one ensemble step through a handful of hot kernels
-— particle-grid deposit/gather, the leapfrog pushers, the Vlasov
-advection stencils and the evaluation-mode GEMM blocks.  Every one of
-those kernels is *row-independent*: row ``b`` of a batched result is a
-function of row ``b`` of the inputs alone, and the engines already
-guarantee it is bitwise identical to running member ``b`` solo.  A
-kernel backend exploits exactly that property: it decides *how* the
-independent rows of one kernel call execute, never *what* they compute.
+— particle-grid deposit/gather, the leapfrog pushers and the Vlasov
+advection stencils.  Every one of those kernels is *row-independent*:
+row ``b`` of a batched result is a function of row ``b`` of the inputs
+alone, and the engines already guarantee it is bitwise identical to
+running member ``b`` solo.  A kernel backend exploits exactly that
+property: it decides *how* the independent rows of one kernel call
+execute, never *what* they compute.  The DL solve's evaluation GEMMs
+are not routed: ``repro.nn`` runs its fixed row blocks itself.
+
+An engine resolves its backend once and passes it, with its
+:class:`~repro.kernels.workspace.Workspace`, to every kernel call,
+the DL field solve included; no shared object stores a backend.
 
 Two backends are registered (``SimulationConfig.backend``):
 
@@ -17,8 +22,8 @@ Two backends are registered (``SimulationConfig.backend``):
     every other backend must reproduce it bit for bit in float64.
 ``threaded``
     Chunks the batch rows of each kernel call across a shared thread
-    pool.  The hot numpy ufuncs and BLAS calls release the GIL, so
-    independent row chunks genuinely overlap; because each chunk runs
+    pool.  The hot numpy ufuncs release the GIL, so independent row
+    chunks genuinely overlap; because each chunk runs
     the unmodified reference arithmetic on its own rows, the result is
     bitwise identical to ``numpy`` in *every* dtype tier.
 
@@ -32,9 +37,6 @@ from repro.kernels.backends import (
     KERNEL_BACKEND_NAMES,
     KernelBackend,
     ThreadedBackend,
-    available_backends,
-    backend_available,
-    backend_unavailable_reason,
     get_backend,
     resolve_backend,
 )
@@ -43,9 +45,6 @@ __all__ = [
     "KERNEL_BACKEND_NAMES",
     "KernelBackend",
     "ThreadedBackend",
-    "available_backends",
-    "backend_available",
-    "backend_unavailable_reason",
     "get_backend",
     "resolve_backend",
 ]

@@ -10,9 +10,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.nn.layers import Layer
+from repro.utils.io import save_npz_dict
 
 # Layer constructors a checkpoint fingerprint may name (Sequential.from_saved).
 _FINGERPRINT_LAYERS = ("Dense", "ReLU", "Flatten", "Conv2D", "MaxPool2D")
+
+# Checkpoint entries that are not parameters: the layer fingerprint and
+# save_npz_dict's (empty) metadata record.
+_RESERVED_KEYS = ("__architecture__", "__meta__")
 
 
 def _layer_from_fingerprint(text: str) -> Layer:
@@ -66,18 +71,6 @@ class Sequential:
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
-
-    def set_eval_backend(self, backend) -> "Sequential":
-        """Route evaluation-mode Dense GEMMs through a kernel backend.
-
-        ``backend`` is a ``repro.kernels`` backend instance or ``None``
-        (the reference block loop).  Training is unaffected.  Returns
-        self for chaining.
-        """
-        for layer in self.layers:
-            if hasattr(layer, "eval_backend"):
-                layer.eval_backend = backend
-        return self
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Inference in evaluation mode, batched to bound memory.
@@ -146,19 +139,25 @@ class Sequential:
             current[...] = new
 
     def save(self, path: "str | Path") -> Path:
-        """Serialize parameters (and a layer fingerprint) to ``.npz``."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        """Serialize parameters (and a layer fingerprint) to ``.npz``.
+
+        Written by :func:`repro.utils.io.save_npz_dict`, which appends
+        ``.npz`` to a name that lacks it; the path returned is the file
+        written.
+        """
         arch = json.dumps([repr(layer) for layer in self.layers])
-        arrays = {k: v for k, v in self.state_dict().items()}
+        arrays = self.state_dict()
         arrays["__architecture__"] = np.frombuffer(arch.encode("utf-8"), dtype=np.uint8)
-        np.savez_compressed(path, **arrays)
-        return path
+        return save_npz_dict(path, arrays)
 
     def load(self, path: "str | Path") -> "Sequential":
-        """Load parameters saved by :meth:`save` into this model."""
+        """Load parameters saved by :meth:`save` into this model.
+
+        Also reads checkpoints that ``np.savez_compressed`` wrote, which
+        carry no ``__meta__`` entry.
+        """
         with np.load(Path(path), allow_pickle=False) as archive:
-            state = {k: archive[k] for k in archive.files if k != "__architecture__"}
+            state = {k: archive[k] for k in archive.files if k not in _RESERVED_KEYS}
         self.load_state_dict(state)
         return self
 

@@ -9,6 +9,8 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.dlpic import DLEnsemble, DLFieldSolver, DLPIC
+from repro.dlpic import solver as dl_solver_module
+from repro.kernels import ThreadedBackend, get_backend
 from repro.models.architectures import build_cnn, build_mlp
 from repro.phasespace.binning import PhaseSpaceGrid, bin_phase_space_batch
 from repro.phasespace.normalization import MinMaxNormalizer
@@ -131,7 +133,48 @@ class TestBatchedSolverStage:
                 ens.last_histograms,
                 bin_phase_space_batch(ens.particles.x, ens.particles.v, solver.ps_grid),
             )
-        assert solver.last_histograms is b.last_histograms
+
+    def test_engines_sharing_a_solver_keep_their_own_backend(self, config, monkeypatch):
+        """The engine built last on a solver does not choose the backend of
+        the others: a numpy engine's step runs no threaded chunk."""
+        solver = _solver(config)
+        numpy_engine = DLEnsemble.from_config(config, 2, solver)
+        DLEnsemble.from_config(config.with_updates(backend="threaded"), 2, solver)
+        calls = []
+        original = ThreadedBackend.run_rows
+
+        def counted(self, n_rows, *args, **kwargs):
+            calls.append(n_rows)
+            return original(self, n_rows, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadedBackend, "run_rows", counted)
+        numpy_engine.step()
+        assert calls == []
+
+    def test_dl_solve_builds_its_stencil_through_the_engines_backend(
+        self, config, monkeypatch
+    ):
+        """On a field-aligned grid the solve's stencil build runs on the
+        backend of the engine stepping, whatever engine was built last."""
+        grid = PhaseSpaceGrid(n_x=config.n_cells, n_v=8, box_length=config.box_length)
+        model = build_mlp(input_size=grid.size, output_size=config.n_cells,
+                          hidden_size=24, rng=0)
+        norm = MinMaxNormalizer.from_dict({"minimum": 0.0, "maximum": 60.0})
+        solver = DLFieldSolver(model, grid, norm)
+        threaded_engine = DLEnsemble.from_config(
+            config.with_updates(backend="threaded"), 2, solver
+        )
+        DLEnsemble.from_config(config, 2, solver)
+        backends = []
+        original = dl_solver_module.build_stencil
+
+        def recorded(grid, x, work, order, backend=None):
+            backends.append(backend)
+            return original(grid, x, work, order, backend)
+
+        monkeypatch.setattr(dl_solver_module, "build_stencil", recorded)
+        threaded_engine.step()
+        assert backends == [get_backend("threaded")]
 
     def test_fields_shape(self, config):
         solver = _solver(config)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dlpic.solver import DLFieldSolver
+from repro.kernels.workspace import Workspace
 from repro.models.architectures import build_cnn, build_mlp
 from repro.phasespace.binning import PhaseSpaceGrid, bin_phase_space
 from repro.phasespace.normalization import MinMaxNormalizer
@@ -70,10 +71,11 @@ class TestFieldProtocol:
         rng = np.random.default_rng(1)
         x = rng.uniform(0, 2.0, (1, 50))
         v = rng.normal(0, 0.1, (1, 50))
-        mlp_solver.field(x, v)
-        assert mlp_solver.last_histograms.sum() == pytest.approx(50)
+        work = Workspace()
+        mlp_solver.fields(x, v, work=work)
+        assert work.histograms.sum() == pytest.approx(50)
         np.testing.assert_array_equal(
-            mlp_solver.last_histograms[0], bin_phase_space(x[0], v[0], ps_grid, order="ngp")
+            work.histograms[0], bin_phase_space(x[0], v[0], ps_grid, order="ngp")
         )
 
     def test_field_deterministic(self, mlp_solver):
@@ -88,9 +90,10 @@ class TestFieldProtocol:
         rng = np.random.default_rng(3)
         x = rng.uniform(0, 2.0, (1, 50))
         v = rng.normal(size=(1, 50)) * 0.1
-        solver.field(x, v)
+        work = Workspace()
+        solver.fields(x, v, work=work)
         np.testing.assert_allclose(
-            solver.last_histograms[0], bin_phase_space(x[0], v[0], ps_grid, order="cic")
+            work.histograms[0], bin_phase_space(x[0], v[0], ps_grid, order="cic")
         )
 
 

@@ -33,7 +33,7 @@ class TestCycle:
     def test_field_comes_from_network(self, config):
         solver = _untrained_solver(config)
         sim = DLPIC(config, solver)
-        expected = solver.predict_from_histograms(solver.last_histograms)
+        expected = solver.predict_from_histograms(sim.last_histograms)
         np.testing.assert_allclose(sim.efield, expected)
 
     def test_histogram_mass_tracks_particle_count(self, config):

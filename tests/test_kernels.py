@@ -22,9 +22,6 @@ from repro.kernels import (
     KERNEL_BACKEND_NAMES,
     KernelBackend,
     ThreadedBackend,
-    available_backends,
-    backend_available,
-    backend_unavailable_reason,
     get_backend,
     resolve_backend,
 )
@@ -67,20 +64,14 @@ class TestRegistry:
         inst = ThreadedBackend(max_workers=2)
         assert resolve_backend(inst) is inst
 
-    def test_availability_probes(self):
-        assert backend_available("numpy")
-        assert backend_unavailable_reason("numpy") is None
-        assert set(available_backends()) <= set(KERNEL_BACKEND_NAMES)
-        assert "numpy" in available_backends()
-
 
 # -- ThreadedBackend chunking --------------------------------------------
 
 
 class TestThreadedBackend:
-    def _bounds(self, backend, n_rows, multiple=1):
+    def _bounds(self, backend, n_rows):
         seen = []
-        backend.run_rows(n_rows, lambda lo, hi: seen.append((lo, hi)), multiple=multiple)
+        backend.run_rows(n_rows, lambda lo, hi: seen.append((lo, hi)))
         return sorted(seen)
 
     def test_chunks_cover_every_row_exactly_once(self):
@@ -90,18 +81,10 @@ class TestThreadedBackend:
             assert hi == lo
         assert len(bounds) > 1  # actually chunked
 
-    def test_chunk_boundaries_respect_multiple(self):
-        bounds = self._bounds(ThreadedBackend(max_workers=3), 40, multiple=16)
-        for lo, hi in bounds:
-            assert lo % 16 == 0
-            assert hi % 16 == 0 or hi == 40
-        assert bounds[0][0] == 0 and bounds[-1][1] == 40
-
     def test_single_unit_falls_through_inline(self):
-        # One row (or one multiple-sized unit) cannot be split: the
-        # backend must run it as the plain reference slab.
+        # One row cannot be split: the backend must run it as the plain
+        # reference slab.
         assert self._bounds(ThreadedBackend(max_workers=3), 1) == [(0, 1)]
-        assert self._bounds(ThreadedBackend(max_workers=3), 12, multiple=16) == [(0, 12)]
         assert self._bounds(ThreadedBackend(max_workers=1), 8) == [(0, 8)]
 
     def test_worker_exceptions_propagate(self):
@@ -162,9 +145,7 @@ def _build(family, scenario, dtype, backend_name):
         # default worker count is 1 and the backend falls through).
         forced = ThreadedBackend(max_workers=3)
         ens._backend = forced
-        if family == "dl":
-            ens.field_solver.set_kernel_backend(forced)
-        elif family == "traditional":
+        if family == "traditional":
             ens.field_solver.backend = forced
     ens.run(STEPS)
     if family == "vlasov":

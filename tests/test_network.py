@@ -1,5 +1,7 @@
 """Sequential container: wiring, prediction, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,17 @@ class TestParameters:
             assert np.all(g == 0)
 
 
+def _untrained() -> Sequential:
+    """The fixture's architecture with other weights."""
+    return Sequential([Dense(4, 8, rng=9), ReLU(), Dense(8, 2, rng=9)])
+
+
+def _assert_same_weights(got: Sequential, want: Sequential) -> None:
+    for key, value in want.state_dict().items():
+        assert got.state_dict()[key].dtype == value.dtype
+        assert got.state_dict()[key].tobytes() == value.tobytes()
+
+
 class TestPersistence:
     def test_save_load_roundtrip(self, model, tmp_path):
         x = np.random.default_rng(3).normal(size=(4, 4))
@@ -87,6 +100,25 @@ class TestPersistence:
         clone = Sequential([Dense(4, 8, rng=9), ReLU(), Dense(8, 2, rng=9)])
         clone.load(path)
         np.testing.assert_allclose(clone.forward(x), expected)
+
+    def test_save_appends_npz_and_returns_the_file_written(self, model, tmp_path):
+        path = model.save(tmp_path / "model")
+        assert path == tmp_path / "model.npz"
+        assert path.is_file()
+        _assert_same_weights(_untrained().load(path), model)
+        _assert_same_weights(Sequential.from_saved(path), model)
+
+    def test_loads_a_checkpoint_written_by_savez_compressed(self, model, tmp_path):
+        """The layout ``save`` wrote before it used ``save_npz_dict``: the
+        weights and the fingerprint, with no ``__meta__`` entry."""
+        arrays = model.state_dict()
+        arrays["__architecture__"] = np.frombuffer(
+            json.dumps([repr(layer) for layer in model.layers]).encode(), dtype=np.uint8
+        )
+        path = tmp_path / "old.npz"
+        np.savez_compressed(path, **arrays)
+        _assert_same_weights(_untrained().load(path), model)
+        _assert_same_weights(Sequential.from_saved(path), model)
 
     def test_state_dict_keys(self, model):
         keys = set(model.state_dict())

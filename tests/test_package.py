@@ -2,7 +2,8 @@
 it stays executable.  And a process that imports the package and serves
 requests starts on numpy and the standard library alone: scipy, the one
 optional heavy dependency, loads only inside the two reference functions
-that call it (``solve_poisson_direct`` and ``solve_dispersion``)."""
+that call it (``solve_poisson_direct`` and ``solve_dispersion``).  The
+network stack (``repro.nn``) imports no kernel backend."""
 
 import doctest
 import json
@@ -80,6 +81,18 @@ def test_imports_and_every_solver_family_run_without_scipy():
         for family in ("traditional", "dl", "vlasov", "energy", "mpi", "traditional")
     ]
     assert report["scipy"] == []
+
+
+def test_the_network_stack_imports_no_kernel_backend():
+    """A network is frozen weights: evaluation runs its GEMM blocks
+    itself, and the engine, not the network, owns a kernel backend."""
+    report = _run_fresh(
+        "import json, sys\n"
+        "import repro.nn\n"
+        "print(json.dumps({'kernels': sorted(m for m in sys.modules"
+        " if m.startswith('repro.kernels'))}))"
+    )
+    assert report == {"kernels": []}
 
 
 _SCIPY_PATHS = """

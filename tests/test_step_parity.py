@@ -432,9 +432,8 @@ def test_gather_after_a_dl_solve_builds_its_own_stencil_unless_it_matches(
         grid_g = Grid1D(grid.n_cells, 0.75 * grid.length)
     field_g = field[:, : grid_g.n_cells]
     solver = _field_grid_dl_solver(grid)
-    solver.set_kernel_backend(handoff_backend)
     work = Workspace()
-    solver.fields(x, v, work=work, grid=grid, gather_order="cic")
+    solver.fields(x, v, work=work, grid=grid, gather_order="cic", backend=handoff_backend)
     rows = stencil_rows[0]
     _assert_bitwise(
         gather(grid_g, field_g, x_g, order=order_g, backend=handoff_backend, work=work),
@@ -488,8 +487,10 @@ def test_steady_state_step_page_faults():
     the allocator serves with newly mapped pages: about 1,000 minor
     faults and a zero-fill apiece.  Measured on Linux/glibc (2 cores,
     numpy 2.4): 15,800 faults per step when every kernel allocated its
-    intermediates and gathered twice per step, 0 with the engine-owned
-    workspace.  The bound sits halfway between.
+    intermediates and gathered twice per step, 787 with the engine-owned
+    workspace (in three fresh processes).  Those 787 come from the fresh
+    arrays the step hands out: the gathered field 400, ``push_positions``
+    194 and ``synchronize_velocities`` 194.  The bound sits between.
     """
     import resource  # Unix-only
 
