@@ -95,7 +95,23 @@ def mode_spectrum(e: np.ndarray) -> np.ndarray:
 
 # ----------------------------------------------------------------------
 # Row diagnostics (batched ensembles; row b bitwise equals the scalar
-# function applied to member b alone)
+# function applied to member b alone).  They reduce with
+# ``np.add.reduce``, the ufunc ``np.sum`` calls, without its wrapper,
+# and leave 2-D arrays of a float dtype as they are: the engines record
+# them once per step, on small batches as often as on large ones.
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` as a ``(batch, n)`` array (a 1-D ``a`` is a batch of one)."""
+    return a if a.ndim == 2 else np.atleast_2d(a)
+
+
+def _float_rows(e: np.ndarray) -> np.ndarray:
+    """``e`` as ``(batch, n)`` rows: float32 stays, the rest is float64."""
+    if type(e) is np.ndarray and e.ndim == 2 and e.dtype in (np.float64, np.float32):
+        return e
+    e = np.atleast_2d(np.asarray(e))
+    return e if e.dtype == np.float32 else np.asarray(e, dtype=np.float64)
 
 
 def kinetic_energy_rows(particles: "ParticleSet", v: "np.ndarray | None" = None) -> np.ndarray:
@@ -104,8 +120,8 @@ def kinetic_energy_rows(particles: "ParticleSet", v: "np.ndarray | None" = None)
     Returns shape ``(batch,)``; for a 1-D set this is ``(1,)`` and the
     single entry is bitwise equal to :func:`kinetic_energy`.
     """
-    vel = np.atleast_2d(particles.v if v is None else v)
-    return 0.5 * particles.mass * np.sum(vel * vel, axis=-1)
+    vel = _rows(particles.v if v is None else v)
+    return 0.5 * particles.mass * np.add.reduce(vel * vel, axis=-1)
 
 
 def field_energy_rows(
@@ -118,18 +134,16 @@ def field_energy_rows(
     coerced to float64 exactly as before, so float64 output is bitwise
     unchanged.
     """
-    e = np.atleast_2d(np.asarray(e))
-    if e.dtype != np.float32:
-        e = np.asarray(e, dtype=np.float64)
+    e = _float_rows(e)
     if e.shape[-1] != grid.n_cells:
         raise ValueError(f"E has shape {e.shape}, expected (batch, {grid.n_cells})")
-    return 0.5 * eps0 * np.sum(e * e, axis=-1) * grid.dx
+    return 0.5 * eps0 * np.add.reduce(e * e, axis=-1) * grid.dx
 
 
 def total_momentum_rows(particles: "ParticleSet", v: "np.ndarray | None" = None) -> np.ndarray:
     """Per-run mechanical momentum, shape ``(batch,)``."""
-    vel = np.atleast_2d(particles.v if v is None else v)
-    return particles.mass * np.sum(vel, axis=-1)
+    vel = _rows(particles.v if v is None else v)
+    return particles.mass * np.add.reduce(vel, axis=-1)
 
 
 def mode_amplitude_rows(e: np.ndarray, mode: int = 1) -> np.ndarray:
@@ -146,9 +160,7 @@ def mode_amplitude_rows(e: np.ndarray, mode: int = 1) -> np.ndarray:
     Dtype-following like :func:`field_energy_rows`: float32 fields run
     a single-precision FFT (complex64) and return float32 amplitudes.
     """
-    e = np.atleast_2d(np.asarray(e))
-    if e.dtype != np.float32:
-        e = np.asarray(e, dtype=np.float64)
+    e = _float_rows(e)
     n = e.shape[-1]
     if not 0 <= mode <= n // 2:
         raise ValueError(f"mode {mode} out of range for {n} cells")
@@ -212,9 +224,9 @@ class VlasovEnergyMomentum:
     def measure(self, engine: "Engine") -> "tuple[np.ndarray, ...]":
         f, e, v = engine.f, engine.efield, engine.v_centers
         dx, dv = engine.dx, engine.dv
-        ke = 0.5 * np.sum(f * (v**2)[:, None], axis=(1, 2)) * dx * dv
-        fe = 0.5 * np.sum(e * e, axis=-1) * dx
-        return ke, fe, ke + fe, np.sum(f * v[:, None], axis=(1, 2)) * dx * dv
+        ke = 0.5 * np.add.reduce(f * (v**2)[:, None], axis=(1, 2)) * dx * dv
+        fe = 0.5 * np.add.reduce(e * e, axis=-1) * dx
+        return ke, fe, ke + fe, np.add.reduce(f * v[:, None], axis=(1, 2)) * dx * dv
 
 
 class ModeAmplitude:

@@ -72,17 +72,16 @@ def _eval_dtype(x: np.ndarray) -> np.ndarray:
 GEMM_BLOCK = 16
 
 
-def blocked_gemm(x: np.ndarray, w: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+def blocked_gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x @ w`` computed in fixed ``GEMM_BLOCK``-row blocks.
 
     Row ``i`` of the result is bitwise identical for every possible row
     count of ``x`` (short final blocks are zero-padded up to the block
     width), which is what makes batched network inference reproduce
     single-run inference exactly.  Full blocks are written straight
-    into ``out`` (allocated here if not supplied) without temporaries.
-    The output dtype follows the operands (float64 inputs keep the
-    historical float64 GEMM bit for bit; the float32 serving tier runs
-    single-precision BLAS blocks).
+    into the result without temporaries.  The output dtype follows the
+    operands (float64 inputs keep the historical float64 GEMM bit for
+    bit; the float32 serving tier runs single-precision BLAS blocks).
 
     Applying the blocks to *every* evaluation matmul (not only the
     DL-ensemble path) trades ~1.5x on very large-batch products (the
@@ -91,8 +90,7 @@ def blocked_gemm(x: np.ndarray, w: np.ndarray, out: "np.ndarray | None" = None) 
     expensive training forwards keep the unblocked ``x @ W``.
     """
     n = x.shape[0]
-    if out is None:
-        out = np.empty((n, w.shape[1]), dtype=np.promote_types(x.dtype, w.dtype))
+    out = np.empty((n, w.shape[1]), dtype=np.promote_types(x.dtype, w.dtype))
     for start in range(0, n, GEMM_BLOCK):
         stop = min(start + GEMM_BLOCK, n)
         if stop - start == GEMM_BLOCK:

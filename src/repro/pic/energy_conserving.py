@@ -42,7 +42,7 @@ import numpy as np
 from repro import constants
 from repro.config import SimulationConfig
 from repro.engines.base import Engine, energy_picard_params
-from repro.pic.grid import Grid1D
+from repro.pic.grid import Grid1D, wrap_into_box
 from repro.kernels.workspace import Workspace
 from repro.pic.interpolation import charge_density, deposit, gather
 from repro.pic.particles import ParticleSet
@@ -66,6 +66,11 @@ class EnergyConservingEnsemble(Engine):
     reached its iteration cap, stops updating while the others iterate
     on, so every row repeats the iteration sequence it runs alone.
     ``last_iterations`` holds each row's count for the latest step.
+
+    The midpoint and full-step positions wrap in place with
+    :func:`repro.pic.grid.wrap_into_box`, the leapfrog pusher's wrap:
+    ``np.mod`` bit for bit, at the cost of a shift on the few particles
+    that crossed the box edge instead of a division per particle.
     """
 
     def __init__(
@@ -99,19 +104,25 @@ class EnergyConservingEnsemble(Engine):
         """Velocities are already synchronized (no staggering)."""
         return self.particles.v
 
+    def _wrap(self, x: np.ndarray) -> np.ndarray:
+        """``np.mod(x, L)`` in place, bit for bit (:func:`wrap_into_box`)."""
+        wrap_into_box(x, self.config.box_length, self._work.get("wrap_mask", x.shape, np.bool_))
+        return x
+
     def _midpoint_fields(
         self, x_n: np.ndarray, v_half: np.ndarray, e_n: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray]":
         """``E^{n+1/2}`` on the grid and at the midpoint positions of ``v_half``."""
         cfg = self.config
         dt = cfg.dt
-        x_half = np.mod(x_n + 0.5 * dt * v_half, cfg.box_length)
-        # Zero-mean electron current density at the midpoint positions.
+        x_half = self._wrap(x_n + 0.5 * dt * v_half)
+        # Zero-mean electron current density at the midpoint positions;
+        # ``np.add.reduce(...) / n`` is what ``ndarray.mean`` computes.
         j_half = deposit(
             self.grid, x_half, cfg.particle_charge * v_half,
             order=cfg.interpolation, work=self._work,
         )
-        j_half = j_half - j_half.mean(axis=-1, keepdims=True)
+        j_half = j_half - np.add.reduce(j_half, axis=-1, keepdims=True) / j_half.shape[-1]
         e_half = e_n - 0.5 * dt * j_half / constants.EPSILON_0
         e_at_p = gather(self.grid, e_half, x_half, order=cfg.interpolation, work=self._work)
         return e_half, e_at_p
@@ -130,7 +141,7 @@ class EnergyConservingEnsemble(Engine):
         while active.any():
             _, e_at_p = self._midpoint_fields(x_n, v_half, e_n)
             v_half_new = v_n + 0.5 * dt * cfg.qm * e_at_p
-            delta = np.max(np.abs(v_half_new - v_half), axis=-1)
+            delta = np.maximum.reduce(np.abs(v_half_new - v_half), axis=-1)
             np.copyto(v_half, v_half_new, where=active[:, None])
             iterations += active
             # ``not <`` (not ``>=``): a NaN update never counts as converged.
@@ -141,7 +152,7 @@ class EnergyConservingEnsemble(Engine):
         # velocities, then reflect to the full step.
         e_half, e_at_p = self._midpoint_fields(x_n, v_half, e_n)
         self.particles.v = v_n + dt * cfg.qm * e_at_p
-        self.particles.x = np.mod(x_n + dt * 0.5 * (v_n + self.particles.v), cfg.box_length)
+        self.particles.x = self._wrap(x_n + dt * 0.5 * (v_n + self.particles.v))
         self.efield = 2.0 * e_half - e_n
         self.step_index += 1
         self.time += dt

@@ -20,11 +20,42 @@ def wrap_positions(x: np.ndarray, length: float) -> np.ndarray:
     node 0 with the correct weights, so such float32 arrays pass through
     too.
     """
-    if x.size and 0.0 <= x.min():
-        xmax = x.max()
+    if x.size and 0.0 <= np.minimum.reduce(x, axis=None):
+        xmax = np.maximum.reduce(x, axis=None)
         if xmax < length or (xmax == length and x.dtype == np.float32):
             return x
     return np.mod(x, length)
+
+
+def wrap_into_box(y: np.ndarray, length: float, mask: np.ndarray) -> None:
+    """``y = np.mod(y, length)`` in place, bit for bit; ``mask`` is a
+    boolean scratch array of ``y``'s shape.
+
+    One leapfrog push, or one implicit-midpoint half step, moves a
+    particle by less than a box, so ``y`` normally lies in ``[-L, 2L)``,
+    where the modulo is one compare and one shift: ``y - L`` is exact
+    above ``L`` (Sterbenz), and below 0 ``y + L`` is exactly the rounded
+    sum ``np.mod`` returns (including ``L`` itself for tiny negative
+    ``y``).  Adding ``0.0`` turns ``-0.0`` into ``+0.0``, as ``np.mod``
+    does.  Inputs outside that range, or holding a NaN, take ``np.mod``
+    itself, and a side of the box no particle crossed is not scanned.
+    This is the float64 wrap of :func:`repro.pic.mover.push_positions`
+    and of the energy-conserving engine's midpoint and full-step
+    positions.
+    """
+    if not y.size:
+        return
+    lowest, highest = np.minimum.reduce(y, axis=None), np.maximum.reduce(y, axis=None)
+    if not (-length <= lowest and highest < 2.0 * length):
+        np.mod(y, length, out=y)
+        return
+    if highest >= length:
+        np.greater_equal(y, length, out=mask)
+        np.subtract(y, length, out=y, where=mask)
+    if lowest < 0.0:
+        np.less(y, 0.0, out=mask)
+        np.add(y, length, out=y, where=mask)
+    y += 0.0
 
 
 @dataclass(frozen=True)

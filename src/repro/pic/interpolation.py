@@ -174,16 +174,17 @@ def _stencil_input(
 
 def _build_stencil(
     work: Workspace, positions: object, grid: Grid1D, order: str,
-    x: np.ndarray, backend: "KernelBackend | None", then=None,
-) -> np.ndarray:
+    x: np.ndarray, buffers: "tuple[np.ndarray, np.ndarray, np.ndarray]",
+    backend: "KernelBackend | None", then=None,
+) -> None:
     """Fill the stencil of ``x`` (``positions`` after :func:`_stencil_input`)
-    into ``work`` slab by slab, then record it; returns the node indices.
+    into ``work``'s :func:`_stencil_buffers` slab by slab, then record it.
 
     ``then(lo, hi)``, if given, runs on each slab after its fill (the
     deposit's scatter).
     """
     x2 = np.atleast_2d(x)
-    s, idx, w = _stencil_buffers(work, order, x2.shape, x.dtype)
+    s, idx, w = buffers
 
     def slab(lo: int, hi: int) -> None:
         _fill_stencil(x2[lo:hi], grid, order, s[lo:hi], idx[lo:hi], w[lo:hi])
@@ -192,7 +193,6 @@ def _build_stencil(
 
     _run_rows(backend, x2.shape[0], slab)
     work.stencil = _Stencil(positions, grid, order, x)
-    return idx
 
 
 def _fill_stencil(
@@ -282,22 +282,28 @@ def deposit(
     """
     work = work if work is not None else Workspace()
     x = _stencil_input(work, positions, grid, order)
-    try:
-        w = np.broadcast_to(np.asarray(weights, dtype=x.dtype), x.shape)
-    except ValueError:
-        raise ValueError(
-            f"weights of shape {np.shape(weights)} do not broadcast to "
-            f"positions of shape {x.shape}"
-        ) from None
+    w = np.asarray(weights, dtype=x.dtype)
+    if w.ndim and w.shape != x.shape:
+        try:
+            w = np.broadcast_to(w, x.shape)
+        except ValueError:
+            raise ValueError(
+                f"weights of shape {np.shape(weights)} do not broadcast to "
+                f"positions of shape {x.shape}"
+            ) from None
     batched = x.ndim == 2
-    x2 = np.atleast_2d(x)
-    w2 = np.atleast_2d(w)
+    x2 = x if batched else x[None]
     batch = x2.shape[0]
+    # A scalar weight (a charge) multiplies the stencil weights as it
+    # is; per-particle weights line up with each node block of a row.
+    if w.ndim:
+        w = (w if batched else w[None])[:, None, :]
     # The density accumulates in the positions' dtype: float64 runs keep
     # the historical bit-for-bit accumulation, float32 runs accumulate
     # (and return) single precision.
     out = np.zeros((batch, grid.n_cells), dtype=x.dtype)
-    _, idx, wts = _stencil_buffers(work, order, x2.shape, x.dtype)
+    buffers = _stencil_buffers(work, order, x2.shape, x.dtype)
+    _, idx, wts = buffers
     # The weighted products get their own buffer, so the stencil
     # survives for the gather.
     qw = work.get("qw", idx.shape, x.dtype)
@@ -305,10 +311,11 @@ def deposit(
     single = x.dtype == np.float32
 
     def scatter(lo: int, hi: int) -> None:
+        rows_w = w if w.ndim == 0 else w[lo:hi]
         if order == "ngp":
-            qw[lo:hi, 0] = w2[lo:hi]
+            qw[lo:hi] = rows_w
         else:
-            np.multiply(w2[lo:hi, None, :], wts[lo:hi], out=qw[lo:hi])
+            np.multiply(rows_w, wts[lo:hi], out=qw[lo:hi])
         # One scatter per row, on 1-D operands (ufunc.at is several
         # times faster on those than on 2-D ones).  A row's nodes
         # scatter block by block in particle order — every output
@@ -320,7 +327,7 @@ def deposit(
             else:
                 out[b] = np.bincount(row_idx[b], weights=row_qw[b], minlength=grid.n_cells)
 
-    _build_stencil(work, positions, grid, order, x, backend, then=scatter)
+    _build_stencil(work, positions, grid, order, x, buffers, backend, then=scatter)
     out /= grid.dx
     return out if batched else out[0]
 
@@ -342,7 +349,9 @@ def build_stencil(
     kernel call on it.
     """
     x = _stencil_input(work, positions, grid, order)
-    return _build_stencil(work, positions, grid, order, x, backend)
+    buffers = _stencil_buffers(work, order, np.atleast_2d(x).shape, x.dtype)
+    _build_stencil(work, positions, grid, order, x, buffers, backend)
+    return buffers[1]
 
 
 def gather(

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.kernels import KernelBackend
 from repro.kernels.workspace import Workspace
+from repro.pic.grid import wrap_into_box
 
 
 def _rows(backend: "KernelBackend | None", a: np.ndarray, fn) -> None:
@@ -87,27 +88,6 @@ def push_velocities(
     return _kick(v, e_at_particles, qm, dt, backend, work, np.add)
 
 
-def _wrap_into_box(y: np.ndarray, length: float, mask: np.ndarray) -> None:
-    """``y = np.mod(y, length)`` in place, bit for bit.
-
-    One leapfrog push moves a particle by less than a box, so ``y``
-    normally lies in ``[-L, 2L)``, where the modulo is one compare and
-    one shift: ``y - L`` is exact above ``L`` (Sterbenz), and below 0
-    ``y + L`` is exactly the rounded sum ``np.mod`` returns (including
-    ``L`` itself for tiny negative ``y``).  Adding ``0.0`` turns ``-0.0``
-    into ``+0.0``, as ``np.mod`` does.  Inputs outside that range take
-    ``np.mod`` itself.
-    """
-    if y.size and (y.min() < -length or y.max() >= 2.0 * length):
-        np.mod(y, length, out=y)
-        return
-    np.greater_equal(y, length, out=mask)
-    np.subtract(y, length, out=y, where=mask)
-    np.less(y, 0.0, out=mask)
-    np.add(y, length, out=y, where=mask)
-    y += 0.0
-
-
 def push_positions(
     x: np.ndarray,
     v: np.ndarray,
@@ -119,10 +99,11 @@ def push_positions(
     """Leapfrog position update (Eq. 1) with periodic wrapping.
 
     Returns a new array.  float64 positions wrap exactly as
-    ``np.mod(x + v * dt, length)`` (see :func:`_wrap_into_box`); the
-    float32 tier wraps via floor — ~8x cheaper than ``np.mod`` and
-    equal to it up to single-precision rounding (a particle may land
-    exactly on ``L``, which the grid treats as node 0).
+    ``np.mod(x + v * dt, length)`` (see
+    :func:`repro.pic.grid.wrap_into_box`); the float32 tier wraps via
+    floor — ~8x cheaper than ``np.mod`` and equal to it up to
+    single-precision rounding (a particle may land exactly on ``L``,
+    which the grid treats as node 0).
     """
     work = work if work is not None else Workspace()
     out = np.empty(x.shape, np.result_type(x, v, dt))
@@ -144,7 +125,7 @@ def push_positions(
             t *= flen
             y -= t
         else:
-            _wrap_into_box(y, length, scratch[rows])
+            wrap_into_box(y, length, scratch[rows])
 
     _rows(backend, x, slab)
     return out

@@ -120,28 +120,38 @@ def electric_field_from_potential(
 
     ``"central"`` is the classic momentum-conserving 2-point stencil
     ``E_j = -(phi_{j+1} - phi_{j-1}) / (2 dx)``; ``"spectral"``
-    differentiates exactly in Fourier space.
+    differentiates exactly in Fourier space.  A float32 ``phi`` is
+    differentiated in single precision by both rules.
     """
     phi = _validate_grid_array(grid, phi, "phi")
     if method == "central":
         return -(np.roll(phi, -1, axis=-1) - np.roll(phi, 1, axis=-1)) / (2.0 * grid.dx)
     if method == "spectral":
         phi_k = np.fft.rfft(phi, axis=-1)
-        k = grid.rfft_wavenumbers()
-        return np.fft.irfft(-1j * k * phi_k, n=grid.n_cells, axis=-1)
+        symbol = -1j * grid.rfft_wavenumbers()
+        return np.fft.irfft(symbol.astype(phi_k.dtype) * phi_k, n=grid.n_cells, axis=-1)
     raise ValueError(f"unknown gradient method {method!r}; expected one of {_GRADIENTS}")
 
 
 class PoissonSolver:
     """Facade bundling a Poisson discretization with a gradient rule.
 
-    The per-grid FFT symbols — rfft wavenumbers, the finite-difference
-    eigenvalues, their nonzero masks and the ``eps0``-scaled
-    denominators, and the spectral-gradient multiplier — are computed
-    once at construction and reused by every :meth:`solve`.  The
-    module-level solve functions recompute them per call; the cached
-    path evaluates the exact same expressions, so results are bitwise
-    identical (this is the PIC cycle's hot path: one solve per step).
+    The per-grid FFT symbols — rfft wavenumbers, the ``eps0``-scaled
+    denominators of the spectral and finite-difference solves, and the
+    spectral-gradient multiplier — are computed once at construction
+    and reused by every :meth:`solve`.  The module-level functions
+    recompute them per call; the facade evaluates the exact same
+    expressions on the same operands, so results are bitwise identical
+    (this is the PIC cycle's hot path: one solve per step).  Two trims
+    keep the small solves of served runs cheap without moving a bit:
+
+    * only the ``k = 0`` symbol vanishes (for ``"fd"``,
+      ``cos(2 pi / n)`` rounds to 1 only beyond ~4e8 cells, which the
+      constructor rejects), so the nonzero modes divide as one slice
+      ``[1:]`` instead of through a boolean mask;
+    * the central gradient takes its differences ``phi[j+1] - phi[j-1]``
+      as three slice subtractions (interior, first and last node) into
+      one array, the same values the two ``np.roll`` copies give.
 
     >>> grid = Grid1D(64, 2.0)
     >>> solver = PoissonSolver(grid, method="spectral", gradient="central")
@@ -167,11 +177,15 @@ class PoissonSolver:
         # module-level solvers, evaluated once instead of per step).
         k = grid.rfft_wavenumbers()
         self._k = k
-        self._k_nonzero = k != 0.0
-        self._k_denominator = eps0 * k[self._k_nonzero] ** 2
-        lam = (2.0 - 2.0 * np.cos(k * grid.dx)) / grid.dx**2
-        self._fd_nonzero = lam != 0.0
-        self._fd_denominator = eps0 * lam[self._fd_nonzero]
+        symbol = k**2 if method == "spectral" else (2.0 - 2.0 * np.cos(k * grid.dx)) / grid.dx**2
+        zero = np.flatnonzero(symbol == 0.0)
+        if zero.tolist() != [0]:
+            raise ValueError(
+                f"the {method!r} symbol on {grid.n_cells} cells vanishes at modes "
+                f"{zero.tolist()}, expected only at k = 0"
+            )
+        self._denominator = eps0 * symbol[1:]
+        self._two_dx = 2.0 * grid.dx
         self._spectral_gradient_symbol = -1j * k
 
     def solve_potential(self, rho: np.ndarray) -> np.ndarray:
@@ -179,20 +193,26 @@ class PoissonSolver:
         if self.method == "direct":
             return solve_poisson_direct(self.grid, rho, self.eps0)
         rho = _validate_rho(self.grid, rho)
-        rho_k = np.fft.rfft(rho, axis=-1)
-        phi_k = np.zeros_like(rho_k)
-        if self.method == "spectral":
-            nonzero, denominator = self._k_nonzero, self._k_denominator
-        else:  # "fd"
-            nonzero, denominator = self._fd_nonzero, self._fd_denominator
-        phi_k[..., nonzero] = rho_k[..., nonzero] / denominator
+        # The rfft is a fresh array: the potential's modes overwrite it.
+        phi_k = np.fft.rfft(rho, axis=-1)
+        phi_k[..., 0] = 0.0
+        phi_k[..., 1:] /= self._denominator
         return np.fft.irfft(phi_k, n=self.grid.n_cells, axis=-1)
 
     def electric_field(self, phi: np.ndarray) -> np.ndarray:
         """``E = -grad(phi)`` with this solver's gradient rule (cached symbols)."""
-        phi = _validate_grid_array(self.grid, phi, "phi")
+        return self._gradient(_validate_grid_array(self.grid, phi, "phi"))
+
+    def _gradient(self, phi: np.ndarray) -> np.ndarray:
+        """:meth:`electric_field` of a ``phi`` already validated."""
         if self.gradient == "central":
-            return -(np.roll(phi, -1, axis=-1) - np.roll(phi, 1, axis=-1)) / (2.0 * self.grid.dx)
+            e = np.empty_like(phi)
+            np.subtract(phi[..., 2:], phi[..., :-2], out=e[..., 1:-1])
+            np.subtract(phi[..., 1:2], phi[..., -1:], out=e[..., :1])
+            np.subtract(phi[..., :1], phi[..., -2:-1], out=e[..., -1:])
+            np.negative(e, out=e)
+            e /= self._two_dx
+            return e
         phi_k = np.fft.rfft(phi, axis=-1)
         symbol = self._spectral_gradient_symbol
         if phi_k.dtype == np.complex64:
@@ -202,4 +222,4 @@ class PoissonSolver:
     def solve(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(phi, E)`` for the charge density ``rho``."""
         phi = self.solve_potential(rho)
-        return phi, self.electric_field(phi)
+        return phi, self._gradient(phi)

@@ -146,6 +146,8 @@ class VlasovEnsemble(Engine):
             self.v_centers = self.v_centers.astype(np.float32)
             self._xadv_w = self._xadv_w.astype(np.float32)
             self._v_rows = self._v_rows.astype(np.float32)
+        # The x-advection's other weight, frozen in the tier's dtype.
+        self._xadv_1mw = 1.0 - self._xadv_w
         # The kernel backend tier: every advection is a slab function
         # over contiguous batch rows, so a parallel backend chunks the
         # stack while reproducing the reference bit pattern (each row's
@@ -158,7 +160,7 @@ class VlasovEnsemble(Engine):
     # -- field and moments ----------------------------------------------
     def density(self) -> np.ndarray:
         """Per-member electron density ``n(x) = integral(f dv)``, ``(batch, n_x)``."""
-        return np.sum(self.f, axis=1) * self.dv
+        return np.add.reduce(self.f, axis=1) * self.dv
 
     def _solve_field(self) -> np.ndarray:
         """One batched Poisson solve for every member's field."""
@@ -182,16 +184,20 @@ class VlasovEnsemble(Engine):
         Shifts velocity row ``j`` of every member periodically by
         ``v_j dt / (2 dx)`` cells with linear interpolation.  The gathers
         run as one flat take per stack and the index math is paid once
-        at construction instead of every call.
+        at construction instead of every call, as is ``1 - w``; the
+        products ``(1 - w) * f0 + w * f1`` are written into the output.
         """
         flat = f.reshape(-1)
-        w = self._xadv_w
+        w, one_minus_w = self._xadv_w, self._xadv_1mw
         out = np.empty_like(f)
 
         def slab(lo: int, hi: int) -> None:
             g0 = flat.take(self._xadv_flat0[lo:hi])
             g1 = flat.take(self._xadv_flat1[lo:hi])
-            out[lo:hi] = (1.0 - w) * g0 + w * g1
+            rows = out[lo:hi]
+            np.multiply(one_minus_w, g0, out=rows)
+            np.multiply(w, g1, out=g1)
+            np.add(rows, g1, out=rows)
 
         self._backend.run_rows(self.batch, slab)
         return out
@@ -220,32 +226,36 @@ class VlasovEnsemble(Engine):
         out = np.empty_like(f)
         v_rows = self._v_rows
 
-        def _weights(pos: np.ndarray, base: np.ndarray) -> np.ndarray:
-            # float32 - int64 would promote to float64; keep the tier's
-            # dtype (the float64 path is the historical expression).
-            return pos - (base if pos.dtype == np.float64 else base.astype(pos.dtype))
+        def _base_and_weight(pos: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+            # The weight subtracts the floored positions themselves: the
+            # same values as the integer base, in the tier's dtype,
+            # without an int64 -> float cast per element.
+            floor = np.floor(pos)
+            return floor.astype(np.int64), pos - floor
 
         def slab(blo: int, bhi: int) -> None:
             sh = shift[blo:bhi, None, :]
             offs = self._v_flat_offset[blo:bhi]
             if r1 > r0:
                 pos = v_rows[:, r0:r1] - sh
-                base = np.floor(pos).astype(np.int64)
-                w = _weights(pos, base)
+                base, w = _base_and_weight(pos)
                 gidx = base * n_x + offs
                 f0 = flat.take(gidx)
                 f1 = flat.take(gidx + n_x)
-                out[blo:bhi, r0:r1] = (1.0 - w) * f0 + w * f1
+                rows = out[blo:bhi, r0:r1]
+                np.subtract(1.0, w, out=rows)
+                np.multiply(rows, f0, out=rows)
+                np.multiply(w, f1, out=f1)
+                np.add(rows, f1, out=rows)
             for lo, hi in ((0, r0), (r1, n_v)):
                 if lo >= hi:
                     continue
                 pos = v_rows[:, lo:hi] - sh
-                base = np.floor(pos).astype(np.int64)
-                w = _weights(pos, base)
+                base, w = _base_and_weight(pos)
                 valid0 = (base >= 0) & (base < n_v)
                 valid1 = (base + 1 >= 0) & (base + 1 < n_v)
-                g0 = flat.take(np.clip(base, 0, n_v - 1) * n_x + offs)
-                g1 = flat.take(np.clip(base + 1, 0, n_v - 1) * n_x + offs)
+                g0 = flat.take(np.minimum(np.maximum(base, 0), n_v - 1) * n_x + offs)
+                g1 = flat.take(np.minimum(np.maximum(base + 1, 0), n_v - 1) * n_x + offs)
                 f0 = np.where(valid0, g0, 0.0)
                 f1 = np.where(valid1, g1, 0.0)
                 out[blo:bhi, lo:hi] = (1.0 - w) * f0 + w * f1

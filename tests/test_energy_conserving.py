@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro import constants
 from repro.api import Client
 from repro.config import SimulationConfig
 from repro.engines import make_engine, validate_engine_config
 from repro.engines.base import energy_picard_params
 from repro.pic.energy_conserving import EnergyConservingEnsemble
+from repro.pic.interpolation import deposit, gather
 from repro.pic.simulation import TraditionalPIC
+from test_batch_parity import ENERGY_BASE, ENERGY_ROWS
 
 
 @pytest.fixture
@@ -203,3 +206,79 @@ class TestBatchParity:
             got = history.member(row)
             for name, values in solo.items():
                 assert np.array_equal(got[name], values), (name, row)
+
+
+class _ReferenceExpressions(EnergyConservingEnsemble):
+    """The engine written with ``np.mod`` for both wraps, ``ndarray.mean``
+    for the zero-mean current and ``np.max`` for the Picard delta."""
+
+    def _midpoint_fields(self, x_n, v_half, e_n):
+        cfg = self.config
+        dt = cfg.dt
+        x_half = np.mod(x_n + 0.5 * dt * v_half, cfg.box_length)
+        j_half = deposit(
+            self.grid, x_half, cfg.particle_charge * v_half,
+            order=cfg.interpolation, work=self._work,
+        )
+        j_half = j_half - j_half.mean(axis=-1, keepdims=True)
+        e_half = e_n - 0.5 * dt * j_half / constants.EPSILON_0
+        e_at_p = gather(self.grid, e_half, x_half, order=cfg.interpolation, work=self._work)
+        return e_half, e_at_p
+
+    def step(self):
+        cfg = self.config
+        dt = cfg.dt
+        x_n, v_n, e_n = self.particles.x, self.particles.v, self.efield
+        v_half = v_n.copy()
+        active = np.ones(self.batch, dtype=bool)
+        iterations = np.zeros(self.batch, dtype=np.int64)
+        while active.any():
+            _, e_at_p = self._midpoint_fields(x_n, v_half, e_n)
+            v_half_new = v_n + 0.5 * dt * cfg.qm * e_at_p
+            delta = np.max(np.abs(v_half_new - v_half), axis=-1)
+            np.copyto(v_half, v_half_new, where=active[:, None])
+            iterations += active
+            active &= ~(delta < self._tolerance) & (iterations < self._max_iterations)
+        self.last_iterations = iterations
+        e_half, e_at_p = self._midpoint_fields(x_n, v_half, e_n)
+        self.particles.v = v_n + dt * cfg.qm * e_at_p
+        self.particles.x = np.mod(x_n + dt * 0.5 * (v_n + self.particles.v), cfg.box_length)
+        self.efield = 2.0 * e_half - e_n
+        self.step_index += 1
+        self.time += dt
+
+
+# Beams at +-10 with dt = 0.5: half a step moves every particle by
+# ~2.5 > L ~ 2.05, so midpoints leave [-L, 2L) and the in-box wrap hands
+# those arrays to ``np.mod``.
+WIDE_HALF_STEP = ENERGY_BASE.with_updates(v0=10.0, dt=0.5, n_steps=6, seed=6)
+
+
+class TestReferenceExpressions:
+    """The in-box wrap and the bare reductions move no bit of a run."""
+
+    @staticmethod
+    def _assert_same_run(configs):
+        engine, reference = EnergyConservingEnsemble(configs), _ReferenceExpressions(configs)
+        n_steps = engine.config.n_steps
+        got, want = engine.run(n_steps).as_arrays(), reference.run(n_steps).as_arrays()
+        assert got.keys() == want.keys()
+        for name, values in want.items():
+            assert got[name].tobytes() == values.tobytes(), name
+        assert engine.particles.x.tobytes() == reference.particles.x.tobytes()
+        assert engine.particles.v.tobytes() == reference.particles.v.tobytes()
+        assert engine.efield.tobytes() == reference.efield.tobytes()
+
+    @pytest.mark.parametrize("row", range(len(ENERGY_ROWS)))
+    def test_each_pinned_row_matches(self, row):
+        self._assert_same_run([ENERGY_BASE.with_updates(**ENERGY_ROWS[row])])
+
+    def test_pinned_rows_as_one_batch_match(self):
+        self._assert_same_run([ENERGY_BASE.with_updates(**row) for row in ENERGY_ROWS])
+
+    def test_half_step_wider_than_the_box_matches(self):
+        engine = EnergyConservingEnsemble(WIDE_HALF_STEP)
+        length = WIDE_HALF_STEP.box_length
+        midpoints = engine.particles.x + 0.5 * WIDE_HALF_STEP.dt * engine.particles.v
+        assert ((midpoints < -length) | (midpoints >= 2.0 * length)).any()
+        self._assert_same_run([WIDE_HALF_STEP, WIDE_HALF_STEP.with_updates(seed=7)])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.pic.grid import Grid1D
+from repro.pic.grid import Grid1D, wrap_into_box
 
 
 class TestGeometry:
@@ -64,3 +64,42 @@ class TestWrap:
         grid = Grid1D(8, 2.0)
         x = np.linspace(0, 1.9, 7)
         assert np.allclose(grid.wrap(x + 3 * grid.length), x)
+
+
+class TestWrapIntoBox:
+    """The in-box wrap is ``np.mod`` bit for bit, whichever sides it skips."""
+
+    LENGTH = 2.0 * np.pi / 3.06
+
+    def _check(self, y):
+        out = y.copy()
+        with np.errstate(invalid="ignore"):
+            ref = np.mod(y, self.LENGTH)
+            wrap_into_box(out, self.LENGTH, np.empty(out.shape, dtype=bool))
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("low, high", [
+        (-1.0, 2.0),  # both sides crossed
+        (0.0, 2.0),  # only the upper edge
+        (-1.0, 1.0),  # only the lower edge
+        (0.0, 1.0),  # inside already
+        (-5.0, 5.0),  # beyond [-L, 2L): np.mod itself
+    ])
+    def test_random_rows_match_np_mod(self, low, high):
+        rng = np.random.default_rng(3)
+        y = rng.uniform(low * self.LENGTH, high * self.LENGTH, size=(3, 400))
+        self._check(y)
+        self._check(y[0])
+
+    def test_signed_zero_and_edges_match_np_mod(self):
+        length = self.LENGTH
+        self._check(np.array([-0.0, 0.0, 0.5]))
+        self._check(np.array([-0.0, -1e-17, length, 2.0 * length - np.spacing(2.0 * length)]))
+
+    def test_nan_and_infinities_take_np_mod(self):
+        length = self.LENGTH
+        self._check(np.array([np.nan, 3.0 * length, -1.5 * length, 0.5]))
+        self._check(np.array([np.nan, np.inf, -np.inf, 1.5 * length]))
+
+    def test_empty_is_a_no_op(self):
+        self._check(np.empty((2, 0)))

@@ -186,29 +186,36 @@ class TestFacade:
 
 
 class TestCachedSymbols:
-    """The facade's per-grid FFT symbol cache (ISSUE 2 satellite):
-    precomputed wavenumbers/eigenvalues must change nothing, bitwise."""
+    """The facade's frozen symbols, slice division, slice gradient and
+    single validation change nothing: ``phi`` and ``E`` equal the
+    module-level references bit for bit, dtype included."""
 
+    @pytest.mark.parametrize("n_cells", [2, 3, 33, 48, 64])
+    @pytest.mark.parametrize("batched", [False, True], ids=["1d", "batched"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
     @pytest.mark.parametrize("method", ["spectral", "fd", "direct"])
     @pytest.mark.parametrize("gradient", ["central", "spectral"])
-    def test_facade_bitwise_equals_module_functions(self, grid, method, gradient):
-        rng = np.random.default_rng(6)
-        rho = rng.normal(size=grid.n_cells)
-        solver = PoissonSolver(grid, method=method, gradient=gradient)
-        phi, e = solver.solve(rho)
+    def test_facade_bitwise_equals_module_functions(
+        self, n_cells, batched, dtype, method, gradient
+    ):
+        grid = Grid1D(n_cells, 2.0 * np.pi / 3.06)
+        rng = np.random.default_rng(n_cells)
+        rho = rng.normal(size=(4, n_cells) if batched else n_cells).astype(dtype)
+        phi, e = PoissonSolver(grid, method=method, gradient=gradient).solve(rho)
         phi_ref = SOLVERS[method](grid, rho)
-        np.testing.assert_array_equal(phi, phi_ref)
-        np.testing.assert_array_equal(
-            e, electric_field_from_potential(grid, phi_ref, gradient)
-        )
+        e_ref = electric_field_from_potential(grid, phi_ref, gradient)
+        assert (phi.dtype, e.dtype) == (phi_ref.dtype, e_ref.dtype)
+        assert phi.shape == e.shape == rho.shape
+        assert phi.tobytes() == phi_ref.tobytes()
+        assert e.tobytes() == e_ref.tobytes()
 
-    @pytest.mark.parametrize("method", ["spectral", "fd"])
-    def test_facade_bitwise_equals_module_functions_batched(self, grid, method):
-        rng = np.random.default_rng(7)
-        rho = rng.normal(size=(4, grid.n_cells))
-        solver = PoissonSolver(grid, method=method)
-        phi, e = solver.solve(rho)
-        np.testing.assert_array_equal(phi, SOLVERS[method](grid, rho))
+    @pytest.mark.parametrize("gradient", ["central", "spectral"])
+    def test_float32_potential_differentiates_in_single_precision(self, grid, gradient):
+        phi = np.sin(grid.nodes).astype(np.float32)
+        e = electric_field_from_potential(grid, phi, gradient)
+        assert e.dtype == np.float32
+        atol = 2e-3 if gradient == "central" else 1e-5
+        np.testing.assert_allclose(e, -np.cos(grid.nodes), atol=atol)
 
     def test_symbols_computed_once(self, grid):
         solver = PoissonSolver(grid)
