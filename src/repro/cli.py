@@ -89,9 +89,11 @@ def _add_sweep(sub: "argparse._SubParsersAction") -> None:
                         "families named")
     p.add_argument("--backend", choices=["numpy", "threaded"],
                    default="numpy",
-                   help="kernel backend tier: numpy (reference, default) or threaded "
-                        "(chunk batch rows across a shared thread pool) — both "
-                        "reproduce the numpy float64 results bit for bit")
+                   help="kernel backend tier: numpy (reference, default; splits "
+                        "a large gather, push or deposit call across the usable "
+                        "cores, DL and Vlasov keep one slab) or threaded (chunks "
+                        "every call's batch rows across a shared thread pool) — "
+                        "both reproduce the numpy float64 results bit for bit")
     p.add_argument("--model-dir", default=None,
                    help="directory saved by DLFieldSolver.save, or a registry "
                         "reference registry:<fingerprint-prefix> (required with "

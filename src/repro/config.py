@@ -158,12 +158,15 @@ class SimulationConfig:
     backend:
         Kernel backend executing the hot numerical paths
         (``repro.kernels``): ``"numpy"`` (the default; the reference
-        vectorized kernels, the bitwise parity oracle) or ``"threaded"``
-        (independent batch rows of each kernel call chunked across a
-        shared thread pool — bitwise identical to ``"numpy"`` in every
-        dtype tier).  Like ``dtype`` this is a *structural* field —
-        part of the engine compatibility key and of every cache/store
-        key — and family support is declared in the engine registry
+        vectorized kernels, the bitwise parity oracle; a large gather,
+        push or deposit call splits its batch rows across the usable
+        cores, while DL engines and the Vlasov advections keep one
+        slab) or ``"threaded"`` (independent batch rows of every kernel
+        call chunked across a shared thread pool, whatever its size —
+        bitwise identical to ``"numpy"`` in every dtype tier).  Like
+        ``dtype`` this is a *structural* field — part of the engine
+        compatibility key and of every cache/store key — and family
+        support is declared in the engine registry
         (``EngineSpec.backends``).
     extra:
         Free-form scenario parameters (e.g. ``bump_fraction`` for

@@ -17,15 +17,22 @@ the DL field solve included; no shared object stores a backend.
 Two backends are registered (``SimulationConfig.backend``):
 
 ``numpy``
-    The reference path — the exact vectorized kernels the seed shipped,
-    one slab covering the whole batch.  This is the parity oracle:
-    every other backend must reproduce it bit for bit in float64.
+    The reference path — the exact vectorized kernels the seed shipped.
+    A call large enough that every chunk holds at least
+    :data:`~repro.kernels.backends.FLOOR` particles splits its batch
+    rows across the usable cores; smaller calls, and calls that pass
+    no particle count (the Vlasov advections), run one slab covering
+    the whole batch.  A DL engine keeps its kernels on one slab here,
+    because its GEMM already runs on BLAS threads.  This is the parity
+    oracle: every other backend must reproduce it bit for bit in
+    float64.
 ``threaded``
-    Chunks the batch rows of each kernel call across a shared thread
-    pool.  The hot numpy ufuncs release the GIL, so independent row
-    chunks genuinely overlap; because each chunk runs
-    the unmodified reference arithmetic on its own rows, the result is
-    bitwise identical to ``numpy`` in *every* dtype tier.
+    Chunks the batch rows of every multi-row kernel call across the
+    same shared thread pool, whatever the call's size.  The hot numpy
+    ufuncs release the GIL, so independent row chunks genuinely
+    overlap; because each chunk runs the unmodified reference
+    arithmetic on its own rows, the result is bitwise identical to
+    ``numpy`` in *every* dtype tier.
 
 ``backend`` is a *structural* config field: it participates in the
 engine compatibility keys and in every cache/store key, so runs on

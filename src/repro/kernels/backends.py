@@ -3,19 +3,20 @@
 A backend's contract is one method, :meth:`KernelBackend.run_rows`:
 given a slab function ``fn(lo, hi)`` that computes rows ``[lo, hi)`` of
 one kernel call, the backend decides how the row range ``[0, n_rows)``
-is executed.  The reference backend runs one full slab; the threaded
-backend splits the range into contiguous chunks over a shared thread
-pool.  Because every routed kernel writes disjoint output rows and
-reads its inputs immutably, chunked execution is race-free and — the
-engines' per-row bitwise invariance — produces the identical bit
-pattern in every dtype tier.
+is executed — as one slab, or as contiguous chunks over a shared thread
+pool.  The reference backend chunks a call only when every chunk holds
+at least :data:`FLOOR` of the call's particles; the threaded backend
+chunks every multi-row call.  Because every routed kernel writes
+disjoint output rows and reads its inputs immutably, chunked execution
+is race-free and — the engines' per-row bitwise invariance — produces
+the identical bit pattern in every dtype tier.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable
 
 __all__ = [
@@ -40,29 +41,23 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-class KernelBackend:
-    """The ``numpy`` reference backend: one slab, the unmodified kernels.
+#: Counted once per process; every ``run_rows`` call reads it.
+_CORES = _usable_cores()
 
-    Also the base class of every other backend — subclasses override
-    :meth:`run_rows` but inherit the do-nothing defaults, so routing
-    sites can hold any backend behind one interface.
-    """
+#: Fewest particles one chunk of a ``numpy``-backend call holds: above
+#: the chunk size whose gain depends on the host's load, below the one
+#: that wins under any load.  Engine steps on a 2-vCPU x86_64 VM,
+#: chunked against one slab (median speed-ups of 10 alternations, one
+#: set in a busy host phase and one in a quiet one): calls of
+#: 25,600-64,000 particles in two chunks ran at 0.29-0.65x and
+#: 0.48-1.00x, calls of 128,000 at 0.72-0.94x and 1.33-1.45x, calls of
+#: 256,000 at 1.03-1.21x and 1.47-1.59x, and 8 x 64,000 at 1.39x and
+#: 1.66x.
+FLOOR = 100_000
 
-    name = "numpy"
-    #: True when run_rows may execute chunks concurrently.
-    parallel = False
-
-    def run_rows(self, n_rows: int, fn: "Callable[[int, int], None]") -> None:
-        """Execute ``fn`` over the whole row range as one slab."""
-        fn(0, n_rows)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-# One process-wide pool shared by every ThreadedBackend instance: the
-# kernels it runs are short, so pool reuse (no per-call thread spawn)
-# is what makes intra-step chunking worthwhile at all.
+# One process-wide pool shared by every backend instance: the kernels
+# it runs are short, so pool reuse (no per-call thread spawn) is what
+# makes intra-step chunking worthwhile at all.
 _POOL: "ThreadPoolExecutor | None" = None
 _POOL_LOCK = threading.Lock()
 
@@ -77,44 +72,86 @@ def _shared_pool(workers: int) -> ThreadPoolExecutor:
         return _POOL
 
 
-class ThreadedBackend(KernelBackend):
-    """Chunk independent batch rows across a shared thread pool.
+def _run_chunks(n_rows: int, fn: "Callable[[int, int], None]", chunks: int) -> None:
+    """Run ``fn`` over ``[0, n_rows)`` as up to ``chunks`` contiguous
+    chunks; fewer than two run as one slab.
 
-    The chunk count adapts to the smaller of the worker count and the
-    row count; single-row calls (and single-core hosts) fall straight
-    through to the reference slab.  Chunking can still lose to
-    ``numpy``: the routed kernels stream particle-sized arrays, so where
-    two cores share one core's worth of memory bandwidth the chunks
-    mostly wait on memory.  On a 2-vCPU x86_64 VM an 8 x 64,000-particle
-    ensemble took 803 ms per 25 steps against 641 ms on ``numpy``
-    (medians of 8 alternated runs).
+    The first chunk runs on the calling thread and the rest on the
+    shared pool.  Every chunk has finished before this returns or
+    raises, and the first exception propagates to the caller.
+    """
+    chunks = min(chunks, n_rows)
+    if chunks < 2:
+        fn(0, n_rows)
+        return
+    per = -(-n_rows // chunks)
+    pool = _shared_pool(max(chunks, _CORES))
+    futures = [
+        pool.submit(fn, lo, min(lo + per, n_rows)) for lo in range(per, n_rows, per)
+    ]
+    try:
+        fn(0, per)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+class KernelBackend:
+    """The ``numpy`` reference backend: the unmodified kernels, split
+    across the usable cores only where a call is large enough to pay.
+
+    Also the base class of every other backend — subclasses override
+    :meth:`run_rows`, so routing sites can hold any backend behind one
+    interface.
+    """
+
+    name = "numpy"
+
+    def run_rows(
+        self, n_rows: int, fn: "Callable[[int, int], None]", size: int = 0
+    ) -> None:
+        """Execute ``fn`` over ``[0, n_rows)``.
+
+        ``size`` is the number of particles the call touches.  The rows
+        split into ``min(usable cores, n_rows, size // FLOOR)`` chunks;
+        fewer than two — a small call, a single row, a single core, or
+        a call that passes no ``size`` — run as one slab.
+        """
+        _run_chunks(n_rows, fn, min(_CORES, size // FLOOR))
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}(name={self.name!r})"
+
+
+class ThreadedBackend(KernelBackend):
+    """Chunk every multi-row call across a shared thread pool.
+
+    The chunk count is the smaller of the worker count and the row
+    count, whatever the call's size; single-row calls (and single-core
+    hosts) fall straight through to the reference slab.  Since the
+    ``numpy`` backend chunks the calls large enough to gain, this buys
+    nothing over it: small calls lose to the hand-off, and on a 2-vCPU
+    x86_64 VM an 8 x 64,000-particle ensemble stepped in 15.4 ms here
+    against 24.2 ms on a one-slab ``numpy`` (medians of 6 alternated
+    runs), the gain the ``numpy`` backend's own chunks now take.  The
+    two vCPUs do not share one core's memory bandwidth: two threads ran
+    separate 4 MB numpy adds 1.55-2.04x faster than one.
     """
 
     name = "threaded"
-    parallel = True
 
     def __init__(self, max_workers: "int | None" = None) -> None:
-        self.workers = int(max_workers) if max_workers else _usable_cores()
+        self.workers = _CORES if max_workers is None else int(max_workers)
         if self.workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
 
-    def run_rows(self, n_rows: int, fn: "Callable[[int, int], None]") -> None:
-        """Run ``fn`` over ``[0, n_rows)`` in parallel contiguous chunks.
-
-        Worker exceptions propagate to the caller.
-        """
-        chunks = min(self.workers, n_rows)
-        if chunks < 2:
-            fn(0, n_rows)
-            return
-        per = -(-n_rows // chunks)
-        bounds = [
-            (lo, min(lo + per, n_rows)) for lo in range(0, n_rows, per)
-        ]
-        pool = _shared_pool(self.workers)
-        futures = [pool.submit(fn, lo, hi) for lo, hi in bounds]
-        for future in futures:
-            future.result()
+    def run_rows(
+        self, n_rows: int, fn: "Callable[[int, int], None]", size: int = 0
+    ) -> None:
+        """Run ``fn`` over ``[0, n_rows)`` in ``min(max_workers, n_rows)``
+        contiguous chunks; ``size`` is ignored."""
+        _run_chunks(n_rows, fn, self.workers)
 
 
 _BACKENDS: "dict[str, Callable[[], KernelBackend]]" = {

@@ -31,10 +31,10 @@ lets the ensemble engine reproduce sequential runs exactly.
 
 Both routines take an optional kernel ``backend`` (``repro.kernels``):
 the batched work is expressed as a slab function over contiguous row
-ranges, so the threaded backend can chunk independent rows across its
+ranges, handed to the backend with the call's particle count, so a
+backend can chunk the independent rows of a large call across its
 pool, always reproducing the reference rows bit for bit.
-``backend=None`` is the reference path itself (one full slab, zero
-overhead).
+``backend=None`` is one full slab with zero overhead.
 
 Both routines — and the leapfrog pushers in :mod:`repro.pic.mover` —
 also take an optional :class:`~repro.kernels.workspace.Workspace`: the
@@ -82,12 +82,13 @@ from repro.pic.grid import Grid1D, wrap_positions
 _ORDERS = ("ngp", "cic", "tsc")
 
 
-def _run_rows(backend: "KernelBackend | None", n_rows: int, fn) -> None:
-    """Execute a slab function through ``backend`` (None = one slab)."""
+def _run_rows(backend: "KernelBackend | None", x2: np.ndarray, fn) -> None:
+    """Execute a slab function over the rows of the ``(batch, n)``
+    positions ``x2`` through ``backend`` (None = one slab)."""
     if backend is None:
-        fn(0, n_rows)
+        fn(0, x2.shape[0])
     else:
-        backend.run_rows(n_rows, fn)
+        backend.run_rows(x2.shape[0], fn, x2.size)
 
 
 def _check_order(order: str) -> None:
@@ -191,7 +192,7 @@ def _build_stencil(
         if then is not None:
             then(lo, hi)
 
-    _run_rows(backend, x2.shape[0], slab)
+    _run_rows(backend, x2, slab)
     work.stencil = _Stencil(positions, grid, order, x)
 
 
@@ -428,7 +429,7 @@ def gather(
         if order == "tsc":
             np.add(res, p[:, 2], out=res)
 
-    _run_rows(backend, batch, slab)
+    _run_rows(backend, x2, slab)
     return out if x.ndim == 2 else out[0]
 
 

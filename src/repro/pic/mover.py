@@ -11,9 +11,9 @@ single run (arrays of shape ``(n,)``) or on a stacked ensemble of
 independent runs (``(batch, n)``) — the batched update of row ``b`` is
 bitwise identical to pushing that row alone.  That same row
 independence lets the leapfrog pushers take an optional kernel
-``backend`` (``repro.kernels``): a parallel backend updates contiguous
-row chunks concurrently, producing the reference bit pattern because
-each output row depends only on the matching input rows.
+``backend`` (``repro.kernels``): a backend may update contiguous row
+chunks concurrently, producing the reference bit pattern because each
+output row depends only on the matching input rows.
 
 The leapfrog pushers also take an optional kernel ``work`` space
 (:class:`repro.kernels.workspace.Workspace`, same contract as the
@@ -36,15 +36,16 @@ from repro.pic.grid import wrap_into_box
 
 
 def _rows(backend: "KernelBackend | None", a: np.ndarray, fn) -> None:
-    """Run the slab ``fn(rows)`` over ``a``'s batch rows.
+    """Run the slab ``fn(lo, hi)`` over ``a``'s batch rows.
 
-    A parallel backend gets contiguous row chunks of a batched array;
-    everything else is one slab covering the whole array.
+    A batched array goes through ``backend`` with its particle count,
+    which decides whether the rows run in chunks; a 1-D array, or no
+    backend, is one slab covering the whole array (``a[0:len(a)]``).
     """
-    if backend is not None and backend.parallel and a.ndim == 2:
-        backend.run_rows(a.shape[0], lambda lo, hi: fn(slice(lo, hi)))
+    if backend is not None and a.ndim == 2:
+        backend.run_rows(a.shape[0], fn, a.size)
     else:
-        fn(slice(None))
+        fn(0, a.shape[0])
 
 
 def _kick(
@@ -66,11 +67,11 @@ def _kick(
     out = np.empty(v.shape, np.result_type(v, kick))
     scaled = np.result_type(e_at_particles, scale)
 
-    def slab(rows: slice) -> None:
-        k = kick[rows]
-        np.multiply(e_at_particles[rows], scale, out=k, dtype=scaled)
+    def slab(lo: int, hi: int) -> None:
+        k = kick[lo:hi]
+        np.multiply(e_at_particles[lo:hi], scale, out=k, dtype=scaled)
         np.multiply(k, dt, out=k)
-        op(v[rows], k, out=out[rows])
+        op(v[lo:hi], k, out=out[lo:hi])
 
     _rows(backend, v, slab)
     return out
@@ -114,18 +115,18 @@ def push_positions(
     else:
         scratch = work.get("wrap_mask", out.shape, np.bool_)
 
-    def slab(rows: slice) -> None:
-        y = out[rows]
-        np.multiply(v[rows], dt, out=y, dtype=step_dtype)
-        np.add(x[rows], y, out=y)
+    def slab(lo: int, hi: int) -> None:
+        y = out[lo:hi]
+        np.multiply(v[lo:hi], dt, out=y, dtype=step_dtype)
+        np.add(x[lo:hi], y, out=y)
         if x.dtype == np.float32:
-            t = scratch[rows]
+            t = scratch[lo:hi]
             np.divide(y, flen, out=t)
             np.floor(t, out=t)
             t *= flen
             y -= t
         else:
-            wrap_into_box(y, length, scratch[rows])
+            wrap_into_box(y, length, scratch[lo:hi])
 
     _rows(backend, x, slab)
     return out

@@ -158,7 +158,7 @@ class EnsembleSimulation(Engine):
         # every hot kernel execute.  All backends reproduce the numpy
         # reference bit for bit (per-row invariance), so this is purely
         # a speed knob.
-        self._backend = resolve_backend(ref.backend)
+        self._backend = self._kernel_backend()
         if field_solver is None:
             field_solver = ChargeDepositionFieldSolver(
                 self.grid,
@@ -219,6 +219,10 @@ class EnsembleSimulation(Engine):
         return cls(
             [config.with_updates(seed=int(s)) for s in seeds], field_solver=field_solver
         )
+
+    def _kernel_backend(self) -> "KernelBackend | None":
+        """The backend this engine's kernels run through (None: one slab)."""
+        return resolve_backend(self.config.backend)
 
     @property
     def v_at_integer_time(self) -> np.ndarray:

@@ -149,9 +149,13 @@ class VlasovEnsemble(Engine):
         # The x-advection's other weight, frozen in the tier's dtype.
         self._xadv_1mw = 1.0 - self._xadv_w
         # The kernel backend tier: every advection is a slab function
-        # over contiguous batch rows, so a parallel backend chunks the
-        # stack while reproducing the reference bit pattern (each row's
+        # over contiguous batch rows, so ``threaded`` chunks the stack
+        # while reproducing the reference bit pattern (each row's
         # gathers and arithmetic are independent of the slab bounds).
+        # The advections pass ``run_rows`` no particle count, so
+        # ``numpy`` runs them as one slab: chunked, a float64 step gains
+        # more than a float32 one, and the float32 tier's speed-up over
+        # float64 fell below its benchmark gate.
         self._backend = resolve_backend(ref.backend)
         self.time: float = 0.0
         self.step_index: int = 0

@@ -10,8 +10,13 @@ float32-vs-float64 tolerance band and threaded determinism.
 The container running CI's fast leg may expose a single core, in which
 case ``ThreadedBackend()`` defaults to one worker and falls through to
 the reference slab — so the matrix injects ``ThreadedBackend(max_workers=3)``
-explicitly to force real chunking regardless of the host.
+explicitly to force real chunking regardless of the host.  The
+``numpy`` backend's size rule is checked the same way, with the usable
+core count pinned at two: its bounds, and a paper-size ensemble split
+into chunks against each member's solo run.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -25,10 +30,11 @@ from repro.kernels import (
     get_backend,
     resolve_backend,
 )
+from repro.kernels import backends
 from repro.models.architectures import build_mlp
 from repro.phasespace.binning import PhaseSpaceGrid
 from repro.phasespace.normalization import MinMaxNormalizer
-from repro.pic.simulation import EnsembleSimulation
+from repro.pic.simulation import EnsembleSimulation, TraditionalPIC
 from repro.vlasov.ensemble import VlasovEnsemble
 
 BATCH = 4
@@ -94,9 +100,119 @@ class TestThreadedBackend:
         with pytest.raises(RuntimeError, match="kernel failed"):
             ThreadedBackend(max_workers=3).run_rows(8, boom)
 
-    def test_parallel_flags(self):
-        assert not KernelBackend().parallel
-        assert ThreadedBackend(max_workers=2).parallel
+    def test_every_chunk_finishes_before_an_exception_propagates(self):
+        # A chunk still writing its rows after the caller has seen the
+        # error would race whatever the caller does next.
+        finished = []
+
+        def slab(lo, hi):
+            if lo == 0:
+                raise RuntimeError("kernel failed")
+            time.sleep(0.05)
+            finished.append((lo, hi))
+
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            ThreadedBackend(max_workers=2).run_rows(2, slab)
+        assert finished == [(1, 2)]
+
+    @pytest.mark.parametrize("max_workers", (0, -1))
+    def test_max_workers_must_be_positive(self, max_workers):
+        with pytest.raises(ValueError, match="max_workers must be >= 1"):
+            ThreadedBackend(max_workers=max_workers)
+
+
+# -- the numpy backend's size rule ---------------------------------------
+
+
+@pytest.fixture
+def pool_chunks(monkeypatch):
+    """Pin the usable cores at 2 and record the row bounds of every
+    chunk submitted to the shared pool (the first chunk of a split call
+    runs on the calling thread)."""
+    monkeypatch.setattr(backends, "_CORES", 2)
+    pool = backends._shared_pool(2)
+    submitted = []
+
+    class Recorder:
+        def submit(self, fn, lo, hi):
+            submitted.append((lo, hi))
+            return pool.submit(fn, lo, hi)
+
+    monkeypatch.setattr(backends, "_shared_pool", lambda workers: Recorder())
+    return submitted
+
+
+class TestNumpyRunRows:
+    def _bounds(self, n_rows, *size):
+        seen = []
+        KernelBackend().run_rows(n_rows, lambda lo, hi: seen.append((lo, hi)), *size)
+        return sorted(seen)
+
+    def test_a_paper_size_call_splits_into_two_chunks(self, pool_chunks):
+        assert self._bounds(8, 8 * 64_000) == [(0, 4), (4, 8)]
+        assert pool_chunks == [(4, 8)]
+
+    def test_chunks_never_outnumber_cores_rows_or_floors(self, monkeypatch, pool_chunks):
+        monkeypatch.setattr(backends, "_CORES", 8)
+        assert len(self._bounds(8, 3 * backends.FLOOR)) == 3
+        assert len(self._bounds(3, 100 * backends.FLOOR)) == 3
+
+    @pytest.mark.parametrize(
+        "n_rows, size",
+        [
+            (4, (4 * 6_400,)),  # campaign_stream: below the floor
+            (2, (2 * backends.FLOOR - 1,)),  # one particle short of two chunks
+            (1, (100 * backends.FLOOR,)),  # one row cannot split
+            (8, ()),  # no size: the Vlasov advections
+        ],
+    )
+    def test_small_calls_run_one_slab_inline(self, pool_chunks, n_rows, size):
+        assert self._bounds(n_rows, *size) == [(0, n_rows)]
+        assert pool_chunks == []
+
+    def test_one_core_runs_one_slab(self, monkeypatch, pool_chunks):
+        monkeypatch.setattr(backends, "_CORES", 1)
+        assert self._bounds(8, 8 * 64_000) == [(0, 8)]
+        assert pool_chunks == []
+
+    def test_a_threaded_backend_chunks_whatever_the_size(self, pool_chunks):
+        seen = []
+        ThreadedBackend(max_workers=2).run_rows(4, lambda lo, hi: seen.append((lo, hi)), 4)
+        assert sorted(seen) == [(0, 2), (2, 4)]
+        assert pool_chunks == [(2, 4)]
+
+
+# 64 cells x 1,024 ppc: each of the 4 rows holds 65,536 particles, so
+# every kernel call of the step splits in two on two cores.
+LARGE = SimulationConfig(
+    n_cells=64, particles_per_cell=1024, n_steps=3, vth=0.01, v0=0.2, seed=5
+)
+
+
+class TestChunkedNumpyEngines:
+    def test_traditional_chunks_match_each_members_solo_run(self, pool_chunks):
+        ens = EnsembleSimulation.from_config(LARGE, 4)
+        hist = ens.run()
+        assert (2, 4) in pool_chunks
+        for b in range(4):
+            solo = TraditionalPIC(LARGE.with_updates(seed=LARGE.seed + b))
+            solo_hist = solo.run()
+            np.testing.assert_array_equal(ens.particles.x[b], solo.particles.x[0])
+            np.testing.assert_array_equal(ens.particles.v[b], solo.particles.v[0])
+            np.testing.assert_array_equal(ens.efield[b], solo.efield[0])
+            for name, series in solo_hist.as_arrays().items():
+                np.testing.assert_array_equal(hist.member(b)[name], series)
+
+    def test_dl_on_numpy_submits_nothing_to_the_pool(self, pool_chunks):
+        # A field-aligned phase-space grid, so the solve builds its
+        # stencil through the engine's backend too.
+        grid = PhaseSpaceGrid(n_x=LARGE.n_cells, n_v=8, box_length=LARGE.box_length)
+        model = build_mlp(input_size=grid.size, output_size=LARGE.n_cells,
+                          hidden_size=24, rng=0)
+        normalizer = MinMaxNormalizer.from_dict({"minimum": 0.0, "maximum": 60.0})
+        solver = DLFieldSolver(model, grid, normalizer, input_kind="flat")
+        DLEnsemble.from_config(LARGE, 4, solver).run(2)
+        assert pool_chunks == []
 
 
 # -- engine parity matrix ------------------------------------------------
