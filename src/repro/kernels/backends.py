@@ -125,18 +125,20 @@ class KernelBackend:
 
 
 class ThreadedBackend(KernelBackend):
-    """Chunk every multi-row call across a shared thread pool.
+    """Chunk every multi-row call across the shared thread pool.
 
     The chunk count is the smaller of the worker count and the row
     count, whatever the call's size; single-row calls (and single-core
-    hosts) fall straight through to the reference slab.  Since the
-    ``numpy`` backend chunks the calls large enough to gain, this buys
-    nothing over it: small calls lose to the hand-off, and on a 2-vCPU
-    x86_64 VM an 8 x 64,000-particle ensemble stepped in 15.4 ms here
-    against 24.2 ms on a one-slab ``numpy`` (medians of 6 alternated
-    runs), the gain the ``numpy`` backend's own chunks now take.  The
-    two vCPUs do not share one core's memory bandwidth: two threads ran
-    separate 4 MB numpy adds 1.55-2.04x faster than one.
+    hosts) fall straight through to the reference slab.  The ``numpy``
+    backend already chunks the calls large enough to gain, so this
+    differs from it only on smaller calls, where the hand-off costs
+    more than the second core saves (see :data:`FLOOR`).  On a 2-vCPU
+    x86_64 VM an 8 x 64,000-particle step took 23.5 ms on ``threaded``,
+    19.7 ms on ``numpy`` and 31.6 ms as one slab (medians of 10
+    alternations).  The two vCPUs give the kernels more than one core's
+    worth of memory bandwidth at these sizes: two threads ran separate
+    adds of 4 MB arrays (the size of one 8 x 64,000 float64 array)
+    1.95x faster than one thread ran both (median of 30 alternations).
     """
 
     name = "threaded"
