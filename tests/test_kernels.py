@@ -74,14 +74,16 @@ class TestRegistry:
 # -- ThreadedBackend chunking --------------------------------------------
 
 
-class TestThreadedBackend:
-    def _bounds(self, backend, n_rows):
-        seen = []
-        backend.run_rows(n_rows, lambda lo, hi: seen.append((lo, hi)))
-        return sorted(seen)
+def _bounds(backend, n_rows, *size):
+    """The sorted ``(lo, hi)`` chunks ``backend.run_rows`` runs."""
+    seen = []
+    backend.run_rows(n_rows, lambda lo, hi: seen.append((lo, hi)), *size)
+    return sorted(seen)
 
+
+class TestThreadedBackend:
     def test_chunks_cover_every_row_exactly_once(self):
-        bounds = self._bounds(ThreadedBackend(max_workers=3), 10)
+        bounds = _bounds(ThreadedBackend(max_workers=3), 10)
         assert bounds[0][0] == 0 and bounds[-1][1] == 10
         for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
             assert hi == lo
@@ -90,8 +92,8 @@ class TestThreadedBackend:
     def test_single_unit_falls_through_inline(self):
         # One row cannot be split: the backend must run it as the plain
         # reference slab.
-        assert self._bounds(ThreadedBackend(max_workers=3), 1) == [(0, 1)]
-        assert self._bounds(ThreadedBackend(max_workers=1), 8) == [(0, 8)]
+        assert _bounds(ThreadedBackend(max_workers=3), 1) == [(0, 1)]
+        assert _bounds(ThreadedBackend(max_workers=1), 8) == [(0, 8)]
 
     def test_worker_exceptions_propagate(self):
         def boom(lo, hi):
@@ -143,19 +145,14 @@ def pool_chunks(monkeypatch):
 
 
 class TestNumpyRunRows:
-    def _bounds(self, n_rows, *size):
-        seen = []
-        KernelBackend().run_rows(n_rows, lambda lo, hi: seen.append((lo, hi)), *size)
-        return sorted(seen)
-
     def test_a_paper_size_call_splits_into_two_chunks(self, pool_chunks):
-        assert self._bounds(8, 8 * 64_000) == [(0, 4), (4, 8)]
+        assert _bounds(KernelBackend(), 8, 8 * 64_000) == [(0, 4), (4, 8)]
         assert pool_chunks == [(4, 8)]
 
     def test_chunks_never_outnumber_cores_rows_or_floors(self, monkeypatch, pool_chunks):
         monkeypatch.setattr(backends, "_CORES", 8)
-        assert len(self._bounds(8, 3 * backends.FLOOR)) == 3
-        assert len(self._bounds(3, 100 * backends.FLOOR)) == 3
+        assert len(_bounds(KernelBackend(), 8, 3 * backends.FLOOR)) == 3
+        assert len(_bounds(KernelBackend(), 3, 100 * backends.FLOOR)) == 3
 
     @pytest.mark.parametrize(
         "n_rows, size",
@@ -167,18 +164,16 @@ class TestNumpyRunRows:
         ],
     )
     def test_small_calls_run_one_slab_inline(self, pool_chunks, n_rows, size):
-        assert self._bounds(n_rows, *size) == [(0, n_rows)]
+        assert _bounds(KernelBackend(), n_rows, *size) == [(0, n_rows)]
         assert pool_chunks == []
 
     def test_one_core_runs_one_slab(self, monkeypatch, pool_chunks):
         monkeypatch.setattr(backends, "_CORES", 1)
-        assert self._bounds(8, 8 * 64_000) == [(0, 8)]
+        assert _bounds(KernelBackend(), 8, 8 * 64_000) == [(0, 8)]
         assert pool_chunks == []
 
     def test_a_threaded_backend_chunks_whatever_the_size(self, pool_chunks):
-        seen = []
-        ThreadedBackend(max_workers=2).run_rows(4, lambda lo, hi: seen.append((lo, hi)), 4)
-        assert sorted(seen) == [(0, 2), (2, 4)]
+        assert _bounds(ThreadedBackend(max_workers=2), 4, 4) == [(0, 2), (2, 4)]
         assert pool_chunks == [(2, 4)]
 
 
