@@ -1,30 +1,22 @@
-"""Kernel backend tier — raw-speed gates and the parity oracle.
+"""Kernel backends — the chunked parity oracle and the Vlasov float32 gate.
 
-Two measurements, one JSON: the ``threaded`` backend must reach
->= 1.5x over the ``numpy`` reference on a batch-16 traditional ensemble
-(enforced with >= 4 usable cores — numpy releases the GIL in the hot
-ufuncs, so row chunks genuinely overlap), and the Vlasov float32 tier
-must reach >= 1.3x over float64 (pure bandwidth/FFT win, no parallel
-hardware needed, enforced everywhere).
-
-Parity comes first: the float64 ``numpy`` path is the bitwise oracle
-for every backend x family pair, asserted here on short runs of every
-registered pair before any timing gate, and again on the timed runs
-themselves.  All numbers land in ``.artifacts/results/BENCH_kernels.json``
-(sections merge across tests, so the JSON is always emitted even when a
-speedup gate skips) and the file is uploaded as a CI artifact.
+Parity comes first: for every family that routes its kernels through a
+backend (``traditional``, ``dl``, ``vlasov``), short runs with
+``ThreadedBackend`` injected into the engine class, which chunks every
+kernel call, must equal the one-slab float64 runs bit for bit.  Then
+the Vlasov float32 tier must reach >= 1.3x over float64 (pure
+bandwidth/FFT win, no parallel hardware needed, enforced everywhere).
+All numbers land in ``.artifacts/results/BENCH_kernels.json`` (sections
+merge across tests) and the file is uploaded as a CI artifact.
 """
 
 import json
-import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.config import SimulationConfig
 from repro.dlpic import DLEnsemble, DLFieldSolver
-from repro.engines.base import get_engine_spec
 from repro.kernels import ThreadedBackend
 from repro.models.architectures import build_mlp
 from repro.phasespace.binning import PhaseSpaceGrid
@@ -35,8 +27,7 @@ from repro.vlasov.ensemble import VlasovEnsemble
 BATCH = 16
 THREAD_WORKERS = 4
 
-# Heavy enough that a step is dominated by the routed kernels (gather,
-# push, deposit), light enough for ~3s of reference wall clock.
+# A step dominated by the routed kernels (gather, push, deposit).
 PIC = SimulationConfig(
     n_cells=64, particles_per_cell=100, n_steps=150, vth=0.01, v0=0.2, seed=0
 )
@@ -47,13 +38,6 @@ VLASOV = SimulationConfig(
     vth=0.25, v0=1.0, seed=1, extra={"n_v": 256, "v_min": -6.0, "v_max": 6.0},
 )
 VLASOV_BATCH = 8
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _merge_result(results_dir, section: str, payload: dict) -> None:
@@ -73,31 +57,21 @@ def _dl_solver(config):
     return DLFieldSolver(model, grid, normalizer, input_kind="flat")
 
 
-def _force_backend(family, ens, backend) -> None:
-    """Inject a concrete backend instance so worker counts are pinned
-    regardless of the host (a 1-core box would otherwise fall through)."""
-    ens._backend = backend
-    if family == "traditional":
-        ens.field_solver.backend = backend
-
-
-def _run_family(family, backend_name, backend=None, dtype="float64", steps=None):
+def _run_family(family, dtype="float64", steps=None):
     """Build + run one family; return (elapsed_s, state dict)."""
     if family == "vlasov":
         steps = steps if steps is not None else VLASOV.n_steps
-        config = VLASOV.with_updates(dtype=dtype, backend=backend_name, n_steps=steps)
+        config = VLASOV.with_updates(dtype=dtype, n_steps=steps)
         ens = VlasovEnsemble(
             [config.with_updates(seed=b) for b in range(VLASOV_BATCH)]
         )
     else:
         steps = steps if steps is not None else PIC.n_steps
-        config = PIC.with_updates(dtype=dtype, backend=backend_name, n_steps=steps)
+        config = PIC.with_updates(dtype=dtype, n_steps=steps)
         if family == "dl":
             ens = DLEnsemble.from_config(config, BATCH, _dl_solver(config))
         else:
             ens = EnsembleSimulation.from_config(config, BATCH)
-    if backend is not None:
-        _force_backend(family, ens, backend)
     start = time.perf_counter()
     ens.run(steps)
     elapsed = time.perf_counter() - start
@@ -115,66 +89,32 @@ def _assert_bitwise(reference, candidate, label):
         )
 
 
-def test_parity_every_backend_family_pair(results_dir):
-    """Short runs of every registered backend x family pair vs the oracle."""
+def test_parity_every_backend_family_pair(results_dir, monkeypatch):
+    """Short runs of every kernel-routing family, every kernel call chunked
+    (``ThreadedBackend`` on the engine class), against one slab."""
     checked = {}
-    for family in ("traditional", "dl", "vlasov"):
-        _, reference = _run_family(family, "numpy", steps=8)
-        for backend_name in get_engine_spec(family).backends:
-            if backend_name == "numpy":
-                continue
-            backend = ThreadedBackend(max_workers=THREAD_WORKERS)
-            _, candidate = _run_family(family, backend_name, backend=backend, steps=8)
-            _assert_bitwise(reference, candidate, f"{family}/{backend_name}")
-            checked[f"{family}/{backend_name}"] = True
+    backend = ThreadedBackend(max_workers=THREAD_WORKERS)
+    for family, engine in (("traditional", EnsembleSimulation), ("dl", DLEnsemble),
+                           ("vlasov", VlasovEnsemble)):
+        _, reference = _run_family(family, steps=8)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_backend", backend)
+            _, candidate = _run_family(family, steps=8)
+        _assert_bitwise(reference, candidate, f"{family}/chunked")
+        checked[f"{family}/chunked"] = True
     _merge_result(
         results_dir,
         "parity",
         {
-            "oracle": "float64 numpy reference, bitwise",
+            "oracle": "float64 one-slab reference, bitwise",
             "pairs": checked,
         },
     )
 
 
-def test_threaded_row_parallel_speedup(results_dir):
-    cores = _usable_cores()
-    numpy_s, reference = _run_family("traditional", "numpy")
-    threaded_s, candidate = _run_family(
-        "traditional", "threaded", backend=ThreadedBackend(max_workers=THREAD_WORKERS)
-    )
-    _assert_bitwise(reference, candidate, "traditional/threaded")
-    speedup = numpy_s / threaded_s if threaded_s > 0 else float("inf")
-    _merge_result(
-        results_dir,
-        "threaded",
-        {
-            "family": "traditional",
-            "batch": BATCH,
-            "n_steps": PIC.n_steps,
-            "workers": THREAD_WORKERS,
-            "usable_cores": cores,
-            "numpy_s": numpy_s,
-            "threaded_s": threaded_s,
-            "speedup": speedup,
-            "bitwise_parity": True,
-            "gate": f">=1.5x at batch {BATCH} (enforced with >=4 cores)",
-        },
-    )
-    if cores < 4:
-        pytest.skip(
-            f"threaded gate needs >= 4 usable cores, have {cores} "
-            f"(measured {speedup:.2f}x; parity held)"
-        )
-    assert speedup >= 1.5, (
-        f"expected >= 1.5x from row chunking at batch {BATCH} on {cores} cores, "
-        f"got {speedup:.2f}x (numpy {numpy_s:.2f}s, threaded {threaded_s:.2f}s)"
-    )
-
-
 def test_vlasov_float32_speedup(results_dir):
-    f64_s, reference = _run_family("vlasov", "numpy", dtype="float64")
-    f32_s, candidate = _run_family("vlasov", "numpy", dtype="float32")
+    f64_s, reference = _run_family("vlasov", dtype="float64")
+    f32_s, candidate = _run_family("vlasov", dtype="float32")
     speedup = f64_s / f32_s if f32_s > 0 else float("inf")
     # The tier is dtype-preserving end to end and must stay within a
     # single-precision band of the double trajectory.

@@ -87,13 +87,6 @@ def _add_sweep(sub: "argparse._SubParsersAction") -> None:
                         "family declares its tiers in the registry, and "
                         "unsupported combinations fail with the supporting "
                         "families named")
-    p.add_argument("--backend", choices=["numpy", "threaded"],
-                   default="numpy",
-                   help="kernel backend tier: numpy (reference, default; splits "
-                        "a large gather, push or deposit call across the usable "
-                        "cores, DL and Vlasov keep one slab) or threaded (chunks "
-                        "every call's batch rows across a shared thread pool) — "
-                        "both reproduce the numpy float64 results bit for bit")
     p.add_argument("--model-dir", default=None,
                    help="directory saved by DLFieldSolver.save, or a registry "
                         "reference registry:<fingerprint-prefix> (required with "
@@ -340,7 +333,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             n_cells=args.cells, particles_per_cell=args.ppc, n_steps=args.steps,
             dt=args.dt, scenario=args.scenario, solver=args.solver, extra=extra,
             interpolation=args.interpolation, poisson_solver=args.poisson,
-            dtype=args.dtype, backend=args.backend,
+            dtype=args.dtype,
         )
         requests = [
             RunRequest(
@@ -373,9 +366,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         size = f"{n_v}x{base.n_cells} phase-space cells in [{v_min}, {v_max}]"
     else:
         size = f"{base.n_particles} particles"
-    tier = args.dtype if args.backend == "numpy" else f"{args.dtype}/{args.backend}"
     print(f"sweeping {len(requests)} runs of scenario {args.scenario!r} "
-          f"with the {args.solver} solver ({tier} tier, "
+          f"with the {args.solver} solver ({args.dtype} tier, "
           f"{args.steps} steps, {size} each)...")
     try:
         with Client(background=False, max_batch_size=len(requests),

@@ -156,18 +156,11 @@ class SimulationConfig:
         and of every cache/store key, so float32 results can never be
         served for a float64 request or vice versa.
     backend:
-        Kernel backend executing the hot numerical paths
-        (``repro.kernels``): ``"numpy"`` (the default; the reference
-        vectorized kernels, the bitwise parity oracle; a large gather,
-        push or deposit call splits its batch rows across the usable
-        cores, while DL engines and the Vlasov advections keep one
-        slab) or ``"threaded"`` (independent batch rows of every kernel
-        call chunked across a shared thread pool, whatever its size —
-        bitwise identical to ``"numpy"`` in every dtype tier).  Like
-        ``dtype`` this is a *structural* field — part of the engine
-        compatibility key and of every cache/store key — and family
-        support is declared in the engine registry
-        (``EngineSpec.backends``).
+        Kept for the v1 wire format: its one accepted value is
+        ``"numpy"``, and anything else raises ``ValueError``.  How the
+        kernels execute is a property of each engine class
+        (``repro.kernels``), not a config choice; the key stays so that
+        every cache and store key is unchanged.
     extra:
         Free-form scenario parameters (e.g. ``bump_fraction`` for
         ``bump_on_tail``).  Must be a JSON-style dict; it participates
@@ -244,11 +237,9 @@ class SimulationConfig:
             raise ValueError(
                 f"unknown dtype {self.dtype!r}; expected 'float32' or 'float64'"
             )
-        # Mirrors repro.kernels.KERNEL_BACKEND_NAMES (kept literal so the
-        # config module stays a leaf; a unit test pins the two together).
-        if self.backend not in ("numpy", "threaded"):
+        if self.backend != "numpy":
             raise ValueError(
-                f"unknown backend {self.backend!r}; expected 'numpy' or 'threaded'"
+                f"unknown backend {self.backend!r}; the only kernel backend is 'numpy'"
             )
         if not isinstance(self.extra, dict):
             raise ValueError(f"extra must be a dict, got {type(self.extra).__name__}")

@@ -47,6 +47,15 @@ class DLEnsemble(EnsembleSimulation):
     ``DLPIC(configs[b], solver)`` bit for bit.
     """
 
+    # One slab.  The DL solve's GEMM already runs on a multi-threaded
+    # BLAS, and kernel chunks on the shared pool contend with its
+    # threads: at paper size (8 x 64,000 particles, the 64x64 -> 3x1024
+    # MLP, a 2-vCPU x86_64 VM, 10 alternations) a step took 40.7 ms with
+    # the kernels chunked against 37.1 ms as one slab; with BLAS held to
+    # one thread (``OPENBLAS_NUM_THREADS=1``) chunking won instead, 36.0
+    # against 43.3 ms.
+    _backend: "KernelBackend | None" = None
+
     def __init__(
         self,
         configs: "SimulationConfig | Sequence[SimulationConfig]",
@@ -74,21 +83,6 @@ class DLEnsemble(EnsembleSimulation):
     ) -> "DLEnsemble":
         """Replicate ``config`` over ``batch`` seeded members (seed+b)."""
         return super().from_config(config, batch, seeds=seeds, field_solver=field_solver)
-
-    def _kernel_backend(self) -> "KernelBackend | None":
-        """One slab on ``numpy``; ``threaded`` chunks as it does elsewhere.
-
-        The DL solve's GEMM already runs on a multi-threaded BLAS, and
-        kernel chunks on the shared pool contend with its threads.  At
-        paper size (8 x 64,000 particles, the 64x64 -> 3x1024 MLP, a
-        2-vCPU x86_64 VM, 10 alternations) a step took 40.7 ms with the
-        kernels chunked against 37.1 ms as one slab; with BLAS held to
-        one thread (``OPENBLAS_NUM_THREADS=1``) chunking won instead,
-        36.0 against 43.3 ms.
-        """
-        if self.config.backend == "numpy":
-            return None
-        return super()._kernel_backend()
 
     def _solve_field(self) -> np.ndarray:
         """The DL solve on this engine's workspace, grid, gather order and backend."""

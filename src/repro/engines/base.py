@@ -42,8 +42,8 @@ requests — see :func:`engine_group_key`.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
@@ -66,7 +66,6 @@ STRUCTURAL_FIELDS = (
     "poisson_solver",
     "gradient",
     "dtype",
-    "backend",
 )
 
 # Phase-space grid knobs of the Vlasov family, read from
@@ -86,7 +85,6 @@ VLASOV_STRUCTURAL_FIELDS = (
     "poisson_solver",
     "gradient",
     "dtype",
-    "backend",
 )
 
 
@@ -108,11 +106,11 @@ def mpi_rank_params(config: SimulationConfig) -> int:
     value = config.extra.get("n_ranks", MPI_DEFAULT_N_RANKS)
     try:
         as_number = float(value)
-    except (TypeError, ValueError):
+        n_ranks = int(as_number)
+    except (TypeError, ValueError, OverflowError):  # NaN, infinities, huge integers
         raise ValueError(
             f"malformed n_ranks in config.extra (must be an integer), got {value!r}"
         ) from None
-    n_ranks = int(as_number)
     if n_ranks != as_number:
         raise ValueError(
             f"malformed n_ranks in config.extra (must be an integer), got {value!r}"
@@ -125,6 +123,18 @@ def mpi_rank_params(config: SimulationConfig) -> int:
             f"{config.n_cells} cells over {n_ranks} ranks"
         )
     return n_ranks
+
+
+def _is_finite_real(value: object) -> bool:
+    """Whether ``value`` is a real number, not a bool, that converts to a
+    finite float.  The comparisons never convert: NaN fails them, and an
+    infinity or an integer too large for a float (``math.isfinite``
+    raises ``OverflowError`` on it) falls outside the float range."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, numbers.Real)
+        and -sys.float_info.max <= value <= sys.float_info.max
+    )
 
 
 # Picard iteration knobs of the energy-conserving family, read from
@@ -156,12 +166,7 @@ def energy_picard_params(config: SimulationConfig) -> "tuple[int, float]":
             "malformed picard_max_iterations in config.extra (must be an "
             f"integer >= 1), got {max_iterations!r}"
         )
-    if (
-        isinstance(tolerance, bool)
-        or not isinstance(tolerance, numbers.Real)
-        or not math.isfinite(tolerance)
-        or tolerance <= 0
-    ):
+    if not _is_finite_real(tolerance) or tolerance <= 0:
         raise ValueError(
             "malformed picard_tolerance in config.extra (must be a finite "
             f"number > 0), got {tolerance!r}"
@@ -175,8 +180,9 @@ def vlasov_grid_params(config: SimulationConfig) -> "tuple[int, float, float]":
     The one check of the grid knobs: every entry point — request
     parsing, service submission, engine construction, the distribution
     loader — reads them here.  A non-numeric or non-integral ``n_v``,
-    a non-finite window, ``n_v < 2`` or an empty window raise
-    ``ValueError`` (never ``TypeError``).
+    a window bound no float holds finitely, ``n_v < 2`` or an empty
+    window raise ``ValueError`` (never ``TypeError`` or
+    ``OverflowError``).
     """
     raw = {
         "n_v": config.extra.get("n_v", VLASOV_DEFAULT_N_V),
@@ -189,14 +195,14 @@ def vlasov_grid_params(config: SimulationConfig) -> "tuple[int, float, float]":
                 f"malformed Vlasov grid knob {name} in config.extra "
                 f"(n_v/v_min/v_max must be numeric), got {value!r}"
             )
-    if not math.isfinite(raw["n_v"]) or int(raw["n_v"]) != raw["n_v"]:
+    if not _is_finite_real(raw["n_v"]) or int(raw["n_v"]) != raw["n_v"]:
         raise ValueError(
             f"malformed n_v in config.extra (must be an integer), got {raw['n_v']!r}"
         )
     n_v = int(raw["n_v"])
+    if not (_is_finite_real(raw["v_min"]) and _is_finite_real(raw["v_max"])):
+        raise ValueError(f"non-finite velocity window [{raw['v_min']}, {raw['v_max']}]")
     v_min, v_max = float(raw["v_min"]), float(raw["v_max"])
-    if not (math.isfinite(v_min) and math.isfinite(v_max)):
-        raise ValueError(f"non-finite velocity window [{v_min}, {v_max}]")
     if n_v < 2:
         raise ValueError(f"velocity grid too small: n_v={n_v}")
     if v_max <= v_min:
@@ -322,11 +328,11 @@ class EngineSpec:
     and picks the right measurement for kind-dependent observables
     (see :func:`repro.engines.observables.resolve_observables`).
 
-    ``dtypes`` and ``backends`` declare the numerical tiers and kernel
-    backends the family can run; :func:`require_tier` rejects anything
-    else at submit time with a message derived from the registry, so
-    the error always names which families *do* support the requested
-    tier (and never goes stale as tiers expand).
+    ``dtypes`` declares the numerical tiers the family can run;
+    :func:`require_tier` rejects anything else at submit time with a
+    message derived from the registry, so the error always names which
+    families *do* support the requested tier (and never goes stale as
+    tiers expand).
     """
 
     name: str
@@ -335,7 +341,6 @@ class EngineSpec:
     validate: "Callable[[SimulationConfig], None] | None" = None
     kind: str = "pic"
     dtypes: "tuple[str, ...]" = ("float64",)
-    backends: "tuple[str, ...]" = ("numpy",)
 
 
 _ENGINES: "dict[str, EngineSpec]" = {}
@@ -421,16 +426,15 @@ def make_engine(
 # leaf so config/diagnostics shims can import it without cycles)
 
 
-def _families_supporting(field: str, value: str) -> "tuple[str, ...]":
-    """Registered families whose ``dtypes``/``backends`` include ``value``."""
+def _families_supporting(dtype: str) -> "tuple[str, ...]":
+    """Registered families whose ``dtypes`` include ``dtype``."""
     return tuple(
-        name for name in available_engines()
-        if value in getattr(_ENGINES[name], field)
+        name for name in available_engines() if dtype in _ENGINES[name].dtypes
     )
 
 
 def require_tier(config: SimulationConfig) -> None:
-    """Reject dtype/backend tiers the config's family does not declare.
+    """Reject dtype tiers the config's family does not declare.
 
     The error message is derived from the registry: it names the tiers
     the family *does* support and the families that support the
@@ -438,19 +442,11 @@ def require_tier(config: SimulationConfig) -> None:
     """
     spec = get_engine_spec(config.solver)
     if config.dtype not in spec.dtypes:
-        supporters = _families_supporting("dtypes", config.dtype)
+        supporters = _families_supporting(config.dtype)
         raise ValueError(
             f"solver={config.solver!r} supports dtype tier(s) "
             f"{', '.join(spec.dtypes)}, got dtype={config.dtype!r} "
             f"(dtype={config.dtype!r} is available for: "
-            f"{', '.join(supporters) if supporters else 'no registered family'})"
-        )
-    if config.backend not in spec.backends:
-        supporters = _families_supporting("backends", config.backend)
-        raise ValueError(
-            f"solver={config.solver!r} supports kernel backend(s) "
-            f"{', '.join(spec.backends)}, got backend={config.backend!r} "
-            f"(backend={config.backend!r} is available for: "
             f"{', '.join(supporters) if supporters else 'no registered family'})"
         )
 
@@ -549,7 +545,6 @@ register_engine(EngineSpec(
     structural_key=_pic_structural_key,
     validate=_pic_validate,
     dtypes=("float64", "float32"),
-    backends=("numpy", "threaded"),
 ))
 register_engine(EngineSpec(
     name="dl",
@@ -557,7 +552,6 @@ register_engine(EngineSpec(
     structural_key=_pic_structural_key,
     validate=_dl_validate,
     dtypes=("float64", "float32"),
-    backends=("numpy", "threaded"),
 ))
 register_engine(EngineSpec(
     name="vlasov",
@@ -566,7 +560,6 @@ register_engine(EngineSpec(
     validate=_vlasov_validate,
     kind="vlasov",
     dtypes=("float64", "float32"),
-    backends=("numpy", "threaded"),
 ))
 register_engine(EngineSpec(
     name="energy",

@@ -387,9 +387,14 @@ def canonical_observables(
     mappings.  The result is sorted and deduplicated — two requests
     selecting the same measurements in any order or spelling share one
     canonical form (and therefore one cache key and one service batch).
-    Unknown names, and a ``mode`` that is not a non-negative ``int``,
-    raise ``ValueError``.
+    Unknown names, a ``mode`` that is not a non-negative ``int``, and a
+    selection that is not ``None``, a list or a tuple raise
+    ``ValueError``.
     """
+    if selection is not None and not isinstance(selection, (list, tuple)):
+        raise ValueError(
+            f"observables must be a list of names or mappings, got {selection!r}"
+        )
     entries = []
     for entry in (DEFAULT_OBSERVABLES if selection is None else selection):
         params: "dict[str, object]" = {}

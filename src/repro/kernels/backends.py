@@ -1,12 +1,13 @@
-"""The kernel-backend registry and the two built-in backends.
+"""The engines' kernel backend, and the test backend that forces chunking.
 
 A backend's contract is one method, :meth:`KernelBackend.run_rows`:
 given a slab function ``fn(lo, hi)`` that computes rows ``[lo, hi)`` of
 one kernel call, the backend decides how the row range ``[0, n_rows)``
 is executed — as one slab, or as contiguous chunks over a shared thread
-pool.  The reference backend chunks a call only when every chunk holds
-at least :data:`FLOOR` of the call's particles; the threaded backend
-chunks every multi-row call.  Because every routed kernel writes
+pool.  :class:`KernelBackend` chunks a call only when every chunk holds
+at least :data:`FLOOR` of the call's particles; :class:`ThreadedBackend`
+chunks every multi-row call, which is how the tests check chunk
+boundaries at sizes below the floor.  Because every routed kernel writes
 disjoint output rows and reads its inputs immutably, chunked execution
 is race-free and — the engines' per-row bitwise invariance — produces
 the identical bit pattern in every dtype tier.
@@ -19,18 +20,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable
 
-__all__ = [
-    "KERNEL_BACKEND_NAMES",
-    "KernelBackend",
-    "ThreadedBackend",
-    "get_backend",
-    "resolve_backend",
-]
-
-#: Every selectable ``SimulationConfig.backend`` value, in registry
-#: order.  ``repro.config`` validates against the same pair (a unit
-#: test pins the two lists together).
-KERNEL_BACKEND_NAMES = ("numpy", "threaded")
+__all__ = ["KernelBackend", "ThreadedBackend"]
 
 
 def _usable_cores() -> int:
@@ -44,7 +34,7 @@ def _usable_cores() -> int:
 #: Counted once per process; every ``run_rows`` call reads it.
 _CORES = _usable_cores()
 
-#: Fewest particles one chunk of a ``numpy``-backend call holds: above
+#: Fewest particles one chunk of a :class:`KernelBackend` call holds: above
 #: the chunk size whose gain depends on the host's load, below the one
 #: that wins under any load.  Engine steps on a 2-vCPU x86_64 VM,
 #: chunked against one slab (median speed-ups of 10 alternations, one
@@ -98,15 +88,16 @@ def _run_chunks(n_rows: int, fn: "Callable[[int, int], None]", chunks: int) -> N
 
 
 class KernelBackend:
-    """The ``numpy`` reference backend: the unmodified kernels, split
-    across the usable cores only where a call is large enough to pay.
+    """The kernel backend every engine runs: the unmodified kernels,
+    split across the usable cores only where a call is large enough to
+    pay.
 
-    Also the base class of every other backend — subclasses override
-    :meth:`run_rows`, so routing sites can hold any backend behind one
-    interface.
+    Which engines use it is a class attribute of each engine
+    (``_backend``), not a config choice.  Both this class and
+    :class:`ThreadedBackend` define :meth:`run_rows` on their own class:
+    the benchmark harness counts the seam by patching each class's own
+    ``run_rows`` (``COUNTED`` in ``benchmarks/harness/layers.py``).
     """
-
-    name = "numpy"
 
     def run_rows(
         self, n_rows: int, fn: "Callable[[int, int], None]", size: int = 0
@@ -120,28 +111,22 @@ class KernelBackend:
         """
         _run_chunks(n_rows, fn, min(_CORES, size // FLOOR))
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r})"
-
 
 class ThreadedBackend(KernelBackend):
-    """Chunk every multi-row call across the shared thread pool.
+    """The test backend: chunk every multi-row call across the shared
+    thread pool, whatever its size.
 
     The chunk count is the smaller of the worker count and the row
-    count, whatever the call's size; single-row calls (and single-core
-    hosts) fall straight through to the reference slab.  The ``numpy``
-    backend already chunks the calls large enough to gain, so this
-    differs from it only on smaller calls, where the hand-off costs
-    more than the second core saves (see :data:`FLOOR`).  On a 2-vCPU
-    x86_64 VM an 8 x 64,000-particle step took 23.5 ms on ``threaded``,
-    19.7 ms on ``numpy`` and 31.6 ms as one slab (medians of 10
-    alternations).  The two vCPUs give the kernels more than one core's
-    worth of memory bandwidth at these sizes: two threads ran separate
-    adds of 4 MB arrays (the size of one 8 x 64,000 float64 array)
-    1.95x faster than one thread ran both (median of 30 alternations).
+    count; single-row calls (and ``max_workers=1``) run one slab.
+    Every pinned test run is far below :data:`FLOOR`, where
+    :class:`KernelBackend` runs one slab, so the tests set an engine
+    class's ``_backend`` to ``ThreadedBackend(max_workers=N)`` to check
+    that chunk boundaries keep every bit.  No engine runs it by
+    default: it differs from :class:`KernelBackend` only on calls below
+    the floor, where the hand-off costs more than the second core saves
+    (on a 2-vCPU x86_64 VM an 8 x 64,000-particle step took 23.5 ms
+    with two workers against 19.7 ms, medians of 10 alternations).
     """
-
-    name = "threaded"
 
     def __init__(self, max_workers: "int | None" = None) -> None:
         self.workers = _CORES if max_workers is None else int(max_workers)
@@ -154,40 +139,3 @@ class ThreadedBackend(KernelBackend):
         """Run ``fn`` over ``[0, n_rows)`` in ``min(max_workers, n_rows)``
         contiguous chunks; ``size`` is ignored."""
         _run_chunks(n_rows, fn, self.workers)
-
-
-_BACKENDS: "dict[str, Callable[[], KernelBackend]]" = {
-    "numpy": KernelBackend,
-    "threaded": ThreadedBackend,
-}
-_INSTANCES: "dict[str, KernelBackend]" = {}
-_INSTANCE_LOCK = threading.Lock()
-
-
-def get_backend(name: str) -> KernelBackend:
-    """The shared backend instance for ``name`` (built lazily once)."""
-    try:
-        factory = _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; available: "
-            f"{', '.join(KERNEL_BACKEND_NAMES)}"
-        ) from None
-    with _INSTANCE_LOCK:
-        backend = _INSTANCES.get(name)
-        if backend is None:
-            backend = _INSTANCES[name] = factory()
-        return backend
-
-
-def resolve_backend(spec: "str | KernelBackend | None") -> KernelBackend:
-    """Coerce a config field / instance / None to a backend object.
-
-    ``None`` means the reference backend — callers that never heard of
-    backends keep the historical numpy path with zero lookups.
-    """
-    if spec is None:
-        return get_backend("numpy")
-    if isinstance(spec, KernelBackend):
-        return spec
-    return get_backend(spec)

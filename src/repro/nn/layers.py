@@ -46,9 +46,9 @@ backend, which chunks deposit, gather, the pushers and the Vlasov
 advection.  A layer holds only its weights (and, after a training
 forward, its backward cache), so one network can serve any number of
 engines.  Chunking the blocks over a thread pool bought nothing: a
-``threaded`` DL ensemble of 8 x 64,000 particles on the paper's
-64x64 -> 3x1024 MLP stepped in 30.4 ms with it and 28.8 ms without
-(medians of 10 alternated runs, 2-vCPU x86_64 VM).
+DL ensemble of 8 x 64,000 particles with every kernel call chunked,
+on the paper's 64x64 -> 3x1024 MLP, stepped in 30.4 ms with it and
+28.8 ms without (medians of 10 alternated runs, 2-vCPU x86_64 VM).
 """
 
 from __future__ import annotations

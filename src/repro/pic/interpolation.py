@@ -49,7 +49,7 @@ every call.  The contract:
   on a throwaway workspace;
 * **row-sliced** — a backend slab over rows ``[lo, hi)`` touches only
   rows ``[lo:hi]`` of each buffer, all allocated before the slabs run,
-  so threaded chunks stay race-free;
+  so concurrent chunks stay race-free;
 * **escaping state is always fresh** — a kernel's result (the gathered
   field, the deposited density, the pushed particles) is a new array
   on every call and never aliases the workspace, so callers may hold

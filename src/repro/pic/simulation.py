@@ -30,7 +30,7 @@ import numpy as np
 from repro.config import SimulationConfig
 from repro.engines.base import Engine
 from repro.engines.observables import Observables, resolve_observables
-from repro.kernels import KernelBackend, resolve_backend
+from repro.kernels import KernelBackend
 from repro.pic.grid import Grid1D
 from repro.kernels.workspace import Workspace
 from repro.pic.interpolation import charge_density, gather
@@ -142,6 +142,15 @@ class EnsembleSimulation(Engine):
     current ``(particles.x, efield)``.
     """
 
+    # How the independent batch rows of every hot kernel execute (None:
+    # one slab).  Every backend reproduces the one-slab bits (per-row
+    # invariance), so this is purely a speed choice, made per engine
+    # class.  The engine hands it to its default field solver at
+    # construction, so setting it on the class before an engine is
+    # built sets both; the tests set a ``ThreadedBackend`` to force
+    # chunking at sizes below the floor.
+    _backend: "KernelBackend | None" = KernelBackend()
+
     def __init__(
         self,
         configs: "SimulationConfig | Sequence[SimulationConfig]",
@@ -154,11 +163,6 @@ class EnsembleSimulation(Engine):
         self._work = Workspace()
         # (x, efield, E at the particles) of the latest gather.
         self._gathered: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
-        # The kernel backend tier: how the independent batch rows of
-        # every hot kernel execute.  All backends reproduce the numpy
-        # reference bit for bit (per-row invariance), so this is purely
-        # a speed knob.
-        self._backend = self._kernel_backend()
         if field_solver is None:
             field_solver = ChargeDepositionFieldSolver(
                 self.grid,
@@ -219,10 +223,6 @@ class EnsembleSimulation(Engine):
         return cls(
             [config.with_updates(seed=int(s)) for s in seeds], field_solver=field_solver
         )
-
-    def _kernel_backend(self) -> "KernelBackend | None":
-        """The backend this engine's kernels run through (None: one slab)."""
-        return resolve_backend(self.config.backend)
 
     @property
     def v_at_integer_time(self) -> np.ndarray:

@@ -216,8 +216,7 @@ def run_group_task(task: GroupTask, dl_solver: "object | None" = None) -> GroupO
     if task.traced:
         spans = _worker_spans(
             started, t_built, t_run_done, done, step_ends,
-            n_steps=task.n_steps, batch=len(configs),
-            dtype=configs[0].dtype, backend=configs[0].backend,
+            n_steps=task.n_steps, batch=len(configs), dtype=configs[0].dtype,
         )
     return GroupOutcome(
         series=series,
@@ -240,7 +239,6 @@ def _worker_spans(
     n_steps: int,
     batch: int,
     dtype: str = "float64",
-    backend: str = "numpy",
 ) -> "tuple[dict, ...]":
     """Worker-side spans in wire format, ``start_s`` relative to ``t0``.
 
@@ -257,7 +255,6 @@ def _worker_spans(
         .set_attribute("worker_pid", os.getpid())
         .set_attribute("batch", int(batch))
         .set_attribute("dtype", dtype)
-        .set_attribute("backend", backend)
         .finish(end=t_done)
     )
     Span("engine.build", trace=trace, parent_id=root.span_id, start=t0).finish(end=t_built)

@@ -35,7 +35,7 @@ thread (the exact pre-pool path, bitwise unchanged), while
 
 The service counts what it sees in :attr:`SimulationService.metrics`
 (a :class:`~repro.obs.metrics.MetricsRegistry`): submits by outcome,
-engine batches by size, executed runs by dtype/backend/worker and
+engine batches by size, executed runs by dtype/worker and
 failed groups by exception type, all from the submit path and the
 group outcomes it already receives.
 """
@@ -169,8 +169,8 @@ class SimulationService:
         )
         self._runs = self.metrics.counter(
             "repro_service_runs_by_tier_total",
-            "Executed engine runs by dtype, kernel backend and worker process id.",
-            ("dtype", "backend", "worker"),
+            "Executed engine runs by dtype and worker process id.",
+            ("dtype", "worker"),
         )
         self._group_errors = self.metrics.counter(
             "repro_service_group_errors_total",
@@ -510,13 +510,11 @@ class SimulationService:
                 self._fail_group(group, exc)
                 return
             outcome = future.result()
-            # Compatibility groups share dtype and backend (both are
-            # structural), so one label set covers every member.
-            config = group[0].config
+            # Compatibility groups share their dtype (it is structural),
+            # so one label set covers every member.
             self._batches.inc(size=len(group))
             self._runs.inc(
-                len(group), dtype=config.dtype, backend=config.backend,
-                worker=outcome.worker_pid,
+                len(group), dtype=group[0].config.dtype, worker=outcome.worker_pid
             )
             try:
                 self._deliver(group, outcome, t_dispatch)

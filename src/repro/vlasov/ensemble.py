@@ -50,7 +50,7 @@ from repro.engines.base import (
     vlasov_grid_params,
 )
 from repro.engines.observables import Observables, resolve_observables
-from repro.kernels import resolve_backend
+from repro.kernels import KernelBackend
 from repro.pic.grid import Grid1D
 from repro.pic.poisson import PoissonSolver
 from repro.pic.scenarios import load_distribution
@@ -79,6 +79,15 @@ class VlasovEnsemble(Engine):
 
     _structural_fields = VLASOV_STRUCTURAL_FIELDS + ("n_v", "v_min", "v_max")
     _structural_key = staticmethod(get_engine_spec("vlasov").structural_key)
+
+    # Every advection is a slab function over contiguous batch rows, so a
+    # chunking backend reproduces the one-slab bits (each row's gathers
+    # and arithmetic are independent of the slab bounds).  The
+    # advections pass ``run_rows`` no particle count, so this backend
+    # runs them as one slab until chunking them is measured against the
+    # float32 tier's benchmark gate (its speed-up over float64), which
+    # chunking moves.
+    _backend = KernelBackend()
 
     def __init__(
         self,
@@ -148,15 +157,6 @@ class VlasovEnsemble(Engine):
             self._v_rows = self._v_rows.astype(np.float32)
         # The x-advection's other weight, frozen in the tier's dtype.
         self._xadv_1mw = 1.0 - self._xadv_w
-        # The kernel backend tier: every advection is a slab function
-        # over contiguous batch rows, so ``threaded`` chunks the stack
-        # while reproducing the reference bit pattern (each row's
-        # gathers and arithmetic are independent of the slab bounds).
-        # The advections pass ``run_rows`` no particle count, so
-        # ``numpy`` runs them as one slab until chunking them is
-        # measured against the float32 tier's benchmark gate (its
-        # speed-up over float64), which chunking moves.
-        self._backend = resolve_backend(ref.backend)
         self.time: float = 0.0
         self.step_index: int = 0
         self.efield: np.ndarray = self._solve_field()

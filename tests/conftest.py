@@ -1,19 +1,60 @@
-"""Shared fixtures: tiny simulation configs and a cheaply trained solver."""
+"""Shared fixtures: tiny simulation configs, a cheaply trained solver and
+the forced chunking of every kernel call."""
 
 from __future__ import annotations
+
+import contextlib
+from typing import Iterator
 
 import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
 from repro.datagen.campaign import harvest_via_client
+from repro.dlpic import DLEnsemble
 from repro.dlpic.solver import DLFieldSolver
+from repro.kernels import ThreadedBackend
 from repro.models.architectures import build_mlp
 from repro.nn.losses import MSELoss
 from repro.nn.optimizers import Adam
 from repro.nn.training import Trainer
 from repro.phasespace.binning import PhaseSpaceGrid
 from repro.phasespace.normalization import MinMaxNormalizer
+from repro.pic.simulation import EnsembleSimulation
+from repro.vlasov.ensemble import VlasovEnsemble
+
+
+@contextlib.contextmanager
+def _chunked_kernels(max_workers: int = 3) -> "Iterator[ThreadedBackend]":
+    backend = ThreadedBackend(max_workers=max_workers)
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (EnsembleSimulation, DLEnsemble, VlasovEnsemble):
+            patch.setattr(cls, "_backend", backend)
+        yield backend
+
+
+@pytest.fixture(scope="session")
+def chunked_kernels():
+    """A context manager that runs the kernels of every engine built inside
+    it on ``ThreadedBackend(max_workers=3)``, which it yields.
+
+    Every pinned run is far below ``repro.kernels.backends.FLOOR``, where
+    the engines' own backend runs one slab, so this is how a test checks
+    that chunk boundaries keep every bit.  It sets the ``_backend`` class
+    attribute of the engine classes that route kernels (``MPIEnsemble``
+    inherits ``EnsembleSimulation``'s), in this process only: build and
+    run the engines inside the block, in process.  An engine hands its
+    backend to its default field solver at construction, so that one
+    chunks too.
+    """
+    return _chunked_kernels
+
+
+@pytest.fixture(params=["default", "chunked"])
+def kernels(request) -> "Iterator[str]":
+    """Run a test on the engines' own backends, then under ``chunked_kernels``."""
+    with _chunked_kernels() if request.param == "chunked" else contextlib.nullcontext():
+        yield request.param
 
 
 @pytest.fixture

@@ -70,6 +70,15 @@ class TestRunRequestSchema:
         with pytest.raises(ValueError, match="unknown observable"):
             RunRequest(config=config, observables=["wavelets"])
 
+    @pytest.mark.parametrize("observables", [8, True, 2.5, "energies", {"name": "mode"}])
+    def test_observables_that_are_not_a_list_rejected(self, config, observables):
+        with pytest.raises(ValueError, match="observables must be a list"):
+            RunRequest.from_dict(
+                {"api_version": "v1", "config": {}, "observables": observables}
+            )
+        with pytest.raises(ValueError, match="observables must be a list"):
+            RunRequest(config=config, observables=observables)
+
     def test_family_incompatible_observable_rejected(self, config):
         with pytest.raises(ValueError, match="vlasov"):
             RunRequest(config=config, observables=["phase_space"])
@@ -118,7 +127,7 @@ class TestRunRequestSchema:
             RunRequest(config=config.with_updates(solver="mpi", dtype="float32"))
 
     def test_unsupported_backend_fails_at_construction(self, config):
-        with pytest.raises(ValueError, match="kernel backend"):
+        with pytest.raises(ValueError, match="unknown backend 'threaded'"):
             RunRequest(config=config.with_updates(solver="energy", backend="threaded"))
 
     def test_metadata_and_tags_validated(self, config):
@@ -207,6 +216,19 @@ class TestResultKeys:
         assert result_key(config, "traditional") != result_key(
             config, "traditional", phase_space=True
         )
+
+    def test_an_explicit_numpy_backend_keeps_the_key(self, config):
+        """``backend`` stays a v1 config key whose one value is the default,
+        so spelling it out addresses the same stored result."""
+        bare = {"api_version": "v1", "config": config.to_dict()}
+        del bare["config"]["backend"]
+        explicit = {"api_version": "v1", "config": {**bare["config"], "backend": "numpy"}}
+        requests = [RunRequest.from_dict(doc) for doc in (bare, explicit)]
+        assert requests[0] == requests[1]
+        assert result_key(requests[0].config) == result_key(requests[1].config)
+        with small_client() as client:
+            first, second = (client.run(request) for request in requests)
+        assert second.key == first.key and second.cache_hit
 
     def test_store_separates_dtypes(self, config, tmp_path):
         store = ResultStore(directory=tmp_path)

@@ -216,6 +216,13 @@ class TestSerialization:
         assert cfg.cache_key() != cfg.with_updates(seed=1).cache_key()
         assert cfg.cache_key() != cfg.with_updates(n_steps=7).cache_key()
 
+    def test_default_cache_key_is_pinned(self):
+        # The v1 config keeps ``backend`` (one value), so result stores,
+        # campaigns and preset pointers keep their keys.
+        assert SimulationConfig().cache_key() == (
+            "787c18e23d58648c51576289ed671284c72b4ebc359a9a2d51ce668180c77b88"
+        )
+
     def test_cache_key_rejects_unserializable_extra(self):
         cfg = SimulationConfig(extra={"obj": object()})
         with pytest.raises(ValueError, match="JSON"):

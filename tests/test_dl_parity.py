@@ -21,6 +21,7 @@ binning that moves a single bit of any row fails here.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 
 import numpy as np
@@ -204,8 +205,9 @@ def test_training_pairs_harvest_matches_pinned(order):
 # whose x axis equals the 32-cell field grid, recorded the same way.
 # The first case bins NGP in float64 and gathers CIC, where one
 # particle→grid stencil can serve both the binning and the gather; each
-# other case differs from it in one respect that rules that out.  Every
-# kernel backend must reproduce the numpy recording.
+# other case differs from it in one respect that rules that out.  Served
+# again with every kernel call chunked (``chunked_kernels`` in
+# ``conftest.py``), each case must reproduce the one-slab recording.
 
 FIELD_GRID_CASES = {
     # name: (binning order, dtype, gather order, phase-space box one ulp long)
@@ -262,18 +264,17 @@ def _field_grid_solver(order: str, long_box: bool) -> DLFieldSolver:
 
 
 @pytest.fixture(scope="module")
-def served_field_grid() -> "dict[tuple[str, str], tuple[str, ...]]":
+def served_field_grid(chunked_kernels) -> "dict[tuple[str, str], tuple[str, ...]]":
     digests = {}
     for name, (order, dtype, interpolation, long_box) in FIELD_GRID_CASES.items():
-        for backend in ("numpy", "threaded"):
-            with Client(
+        for kernels in ("default", "chunked"):
+            chunked = chunked_kernels() if kernels == "chunked" else contextlib.nullcontext()
+            with chunked, Client(
                 background=False, max_batch_size=8, dl_solver=_field_grid_solver(order, long_box)
             ) as client:
-                results = client.map(
-                    _requests(dtype, interpolation=interpolation, backend=backend)
-                )
+                results = client.map(_requests(dtype, interpolation=interpolation))
                 assert client.service.batch_size_histogram == {3: 1}, "not one 3-row batch"
-            digests[name, backend] = _result_digests(results)
+            digests[name, kernels] = _result_digests(results)
     return digests
 
 
@@ -282,7 +283,7 @@ def test_field_grid_pins_cover_every_case():
     assert _field_grid_solver("ngp", True).ps_grid.box_length != BASE.box_length
 
 
-@pytest.mark.parametrize("backend", ["numpy", "threaded"])
+@pytest.mark.parametrize("kernels", ["default", "chunked"])
 @pytest.mark.parametrize("case", sorted(FIELD_GRID_CASES))
-def test_served_dl_batch_on_the_field_grid_matches_pinned(served_field_grid, case, backend):
-    assert served_field_grid[case, backend] == FIELD_GRID_PINNED[case]
+def test_served_dl_batch_on_the_field_grid_matches_pinned(served_field_grid, case, kernels):
+    assert served_field_grid[case, kernels] == FIELD_GRID_PINNED[case]

@@ -1,21 +1,22 @@
-"""Kernel backend tier: registry, chunking, and the engine parity matrix.
+"""Kernel backends: chunking, and the engine parity matrix.
 
 The contract under test is the one the backends are built on: every
-batch row of an engine is independent, so a backend that executes rows
-in contiguous chunks (``threaded``) must reproduce the ``numpy``
-reference **bit for bit** in every dtype tier.  The matrix below runs
-scenario x family x backend x dtype and asserts exactly that, plus the
-float32-vs-float64 tolerance band and threaded determinism.
+batch row of an engine is independent, so executing rows in contiguous
+chunks must reproduce one slab **bit for bit** in every dtype tier.
+The matrix below runs scenario x family x dtype with every kernel call
+chunked and asserts exactly that, plus the float32-vs-float64 tolerance
+band and chunked determinism.
 
-The container running CI's fast leg may expose a single core, in which
-case ``ThreadedBackend()`` defaults to one worker and falls through to
-the reference slab — so the matrix injects ``ThreadedBackend(max_workers=3)``
-explicitly to force real chunking regardless of the host.  The
-``numpy`` backend's size rule is checked the same way, with the usable
-core count pinned at two: its bounds, and a paper-size ensemble split
-into chunks against each member's solo run.
+Every matrix call is far below ``FLOOR``, where the engines' own
+backend runs one slab, so the chunked side injects
+``ThreadedBackend(max_workers=3)`` into the engine classes
+(``chunked_kernels`` in ``conftest.py``) to force real chunking
+regardless of the host.  The engines' own backend's size rule is
+checked with the usable core count pinned at two: its bounds, and a
+paper-size ensemble split into chunks against each member's solo run.
 """
 
+import contextlib
 import time
 
 import numpy as np
@@ -23,13 +24,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.dlpic import DLEnsemble, DLFieldSolver
-from repro.kernels import (
-    KERNEL_BACKEND_NAMES,
-    KernelBackend,
-    ThreadedBackend,
-    get_backend,
-    resolve_backend,
-)
+from repro.kernels import KernelBackend, ThreadedBackend
 from repro.kernels import backends
 from repro.models.architectures import build_mlp
 from repro.phasespace.binning import PhaseSpaceGrid
@@ -39,36 +34,6 @@ from repro.vlasov.ensemble import VlasovEnsemble
 
 BATCH = 4
 STEPS = 6
-
-
-# -- registry and config agreement --------------------------------------
-
-
-class TestRegistry:
-    def test_backend_names_are_the_config_literals(self):
-        # config.py validates against a literal pair (it cannot import
-        # repro.kernels without a cycle); this pins the two in sync.
-        assert KERNEL_BACKEND_NAMES == ("numpy", "threaded")
-        for name in KERNEL_BACKEND_NAMES:
-            SimulationConfig(backend=name)  # accepted
-        for rejected in ("cuda", "numba"):
-            with pytest.raises(ValueError, match="expected 'numpy' or 'threaded'"):
-                SimulationConfig(backend=rejected)
-
-    def test_get_backend_returns_singletons(self):
-        for name in KERNEL_BACKEND_NAMES:
-            assert get_backend(name) is get_backend(name)
-            assert get_backend(name).name == name
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_backend("cuda")
-
-    def test_resolve_backend(self):
-        assert resolve_backend(None).name == "numpy"
-        assert resolve_backend("threaded") is get_backend("threaded")
-        inst = ThreadedBackend(max_workers=2)
-        assert resolve_backend(inst) is inst
 
 
 # -- ThreadedBackend chunking --------------------------------------------
@@ -236,29 +201,22 @@ def _vlasov_config(scenario):
     )
 
 
-def _build(family, scenario, dtype, backend_name):
-    """Build + run one matrix cell; return its observable state arrays."""
-    if family == "traditional":
-        config = _traditional_config(scenario).with_updates(
-            dtype=dtype, backend=backend_name
-        )
-        ens = EnsembleSimulation.from_config(config, BATCH)
-    elif family == "vlasov":
-        config = _vlasov_config(scenario).with_updates(dtype=dtype, backend=backend_name)
-        ens = VlasovEnsemble([config.with_updates(seed=config.seed + b) for b in range(BATCH)])
-    else:  # dl
-        config = _traditional_config(scenario).with_updates(
-            dtype=dtype, backend=backend_name
-        )
-        ens = DLEnsemble.from_config(config, BATCH, _dl_solver(config))
-    if backend_name == "threaded":
-        # Force real chunking even on a single-core host (where the
-        # default worker count is 1 and the backend falls through).
-        forced = ThreadedBackend(max_workers=3)
-        ens._backend = forced
+def _build(family, scenario, dtype, kernels=contextlib.nullcontext):
+    """Build + run one matrix cell inside ``kernels()``; return its
+    observable state arrays."""
+    with kernels():
         if family == "traditional":
-            ens.field_solver.backend = forced
-    ens.run(STEPS)
+            config = _traditional_config(scenario).with_updates(dtype=dtype)
+            ens = EnsembleSimulation.from_config(config, BATCH)
+        elif family == "vlasov":
+            config = _vlasov_config(scenario).with_updates(dtype=dtype)
+            ens = VlasovEnsemble(
+                [config.with_updates(seed=config.seed + b) for b in range(BATCH)]
+            )
+        else:  # dl
+            config = _traditional_config(scenario).with_updates(dtype=dtype)
+            ens = DLEnsemble.from_config(config, BATCH, _dl_solver(config))
+        ens.run(STEPS)
     if family == "vlasov":
         return {"f": ens.f.copy(), "efield": ens.efield.copy()}
     return {
@@ -270,29 +228,27 @@ def _build(family, scenario, dtype, backend_name):
 
 FAMILIES = ("traditional", "vlasov", "dl")
 SCENARIOS = ("two_stream", "landau_damping")
-ALT_BACKENDS = ("threaded",)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("family", FAMILIES)
 class TestParityMatrix:
-    @pytest.mark.parametrize("backend_name", ALT_BACKENDS)
     @pytest.mark.parametrize("dtype", ("float64", "float32"))
-    def test_backend_matches_numpy_reference_bitwise(
-        self, family, scenario, backend_name, dtype
+    def test_chunked_matches_one_slab_bitwise(
+        self, family, scenario, dtype, chunked_kernels
     ):
-        reference = _build(family, scenario, dtype, "numpy")
-        candidate = _build(family, scenario, dtype, backend_name)
+        reference = _build(family, scenario, dtype)
+        candidate = _build(family, scenario, dtype, chunked_kernels)
         for key, ref in reference.items():
             assert candidate[key].dtype == ref.dtype
             assert np.array_equal(candidate[key], ref), (
-                f"{family}/{scenario}/{dtype}: {backend_name} diverged from "
-                f"the numpy reference on {key!r}"
+                f"{family}/{scenario}/{dtype}: chunked kernels diverged from "
+                f"one slab on {key!r}"
             )
 
     def test_float32_tracks_float64_within_tolerance(self, family, scenario):
-        ref64 = _build(family, scenario, "float64", "numpy")
-        ref32 = _build(family, scenario, "float32", "numpy")
+        ref64 = _build(family, scenario, "float64")
+        ref32 = _build(family, scenario, "float32")
         for key, lo in ref32.items():
             assert lo.dtype == np.float32
             hi = ref64[key]
@@ -307,8 +263,8 @@ class TestParityMatrix:
                 f"from float64 (scale {scale:g})"
             )
 
-    def test_threaded_is_deterministic(self, family, scenario):
-        first = _build(family, scenario, "float32", "threaded")
-        second = _build(family, scenario, "float32", "threaded")
+    def test_chunked_is_deterministic(self, family, scenario, chunked_kernels):
+        first = _build(family, scenario, "float32", chunked_kernels)
+        second = _build(family, scenario, "float32", chunked_kernels)
         for key, ref in first.items():
             assert np.array_equal(second[key], ref)

@@ -210,6 +210,19 @@ class TestRunEndpoint:
                 client.run(request)
             assert excinfo.value.status == "error"
 
+    def test_a_threaded_backend_is_a_counted_400(self, server):
+        """``backend`` accepts only ``"numpy"``: anything else is a bad
+        request, counted as a parse failure of its endpoint."""
+        failures = "repro_parse_failures_total"
+        before = json.loads(raw_request(server, "GET", "/v1/metrics")[1])
+        body = json.dumps({"api_version": "v1", "config": {"backend": "threaded"}})
+        status, data = raw_request(server, "POST", "/v1/run", body.encode())
+        after = json.loads(raw_request(server, "GET", "/v1/metrics")[1])
+        assert status == 400
+        assert "backend" in json.loads(data)["error"]
+        assert total(after, failures, endpoint="/v1/run") == total(
+            before, failures, endpoint="/v1/run") + 1
+
     def test_repeat_request_hits_the_store(self, server):
         request = RunRequest(config=small_config(seed=55), id="cache-me")
         with Client.connect(server.url) as client:
@@ -335,6 +348,12 @@ class TestFamilyKnobValidation:
         ("energy", {"picard_max_iterations": 2.5}, "picard_max_iterations"),
         ("energy", {"picard_tolerance": -1.0}, "picard_tolerance"),
         ("mpi", {"n_ranks": 32}, "n_ranks"),
+        # Numbers no float holds finitely.
+        ("mpi", {"n_ranks": float("inf")}, "n_ranks"),
+        ("mpi", {"n_ranks": 10**400}, "n_ranks"),
+        ("energy", {"picard_tolerance": 10**400}, "picard_tolerance"),
+        ("vlasov", {"n_v": 10**400}, "n_v"),
+        ("vlasov", {"v_min": -(10**400)}, "velocity window"),
     ])
     def test_malformed_knob_answers_400(self, server, solver, extra, knob):
         body = json.dumps(self._envelope("bad", solver=solver, extra=extra)).encode()
@@ -712,8 +731,7 @@ class TestMetricsSchema:
         # The service.
         "repro_service_submits_total": ("counter", ["outcome"]),
         "repro_batch_size_total": ("counter", ["size"]),
-        "repro_service_runs_by_tier_total": (
-            "counter", ["dtype", "backend", "worker"]),
+        "repro_service_runs_by_tier_total": ("counter", ["dtype", "worker"]),
         "repro_service_group_errors_total": ("counter", ["kind"]),
         "repro_service_store_errors_total": ("counter", []),
         "repro_service_pending": ("gauge", []),

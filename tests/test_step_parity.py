@@ -2,12 +2,15 @@
 
 Every served PIC family shares one step kernel set (gather, the
 leapfrog pushers, deposit).  The hashes below are the sha256 digests of
-the served ``series`` and ``efield`` of a 38-run matrix — interpolation
-order x dtype x kernel backend x scenario for the ``traditional``
-family, plus one ``energy`` and one ``mpi`` run — recorded before the
-step learned to reuse its sync gather and to keep its temporaries in a
-kernel workspace.  Any change to the step that moves a single bit of
-any of these runs fails here, whatever the change was meant to do.
+the served ``series`` and ``efield`` of a 20-run matrix — interpolation
+order x dtype x scenario for the ``traditional`` family, plus one
+``energy`` and one ``mpi`` run — recorded before the step learned to
+reuse its sync gather and to keep its temporaries in a kernel
+workspace.  The matrix is served twice: on the engines' own kernel
+backends, where every call here runs one slab, and with every kernel
+call chunked (``chunked_kernels`` in ``conftest.py``).  Any change to
+the step that moves a single bit of any of these runs fails here,
+whatever the change was meant to do.
 
 The rest checks the mechanism directly: a steady-state step of the
 traditional and the DL engines does exactly one ``gather`` and builds
@@ -18,6 +21,7 @@ workspace's next gather is never served stale.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import sys
 
@@ -43,7 +47,7 @@ from repro.pic.simulation import ChargeDepositionFieldSolver, EnsembleSimulation
 ORDERS = ("ngp", "cic", "tsc")
 DTYPES = ("float64", "float32")
 SCENARIOS = ("two_stream", "cold_beam", "landau_damping")
-BACKENDS = ("numpy", "threaded")
+KERNELS = ("default", "chunked")
 
 BASE = SimulationConfig(
     n_cells=64, particles_per_cell=200, n_steps=100, v0=0.2, vth=0.025, seed=7
@@ -69,12 +73,11 @@ def _case_key(config: SimulationConfig) -> str:
     return f"{config.interpolation}/{config.dtype}/{config.scenario}"
 
 
-def _matrix(backends: "tuple[str, ...]") -> "list[SimulationConfig]":
+def _matrix() -> "list[SimulationConfig]":
     configs = [
-        BASE.with_updates(interpolation=order, dtype=dtype, backend=backend, scenario=scenario)
+        BASE.with_updates(interpolation=order, dtype=dtype, scenario=scenario)
         for order in ORDERS
         for dtype in DTYPES
-        for backend in backends
         for scenario in SCENARIOS
     ]
     configs.append(BASE.with_updates(solver="energy"))
@@ -82,7 +85,7 @@ def _matrix(backends: "tuple[str, ...]") -> "list[SimulationConfig]":
     return configs
 
 
-# Recorded with the numpy kernels; every backend must reproduce them.
+# Recorded with every kernel call as one slab; chunked calls must reproduce them.
 PINNED = {
     "ngp/float64/two_stream": "12ef69de90ecf1244a7a83b8214c42270826d043bc8fd6ad214856dd28fe9aa4",
     "ngp/float64/cold_beam": "ab46d62df681ee47483c6de8a3ae3f9c084b106ba1ab4a47f5832ea2862654f6",
@@ -108,22 +111,32 @@ PINNED = {
 
 
 @pytest.fixture(scope="module")
-def served() -> "list[tuple[SimulationConfig, str]]":
-    with Client(background=False, max_batch_size=8) as client:
-        results = client.map(_matrix(BACKENDS))
-    return [(r.config, _digest(r.series, r.efield)) for r in results]
+def served(chunked_kernels) -> "dict[str, list[tuple[SimulationConfig, str, bool]]]":
+    """``(config, digest, cache_hit)`` of every served run, per kernel mode.
+
+    The two halves request equal configs, so each has its own client: a
+    shared one would answer the chunked half from its store or by
+    in-flight dedup, and that half would check nothing.
+    """
+    halves = {}
+    for kernels in KERNELS:
+        chunked = chunked_kernels() if kernels == "chunked" else contextlib.nullcontext()
+        with chunked, Client(background=False, max_batch_size=8) as client:
+            results = client.map(_matrix())
+        halves[kernels] = [(r.config, _digest(r.series, r.efield), r.cache_hit) for r in results]
+    return halves
 
 
-def test_matrix_covers_38_served_runs():
-    assert len(_matrix(BACKENDS)) == 38
+def test_matrix_covers_40_served_runs(served):
+    assert len(_matrix()) == 20
+    for kernels in KERNELS:
+        assert [(c, hit) for c, _, hit in served[kernels]] == [(c, False) for c in _matrix()]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_served_results_match_pinned_hashes(served, backend):
-    cases = [(config, digest) for config, digest in served if config.backend == backend]
-    assert cases
-    moved = [_case_key(c) for c, digest in cases if PINNED[_case_key(c)] != digest]
-    assert not moved, f"{backend}: served results moved off the pinned hashes: {moved}"
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_served_results_match_pinned_hashes(served, kernels):
+    moved = [_case_key(c) for c, digest, _ in served[kernels] if PINNED[_case_key(c)] != digest]
+    assert not moved, f"{kernels}: served results moved off the pinned hashes: {moved}"
 
 
 # -- one gather per steady-state step ------------------------------------
@@ -325,7 +338,7 @@ SHARING_CASES = {
 def stencil_rows(monkeypatch) -> "list[int]":
     """Count the rows of every particle→grid stencil the kernels build.
 
-    A threaded build fills its rows in several slabs, so rows, not
+    A chunked build fills its rows in several slabs, so rows, not
     fills, count the builds under every backend: one build is a batch.
     """
     rows = [0]
@@ -367,17 +380,16 @@ def own_x_bins(monkeypatch) -> "list[int]":
     return calls
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", list(SHARING_CASES))
 def test_dl_binning_takes_its_x_bins_from_the_stencil_only_when_shared(
-    stencil_rows, handed_x_bins, own_x_bins, case, backend
+    stencil_rows, handed_x_bins, own_x_bins, case, kernels
 ):
     """Where the stencil can be shared, the DL solve builds it, the binning
     computes no x index and the t=0 rewind gather and every sync gather
     build nothing; every neighbour bins as before and its gathers build
     the stencil."""
     updates, binning_order, long_box = SHARING_CASES[case]
-    config = SMALL.with_updates(backend=backend, **updates)
+    config = SMALL.with_updates(**updates)
     solver = _field_grid_dl_solver(Grid1D(config.n_cells, config.box_length),
                                    binning_order, long_box)
     engine = DLEnsemble.from_config(config, 3, solver)
@@ -393,14 +405,12 @@ def test_dl_binning_takes_its_x_bins_from_the_stencil_only_when_shared(
     assert stencil_rows[0] - rows == 5 * engine.batch
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_dl_step_sharing_its_stencil_keeps_every_bit(backend):
+def test_dl_step_sharing_its_stencil_keeps_every_bit(kernels):
     """The shared stencil's step equals the plain ensemble's, whose solve
     (``DLFieldSolver.field``) has no workspace and shares nothing."""
-    config = SMALL.with_updates(backend=backend)
-    grid = Grid1D(config.n_cells, config.box_length)
-    shared = DLEnsemble.from_config(config, 3, _field_grid_dl_solver(grid))
-    plain = EnsembleSimulation.from_config(config, 3, field_solver=_field_grid_dl_solver(grid))
+    grid = Grid1D(SMALL.n_cells, SMALL.box_length)
+    shared = DLEnsemble.from_config(SMALL, 3, _field_grid_dl_solver(grid))
+    plain = EnsembleSimulation.from_config(SMALL, 3, field_solver=_field_grid_dl_solver(grid))
     for _ in range(6):
         shared.step()
         plain.step()
