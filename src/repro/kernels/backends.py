@@ -128,8 +128,8 @@ class ThreadedBackend(KernelBackend):
     with two workers against 19.7 ms, medians of 10 alternations).
     """
 
-    def __init__(self, max_workers: "int | None" = None) -> None:
-        self.workers = _CORES if max_workers is None else int(max_workers)
+    def __init__(self, max_workers: int) -> None:
+        self.workers = int(max_workers)
         if self.workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
 

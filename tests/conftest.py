@@ -24,9 +24,22 @@ from repro.pic.simulation import EnsembleSimulation
 from repro.vlasov.ensemble import VlasovEnsemble
 
 
+class _CountingBackend(ThreadedBackend):
+    """``ThreadedBackend`` that counts the multi-row calls it splits, so a
+    test that serves its runs can tell that the engines ran on it."""
+
+    def __init__(self, max_workers: int) -> None:
+        super().__init__(max_workers=max_workers)
+        self.split_calls = 0
+
+    def run_rows(self, n_rows, fn, size=0) -> None:
+        self.split_calls += n_rows > 1
+        super().run_rows(n_rows, fn, size)
+
+
 @contextlib.contextmanager
 def _chunked_kernels(max_workers: int = 3) -> "Iterator[ThreadedBackend]":
-    backend = ThreadedBackend(max_workers=max_workers)
+    backend = _CountingBackend(max_workers)
     with pytest.MonkeyPatch.context() as patch:
         for cls in (EnsembleSimulation, DLEnsemble, VlasovEnsemble):
             patch.setattr(cls, "_backend", backend)
@@ -36,7 +49,8 @@ def _chunked_kernels(max_workers: int = 3) -> "Iterator[ThreadedBackend]":
 @pytest.fixture(scope="session")
 def chunked_kernels():
     """A context manager that runs the kernels of every engine built inside
-    it on ``ThreadedBackend(max_workers=3)``, which it yields.
+    it on ``ThreadedBackend(max_workers=3)``, which it yields; the
+    backend's ``split_calls`` counts the multi-row calls it split.
 
     Every pinned run is far below ``repro.kernels.backends.FLOOR``, where
     the engines' own backend runs one slab, so this is how a test checks

@@ -269,11 +269,12 @@ def served_field_grid(chunked_kernels) -> "dict[tuple[str, str], tuple[str, ...]
     for name, (order, dtype, interpolation, long_box) in FIELD_GRID_CASES.items():
         for kernels in ("default", "chunked"):
             chunked = chunked_kernels() if kernels == "chunked" else contextlib.nullcontext()
-            with chunked, Client(
+            with chunked as backend, Client(
                 background=False, max_batch_size=8, dl_solver=_field_grid_solver(order, long_box)
             ) as client:
                 results = client.map(_requests(dtype, interpolation=interpolation))
                 assert client.service.batch_size_histogram == {3: 1}, "not one 3-row batch"
+            assert backend is None or backend.split_calls, f"{name}: chunked, split no call"
             digests[name, kernels] = _result_digests(results)
     return digests
 

@@ -121,8 +121,9 @@ def served(chunked_kernels) -> "dict[str, list[tuple[SimulationConfig, str, bool
     halves = {}
     for kernels in KERNELS:
         chunked = chunked_kernels() if kernels == "chunked" else contextlib.nullcontext()
-        with chunked, Client(background=False, max_batch_size=8) as client:
+        with chunked as backend, Client(background=False, max_batch_size=8) as client:
             results = client.map(_matrix())
+        assert backend is None or backend.split_calls, "the chunked half split no call"
         halves[kernels] = [(r.config, _digest(r.series, r.efield), r.cache_hit) for r in results]
     return halves
 
