@@ -23,6 +23,7 @@ from repro.config import SimulationConfig
 from repro.dlpic.solver import DLFieldSolver
 from repro.engines.observables import Observables, resolve_observables
 from repro.kernels import KernelBackend
+from repro.kernels.blas import blas_threads_settable
 from repro.pic.simulation import EnsembleSimulation
 
 
@@ -47,15 +48,6 @@ class DLEnsemble(EnsembleSimulation):
     ``DLPIC(configs[b], solver)`` bit for bit.
     """
 
-    # One slab.  The DL solve's GEMM already runs on a multi-threaded
-    # BLAS, and kernel chunks on the shared pool contend with its
-    # threads: at paper size (8 x 64,000 particles, the 64x64 -> 3x1024
-    # MLP, a 2-vCPU x86_64 VM, 10 alternations) a step took 40.7 ms with
-    # the kernels chunked against 37.1 ms as one slab; with BLAS held to
-    # one thread (``OPENBLAS_NUM_THREADS=1``) chunking won instead, 36.0
-    # against 43.3 ms.
-    _backend: "KernelBackend | None" = None
-
     def __init__(
         self,
         configs: "SimulationConfig | Sequence[SimulationConfig]",
@@ -71,6 +63,15 @@ class DLEnsemble(EnsembleSimulation):
         configs = tuple(configs)
         if configs:
             _check_box_length(field_solver, configs[0])
+        # The class's ``KernelBackend()`` chunks this engine's kernels
+        # while its solve's forward holds BLAS to one thread.  Where
+        # numpy's BLAS cannot be held, its threads busy-wait beside the
+        # chunks after every GEMM, so the kernels run one slab: at paper
+        # size (8 x 64,000 particles, the 64x64 -> 3x1024 MLP, a 2-vCPU
+        # x86_64 VM, 10 alternations) a step took 40.7 ms chunked
+        # against 37.1 ms as one slab.
+        if type(self._backend) is KernelBackend and not blas_threads_settable():
+            self._backend = None
         super().__init__(configs, field_solver=field_solver, rngs=rngs)
 
     @classmethod

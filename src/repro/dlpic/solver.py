@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.kernels import KernelBackend
+from repro.kernels.blas import one_blas_thread
 from repro.kernels.workspace import Workspace
 from repro.nn.network import Sequential
 from repro.phasespace.binning import PhaseSpaceGrid, bin_phase_space_batch
@@ -130,10 +131,15 @@ class DLFieldSolver:
 
         float32 histograms are evaluated by the float32 weight copy
         (single-precision GEMMs end to end); anything else runs the
-        float64 reference model unchanged.
+        float64 reference model unchanged.  The forward holds numpy's
+        BLAS to one thread and splits its wide GEMMs across the kernel
+        pool instead (:func:`repro.kernels.blas.one_blas_thread`), with
+        the same bits.
         """
         prepared = self.prepare_inputs(histograms)
-        return self._eval_model(prepared.dtype).predict(prepared)
+        model = self._eval_model(prepared.dtype)
+        with one_blas_thread():
+            return model.predict(prepared)
 
     def fields(
         self,
@@ -155,12 +161,13 @@ class DLFieldSolver:
         An engine passes its kernel workspace ``work``, its field
         ``grid``, its ``gather_order`` and its kernel ``backend``.  The
         binning scratch then lives in ``work`` (``None`` bins on a
-        throwaway one).  When the stencil can be shared — float64
-        positions, NGP binning, a CIC gather and a phase-space x axis
-        equal to ``grid`` — the solve builds the CIC stencil of ``x``
-        into ``work`` through ``backend`` (``None``: the reference
-        slab), where the engine's next gather at ``x`` reads it, and
-        bins with its left nodes as the x bins.
+        throwaway one), and NGP binning runs its rows through
+        ``backend`` (``None``: the reference slab).  When the stencil
+        can be shared — float64 positions, NGP binning, a CIC gather
+        and a phase-space x axis equal to ``grid`` — the solve builds
+        the CIC stencil of ``x`` into ``work`` through ``backend``,
+        where the engine's next gather at ``x`` reads it, and bins with
+        its left nodes as the x bins.
 
         When ``work`` is given, the stacked histograms are left in
         ``work.histograms``, which is where a caller reads them.
@@ -178,7 +185,7 @@ class DLFieldSolver:
             x_index = build_stencil(grid, x, work, "cic", backend)[:, 0]
         hists = bin_phase_space_batch(
             x, v, self.ps_grid, order=self.binning, dtype=x.dtype, work=work,
-            x_index=x_index,
+            x_index=x_index, backend=backend,
         )
         if work is not None:
             work.histograms = hists

@@ -40,15 +40,19 @@ exactly as before.
 
 Threading
 ---------
-Evaluation GEMMs run their ``GEMM_BLOCK`` row blocks in one loop on the
-calling thread; they are not routed through a ``repro.kernels``
-backend, which chunks deposit, gather, the pushers and the Vlasov
-advection.  A layer holds only its weights (and, after a training
-forward, its backward cache), so one network can serve any number of
-engines.  Chunking the blocks over a thread pool bought nothing: a
-DL ensemble of 8 x 64,000 particles with every kernel call chunked,
-on the paper's 64x64 -> 3x1024 MLP, stepped in 30.4 ms with it and
-28.8 ms without (medians of 10 alternated runs, 2-vCPU x86_64 VM).
+A DL-solve forward runs inside ``repro.kernels.blas.one_blas_thread``,
+which holds numpy's BLAS to one thread, so the kernel pool of
+``repro.kernels`` is the only set of compute threads in a DL step.
+Inside that scope :func:`blocked_gemm` splits a wide layer's output
+columns into one part per usable core on the pool, each a one-thread
+BLAS call over every row block (``repro.kernels.blas.run_columns``
+decides the parts); narrow layers, and every forward outside the
+scope, run one call per row block on the calling thread, with BLAS's
+own threads.  This is why ``repro.nn`` imports ``repro.kernels``.  A
+column of a product depends only on its own weight column, so the
+split keeps every bit.  A layer holds only its weights (and, after a
+training forward, its backward cache), so one network can serve any
+number of engines.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.kernels.blas import run_columns
 from repro.nn.initializers import glorot_uniform
 
 
@@ -82,6 +87,9 @@ def blocked_gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     into the result without temporaries.  The output dtype follows the
     operands (float64 inputs keep the historical float64 GEMM bit for
     bit; the float32 serving tier runs single-precision BLAS blocks).
+    Each block product covers the output columns ``run_columns`` hands
+    it: all of them, or one part per core inside a DL-solve forward
+    (see the module docstring).
 
     Applying the blocks to *every* evaluation matmul (not only the
     DL-ensemble path) trades ~1.5x on very large-batch products (the
@@ -91,14 +99,21 @@ def blocked_gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     n = x.shape[0]
     out = np.empty((n, w.shape[1]), dtype=np.promote_types(x.dtype, w.dtype))
-    for start in range(0, n, GEMM_BLOCK):
-        stop = min(start + GEMM_BLOCK, n)
-        if stop - start == GEMM_BLOCK:
-            np.matmul(x[start:stop], w, out=out[start:stop])
-        else:
-            padded = np.zeros((GEMM_BLOCK, x.shape[1]), dtype=x.dtype)
-            padded[: stop - start] = x[start:stop]
-            out[start:stop] = np.matmul(padded, w)[: stop - start]
+    full = n - n % GEMM_BLOCK
+    padded = None
+    if full < n:
+        padded = np.zeros((GEMM_BLOCK, x.shape[1]), dtype=x.dtype)
+        padded[: n - full] = x[full:]
+
+    def columns(lo: int, hi: int) -> None:
+        part = w[:, lo:hi]
+        for start in range(0, full, GEMM_BLOCK):
+            stop = start + GEMM_BLOCK
+            np.matmul(x[start:stop], part, out=out[start:stop, lo:hi])
+        if padded is not None:
+            out[full:, lo:hi] = np.matmul(padded, part)[: n - full]
+
+    run_columns(columns, w.shape[1], w.shape[0])
     return out
 
 

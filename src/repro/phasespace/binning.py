@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import constants
+from repro.kernels import KernelBackend
 from repro.kernels.workspace import Workspace, wrap_indices
 
 #: The binning orders :func:`bin_phase_space` implements.
@@ -157,38 +158,53 @@ def _x_index_batch(x: np.ndarray, grid: PhaseSpaceGrid, work: Workspace) -> np.n
     return jx
 
 
-def _ngp_flat_batch(
+def _ngp_count_batch(
     x: np.ndarray,
     v: np.ndarray,
     grid: PhaseSpaceGrid,
     work: Workspace,
-    x_index: "np.ndarray | None" = None,
+    x_index: "np.ndarray | None",
+    backend: "KernelBackend | None",
 ) -> np.ndarray:
-    """Flattened NGP cell indices of a ``(batch, n)`` phase space, in place.
+    """NGP counts of a ``(batch, n)`` phase space, ``(batch, n_v * n_x)``.
 
-    Row ``b`` equals ``_v_bins(v[b]) * n_x + _x_bins(x[b])`` element for
-    element; the particle-sized scratch is ``work`` buffers, and the
-    returned indices are one of them.
+    Row ``b`` counts ``_v_bins(v[b]) * n_x + _x_bins(x[b])`` with one
+    ``np.bincount``; the particle-sized scratch is ``work`` buffers.
 
     * x: ``x_index`` when the caller holds the x bins already, else
-      :func:`_x_index_batch`.
+      :func:`_x_index_batch` over the whole batch.
     * v: :func:`_v_bins`' clamp and cast on one buffer, without its
       ``floor``: the clamp bounds are integers, so truncating the
       clamped coordinate gives ``floor``'s index for every float
       (NaN, ``-0.0`` and the infinities included).
+
+    The velocity index, the flat index and the count of each row run
+    per row slab through ``backend`` (``None``: one slab), on rows of
+    buffers fetched before the slabs start.
     """
     if x_index is None:
         x_index = _x_index_batch(x, grid, work)
     s = work.get("bin_s", x.shape, np.float64)
     flat = work.get("bin_flat", x.shape, np.int64)
-    np.subtract(v, grid.v_min, out=s)
-    s /= grid.dv
-    np.fmax(s, 0, out=s)
-    np.fmin(s, grid.n_v - 1, out=s)
-    np.copyto(flat, s, casting="unsafe")
-    flat *= grid.n_x
-    flat += x_index
-    return flat
+    hist = np.empty((x.shape[0], grid.size), dtype=np.float64)
+
+    def rows(lo: int, hi: int) -> None:
+        sv, fl = s[lo:hi], flat[lo:hi]
+        np.subtract(v[lo:hi], grid.v_min, out=sv)
+        sv /= grid.dv
+        np.fmax(sv, 0, out=sv)
+        np.fmin(sv, grid.n_v - 1, out=sv)
+        np.copyto(fl, sv, casting="unsafe")
+        fl *= grid.n_x
+        fl += x_index[lo:hi]
+        for b in range(lo, hi):
+            hist[b] = np.bincount(flat[b], minlength=grid.size)
+
+    if backend is None:
+        rows(0, x.shape[0])
+    else:
+        backend.run_rows(x.shape[0], rows, x.size)
+    return hist
 
 
 def _cic_flat_scatter(
@@ -273,6 +289,7 @@ def bin_phase_space_batch(
     dtype: "np.dtype | type" = np.float64,
     work: "Workspace | None" = None,
     x_index: "np.ndarray | None" = None,
+    backend: "KernelBackend | None" = None,
 ) -> np.ndarray:
     """Bin a whole ensemble of phase spaces.
 
@@ -280,17 +297,20 @@ def bin_phase_space_batch(
     ``(batch, n_v, n_x)`` with row ``b`` bitwise identical to
     ``bin_phase_space(x[b], v[b], grid, order)``:
 
-    * NGP: every row's raveled cell indices are computed in place (see
-      :func:`_ngp_flat_batch`) and counted by one ``np.bincount`` per
-      row.  ``work`` holds their particle-sized scratch; callers that
-      bin every step pass the workspace they own, ``None`` uses a
-      throwaway one.  ``x_index``, an int64 ``(batch, n)`` array, gives
-      the x bins when the caller already holds them — the left nodes of
-      a CIC stencil of ``x`` on a field grid equal to this x axis are
-      exactly these bins — so the binning computes none of its own.
+    * NGP: every row's raveled cell indices are computed in place and
+      counted by one ``np.bincount`` per row (see
+      :func:`_ngp_count_batch`), in row slabs through the kernel
+      ``backend`` (``None``: one slab).  ``work`` holds their
+      particle-sized scratch; callers that bin every step pass the
+      workspace they own, ``None`` uses a throwaway one.  ``x_index``,
+      an int64 ``(batch, n)`` array, gives the x bins when the caller
+      already holds them — the left nodes of a CIC stencil of ``x`` on
+      a field grid equal to this x axis are exactly these bins — so the
+      binning computes none of its own.
       The histogram itself is always a fresh array.
     * CIC: the four bilinear corner contributions of every row are
-      scattered by one raveled ``np.add.at``.  Rows write to disjoint
+      scattered by one raveled ``np.add.at``, as one slab whatever the
+      ``backend``.  Rows write to disjoint
       index ranges and each row's updates keep the single-run
       accumulation order, so the float sums match bit for bit.
 
@@ -304,10 +324,9 @@ def bin_phase_space_batch(
         )
     batch = x.shape[0]
     if order == "ngp":
-        flat = _ngp_flat_batch(x, v, grid, work if work is not None else Workspace(), x_index)
-        hist = np.empty((batch, grid.size), dtype=np.float64)
-        for b in range(batch):
-            hist[b] = np.bincount(flat[b], minlength=grid.size)
+        hist = _ngp_count_batch(
+            x, v, grid, work if work is not None else Workspace(), x_index, backend
+        )
     elif order == "cic":
         if x_index is not None:
             raise ValueError("x_index serves NGP binning only")

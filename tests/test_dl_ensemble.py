@@ -10,7 +10,8 @@ import pytest
 from repro.config import SimulationConfig
 from repro.dlpic import DLEnsemble, DLFieldSolver, DLPIC
 from repro.dlpic import solver as dl_solver_module
-from repro.kernels import ThreadedBackend
+from repro.kernels import KernelBackend, ThreadedBackend
+from repro.kernels.blas import blas_threads_settable
 from repro.models.architectures import build_cnn, build_mlp
 from repro.phasespace.binning import PhaseSpaceGrid, bin_phase_space_batch
 from repro.phasespace.normalization import MinMaxNormalizer
@@ -160,8 +161,9 @@ class TestBatchedSolverStage:
         self, config, monkeypatch, chunked_kernels
     ):
         """On a field-aligned grid the solve's stencil build runs on the
-        engine's backend: the injected one under chunked kernels, one slab
-        (``None``) by default."""
+        engine's backend: the injected one under chunked kernels, and by
+        default the class's ``KernelBackend`` (one slab, ``None``, where
+        numpy's BLAS has no thread setter)."""
         grid = PhaseSpaceGrid(n_x=config.n_cells, n_v=8, box_length=config.box_length)
         model = build_mlp(input_size=grid.size, output_size=config.n_cells,
                           hidden_size=24, rng=0)
@@ -178,8 +180,10 @@ class TestBatchedSolverStage:
         with chunked_kernels() as chunked:
             DLEnsemble.from_config(config, 2, solver).step()
         DLEnsemble.from_config(config, 2, solver).step()
+        own = DLEnsemble._backend if blas_threads_settable() else None
+        assert own is None or type(own) is KernelBackend
         # Each engine's t=0 solve and its step.
-        assert backends == [chunked, chunked, None, None]
+        assert backends == [chunked, chunked, own, own]
 
     def test_fields_shape(self, config):
         solver = _solver(config)

@@ -17,6 +17,7 @@ paper-size ensemble split into chunks against each member's solo run.
 """
 
 import contextlib
+import threading
 import time
 
 import numpy as np
@@ -25,8 +26,13 @@ import pytest
 from repro.config import SimulationConfig
 from repro.dlpic import DLEnsemble, DLFieldSolver
 from repro.kernels import KernelBackend, ThreadedBackend
-from repro.kernels import backends
+from repro.kernels import backends, blas
 from repro.models.architectures import build_mlp
+from repro.nn import layers
+from repro.nn.layers import Dense, blocked_gemm
+from repro.nn.losses import MSELoss
+from repro.nn.optimizers import Adam
+from repro.nn.training import Trainer
 from repro.phasespace.binning import PhaseSpaceGrid
 from repro.phasespace.normalization import MinMaxNormalizer
 from repro.pic.simulation import EnsembleSimulation, TraditionalPIC
@@ -34,6 +40,10 @@ from repro.vlasov.ensemble import VlasovEnsemble
 
 BATCH = 4
 STEPS = 6
+
+needs_blas_setter = pytest.mark.skipif(
+    not blas.blas_threads_settable(), reason="numpy's BLAS has no thread setter"
+)
 
 
 # -- ThreadedBackend chunking --------------------------------------------
@@ -163,7 +173,8 @@ class TestChunkedNumpyEngines:
             for name, series in solo_hist.as_arrays().items():
                 np.testing.assert_array_equal(hist.member(b)[name], series)
 
-    def test_dl_on_numpy_submits_nothing_to_the_pool(self, pool_chunks):
+    @needs_blas_setter
+    def test_dl_on_numpy_splits_its_kernels_across_the_pool(self, pool_chunks):
         # A field-aligned phase-space grid, so the solve builds its
         # stencil through the engine's backend too.
         grid = PhaseSpaceGrid(n_x=LARGE.n_cells, n_v=8, box_length=LARGE.box_length)
@@ -172,7 +183,211 @@ class TestChunkedNumpyEngines:
         normalizer = MinMaxNormalizer.from_dict({"minimum": 0.0, "maximum": 60.0})
         solver = DLFieldSolver(model, grid, normalizer, input_kind="flat")
         DLEnsemble.from_config(LARGE, 4, solver).run(2)
+        assert (2, 4) in pool_chunks
+
+
+# -- the DL step on the kernel pool --------------------------------------
+
+# The paper MLP's layer shapes, (inputs, outputs).
+PAPER_LAYERS = ((4096, 1024), (1024, 1024), (1024, 64))
+
+
+def _wide_dl_solver(config, n_v=16, hidden=1024):
+    """A field-aligned solver whose 1024 -> 1024 layers split their columns."""
+    grid = PhaseSpaceGrid(n_x=config.n_cells, n_v=n_v, box_length=config.box_length)
+    model = build_mlp(input_size=grid.size, output_size=config.n_cells,
+                      hidden_size=hidden, n_hidden=2, rng=0)
+    normalizer = MinMaxNormalizer.from_dict({"minimum": 0.0, "maximum": 60.0})
+    return DLFieldSolver(model, grid, normalizer, input_kind="flat")
+
+
+def _dl_state(config, solver, steps=2):
+    engine = DLEnsemble.from_config(config, 4, solver)
+    engine.run(steps)
+    return engine, [engine.particles.x, engine.particles.v, engine.efield,
+                    engine.v_at_integer_time, engine.last_histograms]
+
+
+class TestSplitGemm:
+    @pytest.mark.parametrize("cores", (2, 3, 4))
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    def test_split_gemm_equals_the_unsplit_block_product(
+        self, monkeypatch, pool_chunks, cores, dtype
+    ):
+        monkeypatch.setattr(backends, "_CORES", cores)
+        rng = np.random.default_rng(0)
+        for inputs, outputs in PAPER_LAYERS:
+            w = rng.standard_normal((inputs, outputs)).astype(dtype)
+            for rows in (1, 8, 16, 17):
+                x = rng.standard_normal((rows, inputs)).astype(dtype)
+                whole = blocked_gemm(x, w)
+                before = len(pool_chunks)
+                with blas.one_blas_thread():
+                    split = blocked_gemm(x, w)
+                assert split.dtype == whole.dtype == dtype
+                assert np.array_equal(split, whole), (inputs, outputs, rows)
+                parts = 1 + len(pool_chunks) - before
+                if not blas.blas_threads_settable():
+                    assert parts == 1
+                elif outputs == 64:
+                    assert parts == 1  # 2**16 weights: below the floor
+                else:
+                    assert parts == min(cores, inputs * outputs // blas.GEMM_FLOOR)
+
+    @needs_blas_setter
+    def test_parts_hold_the_floor_on_aligned_columns(self, monkeypatch, pool_chunks):
+        monkeypatch.setattr(backends, "_CORES", 4)
+        bounds = []
+        with blas.one_blas_thread():
+            # 130 columns of 2**13 weights: two parts would leave the
+            # second two columns, so the product runs as one.
+            blas.run_columns(lambda lo, hi: bounds.append((lo, hi)), 130, 1 << 13)
+            blas.run_columns(lambda lo, hi: bounds.append((lo, hi)), 1024, 4096)
+        assert sorted(bounds) == [(0, 130), (0, 256), (256, 512), (512, 768), (768, 1024)]
+
+    def test_outside_the_scope_a_gemm_never_splits(self, monkeypatch, pool_chunks):
+        monkeypatch.setattr(backends, "_CORES", 4)
+        bounds = []
+        blas.run_columns(lambda lo, hi: bounds.append((lo, hi)), 1024, 4096)
+        assert bounds == [(0, 1024)] and pool_chunks == []
+
+
+class TestDLEngineOnThePool:
+    @needs_blas_setter
+    @pytest.mark.parametrize("dtype", ("float64", "float32"))
+    def test_a_dl_engine_above_the_floor_equals_its_one_slab_run(
+        self, monkeypatch, pool_chunks, dtype
+    ):
+        config = LARGE.with_updates(dtype=dtype)
+        solver = _wide_dl_solver(config)
+        _, split = _dl_state(config, solver)
+        assert (2, 4) in pool_chunks  # the kernels split
+        assert (8, 16) in pool_chunks  # and so did the 1024 -> 1024 GEMMs
+        monkeypatch.setattr(DLEnsemble, "_backend", None)
+        monkeypatch.setattr(backends, "_CORES", 1)
+        del pool_chunks[:]
+        _, one_slab = _dl_state(config, solver)
         assert pool_chunks == []
+        for got, want in zip(split, one_slab):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_without_a_blas_thread_setter_a_dl_run_keeps_one_slab(
+        self, monkeypatch, pool_chunks
+    ):
+        solver = _wide_dl_solver(LARGE)
+        _, default = _dl_state(LARGE, solver)
+        monkeypatch.setattr(blas, "_thread_calls", lambda: None)
+        del pool_chunks[:]
+        engine, hidden = _dl_state(LARGE, solver)
+        assert engine._backend is None
+        assert pool_chunks == []
+        for got, want in zip(hidden, default):
+            assert np.array_equal(got, want)
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's BLAS set to two threads for the test (restored after it);
+    yields the getter of its thread count."""
+    get, set_ = blas._thread_calls()
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+@needs_blas_setter
+class TestBlasThreadCount:
+    """Only a DL-solve forward runs on one BLAS thread; everything outside
+    it keeps the count it had."""
+
+    @pytest.fixture
+    def forward_counts(self, monkeypatch, blas_threads):
+        """The BLAS thread count each evaluation GEMM ran with."""
+        seen = []
+        original = layers.blocked_gemm
+
+        def spy(x, w):
+            seen.append(blas_threads())
+            return original(x, w)
+
+        monkeypatch.setattr(layers, "blocked_gemm", spy)
+        return seen
+
+    def test_a_dl_step_holds_blas_to_one_thread_only_inside_its_forward(
+        self, blas_threads, forward_counts
+    ):
+        engine = DLEnsemble.from_config(_traditional_config("two_stream"), 2,
+                                        _wide_dl_solver(_traditional_config("two_stream")))
+        engine.step()
+        assert forward_counts and set(forward_counts) == {1}
+        assert blas_threads() == 2
+
+    def test_a_forward_that_raises_restores_the_count(
+        self, monkeypatch, blas_threads
+    ):
+        config = _traditional_config("two_stream")
+        solver = _wide_dl_solver(config)
+
+        def boom(x, w):
+            raise RuntimeError("forward failed")
+
+        monkeypatch.setattr(layers, "blocked_gemm", boom)
+        with pytest.raises(RuntimeError, match="forward failed"):
+            solver.predict_from_histograms(np.zeros((2, *solver.ps_grid.shape)))
+        assert blas_threads() == 2
+        assert blas._open == 0
+
+    def test_two_dl_engines_stepping_at_once_restore_the_count(
+        self, blas_threads, forward_counts
+    ):
+        config = _traditional_config("two_stream")
+        solver = _wide_dl_solver(config)
+        configs = (config, config.with_updates(scenario="landau_damping", seed=4))
+        barrier = threading.Barrier(2)
+
+        def run(engine):
+            barrier.wait()
+            for _ in range(STEPS):
+                engine.step()
+
+        together = [DLEnsemble.from_config(c, 2, solver) for c in configs]
+        threads = [threading.Thread(target=run, args=(e,)) for e in together]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert set(forward_counts) == {1}
+        assert blas_threads() == 2
+        for c, engine in zip(configs, together):
+            alone = DLEnsemble.from_config(c, 2, solver)
+            alone.run(STEPS)
+            assert np.array_equal(engine.particles.x, alone.particles.x)
+            assert np.array_equal(engine.efield, alone.efield)
+
+    def test_training_after_a_dl_step_keeps_blas_threads(
+        self, monkeypatch, blas_threads
+    ):
+        config = _traditional_config("two_stream")
+        solver = _wide_dl_solver(config, hidden=64)
+        DLEnsemble.from_config(config, 2, solver).step()
+        seen = []
+        for name in ("forward", "backward"):
+            original = getattr(Dense, name)
+
+            def spy(self, *args, _original=original, **kwargs):
+                seen.append(blas_threads())
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(Dense, name, spy)
+        rng = np.random.default_rng(0)
+        inputs = rng.random((32, solver.ps_grid.size))
+        targets = rng.random((32, config.n_cells))
+        Trainer(solver.model, MSELoss(), Adam(lr=1e-3)).fit(
+            inputs, targets, epochs=1, batch_size=16, rng=0
+        )
+        assert seen and set(seen) == {2}
 
 
 # -- engine parity matrix ------------------------------------------------

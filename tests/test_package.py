@@ -3,7 +3,8 @@ it stays executable.  And a process that imports the package and serves
 requests starts on numpy and the standard library alone: scipy, the one
 optional heavy dependency, loads only inside the two reference functions
 that call it (``solve_poisson_direct`` and ``solve_dispersion``).  The
-network stack (``repro.nn``) imports no kernel backend."""
+network stack (``repro.nn``) imports no engine, and of the kernels only
+the GEMM column split."""
 
 import doctest
 import json
@@ -83,16 +84,23 @@ def test_imports_and_every_solver_family_run_without_scipy():
     assert report["scipy"] == []
 
 
-def test_the_network_stack_imports_no_kernel_backend():
-    """A network is frozen weights: evaluation runs its GEMM blocks
-    itself, and the engine, not the network, owns a kernel backend."""
+def test_the_network_stack_reaches_the_kernels_only_for_its_column_split():
+    """A network is frozen weights: the engine, not the network, owns a
+    kernel backend and a workspace.  ``repro.nn`` imports only the GEMM
+    column split of ``repro.kernels`` (``blas``, with the shared pool of
+    ``backends`` it runs parts on), and no engine."""
     report = _run_fresh(
         "import json, sys\n"
         "import repro.nn\n"
         "print(json.dumps({'kernels': sorted(m for m in sys.modules"
-        " if m.startswith('repro.kernels'))}))"
+        " if m.startswith('repro.kernels')), 'engines': sorted(m for m in sys.modules"
+        " if m.split('.')[:2] in (['repro', 'pic'], ['repro', 'engines'],"
+        " ['repro', 'dlpic']))}))"
     )
-    assert report == {"kernels": []}
+    assert report == {
+        "kernels": ["repro.kernels", "repro.kernels.backends", "repro.kernels.blas"],
+        "engines": [],
+    }
 
 
 _SCIPY_PATHS = """
