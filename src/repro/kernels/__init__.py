@@ -2,10 +2,10 @@
 
 The engines compute one ensemble step through a handful of hot kernels
 — particle-grid deposit/gather, the leapfrog pushers, the DL solve's
-phase-space binning and the Vlasov advection stencils.  Every one of those kernels is *row-independent*:
-row ``b`` of a batched result is a function of row ``b`` of the inputs
-alone, and the engines already guarantee it is bitwise identical to
-running member ``b`` solo.  A kernel backend exploits exactly that
+phase-space binning and the Vlasov advection stencils.  Every one of
+those kernels is *row-independent*: row ``b`` of a batched result is a
+function of row ``b`` of the inputs alone, and the engines already
+guarantee it is bitwise identical to running member ``b`` solo.  A kernel backend exploits exactly that
 property: it decides *how* the independent rows of one kernel call
 execute, never *what* they compute.  The DL solve's evaluation GEMMs
 split the other way, by output columns: :mod:`repro.kernels.blas`
