@@ -260,9 +260,18 @@ class TestDLEngineOnThePool:
     ):
         config = LARGE.with_updates(dtype=dtype)
         solver = _wide_dl_solver(config)
+        routed = []
+        original = KernelBackend.run_rows
+
+        def named(self, n_rows, fn, size=0):
+            routed.append(fn.__qualname__.split(".")[0])
+            return original(self, n_rows, fn, size)
+
+        monkeypatch.setattr(KernelBackend, "run_rows", named)
         _, split = _dl_state(config, solver)
         assert (2, 4) in pool_chunks  # the kernels split
         assert (8, 16) in pool_chunks  # and so did the 1024 -> 1024 GEMMs
+        assert "_ngp_count_batch" in routed  # the binning ran on the backend
         monkeypatch.setattr(DLEnsemble, "_backend", None)
         monkeypatch.setattr(backends, "_CORES", 1)
         del pool_chunks[:]
